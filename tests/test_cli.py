@@ -1,8 +1,8 @@
 """Tests for the command-line front end.
 
-A golden corpus under tests/golden/ freezes the text output of one
-invocation per transcript-style listing; the files are compared
-byte-for-byte.  Regenerate after an intentional output change with
+A golden corpus under tests/golden/ freezes the text and the JSON
+output of one invocation per transcript-style listing; the files are
+compared byte-for-byte.  Regenerate after an intentional output change with
 
     python3 tests/test_cli.py --record
 
@@ -82,11 +82,19 @@ def run(argv) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("name,argv", CORPUS, ids=[n for n, _ in CORPUS])
-def test_golden(name, argv):
+# every corpus argv is frozen twice: <name>.txt in text mode, <name>.json with --json
+GOLDEN = [
+    (name + suffix, argv + flags)
+    for name, argv in CORPUS
+    for suffix, flags in ((".txt", []), (".json", ["--json"]))
+]
+
+
+@pytest.mark.parametrize("golden,argv", GOLDEN, ids=[g.removesuffix(".txt") for g, _ in GOLDEN])
+def test_golden(golden, argv):
     rc, out, err = run(argv)
     assert rc == 0, err
-    assert out == (GOLDEN_DIR / f"{name}.txt").read_text()
+    assert out == (GOLDEN_DIR / golden).read_text()
 
 
 class TestSpotValues:
@@ -235,12 +243,12 @@ class TestExitCodes:
 
 def _record():
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CORPUS:
+    for golden, argv in GOLDEN:
         rc, out, err = run(argv)
         if rc != 0:
-            raise SystemExit(f"{name}: exit {rc}: {err}")
-        (GOLDEN_DIR / f"{name}.txt").write_text(out)
-        print(f"recorded {name} ({len(out)} bytes)")
+            raise SystemExit(f"{golden}: exit {rc}: {err}")
+        (GOLDEN_DIR / golden).write_text(out)
+        print(f"recorded {golden} ({len(out)} bytes)")
 
 
 if __name__ == "__main__":
