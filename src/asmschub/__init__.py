@@ -7,7 +7,6 @@ from .asm import (
     complete_asm,
     enumerate_asms,
     make_partial_asm,
-    perm_set_brute_force,
     permutation_matrix,
     random_asms,
     rank_table,

@@ -10,13 +10,12 @@ makes sums of matrix Schubert varieties tractable.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .perm import Permutation, all_permutations, bruhat_leq
+from .perm import Permutation
 
 DATA_DIR_ENV = "ASMSCHUB_DATA_DIR"
 
@@ -409,43 +408,27 @@ def random_asms(
     return rng.sample(pool, m)
 
 
-def perm_set_brute_force(A: PartialASM) -> list[Permutation]:
-    """Bruhat-minimal permutations whose rank table is bounded by A's.
-
-    Exhaustive scan of S_n, so the completed size must stay at most 5.
-    """
-    B = complete_asm(A)
-    n = B.nrows
-    if n > 5:
-        raise ValueError(f"brute force limited to n <= 5, got {n}")
-    bound = rank_table(B)
-    above = []
-    for w in all_permutations(n):
-        tw = rank_table(permutation_matrix(w))
-        if all(
-            tw.values[i][j] <= bound.values[i][j]
-            for i in range(n)
-            for j in range(n)
-        ):
-            above.append(w)
-    minimal = [
-        w
-        for w in above
-        if not any(u != w and bruhat_leq(u, w) for u in above)
-    ]
-    return sorted(minimal, key=lambda w: w.one_line)
-
-
 def matrix_to_text(rows: Sequence[Sequence[int]]) -> str:
     return "\n".join(" ".join(str(e) for e in row) for row in rows)
 
 
 def matrix_from_text(text: str) -> tuple[tuple[int, ...], ...]:
-    rows = [
-        tuple(int(tok) for tok in line.split())
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
+    """Rows of space-separated integers, separated by newlines or by ';'.
+
+    >>> matrix_from_text("0 1 0;1 -1 1")
+    ((0, 1, 0), (1, -1, 1))
+    """
+    try:
+        rows = [
+            tuple(int(tok) for tok in line.split())
+            for line in text.replace(";", "\n").splitlines()
+            if line.strip()
+        ]
+    except ValueError:
+        raise ValueError(
+            "cannot parse matrix: expected rows of space-separated "
+            "integers, separated by newlines or by ';'"
+        ) from None
     return _as_grid(rows)
 
 
@@ -459,17 +442,17 @@ def matrices_to_text(asms: Iterable[PartialASM]) -> str:
     return "\n\n".join(matrix_to_text(A.rows) for A in asms) + "\n"
 
 
-def asm_to_json(A: PartialASM) -> str:
-    return json.dumps([list(row) for row in A.rows])
+def asm_to_json(A: PartialASM) -> list[list[int]]:
+    return [list(row) for row in A.rows]
 
 
-def asm_from_json(text: str) -> PartialASM:
-    return PartialASM(_as_grid(json.loads(text)))
+def asm_from_json(data: Sequence[Sequence[int]]) -> PartialASM:
+    return PartialASM(_as_grid(data))
 
 
-def rank_table_to_json(T: RankTable) -> str:
-    return json.dumps([list(row) for row in T.values])
+def rank_table_to_json(T: RankTable) -> list[list[int]]:
+    return [list(row) for row in T.values]
 
 
-def rank_table_from_json(text: str) -> RankTable:
-    return RankTable(_as_grid(json.loads(text)))
+def rank_table_from_json(data: Sequence[Sequence[int]]) -> RankTable:
+    return RankTable(_as_grid(data))

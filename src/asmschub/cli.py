@@ -10,18 +10,29 @@ Every public operation is reachable through a two-word verb:
     pipedream list | render | subword-facets
     decomp    decompose | permset | is-asm | get-asm | add | intersect | is-cm
 
-Permutations are comma-separated one-line words (`2,1,5,4,3`); matrices
-are either a path to a file with one space-separated row per line or an
-inline argument with rows joined by `;` (`0 1 0;1 -1 1;0 1 0`).  Inputs
-that accept both kinds pick the permutation reading only when the
-argument has no spaces, no `;`, and is not an existing file.
+Permutations are comma-separated one-line words (`2,1,5,4,3`).  A
+matrix is a file path or an inline argument, both read by
+`matrix_from_text`: rows of space-separated integers, one per line or
+joined by `;` (`0 1 0;1 -1 1;0 1 0`).  Inputs that accept both kinds
+pick the permutation reading only when the argument has no spaces, no
+`;`, and is not an existing file.
 
 Default output follows transcript conventions: boxed matrices, brace
 sets for cells, `ideal (...)` generator lists, `true`/`false` booleans.
-`--json` switches to a single JSON document with `schema_version` 1
-whose payload fields round-trip through the library parsers.  Exit code
-0 on success, 1 on domain errors (invalid matrices, budget exhaustion,
-unrecognized ideals), 2 on usage errors.
+Polynomials parse back through `poly_from_text`, `monomialIdeal (...)`
+through `monomial_ideal_from_text` and rendered pipe dreams through
+`pipe_dream_from_text`; the rest is presentation only.  `--json`
+switches to a single JSON document with `schema_version` 1 whose fields
+are the library's JSON forms: `polynomial` and polynomial `generators`
+parse back through `poly_from_json`, monomial `generators` through
+`monomial_ideal_from_json`, `asm` and `asms` through `asm_from_json`,
+`rank_table` through `rank_table_from_json`, `permutations` through
+`perm_from_json` and pipe dreams through `pipe_dream_from_json`.
+
+Every verb takes `--json`; `--budget`, `--seed` and `--data-dir` are
+taken only by the verbs that read them (see each verb's `--help`).
+Exit code 0 on success, 1 on domain errors (invalid matrices, budget
+exhaustion, unrecognized ideals), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from .asm import (
     ENUM_LIMIT,
     PartialASM,
     RankTable,
+    asm_to_json,
     complete_asm,
     enumerate_asms,
     make_partial_asm,
@@ -44,6 +56,7 @@ from .asm import (
     rank_table,
     rank_table_from_matrix,
     rank_table_to_asm,
+    rank_table_to_json,
 )
 from .decomp import (
     get_asm,
@@ -64,10 +77,11 @@ from .ideal import (
     schubert_codim,
     schubert_determinantal_ideal,
 )
-from .monomial import mono_to_text
+from .monomial import monomial_ideal_to_json, monomial_ideal_to_text
 from .perm import (
     PERMUTATION_CLASSES,
     Permutation,
+    cells_to_json,
     cells_to_text,
     class_membership,
     contains_pattern,
@@ -113,16 +127,8 @@ def _box(rows) -> str:
     )
 
 
-def _grid_json(rows) -> list[list[int]]:
-    return [list(row) for row in rows]
-
-
 def _ideal_text(gens) -> str:
     return "ideal (" + ", ".join(poly_to_text(g) for g in gens) + ")"
-
-
-def _mono_ideal_text(J) -> str:
-    return "monomialIdeal (" + ", ".join(mono_to_text(m) for m in J.generators) + ")"
 
 
 def _perm_list_text(perms) -> str:
@@ -130,24 +136,11 @@ def _perm_list_text(perms) -> str:
     return "{" + inner + "}"
 
 
-def _gens_json(gens) -> list:
-    return [json.loads(poly_to_json(g)) for g in gens]
-
-
 def _matrix_from_arg(text: str) -> tuple[tuple[int, ...], ...]:
     if os.path.exists(text):
         with open(text) as fh:
-            return matrix_from_text(fh.read())
-    hint = "expected rows of space-separated integers joined by ';', or a file path"
-    try:
-        rows = tuple(
-            tuple(int(tok) for tok in part.split()) for part in text.split(";")
-        )
-    except ValueError:
-        raise ValueError(f"cannot parse matrix from {text!r} ({hint})") from None
-    if not rows or any(not row for row in rows):
-        raise ValueError(f"cannot parse matrix from {text!r} ({hint})")
-    return rows
+            text = fh.read()
+    return matrix_from_text(text)
 
 
 def _schubertable_from_arg(text: str) -> Permutation | PartialASM:
@@ -160,12 +153,12 @@ def _schubertable_from_arg(text: str) -> Permutation | PartialASM:
 
 def _perm_diagram(a):
     cells = rothe_diagram(perm_from_text(a.perm))
-    return cells_to_text(cells), {"cells": [list(c) for c in cells]}
+    return cells_to_text(cells), {"cells": cells_to_json(cells)}
 
 
 def _perm_essential(a):
     cells = essential_set(perm_from_text(a.perm))
-    return cells_to_text(cells), {"cells": [list(c) for c in cells]}
+    return cells_to_text(cells), {"cells": cells_to_json(cells)}
 
 
 def _perm_length(a):
@@ -198,29 +191,29 @@ def _asm_validate(a):
 
 def _asm_ranktable(a):
     T = rank_table(make_partial_asm(_matrix_from_arg(a.matrix)))
-    return _box(T.values), {"rank_table": _grid_json(T.values)}
+    return _box(T.values), {"rank_table": rank_table_to_json(T)}
 
 
 def _asm_from_ranktable(a):
     A = rank_table_to_asm(RankTable(_matrix_from_arg(a.matrix)))
-    return _box(A.rows), {"asm": _grid_json(A.rows)}
+    return _box(A.rows), {"asm": asm_to_json(A)}
 
 
 def _asm_normalize_ranktable(a):
     T = rank_table_from_matrix(_matrix_from_arg(a.matrix))
-    return _box(T.values), {"rank_table": _grid_json(T.values)}
+    return _box(T.values), {"rank_table": rank_table_to_json(T)}
 
 
 def _asm_complete(a):
     A = complete_asm(make_partial_asm(_matrix_from_arg(a.matrix)))
-    return _box(A.rows), {"asm": _grid_json(A.rows)}
+    return _box(A.rows), {"asm": asm_to_json(A)}
 
 
 def _render_asm_list(asms, count_only: bool):
     if count_only:
         return str(len(asms)), {"count": len(asms)}
     text = "\n\n".join(_box(A.rows) for A in asms)
-    return text, {"asms": [_grid_json(A.rows) for A in asms]}
+    return text, {"asms": [asm_to_json(A) for A in asms]}
 
 
 def _asm_enumerate(a):
@@ -236,27 +229,25 @@ def _asm_random(a):
 
 def _ideal_fulton(a):
     gens = fulton_generators(_schubertable_from_arg(a.input))
-    return _ideal_text(gens), {"generators": _gens_json(gens)}
+    return _ideal_text(gens), {"generators": [poly_to_json(g) for g in gens]}
 
 
 def _ideal_gens(a):
     I = schubert_determinantal_ideal(_schubertable_from_arg(a.input))
     gens = minimal_generators(I, a.budget)
-    return _ideal_text(gens), {"generators": _gens_json(gens)}
+    return _ideal_text(gens), {"generators": [poly_to_json(g) for g in gens]}
 
 
 def _ideal_antidiag(a):
     J = anti_diag_init(_schubertable_from_arg(a.input))
-    return _mono_ideal_text(J), {
-        "generators": [mono_to_text(m) for m in J.generators]
-    }
+    return monomial_ideal_to_text(J), {"generators": monomial_ideal_to_json(J)}
 
 
 def _ideal_diaginit(a):
     J = diag_init(_schubertable_from_arg(a.input), a.variant, a.budget)
-    return _mono_ideal_text(J), {
+    return monomial_ideal_to_text(J), {
         "variant": a.variant,
-        "generators": [mono_to_text(m) for m in J.generators],
+        "generators": monomial_ideal_to_json(J),
     }
 
 
@@ -269,17 +260,17 @@ def _ideal_codim(a):
 
 def _poly_schubert(a):
     f = schubert_polynomial(perm_from_text(a.perm), algorithm=a.algorithm)
-    return poly_to_text(f), {"polynomial": json.loads(poly_to_json(f))}
+    return poly_to_text(f), {"polynomial": poly_to_json(f)}
 
 
 def _poly_double_schubert(a):
     f = double_schubert_polynomial(perm_from_text(a.perm))
-    return poly_to_text(f), {"polynomial": json.loads(poly_to_json(f))}
+    return poly_to_text(f), {"polynomial": poly_to_json(f)}
 
 
 def _poly_grothendieck(a):
     f = grothendieck_polynomial(perm_from_text(a.perm), algorithm=a.algorithm)
-    return poly_to_text(f), {"polynomial": json.loads(poly_to_json(f))}
+    return poly_to_text(f), {"polynomial": poly_to_json(f)}
 
 
 def _poly_raj(a):
@@ -346,22 +337,22 @@ def _decomp_get_asm(a):
     I = _intersection_of(a.inputs, a.budget)
     is_asm_ideal(I, a.budget)
     A = get_asm(I)
-    return _box(A.rows), {"asm": _grid_json(A.rows)}
+    return _box(A.rows), {"asm": asm_to_json(A)}
 
 
 def _decomp_add(a):
     I = schubert_add([_schubertable_from_arg(t) for t in a.inputs])
     A = get_asm(I)
     return _box(A.rows), {
-        "asm": _grid_json(A.rows),
-        "rank_table": _grid_json(rank_table(A).values),
+        "asm": asm_to_json(A),
+        "rank_table": rank_table_to_json(rank_table(A)),
     }
 
 
 def _decomp_intersect(a):
     I = _intersection_of(a.inputs, a.budget)
     return _ideal_text(I.generators), {
-        "generators": _gens_json(I.generators),
+        "generators": [poly_to_json(g) for g in I.generators],
         "ambient": list(I.ambient),
     }
 
@@ -374,18 +365,15 @@ def _decomp_is_cm(a):
 # ------------------------------------------------------------- parser
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a schema_version 1 JSON document")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="pair-reduction budget for basis computations")
-    common.add_argument("--seed", type=int, default=0, help="seed for random draws")
-    common.add_argument("--data-dir", default=None, help="directory holding cached enumerations")
-
     parser = argparse.ArgumentParser(prog="asmschub", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(sub, name: str, handler, help_: str):
-        p = sub.add_parser(name, parents=[common], help=help_)
+    def leaf(sub, name: str, handler, help_: str, budget: bool = False):
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
+        p.add_argument("--json", action="store_true", help="emit a schema_version 1 JSON document")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="pair-reduction budget for basis computations")
         return p
 
     perm = groups.add_parser("perm", help="diagram combinatorics of permutations").add_subparsers(dest="verb", required=True)
@@ -408,6 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     leaf(asm, "complete", _asm_complete, "smallest ASM extending a partial one").add_argument("matrix")
     p = leaf(asm, "enumerate", _asm_enumerate, "all ASMs of a size")
     p.add_argument("n", type=int)
+    p.add_argument("--data-dir", default=None, help="directory holding cached enumerations")
     p.add_argument("--count", action="store_true", help="print only the count")
     p.add_argument(
         "--force",
@@ -417,13 +406,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = leaf(asm, "random", _asm_random, "seeded uniform draws")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
+    p.add_argument("--seed", type=int, default=0, help="seed for random draws")
     p.add_argument("--count", action="store_true", help="print only the count")
 
     ideal = groups.add_parser("ideal", help="determinantal ideals and initial ideals").add_subparsers(dest="verb", required=True)
     leaf(ideal, "fulton", _ideal_fulton, "defining minors from the essential boxes").add_argument("input")
-    leaf(ideal, "gens", _ideal_gens, "trimmed minimal generators").add_argument("input")
+    leaf(ideal, "gens", _ideal_gens, "trimmed minimal generators", budget=True).add_argument("input")
     leaf(ideal, "antidiag", _ideal_antidiag, "antidiagonal initial ideal").add_argument("input")
-    p = leaf(ideal, "diaginit", _ideal_diaginit, "diagonal initial ideal")
+    p = leaf(ideal, "diaginit", _ideal_diaginit, "diagonal initial ideal", budget=True)
     p.add_argument("input")
     p.add_argument("variant", choices=DIAG_VARIANTS)
     leaf(ideal, "codim", _ideal_codim, "codimension").add_argument("input")
@@ -449,12 +439,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true", help="print only the facet count")
 
     dec = groups.add_parser("decomp", help="components, sums, intersections, recognition").add_subparsers(dest="verb", required=True)
-    leaf(dec, "decompose", _decomp_decompose, "permutations labeling the components").add_argument("input")
-    leaf(dec, "permset", _decomp_permset, "Bruhat-minimal permutations above an ASM").add_argument("input")
-    leaf(dec, "is-asm", _decomp_is_asm, "is the intersection an ASM ideal").add_argument("inputs", nargs="+")
-    leaf(dec, "get-asm", _decomp_get_asm, "matrix recognized from an intersection").add_argument("inputs", nargs="+")
+    leaf(dec, "decompose", _decomp_decompose, "permutations labeling the components", budget=True).add_argument("input")
+    leaf(dec, "permset", _decomp_permset, "Bruhat-minimal permutations above an ASM", budget=True).add_argument("input")
+    leaf(dec, "is-asm", _decomp_is_asm, "is the intersection an ASM ideal", budget=True).add_argument("inputs", nargs="+")
+    leaf(dec, "get-asm", _decomp_get_asm, "matrix recognized from an intersection", budget=True).add_argument("inputs", nargs="+")
     leaf(dec, "add", _decomp_add, "ASM of the ideal sum").add_argument("inputs", nargs="+")
-    leaf(dec, "intersect", _decomp_intersect, "generators of the ideal intersection").add_argument("inputs", nargs="+")
+    leaf(dec, "intersect", _decomp_intersect, "generators of the ideal intersection", budget=True).add_argument("inputs", nargs="+")
     leaf(dec, "is-cm", _decomp_is_cm, "Cohen-Macaulayness of the quotient").add_argument("input")
 
     return parser

@@ -146,6 +146,6 @@ def is_schubert_cm(A: Schubertable, **guards) -> bool:
     pdim == codim on the squarefree antidiagonal degeneration.
     """
     M = as_partial_asm(A)
-    if M.is_asm and as_permutation(M) is not None:
+    if as_permutation(M) is not None:
         return True
     return is_cm_quotient(anti_diag_init(M), **guards)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .asm import PartialASM, RankTable, make_partial_asm, permutation_matrix, rank_table
+from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matrix, rank_table
 from .groebner import DEFAULT_BUDGET, Ideal, initial_ideal
 from .monomial import MonomialIdeal, codim as monomial_codim, monomial_ideal
 from .perm import Permutation
@@ -68,35 +68,25 @@ def asm_essential_boxes(A: Schubertable) -> tuple[EssentialBox, ...]:
     )
 
 
-def _minors(box: EssentialBox) -> Iterable[Polynomial]:
+def _minor_indices(box: EssentialBox) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Row and column index sets of the (rank+1)-minors at one box, lex."""
     (i, j), r = box.cell, box.rank_bound
     size = r + 1
     if size > min(i, j):
         return
     for rows in itertools.combinations(range(1, i + 1), size):
         for cols in itertools.combinations(range(1, j + 1), size):
-            yield generic_minor(rows, cols)
+            yield rows, cols
 
 
 def fulton_generators(A: Schubertable) -> tuple[Polynomial, ...]:
     """All defining minors, boxes row-major, minors lex by index sets."""
-    gens: list[Polynomial] = []
-    for box in asm_essential_boxes(A):
-        gens.extend(_minors(box))
+    gens = [
+        generic_minor(rows, cols)
+        for box in asm_essential_boxes(A)
+        for rows, cols in _minor_indices(box)
+    ]
     return tuple(dict.fromkeys(gens))
-
-
-def determinantal_ideal_from_cells(
-    A: Schubertable, cells: Iterable[tuple[int, int]]
-) -> Ideal:
-    """Ideal of all (rank+1)-minors at the given cells; used to certify
-    that the essential boxes lose nothing."""
-    A = as_partial_asm(A)
-    T = rank_table(A)
-    gens: list[Polynomial] = []
-    for (i, j) in cells:
-        gens.extend(_minors(EssentialBox((i, j), T(i, j))))
-    return Ideal(tuple(dict.fromkeys(gens)), (A.nrows, A.ncols))
 
 
 def schubert_determinantal_ideal(A: Schubertable) -> Ideal:
@@ -120,15 +110,11 @@ def anti_diag_init(A: Schubertable) -> MonomialIdeal:
     ideal.
     """
     A = as_partial_asm(A)
-    monos = []
-    for box in asm_essential_boxes(A):
-        (i, j), r = box.cell, box.rank_bound
-        size = r + 1
-        if size > min(i, j):
-            continue
-        for rows in itertools.combinations(range(1, i + 1), size):
-            for cols in itertools.combinations(range(1, j + 1), size):
-                monos.append(_antidiagonal_monomial(rows, cols))
+    monos = [
+        _antidiagonal_monomial(rows, cols)
+        for box in asm_essential_boxes(A)
+        for rows, cols in _minor_indices(box)
+    ]
     ambient = [
         z_(i, j)
         for i in range(1, A.nrows + 1)
@@ -139,12 +125,8 @@ def anti_diag_init(A: Schubertable) -> MonomialIdeal:
 
 def schubert_codim(A: Schubertable) -> int:
     """Diagram size for a permutation, else the initial-ideal codimension."""
-    from .asm import as_permutation
-
-    if isinstance(A, Permutation):
-        return len(asm_diagram(A))
     M = as_partial_asm(A)
-    if M.is_asm and as_permutation(M) is not None:
+    if as_permutation(M) is not None:
         return len(asm_diagram(M))
     J = anti_diag_init(M)
     return 0 if J.is_zero else monomial_codim(J)

@@ -18,7 +18,6 @@ built, so the lattice sweep stays cheap.  All homology is rational.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -434,104 +433,41 @@ def is_cm_quotient(J: MonomialIdeal, **kw) -> bool:
     return pdim_quotient(J, **kw) == codim(J)
 
 
-def reisner_is_cm(K: SimplicialComplex) -> bool:
-    """Reisner's criterion by recursion over vertex links.
-
-    A complex is Cohen-Macaulay over the rationals iff its reduced
-    homology vanishes below the top dimension and every vertex link is
-    again Cohen-Macaulay.
-    """
-    pos = {v: i for i, v in enumerate(K.vertices)}
-    masks = [sum(1 << pos[v] for v in f) for f in K.facets]
-    memo: dict[frozenset, bool] = {}
-
-    def check(family: tuple[int, ...], npoints: int) -> bool:
-        family = tuple(_maximal_masks(family))
-        key = frozenset(family)
-        if key in memo:
-            return memo[key]
-        dim = max(bin(m).count("1") for m in family) - 1
-        hom = _homology_of_union(list(family), npoints, DEFAULT_FACE_LIMIT)
-        ok = all(d == dim for d in hom)
-        if ok and dim > 0:
-            used = 0
-            for m in family:
-                used |= m
-            for u in range(npoints):
-                bit = 1 << u
-                if not used & bit:
-                    continue
-                link = [m & ~bit for m in family if m & bit]
-                if not check(tuple(link), npoints):
-                    ok = False
-                    break
-        memo[key] = ok
-        return ok
-
-    if not masks:
-        return True
-    return check(tuple(masks), len(K.vertices))
-
-
 def mono_to_text(m: Monomial) -> str:
     if not m:
         return "1"
     return "*".join(var_to_text(v) + (f"^{e}" if e > 1 else "") for v, e in m)
 
 
+def monomial_ideal_to_json(J: MonomialIdeal) -> list[str]:
+    """Generators in the text form of mono_to_text, canonical order."""
+    return [mono_to_text(m) for m in J.generators]
+
+
+def monomial_ideal_from_json(
+    data: Sequence[str], variables: Iterable[Var] | None = None
+) -> MonomialIdeal:
+    monos = []
+    for text in data:
+        terms = poly_from_text(text).terms
+        if len(terms) != 1 or terms[0][1] != 1:
+            raise ValueError(f"generator {text!r} is not a monic monomial")
+        monos.append(terms[0][0])
+    return monomial_ideal(monos, variables)
+
+
 def monomial_ideal_to_text(J: MonomialIdeal) -> str:
-    if J.is_zero:
-        return "monomialIdeal()"
-    return "monomialIdeal(" + ", ".join(mono_to_text(m) for m in J.generators) + ")"
+    """Macaulay2 notation, `monomialIdeal (a, b)`; the zero ideal is
+    `monomialIdeal ()`."""
+    return "monomialIdeal (" + ", ".join(monomial_ideal_to_json(J)) + ")"
 
 
 def monomial_ideal_from_text(text: str, variables: Iterable[Var] | None = None) -> MonomialIdeal:
     s = text.strip()
-    if not (s.startswith("monomialIdeal(") and s.endswith(")")):
-        raise ValueError("expected monomialIdeal(...)")
-    inner = s[len("monomialIdeal(") : -1].strip()
-    chunks = []
-    depth = 0
-    current = ""
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            chunks.append(current)
-            current = ""
-        else:
-            current += ch
-    if current.strip():
-        chunks.append(current)
-    monos = []
-    if inner:
-        for chunk in chunks:
-            f = poly_from_text(chunk)
-            [(m, c)] = f.terms
-            if c != 1:
-                raise ValueError("monomial ideal generators must be monic")
-            monos.append(m)
-    return monomial_ideal(monos, variables)
-
-
-def monomial_ideal_to_json(J: MonomialIdeal) -> str:
-    return json.dumps(
-        {
-            "generators": [[list(v) + [e] for v, e in m] for m in J.generators],
-            "variables": [list(v) for v in J.variables],
-        }
-    )
-
-
-def monomial_ideal_from_json(text: str) -> MonomialIdeal:
-    data = json.loads(text)
-    gens = [
-        tuple((tuple(item[:-1]), item[-1]) for item in entry)
-        for entry in data["generators"]
-    ]
-    return monomial_ideal(gens, [tuple(v) for v in data["variables"]])
+    if not (s.startswith("monomialIdeal (") and s.endswith(")")):
+        raise ValueError("expected monomialIdeal (...)")
+    inner = s[len("monomialIdeal (") : -1]
+    return monomial_ideal_from_json(inner.split(", ") if inner else [], variables)
 
 
 def betti_to_text(betti: dict[tuple[int, tuple[Var, ...]], int]) -> str:
@@ -548,10 +484,8 @@ def betti_to_text(betti: dict[tuple[int, tuple[Var, ...]], int]) -> str:
     return "\n".join(rows)
 
 
-def betti_to_json(betti: dict[tuple[int, tuple[Var, ...]], int]) -> str:
-    return json.dumps(
-        [
-            {"i": i, "multidegree": [list(v) for v in sigma], "rank": r}
-            for (i, sigma), r in sorted(betti.items())
-        ]
-    )
+def betti_to_json(betti: dict[tuple[int, tuple[Var, ...]], int]) -> list[dict]:
+    return [
+        {"i": i, "multidegree": [list(v) for v in sigma], "rank": r}
+        for (i, sigma), r in sorted(betti.items())
+    ]

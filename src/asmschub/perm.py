@@ -302,6 +302,10 @@ def cells_to_text(cells: Iterable[Cell]) -> str:
     return "{" + ",".join(f"({i},{j})" for i, j in sorted(cells)) + "}"
 
 
+def cells_to_json(cells: Iterable[Cell]) -> list[list[int]]:
+    return [list(c) for c in cells]
+
+
 def perm_to_text(w: Permutation) -> str:
     return ",".join(str(v) for v in w.one_line)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .perm import Permutation, coxeter_length, demazure_product, lehmer_code
+from .perm import Permutation, cells_to_json, coxeter_length, demazure_product, lehmer_code
 from .poly import Monomial, Var, monomial, x_, z_
 
 Cell = tuple[int, int]
@@ -188,7 +188,7 @@ def pipe_dream_from_text(text: str) -> PipeDream:
 
 
 def pipe_dream_to_json(D: PipeDream) -> dict:
-    return {"size": D.size, "crosses": [list(c) for c in D.crosses]}
+    return {"size": D.size, "crosses": cells_to_json(D.crosses)}
 
 
 def pipe_dream_from_json(data: dict) -> PipeDream:

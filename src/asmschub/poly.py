@@ -12,7 +12,6 @@ orders.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -451,19 +450,14 @@ def poly_from_text(text: str) -> Polynomial:
     return Polynomial.from_dict(out)
 
 
-def poly_to_json(f: Polynomial) -> str:
-    data = [
-        {
-            "coefficient": str(c),
-            "exponents": [list(v) + [e] for v, e in m],
-        }
+def poly_to_json(f: Polynomial) -> list[dict]:
+    return [
+        {"coefficient": str(c), "exponents": [list(v) + [e] for v, e in m]}
         for m, c in f.terms
     ]
-    return json.dumps(data)
 
 
-def poly_from_json(text: str) -> Polynomial:
-    data = json.loads(text)
+def poly_from_json(data: Sequence[Mapping]) -> Polynomial:
     acc: dict[Monomial, Fraction] = {}
     for entry in data:
         pairs = [(tuple(item[:-1]), item[-1]) for item in entry["exponents"]]

@@ -164,11 +164,8 @@ def schubert_regularity(A: Schubertable, **guards) -> int:
     index; every other partial ASM goes through the graded Betti table
     of the squarefree antidiagonal degeneration.
     """
-    if isinstance(A, Permutation):
-        return raj_index(A) - coxeter_length(A)
     M = as_partial_asm(A)
-    if M.is_asm:
-        w = as_permutation(M)
-        if w is not None:
-            return raj_index(w) - coxeter_length(w)
+    w = as_permutation(M)
+    if w is not None:
+        return raj_index(w) - coxeter_length(w)
     return reg_quotient(anti_diag_init(M), **guards)

@@ -1,0 +1,109 @@
+"""Slow reference routes that the tests compare the library against.
+
+The library does not call any of these.  Each answers a question the
+library answers faster by another route, and exists to cross-check it:
+
+- `perm_set_brute_force` scans all of S_n in Bruhat order, against
+  `perm_set_of_asm` (minimal primes of the antidiagonal initial ideal);
+- `determinantal_ideal_from_cells` takes the minors at every given
+  cell, against the essential-box generators;
+- `reisner_is_cm` recurses over vertex links, against the Betti-table
+  test `is_cm_quotient`.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from asmschub.asm import PartialASM, complete_asm, permutation_matrix, rank_table
+from asmschub.groebner import Ideal
+from asmschub.ideal import EssentialBox, Schubertable, _minor_indices, as_partial_asm
+from asmschub.monomial import (
+    DEFAULT_FACE_LIMIT,
+    SimplicialComplex,
+    _homology_of_union,
+    _maximal_masks,
+)
+from asmschub.perm import Permutation, all_permutations, bruhat_leq
+from asmschub.poly import generic_minor
+
+
+def perm_set_brute_force(A: PartialASM) -> list[Permutation]:
+    """Bruhat-minimal permutations whose rank table is bounded by A's.
+
+    Exhaustive scan of S_n, so the completed size must stay at most 5.
+    """
+    B = complete_asm(A)
+    n = B.nrows
+    if n > 5:
+        raise ValueError(f"brute force limited to n <= 5, got {n}")
+    bound = rank_table(B)
+    above = []
+    for w in all_permutations(n):
+        tw = rank_table(permutation_matrix(w))
+        if all(
+            tw.values[i][j] <= bound.values[i][j]
+            for i in range(n)
+            for j in range(n)
+        ):
+            above.append(w)
+    minimal = [
+        w
+        for w in above
+        if not any(u != w and bruhat_leq(u, w) for u in above)
+    ]
+    return sorted(minimal, key=lambda w: w.one_line)
+
+
+def determinantal_ideal_from_cells(
+    A: Schubertable, cells: Iterable[tuple[int, int]]
+) -> Ideal:
+    """Ideal of all (rank+1)-minors at the given cells; used to certify
+    that the essential boxes lose nothing."""
+    A = as_partial_asm(A)
+    T = rank_table(A)
+    gens = [
+        generic_minor(rows, cols)
+        for (i, j) in cells
+        for rows, cols in _minor_indices(EssentialBox((i, j), T(i, j)))
+    ]
+    return Ideal(tuple(dict.fromkeys(gens)), (A.nrows, A.ncols))
+
+
+def reisner_is_cm(K: SimplicialComplex) -> bool:
+    """Reisner's criterion by recursion over vertex links.
+
+    A complex is Cohen-Macaulay over the rationals iff its reduced
+    homology vanishes below the top dimension and every vertex link is
+    again Cohen-Macaulay.
+    """
+    pos = {v: i for i, v in enumerate(K.vertices)}
+    masks = [sum(1 << pos[v] for v in f) for f in K.facets]
+    memo: dict[frozenset, bool] = {}
+
+    def check(family: tuple[int, ...], npoints: int) -> bool:
+        family = tuple(_maximal_masks(family))
+        key = frozenset(family)
+        if key in memo:
+            return memo[key]
+        dim = max(bin(m).count("1") for m in family) - 1
+        hom = _homology_of_union(list(family), npoints, DEFAULT_FACE_LIMIT)
+        ok = all(d == dim for d in hom)
+        if ok and dim > 0:
+            used = 0
+            for m in family:
+                used |= m
+            for u in range(npoints):
+                bit = 1 << u
+                if not used & bit:
+                    continue
+                link = [m & ~bit for m in family if m & bit]
+                if not check(tuple(link), npoints):
+                    ok = False
+                    break
+        memo[key] = ok
+        return ok
+
+    if not masks:
+        return True
+    return check(tuple(masks), len(K.vertices))

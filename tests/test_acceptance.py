@@ -17,7 +17,6 @@ from asmschub.asm import (
     as_permutation,
     enumerate_asms,
     make_partial_asm,
-    perm_set_brute_force,
     permutation_matrix,
     rank_table,
     rank_table_from_matrix,
@@ -51,6 +50,7 @@ from asmschub.schubpoly import (
     schubert_polynomial,
     schubert_regularity,
 )
+from oracles import perm_set_brute_force
 
 SPLIT = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from asmschub import asm, perm
 from asmschub.asm import PartialASM, RankTable
 from asmschub.perm import Permutation
+from oracles import perm_set_brute_force
 
 
 def brute_rank_table(A: PartialASM):
@@ -313,17 +314,17 @@ class TestEnumeration:
 class TestPermSet:
     def test_split_asm(self):
         A = asm.make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
-        found = asm.perm_set_brute_force(A)
+        found = perm_set_brute_force(A)
         assert set(w.one_line for w in found) == {(2, 3, 1), (3, 1, 2)}
 
     def test_permutation_matrix(self):
         for w in perm.all_permutations(3):
-            assert asm.perm_set_brute_force(asm.permutation_matrix(w)) == [w]
+            assert perm_set_brute_force(asm.permutation_matrix(w)) == [w]
 
     def test_guard(self):
         w = perm.identity(6)
         with pytest.raises(ValueError, match="n <= 5"):
-            asm.perm_set_brute_force(asm.permutation_matrix(w))
+            perm_set_brute_force(asm.permutation_matrix(w))
 
 
 class TestPermutationMatrices:

@@ -21,10 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmschub.asm import PartialASM, RankTable, complete_asm, make_partial_asm, rank_table
+from asmschub.asm import (
+    asm_from_json,
+    complete_asm,
+    make_partial_asm,
+    rank_table,
+    rank_table_from_json,
+)
 from asmschub.cli import dispatch
 from asmschub.decomp import perm_set_of_asm
 from asmschub.ideal import anti_diag_init
+from asmschub.monomial import monomial_ideal_from_text
 from asmschub.perm import Permutation, perm_from_json, rothe_diagram
 from asmschub.poly import poly_from_json, poly_from_text
 from asmschub.schubpoly import schubert_polynomial
@@ -97,6 +104,20 @@ def test_golden(golden, argv):
     assert out == (GOLDEN_DIR / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "arg,value",
+    [
+        ("0 0 1 0;1 0 -1 1;0 0 1 0;0 1 0 0", [[0, 0, 1, 0], [1, 0, -1, 1], [0, 0, 1, 0], [0, 1, 0, 0]]),
+        ("1,2,3", Permutation((1, 2, 3))),
+    ],
+)
+def test_antidiag_text_parses_back(arg, value):
+    J = anti_diag_init(value)
+    rc, out, _ = run(["ideal", "antidiag", arg])
+    assert rc == 0
+    assert monomial_ideal_from_text(out, J.variables) == J
+
+
 class TestSpotValues:
     def test_essential_set_layout(self):
         assert run(["perm", "essential", "2,1,5,4,3"])[1] == "{(1,1),(3,4),(4,3)}\n"
@@ -145,17 +166,17 @@ class TestJsonSchemas:
 
     def test_polynomial_round_trip(self):
         data = self.payload(["poly", "schubert", "2,1,4,3"])
-        f = poly_from_json(json.dumps(data["polynomial"]))
+        f = poly_from_json(data["polynomial"])
         assert f == schubert_polynomial(Permutation((2, 1, 4, 3)))
 
     def test_asm_round_trip(self):
         data = self.payload(["asm", "complete", "0 1 0;1 -1 0"])
-        A = PartialASM(tuple(tuple(r) for r in data["asm"]))
+        A = asm_from_json(data["asm"])
         assert A == complete_asm(make_partial_asm([[0, 1, 0], [1, -1, 0]]))
 
     def test_rank_table_round_trip(self):
         data = self.payload(["asm", "ranktable", "0 1 0;1 -1 1;0 1 0"])
-        T = RankTable(tuple(tuple(r) for r in data["rank_table"]))
+        T = rank_table_from_json(data["rank_table"])
         assert T == rank_table(make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]]))
 
     def test_permutation_list_round_trip(self):
@@ -203,6 +224,21 @@ class TestExitCodes:
         assert run(["asm", "from-ranktable", "0 9;1 1"])[0] == 1
         assert run(["pipedream", "render", "2,1,4,3", "5"])[0] == 1
         assert run(["asm", "enumerate", "9"])[0] == 1
+        rc, _, err = run(["asm", "validate", "0 x;1 0"])
+        assert rc == 1 and "separated by newlines or by ';'" in err
+
+    # each flag is on the verbs that read it and a usage error elsewhere
+    @pytest.mark.parametrize(
+        "flag,reads,ignores",
+        [
+            (["--budget", "500"], ["ideal", "gens", "2,1,3"], ["decomp", "is-cm", "2,1,3"]),
+            (["--seed", "9"], ["asm", "random", "3", "2"], ["asm", "enumerate", "3"]),
+            (["--data-dir", "no-such-dir"], ["asm", "enumerate", "3"], ["asm", "random", "3", "2"]),
+        ],
+    )
+    def test_flags_per_verb(self, flag, reads, ignores):
+        assert run(reads + flag)[0] == 0
+        assert run(ignores + flag)[0] == 2
 
     def test_enumerate_force_flag(self):
         rc, out, _ = run(["asm", "enumerate", "3", "--count", "--force"])

@@ -17,7 +17,6 @@ import pytest
 from asmschub.asm import (
     enumerate_asms,
     make_partial_asm,
-    perm_set_brute_force,
     permutation_matrix,
     random_asms,
     rank_table,
@@ -36,6 +35,7 @@ from asmschub.groebner import ideal_equals, initial_ideal, canonical_order, mini
 from asmschub.ideal import anti_diag_init, schubert_determinantal_ideal
 from asmschub.monomial import mono_to_text
 from asmschub.perm import Permutation, all_permutations, bruhat_leq, identity
+from oracles import perm_set_brute_force
 
 # 3x3 ASM whose variety splits into the 312 and 231 components
 SPLIT = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])

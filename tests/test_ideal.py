@@ -18,7 +18,6 @@ from asmschub.ideal import (
     as_partial_asm,
     asm_diagram,
     asm_essential_boxes,
-    determinantal_ideal_from_cells,
     diag_init,
     diag_order,
     fulton_generators,
@@ -36,6 +35,7 @@ from asmschub.perm import (
     rothe_diagram,
 )
 from asmschub.poly import antidiagonal_order, generic_minor, poly_from_text, z_
+from oracles import determinantal_ideal_from_cells
 
 FULCRUM = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
 

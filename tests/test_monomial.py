@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from asmschub import monomial as mi
 from asmschub.poly import monomial, mono_support, x_, z_, _var_key
+from oracles import reisner_is_cm
 
 
 def sqfree(*names):
@@ -156,14 +157,24 @@ class TestMonomialIdeal:
     def test_text_roundtrip(self):
         J = mi.monomial_ideal([sqfree(z_(1, 1)), sqfree(z_(1, 3), z_(2, 2), z_(3, 1))])
         text = mi.monomial_ideal_to_text(J)
-        assert text == "monomialIdeal(z[1,1], z[1,3]*z[2,2]*z[3,1])"
+        assert text == "monomialIdeal (z[1,1], z[1,3]*z[2,2]*z[3,1])"
         assert mi.monomial_ideal_from_text(text, J.variables) == J
+        assert mi.monomial_ideal_to_text(mi.monomial_ideal([])) == "monomialIdeal ()"
+
+    def test_text_rejects_other_forms(self):
+        with pytest.raises(ValueError, match="expected monomialIdeal"):
+            mi.monomial_ideal_from_text("monomialIdeal(z[1,1])")
+        for inner in ("z[1,1] + z[1,2]", "2*z[1,1]"):
+            with pytest.raises(ValueError, match="not a monic monomial"):
+                mi.monomial_ideal_from_text(f"monomialIdeal ({inner})")
 
     def test_json_roundtrip(self):
         J = mi.monomial_ideal(
             [sqfree(z_(1, 1))], [z_(i, j) for i in (1, 2) for j in (1, 2)]
         )
-        assert mi.monomial_ideal_from_json(mi.monomial_ideal_to_json(J)) == J
+        data = mi.monomial_ideal_to_json(J)
+        assert data == ["z[1,1]"]
+        assert mi.monomial_ideal_from_json(data, J.variables) == J
 
 
 class TestMinimalPrimes:
@@ -379,7 +390,7 @@ class TestBettiNumbers:
     @settings(max_examples=30, deadline=None)
     def test_reisner_matches_betti_cm(self, J):
         K = mi.stanley_reisner_complex(J)
-        assert mi.reisner_is_cm(K) == mi.is_cm_quotient(J)
+        assert reisner_is_cm(K) == mi.is_cm_quotient(J)
 
 
 class TestReisner:
@@ -387,21 +398,21 @@ class TestReisner:
         K = mi.SimplicialComplex(
             (X[0], X[1], X[2]), ((X[0], X[1]), (X[1], X[2]), (X[0], X[2]))
         )
-        assert mi.reisner_is_cm(K)
+        assert reisner_is_cm(K)
 
     def test_disjoint_edges_not_cm(self):
         K = mi.SimplicialComplex(
             tuple(X[:4]), ((X[0], X[1]), (X[2], X[3]))
         )
-        assert not mi.reisner_is_cm(K)
+        assert not reisner_is_cm(K)
 
     def test_edge_plus_point_not_cm(self):
         K = mi.SimplicialComplex(tuple(X[:3]), ((X[0], X[1]), (X[2],)))
-        assert not mi.reisner_is_cm(K)
+        assert not reisner_is_cm(K)
 
     def test_simplex_is_cm(self):
         K = mi.SimplicialComplex(tuple(X[:3]), ((X[0], X[1], X[2]),))
-        assert mi.reisner_is_cm(K)
+        assert reisner_is_cm(K)
 
 
 class TestRenders:
@@ -414,9 +425,7 @@ class TestRenders:
         assert lines[2] == "2: {x[1],x[2]} -> 1"
 
     def test_betti_json(self):
-        import json
-
         J = mi.monomial_ideal([sqfree(X[0])])
-        data = json.loads(mi.betti_to_json(mi.betti_numbers(J)))
+        data = mi.betti_to_json(mi.betti_numbers(J))
         assert {"i": 0, "multidegree": [], "rank": 1} in data
         assert {"i": 1, "multidegree": [["x", 1]], "rank": 1} in data

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -286,7 +287,7 @@ class TestTextAndJson:
 
     def test_json_shape(self):
         f = term(Fraction(-1, 3), [(z_(2, 1), 2)])
-        assert poly_to_json(f) == '[{"coefficient": "-1/3", "exponents": [["z", 2, 1, 2]]}]'
+        assert json.dumps(poly_to_json(f)) == '[{"coefficient": "-1/3", "exponents": [["z", 2, 1, 2]]}]'
 
 
 class TestSubstitution:
