@@ -24,14 +24,10 @@ from asmschub.decomp import is_schubert_cm
 class Config:
     size: int = 4
     show_non_cm: bool = False
-    data_dir: str | None = None
 
 
 def run(cfg: Config) -> tuple[list, list]:
-    pool = [
-        A for A in enumerate_asms(cfg.size, data_dir=cfg.data_dir)
-        if as_permutation(A) is None
-    ]
+    pool = [A for A in enumerate_asms(cfg.size) if as_permutation(A) is None]
     cm, non_cm = [], []
     t0 = time.perf_counter()
     for k, A in enumerate(pool, start=1):
@@ -53,9 +49,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=4)
     ap.add_argument("--show-non-cm", action="store_true")
-    ap.add_argument("--data-dir", default=None)
     a = ap.parse_args()
-    run(Config(size=a.size, show_non_cm=a.show_non_cm, data_dir=a.data_dir))
+    run(Config(size=a.size, show_non_cm=a.show_non_cm))
 
 
 if __name__ == "__main__":

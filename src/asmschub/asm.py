@@ -9,15 +9,12 @@ makes sums of matrix Schubert varieties tractable.
 
 from __future__ import annotations
 
-import itertools
-import os
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .perm import Permutation
-
-DATA_DIR_ENV = "ASMSCHUB_DATA_DIR"
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348)  # n = 1..7
 ENUM_LIMIT = 7
@@ -324,75 +321,57 @@ def _row_candidates(n: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _enumerate(n: int) -> list[PartialASM]:
+def _transitions(n: int) -> dict[tuple[int, ...], list]:
+    """Column-sum state -> [(row, next state)], rows in lexicographic order.
+
+    A state is the tuple of running column sums, each 0 or 1.
+    """
     rows = _row_candidates(n)
-    out: list[PartialASM] = []
-    chosen: list[tuple[int, ...]] = []
-
-    def place(i: int, colsums: tuple[int, ...], coltotals: tuple[int, ...]):
-        if i == n:
-            if all(t == 1 for t in coltotals):
-                out.append(PartialASM(tuple(chosen)))
-            return
-        remaining = n - i
+    table: dict[tuple[int, ...], list] = {}
+    todo = [(0,) * n]
+    while todo:
+        state = todo.pop()
+        if state in table:
+            continue
+        moves = []
         for row in rows:
-            new_sums = []
-            new_totals = []
-            ok = True
-            for j, e in enumerate(row):
-                s = colsums[j] + e
-                if s not in (0, 1):
-                    ok = False
-                    break
-                t = coltotals[j] + e
-                # a column short of its 1 needs a later row to supply it
-                if remaining == 1 and t != 1:
-                    ok = False
-                    break
-                new_sums.append(s)
-                new_totals.append(t)
-            if ok:
-                chosen.append(row)
-                place(i + 1, tuple(new_sums), tuple(new_totals))
-                chosen.pop()
-
-    place(0, (0,) * n, (0,) * n)
-    return out
+            nxt = tuple(s + e for s, e in zip(state, row))
+            if all(v in (0, 1) for v in nxt):
+                moves.append((row, nxt))
+        table[state] = moves
+        todo.extend(nxt for _, nxt in moves)
+    return table
 
 
-_ENUM_CACHE: dict[int, tuple[PartialASM, ...]] = {}
+@lru_cache(maxsize=1)
+def _enumerate(n: int) -> tuple[PartialASM, ...]:
+    # every row sums to 1, so after n rows the n column sums are all 1:
+    # each path of length n through the table is an ASM, none dead-ends
+    table = _transitions(n)
+    out: list[PartialASM] = []
+
+    def place(chosen: tuple, state: tuple[int, ...]):
+        if len(chosen) == n:
+            out.append(PartialASM(chosen))
+            return
+        for row, nxt in table[state]:
+            place(chosen + (row,), nxt)
+
+    place((), (0,) * n)
+    return tuple(out)
 
 
-def _cache_path(n: int, data_dir: str | None) -> str | None:
-    root = data_dir if data_dir is not None else os.environ.get(DATA_DIR_ENV)
-    if not root:
-        return None
-    return os.path.join(root, f"asm{n}.txt")
-
-
-def enumerate_asms(
-    n: int, force: bool = False, data_dir: str | None = None
-) -> list[PartialASM]:
+def enumerate_asms(n: int, force: bool = False) -> list[PartialASM]:
     """All n x n ASMs in row-major lexicographic order on entries.
 
-    Sizes above 7 are refused unless force is set; the n = 6, 7 lists
-    are large, so a text cache under the data directory is consulted
-    before enumerating.
+    Sizes above 7 are refused unless force is set.  Only the most
+    recent size is kept in memory.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > ENUM_LIMIT and not force:
         raise ValueError(f"n = {n} exceeds the enumeration guard ({ENUM_LIMIT}); pass force to override")
-    if n in _ENUM_CACHE:
-        return list(_ENUM_CACHE[n])
-    path = _cache_path(n, data_dir)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            asms = matrices_from_text(fh.read())
-    else:
-        asms = _enumerate(n)
-    _ENUM_CACHE[n] = tuple(asms)
-    return list(asms)
+    return list(_enumerate(n))
 
 
 def random_asms(
@@ -401,6 +380,8 @@ def random_asms(
     """m ASMs of size n drawn uniformly from the full enumeration."""
     if n > ENUM_LIMIT:
         raise ValueError(f"n = {n} exceeds the enumeration guard ({ENUM_LIMIT})")
+    if m < 0:
+        raise ValueError(f"count m = {m} must be nonnegative")
     pool = enumerate_asms(n)
     rng = random.Random(seed)
     if replace:
@@ -430,16 +411,6 @@ def matrix_from_text(text: str) -> tuple[tuple[int, ...], ...]:
             "integers, separated by newlines or by ';'"
         ) from None
     return _as_grid(rows)
-
-
-def matrices_from_text(text: str) -> list[PartialASM]:
-    """Parse blank-line-separated matrix blocks."""
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    return [PartialASM(matrix_from_text(b)) for b in blocks]
-
-
-def matrices_to_text(asms: Iterable[PartialASM]) -> str:
-    return "\n\n".join(matrix_to_text(A.rows) for A in asms) + "\n"
 
 
 def asm_to_json(A: PartialASM) -> list[list[int]]:

@@ -29,8 +29,8 @@ parse back through `poly_from_json`, monomial `generators` through
 `rank_table` through `rank_table_from_json`, `permutations` through
 `perm_from_json` and pipe dreams through `pipe_dream_from_json`.
 
-Every verb takes `--json`; `--budget`, `--seed` and `--data-dir` are
-taken only by the verbs that read them (see each verb's `--help`).
+Every verb takes `--json`; `--budget` and `--seed` are taken only by
+the verbs that read them (see each verb's `--help`).
 Exit code 0 on success, 1 on domain errors (invalid matrices, budget
 exhaustion, unrecognized ideals), 2 on usage errors.
 """
@@ -71,7 +71,6 @@ from .groebner import DEFAULT_BUDGET, GroebnerBudgetError, minimal_generators
 from .ideal import (
     DIAG_VARIANTS,
     anti_diag_init,
-    as_partial_asm,
     diag_init,
     fulton_generators,
     schubert_codim,
@@ -217,7 +216,7 @@ def _render_asm_list(asms, count_only: bool):
 
 
 def _asm_enumerate(a):
-    mats = enumerate_asms(a.n, force=a.force, data_dir=a.data_dir)
+    mats = enumerate_asms(a.n, force=a.force)
     return _render_asm_list(mats, a.count)
 
 
@@ -315,12 +314,12 @@ def _pipedream_facets(a):
 # -------------------------------------------------------------- decomp
 
 def _decomp_decompose(a):
-    perms = schubert_decompose(as_partial_asm(_schubertable_from_arg(a.input)), a.budget)
+    perms = schubert_decompose(_schubertable_from_arg(a.input))
     return _perm_list_text(perms), {"permutations": [perm_to_json(w) for w in perms]}
 
 
 def _decomp_permset(a):
-    perms = perm_set_of_asm(_schubertable_from_arg(a.input), a.budget)
+    perms = perm_set_of_asm(_schubertable_from_arg(a.input))
     return _perm_list_text(perms), {"permutations": [perm_to_json(w) for w in perms]}
 
 
@@ -396,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     leaf(asm, "complete", _asm_complete, "smallest ASM extending a partial one").add_argument("matrix")
     p = leaf(asm, "enumerate", _asm_enumerate, "all ASMs of a size")
     p.add_argument("n", type=int)
-    p.add_argument("--data-dir", default=None, help="directory holding cached enumerations")
     p.add_argument("--count", action="store_true", help="print only the count")
     p.add_argument(
         "--force",
@@ -439,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true", help="print only the facet count")
 
     dec = groups.add_parser("decomp", help="components, sums, intersections, recognition").add_subparsers(dest="verb", required=True)
-    leaf(dec, "decompose", _decomp_decompose, "permutations labeling the components", budget=True).add_argument("input")
-    leaf(dec, "permset", _decomp_permset, "Bruhat-minimal permutations above an ASM", budget=True).add_argument("input")
+    leaf(dec, "decompose", _decomp_decompose, "permutations labeling the components").add_argument("input")
+    leaf(dec, "permset", _decomp_permset, "Bruhat-minimal permutations above an ASM").add_argument("input")
     leaf(dec, "is-asm", _decomp_is_asm, "is the intersection an ASM ideal", budget=True).add_argument("inputs", nargs="+")
     leaf(dec, "get-asm", _decomp_get_asm, "matrix recognized from an intersection", budget=True).add_argument("inputs", nargs="+")
     leaf(dec, "add", _decomp_add, "ASM of the ideal sum").add_argument("inputs", nargs="+")

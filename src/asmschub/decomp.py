@@ -71,9 +71,9 @@ def schubert_decompose(
     return tuple(out)
 
 
-def perm_set_of_asm(A: Schubertable, budget: int = DEFAULT_BUDGET) -> tuple[Permutation, ...]:
+def perm_set_of_asm(A: Schubertable) -> tuple[Permutation, ...]:
     """Bruhat-minimal permutations above the ASM in the rank order."""
-    return schubert_decompose(as_partial_asm(A), budget)
+    return schubert_decompose(as_partial_asm(A))
 
 
 def _asm_from_permutations(perms) -> PartialASM:
@@ -101,7 +101,7 @@ def get_asm(I: Ideal) -> PartialASM:
     return I.cache["asm"]
 
 
-def is_asm_union(perms, budget: int = DEFAULT_BUDGET) -> bool:
+def is_asm_union(perms) -> bool:
     """Is the union of the matrix Schubert varieties an ASM variety?"""
     perms = [w if isinstance(w, Permutation) else Permutation(tuple(w)) for w in perms]
     if not perms:
@@ -114,7 +114,7 @@ def is_asm_union(perms, budget: int = DEFAULT_BUDGET) -> bool:
         if not any(u != w and bruhat_leq(u, w) for u in padded)
     ]
     A = _asm_from_permutations(minimal)
-    return set(perm_set_of_asm(A, budget)) == set(minimal)
+    return set(perm_set_of_asm(A)) == set(minimal)
 
 
 def schubert_add(summands) -> Ideal:

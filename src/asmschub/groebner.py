@@ -10,7 +10,6 @@ general-purpose computation.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 

@@ -26,7 +26,6 @@ from .poly import (
     Monomial,
     Var,
     _var_key,
-    mono_degree,
     mono_divides,
     mono_lcm,
     mono_support,

@@ -11,6 +11,8 @@ Betti table of the antidiagonal degeneration in general.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .asm import as_permutation
 from .ideal import Schubertable, anti_diag_init, as_partial_asm
 from .monomial import reg_quotient
@@ -20,7 +22,6 @@ from .perm import (
     descents,
     is_dominant,
     lehmer_code,
-    longest_element,
     times_transposition,
 )
 from .pipedream import (
@@ -39,10 +40,8 @@ from .poly import (
     y_,
 )
 
-_schubert_cache: dict[Permutation, Polynomial] = {}
-_double_cache: dict[Permutation, Polynomial] = {}
-_grothendieck_cache: dict[Permutation, Polynomial] = {}
-_transition_cache: dict[Permutation, Polynomial] = {}
+# entries per memo: the three _descend families over all of S_6 fit
+CACHE_SIZE = 3 * 720
 
 
 def _staircase(n: int) -> Polynomial:
@@ -59,22 +58,18 @@ def _last_ascent(w: Permutation) -> int:
     return 0
 
 
-def _descend(w: Permutation, cache, base, step) -> Polynomial:
+@lru_cache(maxsize=CACHE_SIZE)
+def _descend(w: Permutation, base, step) -> Polynomial:
     """Shared recursion: climb to the longest element, apply step down."""
-    if w in cache:
-        return cache[w]
     i = _last_ascent(w)
     if i == 0:
-        out = base(len(w))
-    else:
-        out = step(_descend(times_transposition(w, i, i + 1), cache, base, step), i)
-    cache[w] = out
-    return out
+        return base(len(w))
+    return step(_descend(times_transposition(w, i, i + 1), base, step), i)
 
 
 def schubert_polynomial(w: Permutation, algorithm: str = "DividedDifference") -> Polynomial:
     if algorithm == "DividedDifference":
-        return _descend(w, _schubert_cache, _staircase, divided_difference)
+        return _descend(w, _staircase, divided_difference)
     if algorithm == "Transition":
         return _transition(w)
     raise ValueError(f"unknown Schubert algorithm {algorithm!r}")
@@ -90,7 +85,7 @@ def _double_staircase(n: int) -> Polynomial:
 
 def double_schubert_polynomial(w: Permutation) -> Polynomial:
     """Divided differences act on the x variables; y ride along."""
-    return _descend(w, _double_cache, _double_staircase, divided_difference)
+    return _descend(w, _double_staircase, divided_difference)
 
 
 GROTHENDIECK_ALGORITHMS = ("DividedDifference", "PipeDream")
@@ -98,9 +93,7 @@ GROTHENDIECK_ALGORITHMS = ("DividedDifference", "PipeDream")
 
 def grothendieck_polynomial(w: Permutation, algorithm: str = "DividedDifference") -> Polynomial:
     if algorithm == "DividedDifference":
-        return _descend(
-            w, _grothendieck_cache, _staircase, isobaric_divided_difference
-        )
+        return _descend(w, _staircase, isobaric_divided_difference)
     if algorithm == "PipeDream":
         if len(w) > NON_REDUCED_LIMIT:
             raise ValueError(
@@ -115,9 +108,8 @@ def grothendieck_polynomial(w: Permutation, algorithm: str = "DividedDifference"
     raise ValueError(f"unknown Grothendieck algorithm {algorithm!r}")
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _transition(w: Permutation) -> Polynomial:
-    if w in _transition_cache:
-        return _transition_cache[w]
     des = descents(w)
     if not des:
         out = ONE
@@ -137,7 +129,6 @@ def _transition(w: Permutation) -> Polynomial:
             u = times_transposition(v, q, r)
             if coxeter_length(u) == target:
                 out = out + _transition(u)
-    _transition_cache[w] = out
     return out
 
 

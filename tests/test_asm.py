@@ -265,7 +265,7 @@ class TestASMSum:
 
 class TestEnumeration:
     def test_counts_small(self):
-        for n, count in ((1, 1), (2, 2), (3, 7), (4, 42), (5, 429)):
+        for n, count in ((1, 1), (2, 2), (3, 7), (4, 42), (5, 429), (6, 7436)):
             assert len(asm.enumerate_asms(n)) == count
 
     def test_matches_brute_force(self):
@@ -275,8 +275,9 @@ class TestEnumeration:
             )
 
     def test_lexicographic_order(self):
-        out = asm.enumerate_asms(4)
-        assert out == sorted(out, key=lambda A: A.rows)
+        for n in (4, 5, 6):
+            out = asm.enumerate_asms(n)
+            assert out == sorted(out, key=lambda A: A.rows)
 
     def test_permutation_matrix_count(self):
         for n in (1, 2, 3, 4):
@@ -288,14 +289,6 @@ class TestEnumeration:
             asm.enumerate_asms(8)
         with pytest.raises(ValueError, match="positive"):
             asm.enumerate_asms(0)
-
-    def test_data_dir_cache(self, tmp_path):
-        path = tmp_path / "asm3.txt"
-        pool = asm.enumerate_asms(3)
-        path.write_text(asm.matrices_to_text(pool))
-        asm._ENUM_CACHE.pop(3, None)
-        cached = asm.enumerate_asms(3, data_dir=str(tmp_path))
-        assert cached == pool
 
     def test_random_deterministic(self):
         a = asm.random_asms(3, 5, seed=11)
@@ -309,6 +302,11 @@ class TestEnumeration:
 
     def test_random_size_one(self):
         assert asm.random_asms(1, 3, seed=0) == [PartialASM(((1,),))] * 3
+
+    def test_random_negative_count(self):
+        with pytest.raises(ValueError, match="count m = -5"):
+            asm.random_asms(3, -5, seed=0)
+        assert asm.random_asms(3, 0, seed=0) == []
 
 
 class TestPermSet:

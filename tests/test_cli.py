@@ -224,6 +224,8 @@ class TestExitCodes:
         assert run(["asm", "from-ranktable", "0 9;1 1"])[0] == 1
         assert run(["pipedream", "render", "2,1,4,3", "5"])[0] == 1
         assert run(["asm", "enumerate", "9"])[0] == 1
+        rc, out, err = run(["asm", "random", "3", "-5"])
+        assert rc == 1 and out == "" and "count m = -5" in err
         rc, _, err = run(["asm", "validate", "0 x;1 0"])
         assert rc == 1 and "separated by newlines or by ';'" in err
 
@@ -233,11 +235,14 @@ class TestExitCodes:
         [
             (["--budget", "500"], ["ideal", "gens", "2,1,3"], ["decomp", "is-cm", "2,1,3"]),
             (["--seed", "9"], ["asm", "random", "3", "2"], ["asm", "enumerate", "3"]),
-            (["--data-dir", "no-such-dir"], ["asm", "enumerate", "3"], ["asm", "random", "3", "2"]),
+            # no reading verb: --data-dir is refused everywhere
+            (["--data-dir", "no-such-dir"], [], ["asm", "enumerate", "3"]),
+            (["--budget", "500"], [], ["decomp", "permset", "2,1,3"]),
         ],
     )
     def test_flags_per_verb(self, flag, reads, ignores):
-        assert run(reads + flag)[0] == 0
+        if reads:
+            assert run(reads + flag)[0] == 0
         assert run(ignores + flag)[0] == 2
 
     def test_enumerate_force_flag(self):

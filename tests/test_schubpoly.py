@@ -22,6 +22,7 @@ from asmschub.perm import (
     pad,
 )
 from asmschub.pipedream import cross_monomial, pipe_dreams
+from asmschub import schubpoly
 from asmschub.poly import Polynomial, mono_degree, poly_to_text, substitute
 from asmschub.schubpoly import (
     double_schubert_polynomial,
@@ -68,6 +69,16 @@ class TestSchubertPolynomial:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown Schubert algorithm"):
             schubert_polynomial(identity(3), "Magic")
+
+    def test_memos_are_bounded_and_hit(self):
+        for memo in (schubpoly._descend, schubpoly._transition):
+            maxsize = memo.cache_info().maxsize
+            assert maxsize is not None and maxsize >= 3 * 720
+        w = Permutation((1, 3, 2, 5, 4))
+        first = schubert_polynomial(w)
+        hits = schubpoly._descend.cache_info().hits
+        assert schubert_polynomial(w) is first
+        assert schubpoly._descend.cache_info().hits == hits + 1
 
 
 class TestDoubleSchubert:
