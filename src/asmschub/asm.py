@@ -78,9 +78,6 @@ class PartialASM:
     def __call__(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
 
-    def transpose(self) -> "PartialASM":
-        return PartialASM(tuple(zip(*self.rows)))
-
 
 def make_partial_asm(matrix: Iterable[Iterable[int]]) -> PartialASM:
     return PartialASM(_as_grid(matrix))
@@ -386,6 +383,11 @@ def random_asms(
     rng = random.Random(seed)
     if replace:
         return [pool[rng.randrange(len(pool))] for _ in range(m)]
+    if m > len(pool):
+        raise ValueError(
+            f"count m = {m} exceeds the {len(pool)} ASMs of size {n};"
+            " draw with replacement"
+        )
     return rng.sample(pool, m)
 
 

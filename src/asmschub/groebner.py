@@ -40,8 +40,8 @@ class GroebnerBudgetError(RuntimeError):
 class Ideal:
     """Ideal in the coordinate ring of an m x n matrix of z-variables.
 
-    The cache carries expensive attachments (rank table, ASM, Groebner
-    bases keyed by term order) and never affects equality.
+    The cache carries expensive attachments (the ASM, Groebner bases
+    keyed by term order) and never affects equality.
     """
 
     generators: tuple[Polynomial, ...]
@@ -64,15 +64,6 @@ def make_ideal(generators, ambient) -> Ideal:
     return Ideal(tuple(generators), tuple(ambient))
 
 
-def _neg_key(key):
-    if isinstance(key[0], tuple) or isinstance(key[-1], tuple):
-        return tuple(
-            tuple(-a for a in part) if isinstance(part, tuple) else -part
-            for part in key
-        )
-    return tuple(-a for a in key)
-
-
 def normal_form(
     f: Polynomial,
     basis: list[Polynomial] | tuple[Polynomial, ...],
@@ -82,7 +73,7 @@ def normal_form(
     divisible by any basis lead term."""
     leads = [(lead_monomial(g, order), lead_coefficient(g, order), g) for g in basis]
     coeffs: dict[Monomial, Fraction] = dict(f.terms)
-    heap = [(_neg_key(order.key(m)), m) for m in coeffs]
+    heap = [(tuple(-a for a in order.key(m)), m) for m in coeffs]
     heapq.heapify(heap)
     out: dict[Monomial, Fraction] = {}
     while heap:
@@ -104,7 +95,7 @@ def normal_form(
             prev = coeffs.get(mm)
             if prev is None:
                 coeffs[mm] = -factor * gc
-                heapq.heappush(heap, (_neg_key(order.key(mm)), mm))
+                heapq.heappush(heap, (tuple(-a for a in order.key(mm)), mm))
             else:
                 coeffs[mm] = prev - factor * gc
     return Polynomial.from_dict(out)
@@ -164,7 +155,10 @@ def buchberger(
         pending.discard((i, j))
         spent += 1
         if spent > budget:
-            raise GroebnerBudgetError("Groebner basis pair budget exceeded")
+            raise GroebnerBudgetError(
+                f"Groebner basis pair budget exceeded: {spent} pairs spent"
+                f" against a budget of {budget}, basis size {len(G)}"
+            )
         lcm = mono_lcm(leads[i], leads[j])
         if lcm == mono_mul(leads[i], leads[j]):
             continue  # coprime lead terms

@@ -93,7 +93,6 @@ def schubert_determinantal_ideal(A: Schubertable) -> Ideal:
     A = as_partial_asm(A)
     I = Ideal(fulton_generators(A), (A.nrows, A.ncols))
     I.cache["asm"] = A
-    I.cache["rank_table"] = rank_table(A)
     return I
 
 

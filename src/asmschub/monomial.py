@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 from .poly import (
     Monomial,
     Var,
-    _var_key,
     mono_divides,
     mono_lcm,
     mono_support,
@@ -37,10 +36,6 @@ DEFAULT_LATTICE_LIMIT = 50_000
 DEFAULT_FACE_LIMIT = 1 << 20
 
 
-def _mono_sort_key(m: Monomial):
-    return tuple((_var_key(v), e) for v, e in m)
-
-
 def _minimalize(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
     uniq = list(dict.fromkeys(monos))
     kept = [
@@ -48,7 +43,7 @@ def _minimalize(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
         for m in uniq
         if not any(other != m and mono_divides(other, m) for other in uniq)
     ]
-    return tuple(sorted(kept, key=_mono_sort_key))
+    return tuple(sorted(kept))
 
 
 @dataclass(frozen=True)
@@ -77,9 +72,9 @@ def monomial_ideal(
     gens = _minimalize(monos)
     support = {v for m in gens for v in mono_support(m)}
     if variables is None:
-        ambient = tuple(sorted(support, key=_var_key))
+        ambient = tuple(sorted(support))
     else:
-        ambient = tuple(sorted(set(variables), key=_var_key))
+        ambient = tuple(sorted(set(variables)))
         missing = support - set(ambient)
         if missing:
             names = ", ".join(sorted(var_to_text(v) for v in missing))
@@ -119,9 +114,7 @@ def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
     """
     if J.is_unit:
         raise ValueError("unit ideal has no minimal primes")
-    variables = sorted(
-        {v for m in J.generators for v in mono_support(m)}, key=_var_key
-    )
+    variables = sorted({v for m in J.generators for v in mono_support(m)})
     pos = {v: i for i, v in enumerate(variables)}
     supports = _minimal_sets(
         sum(1 << pos[v] for v in mono_support(m)) for m in J.generators
@@ -144,7 +137,7 @@ def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
         tuple(variables[i] for i in range(len(variables)) if c >> i & 1)
         for c in covers
     ]
-    primes.sort(key=lambda p: tuple(_var_key(v) for v in p))
+    primes.sort()
     return tuple(primes)
 
 
@@ -185,9 +178,7 @@ def stanley_reisner_complex(J: MonomialIdeal) -> SimplicialComplex:
     if J.is_zero:
         return SimplicialComplex(J.variables, (J.variables,))
     ambient = set(J.variables)
-    facets = [
-        tuple(sorted(ambient - set(p), key=_var_key)) for p in minimal_primes(J)
-    ]
+    facets = [tuple(sorted(ambient - set(p))) for p in minimal_primes(J)]
     return SimplicialComplex(J.variables, tuple(facets))
 
 
@@ -260,7 +251,10 @@ def _enumerate_faces(masks: Sequence[int], limit: int) -> dict[int, list[int]]:
             continue
         seen.add(m)
         if len(seen) > limit:
-            raise ValueError("simplicial complex too large after collapses")
+            raise ValueError(
+                "simplicial complex too large after collapses:"
+                f" {len(seen)} faces against max_faces = {limit}"
+            )
         sub = m
         while sub:
             bit = sub & -sub
@@ -401,12 +395,15 @@ def betti_numbers(
                     seen.add(u)
                     new.add(u)
                     if len(seen) > max_lattice:
-                        raise ValueError("lcm lattice exceeds the size guard")
+                        raise ValueError(
+                            "lcm lattice exceeds the size guard:"
+                            f" {len(seen)} lcms against max_lattice = {max_lattice}"
+                        )
         lattice |= new
         frontier = new
     betti: dict[tuple[int, tuple[Var, ...]], int] = {(0, ()): 1}
     for sigma in lattice:
-        verts = sorted(sigma, key=_var_key)
+        verts = sorted(sigma)
         pos = {v: i for i, v in enumerate(verts)}
         full = (1 << len(verts)) - 1
         masks = [

@@ -59,9 +59,6 @@ class Permutation:
             inv[v - 1] = i + 1
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.one_line))
-
 
 def make_permutation(entries: Sequence[int]) -> Permutation:
     """Validate a one-line sequence and wrap it as a Permutation."""

@@ -1,12 +1,14 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 Variables come in three families: a generic matrix z[i,j] and two
-alphabets x[i], y[i].  Polynomials store their terms in a canonical
-descending order (degree first, then reverse-lex on the fixed variable
-priority x < y < z, each family ascending), which makes rendering and
-structural equality deterministic.  Term orders for Groebner work are
-separate values so the same polynomial can be read under several
-orders.
+alphabets x[i], y[i], written as tuples ("x", i), ("y", i) and
+("z", i, j).  The canonical order is Python's tuple order on those
+tuples, so x < y < z and each family runs ascending by index.  A
+monomial lists its variables in that order, and a polynomial stores
+its terms in a canonical descending order (degree first, then
+reverse-lex in tuple order), which makes rendering and structural
+equality deterministic.  Term orders for Groebner work are separate
+values so the same polynomial can be read under several orders.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 Var = tuple
-Monomial = tuple  # ((var, exp), ...) sorted by _var_key, exps positive
-
-_FAMILY_RANK = {"x": 0, "y": 1, "z": 2, "t": 3}
+Monomial = tuple  # ((var, exp), ...) in tuple order of var, exps positive
 
 
 def x_(i: int) -> Var:
@@ -35,10 +35,6 @@ def z_(i: int, j: int) -> Var:
     return ("z", i, j)
 
 
-def _var_key(v: Var):
-    return (_FAMILY_RANK[v[0]],) + tuple(v[1:])
-
-
 def var_to_text(v: Var) -> str:
     return f"{v[0]}[{','.join(str(k) for k in v[1:])}]"
 
@@ -50,7 +46,7 @@ def monomial(pairs: Iterable[tuple[Var, int]]) -> Monomial:
             raise ValueError(f"negative exponent {e} on {var_to_text(v)}")
         if e:
             acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items(), key=lambda it: _var_key(it[0])))
+    return tuple(sorted(acc.items()))
 
 
 MONE: Monomial = ()
@@ -88,7 +84,7 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     acc = dict(a)
     for v, e in b:
         acc[v] = max(acc.get(v, 0), e)
-    return tuple(sorted(acc.items(), key=lambda it: _var_key(it[0])))
+    return tuple(sorted(acc.items()))
 
 
 def mono_support(a: Monomial) -> tuple[Var, ...]:
@@ -96,19 +92,11 @@ def mono_support(a: Monomial) -> tuple[Var, ...]:
 
 
 def _display_sort(terms: Iterable[tuple[Monomial, Fraction]]):
-    terms = list(terms)
-    vs = sorted({v for m, _ in terms for v, _ in m}, key=_var_key)
-    pos = {v: k for k, v in enumerate(vs)}
-
-    def key(item):
-        m, _ = item
-        vec = [0] * len(vs)
-        for v, e in m:
-            vec[pos[v]] = e
-        return (mono_degree(m), tuple(-e for e in reversed(vec)))
-
-    terms.sort(key=key, reverse=True)
-    return tuple(terms)
+    # Degree descending, then reverse-lex: the reversed monomials first
+    # differ exactly where dense exponent vectors read from the top
+    # variable down would, and neither is a prefix of the other when the
+    # degrees agree.
+    return tuple(sorted(terms, key=lambda it: (-mono_degree(it[0]), it[0][::-1])))
 
 
 @dataclass(frozen=True)
@@ -135,9 +123,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_dict(self) -> dict[Monomial, Fraction]:
-        return dict(self.terms)
-
     def coefficient(self, m: Monomial) -> Fraction:
         for mono_, c in self.terms:
             if mono_ == m:
@@ -152,9 +137,6 @@ class Polynomial:
 
     def variables(self) -> set:
         return {v for m, _ in self.terms for v, _ in m}
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient(MONE)
 
     def __add__(self, other) -> "Polynomial":
         other = as_polynomial(other)
@@ -253,21 +235,17 @@ class TermOrder:
             self, "_pos", {v: k for k, v in enumerate(self.priority)}
         )
 
-    def _vector(self, m: Monomial) -> tuple[int, ...]:
+    def key(self, m: Monomial) -> tuple[int, ...]:
+        """Flat tuple of ints: larger key means larger monomial."""
         vec = [0] * len(self.priority)
         for v, e in m:
             k = self._pos.get(v)
             if k is None:
                 raise ValueError(f"variable {var_to_text(v)} not covered by the term order")
             vec[k] = e
-        return tuple(vec)
-
-    def key(self, m: Monomial):
-        """Sort key: larger key means larger monomial."""
-        vec = self._vector(m)
         if self.kind == "lex":
-            return vec
-        return (sum(vec), tuple(-e for e in reversed(vec)))
+            return tuple(vec)
+        return (sum(vec),) + tuple(-e for e in reversed(vec))
 
 
 def lex_order(priority: Sequence[Var]) -> TermOrder:
@@ -372,7 +350,7 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
         b = d.pop(v, 0)
         if a == b:
             continue
-        rest = tuple(sorted(d.items(), key=lambda it: _var_key(it[0])))
+        rest = tuple(sorted(d.items()))
         sign = 1 if a > b else -1
         for p in range(min(a, b), max(a, b)):
             q = a + b - 1 - p

@@ -8,11 +8,15 @@ library answers faster by another route, and exists to cross-check it:
 - `determinantal_ideal_from_cells` takes the minors at every given
   cell, against the essential-box generators;
 - `reisner_is_cm` recurses over vertex links, against the Betti-table
-  test `is_cm_quotient`.
+  test `is_cm_quotient`;
+- `family_rank_key`, `dense_display_sort` and `nested_term_key` spell
+  out the variable, term and term-order comparisons that plain tuple
+  order now gives the library.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from asmschub.asm import PartialASM, complete_asm, permutation_matrix, rank_table
@@ -25,7 +29,7 @@ from asmschub.monomial import (
     _maximal_masks,
 )
 from asmschub.perm import Permutation, all_permutations, bruhat_leq
-from asmschub.poly import generic_minor
+from asmschub.poly import Monomial, TermOrder, Var, generic_minor, mono_degree
 
 
 def perm_set_brute_force(A: PartialASM) -> list[Permutation]:
@@ -107,3 +111,43 @@ def reisner_is_cm(K: SimplicialComplex) -> bool:
     if not masks:
         return True
     return check(tuple(masks), len(K.vertices))
+
+
+FAMILY_RANK = {"x": 0, "y": 1, "z": 2, "t": 3}
+
+
+def family_rank_key(v: Var) -> tuple:
+    """Variables by family x < y < z < t, then by index."""
+    return (FAMILY_RANK[v[0]],) + tuple(v[1:])
+
+
+def dense_display_sort(
+    terms: Iterable[tuple[Monomial, Fraction]],
+) -> tuple[tuple[Monomial, Fraction], ...]:
+    """Terms by descending degree, then reverse-lex read off dense
+    exponent vectors over the variables present."""
+    terms = list(terms)
+    vs = sorted({v for m, _ in terms for v, _ in m}, key=family_rank_key)
+    pos = {v: k for k, v in enumerate(vs)}
+
+    def key(item):
+        m, _ = item
+        vec = [0] * len(vs)
+        for v, e in m:
+            vec[pos[v]] = e
+        return (mono_degree(m), tuple(-e for e in reversed(vec)))
+
+    terms.sort(key=key, reverse=True)
+    return tuple(terms)
+
+
+def nested_term_key(order: TermOrder, m: Monomial) -> tuple:
+    """Lex: the exponent vector over the priority; grevlex: degree, then
+    the negated reversed vector as a nested tuple."""
+    pos = {v: k for k, v in enumerate(order.priority)}
+    vec = [0] * len(order.priority)
+    for v, e in m:
+        vec[pos[v]] = e
+    if order.kind == "lex":
+        return tuple(vec)
+    return (sum(vec), tuple(-e for e in reversed(vec)))

@@ -308,6 +308,10 @@ class TestEnumeration:
             asm.random_asms(3, -5, seed=0)
         assert asm.random_asms(3, 0, seed=0) == []
 
+    def test_random_without_replacement_past_pool(self):
+        with pytest.raises(ValueError, match=r"count m = 8 exceeds the 7 ASMs of size 3"):
+            asm.random_asms(3, 8, seed=0, replace=False)
+
 
 class TestPermSet:
     def test_split_asm(self):

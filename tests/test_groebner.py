@@ -263,6 +263,19 @@ class TestBudget:
         with pytest.raises(GroebnerBudgetError):
             buchberger(gens, LEX, budget=1)
 
+    def test_budget_error_reports_spend(self):
+        gens = [
+            P("z[1,1] + z[1,2] + z[1,3]"),
+            P("z[1,1]*z[1,2] + z[1,2]*z[1,3] + z[1,1]*z[1,3]"),
+            P("z[1,1]*z[1,2]*z[1,3] - 1"),
+        ]
+        with pytest.raises(
+            GroebnerBudgetError,
+            match=r"^Groebner basis pair budget exceeded: 3 pairs spent"
+            r" against a budget of 2, basis size 5$",
+        ):
+            buchberger(gens, LEX, budget=2)
+
     def test_default_budget_is_generous(self):
         assert DEFAULT_BUDGET >= 10_000
 

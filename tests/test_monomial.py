@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asmschub import monomial as mi
-from asmschub.poly import monomial, mono_support, x_, z_, _var_key
+from asmschub.poly import monomial, mono_support, x_, z_
 from oracles import reisner_is_cm
 
 
@@ -81,7 +81,7 @@ def oracle_betti(J: mi.MonomialIdeal) -> dict:
     """Primal Hochster formula over every squarefree multidegree."""
     supports = [frozenset(mono_support(g)) for g in J.generators]
     out = {(0, ()): 1}
-    V = sorted({v for s in supports for v in s}, key=_var_key)
+    V = sorted({v for s in supports for v in s})
     for r in range(1, len(V) + 1):
         for sigma in itertools.combinations(V, r):
             faces = {
@@ -100,7 +100,7 @@ def oracle_betti(J: mi.MonomialIdeal) -> dict:
 
 def oracle_minimal_covers(J: mi.MonomialIdeal):
     supports = [set(mono_support(g)) for g in J.generators]
-    V = sorted({v for s in supports for v in s}, key=_var_key)
+    V = sorted({v for s in supports for v in s})
     assert len(V) <= 14
     covers = [
         set(c)
@@ -109,10 +109,7 @@ def oracle_minimal_covers(J: mi.MonomialIdeal):
         if all(s & set(c) for s in supports)
     ]
     minimal = [c for c in covers if not any(o < c for o in covers)]
-    primes = sorted(
-        (tuple(sorted(p, key=_var_key)) for p in minimal),
-        key=lambda p: tuple(_var_key(v) for v in p),
-    )
+    primes = sorted(tuple(sorted(p)) for p in minimal)
     return tuple(primes)
 
 
@@ -204,18 +201,8 @@ class TestMinimalPrimes:
         primes = mi.minimal_primes(J)
         assert mi.codim(J) == 6
         assert set(primes) == {
-            tuple(
-                sorted(
-                    [z(1, 1), z(1, 2), z(2, 1), z(2, 2), z(1, 3), z(2, 3)],
-                    key=_var_key,
-                )
-            ),
-            tuple(
-                sorted(
-                    [z(1, 1), z(1, 2), z(2, 1), z(2, 2), z(3, 1), z(3, 2)],
-                    key=_var_key,
-                )
-            ),
+            tuple(sorted([z(1, 1), z(1, 2), z(2, 1), z(2, 2), z(1, 3), z(2, 3)])),
+            tuple(sorted([z(1, 1), z(1, 2), z(2, 1), z(2, 2), z(3, 1), z(3, 2)])),
         }
 
     def test_codim_zero_ideal(self):
@@ -363,6 +350,25 @@ class TestBettiNumbers:
         J = mi.monomial_ideal([sqfree(x) for x in X[:4]])
         with pytest.raises(ValueError, match="guard"):
             mi.betti_numbers(J, max_lattice=3)
+
+    def test_lattice_guard_reports_size(self):
+        J = mi.monomial_ideal([sqfree(x) for x in X[:4]])
+        with pytest.raises(
+            ValueError,
+            match=r"^lcm lattice exceeds the size guard: 4 lcms against max_lattice = 3$",
+        ):
+            mi.betti_numbers(J, max_lattice=3)
+
+    def test_face_guard_reports_size(self):
+        # at the top multidegree the Alexander dual is the boundary of a
+        # tetrahedron, which no collapse shrinks: 14 faces plus the empty one
+        J = mi.monomial_ideal([sqfree(x) for x in X[:4]])
+        with pytest.raises(
+            ValueError,
+            match=r"^simplicial complex too large after collapses:"
+            r" 11 faces against max_faces = 10$",
+        ):
+            mi.betti_numbers(J, max_faces=10)
 
     def test_first_betti_counts_generators(self):
         J = mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[2], X[3])])

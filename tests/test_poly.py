@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,8 @@ from asmschub.poly import (
     y_,
     z_,
 )
+from asmschub.monomial import monomial_ideal
+from oracles import dense_display_sort, family_rank_key, nested_term_key
 
 
 def perm_sum_det(rows, cols):
@@ -322,3 +325,40 @@ class TestMonomialHelpers:
         b = monomial([(x_(2), 1)])
         with pytest.raises(ValueError, match="inexact"):
             poly.mono_div(a, b)
+
+
+class TestCanonicalOrder:
+    """Tuple order on variables reproduces the family-rank order."""
+
+    VARS = [x_(i) for i in range(1, 5)] + [y_(i) for i in range(1, 5)] + [
+        z_(i, j) for i in range(1, 4) for j in range(1, 4)
+    ]
+
+    def random_dict(self, rng):
+        d = {}
+        for _ in range(rng.randint(1, 8)):
+            pairs = [(rng.choice(self.VARS), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+            d[monomial(pairs)] = rng.randint(-3, 3)
+        return d
+
+    def test_seeded_random_polynomials(self):
+        rng = random.Random(20231)
+        priority = list(self.VARS)
+        for _ in range(400):
+            d = self.random_dict(rng)
+            f = Polynomial.from_dict(d)
+            nonzero = [(m, Fraction(c)) for m, c in d.items() if c]
+            assert f.terms == dense_display_sort(nonzero)
+            for m, _ in f.terms:
+                assert [v for v, _ in m] == sorted((v for v, _ in m), key=family_rank_key)
+            assert sorted(f.variables()) == sorted(f.variables(), key=family_rank_key)
+            gens = monomial_ideal(d).generators
+            assert list(gens) == sorted(
+                gens, key=lambda m: tuple((family_rank_key(v), e) for v, e in m)
+            )
+            rng.shuffle(priority)
+            for order in (lex_order(priority), poly.grevlex_order(priority)):
+                monos = [m for m, _ in f.terms]
+                assert sorted(monos, key=order.key) == sorted(
+                    monos, key=lambda m: nested_term_key(order, m)
+                )
