@@ -3,8 +3,9 @@
 Every matrix Schubert variety is Cohen-Macaulay, so permutation
 matrices are excluded up front; the interesting question is how the
 remaining ASM varieties split.  For size 4 the run takes well under a
-second; size 5 visits 309 non-permutation matrices and finishes in a
-few minutes.
+second; size 5 visits 309 non-permutation matrices (208 Cohen-Macaulay,
+101 not) and takes about 1.5 s on a 2-vCPU x86-64 machine with
+Python 3.11.
 
     python3 scripts/cm_partition.py            # size 4
     python3 scripts/cm_partition.py --size 5 --show-non-cm

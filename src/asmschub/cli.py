@@ -29,8 +29,9 @@ parse back through `poly_from_json`, monomial `generators` through
 `rank_table` through `rank_table_from_json`, `permutations` through
 `perm_from_json` and pipe dreams through `pipe_dream_from_json`.
 
-Every verb takes `--json`; `--budget` and `--seed` are taken only by
-the verbs that read them (see each verb's `--help`).
+Every verb takes `--json`; `--budget`, `--seed`, `--max-lattice` and
+`--max-faces` are taken only by the verbs that read them (see each
+verb's `--help`).
 Exit code 0 on success, 1 on domain errors (invalid matrices, budget
 exhaustion, unrecognized ideals), 2 on usage errors.
 """
@@ -76,7 +77,12 @@ from .ideal import (
     schubert_codim,
     schubert_determinantal_ideal,
 )
-from .monomial import monomial_ideal_to_json, monomial_ideal_to_text
+from .monomial import (
+    DEFAULT_FACE_LIMIT,
+    DEFAULT_LATTICE_LIMIT,
+    monomial_ideal_to_json,
+    monomial_ideal_to_text,
+)
 from .perm import (
     PERMUTATION_CLASSES,
     Permutation,
@@ -277,8 +283,12 @@ def _poly_raj(a):
     return str(r), {"raj": r}
 
 
+def _guards(a) -> dict:
+    return {"max_lattice": a.max_lattice, "max_faces": a.max_faces}
+
+
 def _poly_regularity(a):
-    r = schubert_regularity(_schubertable_from_arg(a.input))
+    r = schubert_regularity(_schubertable_from_arg(a.input), **_guards(a))
     return str(r), {"regularity": r}
 
 
@@ -357,7 +367,7 @@ def _decomp_intersect(a):
 
 
 def _decomp_is_cm(a):
-    b = is_schubert_cm(_schubertable_from_arg(a.input))
+    b = is_schubert_cm(_schubertable_from_arg(a.input), **_guards(a))
     return _bool_text(b), {"is_cm": b}
 
 
@@ -367,12 +377,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="asmschub", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(sub, name: str, handler, help_: str, budget: bool = False):
+    def leaf(sub, name: str, handler, help_: str, budget: bool = False, guards: bool = False):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit a schema_version 1 JSON document")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="pair-reduction budget for basis computations")
+        if guards:
+            p.add_argument("--max-lattice", type=int, default=DEFAULT_LATTICE_LIMIT, help="largest lcm lattice walked for Betti numbers")
+            p.add_argument("--max-faces", type=int, default=DEFAULT_FACE_LIMIT, help="most faces built for one homology computation")
         return p
 
     perm = groups.add_parser("perm", help="diagram combinatorics of permutations").add_subparsers(dest="verb", required=True)
@@ -425,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
     p.add_argument("--algorithm", choices=GROTHENDIECK_ALGORITHMS, default="DividedDifference")
     leaf(poly, "raj", _poly_raj, "Rajchgot index").add_argument("perm")
-    leaf(poly, "regularity", _poly_regularity, "Castelnuovo-Mumford regularity of the quotient").add_argument("input")
+    leaf(poly, "regularity", _poly_regularity, "Castelnuovo-Mumford regularity of the quotient", guards=True).add_argument("input")
 
     pd = groups.add_parser("pipedream", help="reduced pipe dreams and subword complexes").add_subparsers(dest="verb", required=True)
     leaf(pd, "list", _pipedream_list, "cross sets of all reduced pipe dreams").add_argument("perm")
@@ -443,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     leaf(dec, "get-asm", _decomp_get_asm, "matrix recognized from an intersection", budget=True).add_argument("inputs", nargs="+")
     leaf(dec, "add", _decomp_add, "ASM of the ideal sum").add_argument("inputs", nargs="+")
     leaf(dec, "intersect", _decomp_intersect, "generators of the ideal intersection", budget=True).add_argument("inputs", nargs="+")
-    leaf(dec, "is-cm", _decomp_is_cm, "Cohen-Macaulayness of the quotient").add_argument("input")
+    leaf(dec, "is-cm", _decomp_is_cm, "Cohen-Macaulayness of the quotient", guards=True).add_argument("input")
 
     return parser
 

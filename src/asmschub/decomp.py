@@ -143,7 +143,9 @@ def is_schubert_cm(A: Schubertable, **guards) -> bool:
     """Cohen-Macaulayness of the rank-condition quotient.
 
     Permutation matrices short-circuit to True; everything else checks
-    pdim == codim on the squarefree antidiagonal degeneration.
+    pdim == codim on the squarefree antidiagonal degeneration, which
+    `is_cm_quotient` first gates on unmixedness: minimal primes of more
+    than one height give False before any homology.
     """
     M = as_partial_asm(A)
     if as_permutation(M) is not None:

@@ -12,7 +12,12 @@ Alexander dual inside the multidegree: for a squarefree multidegree s,
 
 which is a union of few explicitly-known simplices.  Strong collapses
 and Dowker flips shrink that union before any boundary matrix is
-built, so the lattice sweep stays cheap.  All homology is rational.
+built, so the lattice sweep stays cheap.  All homology is rational and
+exact.  Boundary ranks are taken over GF(2) first, which certifies the
+rational answer whenever the GF(2) homology is zero or sits in a single
+degree: rational Betti numbers never exceed the GF(2) ones and both
+have the same Euler characteristic.  Homology spread over two or more
+degrees is recomputed with exact integer elimination.
 """
 
 from __future__ import annotations
@@ -193,7 +198,7 @@ def stanley_reisner_complex(J: MonomialIdeal) -> SimplicialComplex:
 
 def _maximal_masks(masks: Sequence[int]) -> list[int]:
     out = []
-    for m in sorted(set(masks), key=lambda x: -bin(x).count("1")):
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
         if not any(m | o == o for o in out):
             out.append(m)
     return out
@@ -215,7 +220,7 @@ def _collapse_points(masks: list[int], npoints: int) -> tuple[list[int], int]:
             used |= m
         points = [u for u in range(npoints) if used >> u & 1]
         incidence = {
-            u: frozenset(i for i, m in enumerate(masks) if m >> u & 1)
+            u: sum(1 << i for i, m in enumerate(masks) if m >> u & 1)
             for u in points
         }
         victim = None
@@ -223,7 +228,7 @@ def _collapse_points(masks: list[int], npoints: int) -> tuple[list[int], int]:
             for u2 in points:
                 if u2 == u:
                     continue
-                if incidence[u] <= incidence[u2]:
+                if not incidence[u] & ~incidence[u2]:
                     victim = u
                     break
             if victim is not None:
@@ -264,7 +269,7 @@ def _enumerate_faces(masks: Sequence[int], limit: int) -> dict[int, list[int]]:
             sub &= sub - 1
     by_size: dict[int, list[int]] = {}
     for m in seen:
-        by_size.setdefault(bin(m).count("1"), []).append(m)
+        by_size.setdefault(m.bit_count(), []).append(m)
     for v in by_size.values():
         v.sort()
     return by_size
@@ -309,8 +314,9 @@ def _int_rank(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def _boundary_ranks(by_size: dict[int, list[int]]) -> dict[int, int]:
-    # rank of the boundary map from faces of size k to faces of size k-1
+def _boundary_ranks(by_size: dict[int, list[int]], exact: bool) -> dict[int, int]:
+    # rank of the boundary map from faces of size k to faces of size k-1,
+    # over the rationals when exact, else over GF(2)
     ranks: dict[int, int] = {}
     for k, faces in by_size.items():
         if k == 0:
@@ -318,21 +324,50 @@ def _boundary_ranks(by_size: dict[int, list[int]]) -> dict[int, int]:
         below = {m: i for i, m in enumerate(by_size.get(k - 1, []))}
         rows = []
         for m in faces:
-            row = {}
-            sign = 1
+            cols = []
             sub = m
             while sub:
                 bit = sub & -sub
-                row[below[m & ~bit]] = sign
-                sign = -sign
+                cols.append(below[m & ~bit])
                 sub &= sub - 1
-            rows.append(row)
-        ranks[k] = _int_rank(rows)
+            if exact:
+                rows.append({c: -1 if j & 1 else 1 for j, c in enumerate(cols)})
+            else:
+                rows.append(sum(1 << c for c in cols))
+        ranks[k] = _int_rank(rows) if exact else _gf2_rank(rows)
     return ranks
 
 
+def _gf2_rank(rows: list[int]) -> int:
+    pivots: dict[int, int] = {}
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = r
+                break
+            r ^= p
+    return len(pivots)
+
+
+def _homology_from_ranks(by_size: dict[int, list[int]], ranks: dict[int, int]) -> dict[int, int]:
+    out = {}
+    for k, faces in by_size.items():
+        h = len(faces) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        if h:
+            out[k - 1] = h
+    return out
+
+
 def _homology_of_union(masks: Sequence[int], npoints: int, limit: int) -> dict[int, int]:
-    """Reduced rational homology ranks {degree: rank} of a simplex union."""
+    """Reduced rational homology ranks {degree: rank} of a simplex union.
+
+    Ranks are taken over GF(2) first.  Rational Betti numbers are at most
+    the GF(2) ones in every degree and share their Euler characteristic,
+    so GF(2) homology in at most one degree is the rational homology;
+    otherwise the ranks are recomputed exactly with `_int_rank`.
+    """
     masks = _maximal_masks(masks)
     if not masks:
         return {}
@@ -349,13 +384,10 @@ def _homology_of_union(masks: Sequence[int], npoints: int, limit: int) -> dict[i
     if len(masks) == 1:
         return {-1: 1} if masks[0] == 0 else {}
     by_size = _enumerate_faces(masks, limit)
-    ranks = _boundary_ranks(by_size)
-    out = {}
-    for k, faces in by_size.items():
-        h = len(faces) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        if h:
-            out[k - 1] = h
-    return out
+    hom = _homology_from_ranks(by_size, _boundary_ranks(by_size, exact=False))
+    if len(hom) > 1:
+        hom = _homology_from_ranks(by_size, _boundary_ranks(by_size, exact=True))
+    return hom
 
 
 def reduced_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
@@ -369,20 +401,19 @@ def reduced_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
     return tuple(hom.get(d, 0) for d in range(-1, top + 1))
 
 
-def betti_numbers(
-    J: MonomialIdeal,
-    max_lattice: int = DEFAULT_LATTICE_LIMIT,
-    max_faces: int = DEFAULT_FACE_LIMIT,
-) -> dict[tuple[int, tuple[Var, ...]], int]:
-    """Graded Betti numbers of the quotient by a squarefree ideal.
-
-    Keys are (homological degree, sorted multidegree support).
-    """
+def _squarefree_supports(J: MonomialIdeal) -> list[frozenset]:
     if J.is_unit:
         raise ValueError("unit ideal has no Betti table")
     if not J.is_squarefree:
         raise ValueError("Betti numbers require a squarefree ideal")
-    supports = [frozenset(mono_support(m)) for m in J.generators]
+    return [frozenset(mono_support(m)) for m in J.generators]
+
+
+def _betti_entries(
+    supports: list[frozenset], max_lattice: int, max_faces: int, more_than: int
+) -> dict[tuple[int, tuple[Var, ...]], int]:
+    """Betti numbers at the lcm-lattice multidegrees with more than
+    `more_than` variables; the whole lattice is walked and guarded."""
     lattice: set[frozenset] = set()
     frontier: set[frozenset] = {frozenset()}
     seen = {frozenset()}
@@ -401,8 +432,10 @@ def betti_numbers(
                         )
         lattice |= new
         frontier = new
-    betti: dict[tuple[int, tuple[Var, ...]], int] = {(0, ()): 1}
+    betti: dict[tuple[int, tuple[Var, ...]], int] = {}
     for sigma in lattice:
+        if len(sigma) <= more_than:
+            continue
         verts = sorted(sigma)
         pos = {v: i for i, v in enumerate(verts)}
         full = (1 << len(verts)) - 1
@@ -417,6 +450,19 @@ def betti_numbers(
     return betti
 
 
+def betti_numbers(
+    J: MonomialIdeal,
+    max_lattice: int = DEFAULT_LATTICE_LIMIT,
+    max_faces: int = DEFAULT_FACE_LIMIT,
+) -> dict[tuple[int, tuple[Var, ...]], int]:
+    """Graded Betti numbers of the quotient by a squarefree ideal.
+
+    Keys are (homological degree, sorted multidegree support).
+    """
+    supports = _squarefree_supports(J)
+    return {(0, ()): 1, **_betti_entries(supports, max_lattice, max_faces, 0)}
+
+
 def pdim_quotient(J: MonomialIdeal, **kw) -> int:
     return max(i for i, _ in betti_numbers(J, **kw))
 
@@ -425,8 +471,25 @@ def reg_quotient(J: MonomialIdeal, **kw) -> int:
     return max(len(sigma) - i for i, sigma in betti_numbers(J, **kw))
 
 
-def is_cm_quotient(J: MonomialIdeal, **kw) -> bool:
-    return pdim_quotient(J, **kw) == codim(J)
+def is_cm_quotient(
+    J: MonomialIdeal,
+    max_lattice: int = DEFAULT_LATTICE_LIMIT,
+    max_faces: int = DEFAULT_FACE_LIMIT,
+) -> bool:
+    """Is pdim equal to codim for the quotient by a squarefree ideal?
+
+    Cohen-Macaulay implies unmixed, so minimal primes of more than one
+    height give False before any homology.  When every height is c, the
+    quotient is Cohen-Macaulay exactly when no Betti number sits in
+    homological degree above c; such a number needs a multidegree with
+    more than c variables, so only those are computed.
+    """
+    supports = _squarefree_supports(J)
+    heights = {len(p) for p in minimal_primes(J)}
+    if len(heights) > 1:
+        return False
+    (c,) = heights
+    return all(i <= c for i, _ in _betti_entries(supports, max_lattice, max_faces, c))
 
 
 def mono_to_text(m: Monomial) -> str:

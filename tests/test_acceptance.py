@@ -10,7 +10,10 @@ warmed call so they measure the computation, not interpreter startup.
 from __future__ import annotations
 
 import itertools
+import random
 import time
+
+import pytest
 
 from asmschub.asm import (
     RankTable,
@@ -33,7 +36,14 @@ from asmschub.decomp import (
 )
 from asmschub.groebner import ideal_equals, initial_ideal, minimal_generators
 from asmschub.ideal import anti_diag_init, diag_init, schubert_determinantal_ideal
-from asmschub.monomial import minimal_primes, mono_to_text
+from asmschub.monomial import (
+    codim,
+    is_cm_quotient,
+    minimal_primes,
+    mono_to_text,
+    monomial_ideal,
+    pdim_quotient,
+)
 from asmschub.perm import (
     Permutation,
     all_permutations,
@@ -373,3 +383,20 @@ def test_criterion_15_property_gates():
     dt = time.perf_counter() - t0
     assert dt < 600.0, f"{dt:.1f}s exceeds the 600s budget"
     report(15, "property gates", dt)
+
+
+def test_criterion_16_cohen_macaulay_split_5x5():
+    pool = [A for A in enumerate_asms(5) if as_permutation(A) is None]
+    flags, dt = timed(10.0, lambda: [is_schubert_cm(A) for A in pool])
+    assert len(pool) == 309
+    assert flags.count(True) == 208 and flags.count(False) == 101
+    # the unmixedness gate and the restricted Betti entries agree with
+    # pdim == codim read off the full Betti table; BULGE is the one
+    # unmixed 5x5 ASM that is not Cohen-Macaulay
+    for A in random.Random(16).sample(pool, 15) + [BULGE]:
+        J = anti_diag_init(A)
+        assert is_cm_quotient(J) == (pdim_quotient(J) == codim(J))
+    with pytest.raises(ValueError, match="unit ideal"):
+        is_cm_quotient(monomial_ideal([()]))
+    assert is_cm_quotient(monomial_ideal([], [("z", 1, 1)]))
+    report(16, "Cohen-Macaulay split of the 5x5 ASMs", dt)

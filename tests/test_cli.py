@@ -238,6 +238,10 @@ class TestExitCodes:
             # no reading verb: --data-dir is refused everywhere
             (["--data-dir", "no-such-dir"], [], ["asm", "enumerate", "3"]),
             (["--budget", "500"], [], ["decomp", "permset", "2,1,3"]),
+            (["--max-lattice", "100"], ["poly", "regularity", "0 1 0;1 -1 1;0 1 0"], ["ideal", "codim", "2,1,3"]),
+            (["--max-faces", "100"], ["decomp", "is-cm", "0 1 0;1 -1 1;0 1 0"], ["poly", "raj", "2,1,3"]),
+            (["--max-lattice", "100"], ["decomp", "is-cm", "0 1 0;1 -1 1;0 1 0"], ["decomp", "permset", "2,1,3"]),
+            (["--max-faces", "100"], ["poly", "regularity", "0 1 0;1 -1 1;0 1 0"], ["ideal", "antidiag", "2,1,3"]),
         ],
     )
     def test_flags_per_verb(self, flag, reads, ignores):
@@ -254,6 +258,19 @@ class TestExitCodes:
     def test_unrecognized_intersection(self):
         rc, _, err = run(["decomp", "get-asm", "1,2,4,3", "1,3,2,4"])
         assert rc == 1 and "no ASM attached" in err
+
+    # a tripped lattice or face guard is a domain error that names the guard
+    @pytest.mark.parametrize("verb", [["poly", "regularity"], ["decomp", "is-cm"]])
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            (["--max-lattice", "1"], "lcm lattice exceeds the size guard: 2 lcms against max_lattice = 1"),
+            (["--max-faces", "1"], "simplicial complex too large after collapses: 2 faces against max_faces = 1"),
+        ],
+    )
+    def test_guard_overrides(self, verb, flag, message):
+        rc, out, err = run(verb + ["0 1 0;1 -1 1;0 1 0"] + flag)
+        assert rc == 1 and out == "" and err == message + "\n"
 
     def test_budget_exhaustion(self):
         rc, _, err = run(["decomp", "intersect", "3,4,1,2", "3,2,4,1", "--budget", "1"])

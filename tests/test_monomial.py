@@ -10,6 +10,7 @@ covers.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,77 @@ class TestHomology:
         assert {d: r for d, r in zip(range(-1, len(got)), got) if r} == expected
 
 
+# the 6-vertex real projective plane: rational homology vanishes, but over
+# GF(2) it is nonzero in degrees 1 and 2
+RP2 = (
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+)
+
+
+def exact_homology(masks: list[int]) -> dict[int, int]:
+    """Reduced homology of the uncollapsed union, ranks by `_int_rank`."""
+    by_size = mi._enumerate_faces(mi._maximal_masks(masks), mi.DEFAULT_FACE_LIMIT)
+    return mi._homology_from_ranks(by_size, mi._boundary_ranks(by_size, exact=True))
+
+
+def gf2_homology(masks: list[int]) -> dict[int, int]:
+    by_size = mi._enumerate_faces(mi._maximal_masks(masks), mi.DEFAULT_FACE_LIMIT)
+    return mi._homology_from_ranks(by_size, mi._boundary_ranks(by_size, exact=False))
+
+
+@pytest.fixture
+def exact_rank_calls(monkeypatch):
+    calls = []
+    exact = mi._int_rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(mi, "_int_rank", counted)
+    return calls
+
+
+class TestCertifiedHomology:
+    def test_rp2_takes_the_exact_fallback(self, exact_rank_calls):
+        verts = tuple(X[:6])
+        K = mi.SimplicialComplex(verts, tuple(tuple(verts[i] for i in t) for t in RP2))
+        masks = [sum(1 << i for i in t) for t in RP2]
+        assert gf2_homology(masks) == {1: 1, 2: 1}
+        assert not exact_rank_calls
+        assert mi.reduced_homology_ranks(K) == (0, 0, 0, 0)
+        assert exact_rank_calls
+
+    def test_sphere_is_certified_without_fallback(self, exact_rank_calls):
+        verts = tuple(X[:5])
+        K = mi.SimplicialComplex(verts, tuple(itertools.combinations(verts, 4)))
+        assert mi.reduced_homology_ranks(K) == (0, 0, 0, 0, 1)
+        assert not exact_rank_calls
+
+    def test_random_unions_match_exact_ranks(self, exact_rank_calls):
+        rng = random.Random(2024)
+        fallbacks = 0
+        for k in range(300):
+            # every other union is a graph, so that some have homology in
+            # two degrees (several components and a cycle)
+            npoints = rng.randint(4, 8)
+            top = 2 if k % 2 else 4
+            masks = [
+                sum(1 << u for u in rng.sample(range(npoints), rng.randint(1, top)))
+                for _ in range(rng.randint(1, 14))
+            ]
+            expected = exact_homology(masks)
+            spread = len(gf2_homology(masks)) > 1
+            before = len(exact_rank_calls)
+            assert mi._homology_of_union(masks, npoints, mi.DEFAULT_FACE_LIMIT) == expected
+            # the certificate fails exactly when GF(2) homology is spread
+            # over two or more degrees, and only then do exact ranks run
+            assert (len(exact_rank_calls) > before) == spread
+            fallbacks += spread
+        assert fallbacks >= 10
+
+
 class TestBettiNumbers:
     def test_koszul(self):
         J = mi.monomial_ideal([sqfree(X[0]), sqfree(X[1])])
@@ -341,6 +413,18 @@ class TestBettiNumbers:
     def test_unit_rejected(self):
         with pytest.raises(ValueError, match="unit ideal"):
             mi.betti_numbers(mi.monomial_ideal([()]))
+
+    def test_cm_test_rejects_unit_and_non_squarefree(self):
+        with pytest.raises(ValueError, match="^unit ideal has no Betti table$"):
+            mi.is_cm_quotient(mi.monomial_ideal([()]))
+        with pytest.raises(ValueError, match="^Betti numbers require a squarefree ideal$"):
+            mi.is_cm_quotient(mi.monomial_ideal([monomial([(X[0], 2)])]))
+
+    def test_mixed_heights_decided_without_homology(self, monkeypatch):
+        # x1 * (x2, x3): primes (x1) and (x2, x3) have heights 1 and 2
+        J = mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[0], X[2])])
+        monkeypatch.setattr(mi, "_homology_of_union", None)
+        assert not mi.is_cm_quotient(J)
 
     def test_non_squarefree_rejected(self):
         with pytest.raises(ValueError, match="squarefree"):
