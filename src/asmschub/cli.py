@@ -283,12 +283,10 @@ def _poly_raj(a):
     return str(r), {"raj": r}
 
 
-def _guards(a) -> dict:
-    return {"max_lattice": a.max_lattice, "max_faces": a.max_faces}
-
-
 def _poly_regularity(a):
-    r = schubert_regularity(_schubertable_from_arg(a.input), **_guards(a))
+    r = schubert_regularity(
+        _schubertable_from_arg(a.input), max_lattice=a.max_lattice, max_faces=a.max_faces
+    )
     return str(r), {"regularity": r}
 
 
@@ -367,7 +365,9 @@ def _decomp_intersect(a):
 
 
 def _decomp_is_cm(a):
-    b = is_schubert_cm(_schubertable_from_arg(a.input), **_guards(a))
+    b = is_schubert_cm(
+        _schubertable_from_arg(a.input), max_lattice=a.max_lattice, max_faces=a.max_faces
+    )
     return _bool_text(b), {"is_cm": b}
 
 

@@ -240,8 +240,6 @@ class TestExitCodes:
             (["--budget", "500"], [], ["decomp", "permset", "2,1,3"]),
             (["--max-lattice", "100"], ["poly", "regularity", "0 1 0;1 -1 1;0 1 0"], ["ideal", "codim", "2,1,3"]),
             (["--max-faces", "100"], ["decomp", "is-cm", "0 1 0;1 -1 1;0 1 0"], ["poly", "raj", "2,1,3"]),
-            (["--max-lattice", "100"], ["decomp", "is-cm", "0 1 0;1 -1 1;0 1 0"], ["decomp", "permset", "2,1,3"]),
-            (["--max-faces", "100"], ["poly", "regularity", "0 1 0;1 -1 1;0 1 0"], ["ideal", "antidiag", "2,1,3"]),
         ],
     )
     def test_flags_per_verb(self, flag, reads, ignores):
