@@ -5,6 +5,12 @@ chain criteria, full tail reduction to the unique reduced basis, and a
 hard work budget so a runaway computation fails loudly instead of
 hanging.  Built for determinantal ideals on modest grids, not for
 general-purpose computation.
+
+The budget bounds both the S-pairs a computation pops and its reduction
+work.  A reduction step costs one unit per term of the reducer, times
+the squared size in 64-bit words of the multiplier, so coefficient swell
+over the rationals is charged as the work it is; a basis computation
+may spend ``WORK_PER_PAIR`` units per unit of budget.
 """
 
 from __future__ import annotations
@@ -30,10 +36,39 @@ from .poly import (
 )
 
 DEFAULT_BUDGET = 200_000
+WORK_PER_PAIR = 50
 
 
 class GroebnerBudgetError(RuntimeError):
     """Raised when a basis computation exceeds its work budget."""
+
+
+class _Meter:
+    """Pairs and reduction work spent by one basis computation."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.pairs = 0
+        self.work = 0
+        self.work_limit = budget * WORK_PER_PAIR
+
+    def pair(self, basis_size: int) -> None:
+        self.pairs += 1
+        if self.pairs > self.budget:
+            raise GroebnerBudgetError(
+                f"Groebner basis pair budget exceeded: {self.pairs} pairs spent"
+                f" against a budget of {self.budget}, basis size {basis_size}"
+            )
+
+    def reduce(self, terms: int, factor: Fraction) -> None:
+        words = 1 + ((factor.numerator.bit_length() + factor.denominator.bit_length()) >> 6)
+        self.work += terms * words * words
+        if self.work > self.work_limit:
+            raise GroebnerBudgetError(
+                f"Groebner basis reduction budget exceeded: {self.work} units"
+                f" spent against {self.work_limit} ({WORK_PER_PAIR} per unit"
+                f" of a budget of {self.budget}), {self.pairs} pairs spent"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,9 +103,11 @@ def normal_form(
     f: Polynomial,
     basis: list[Polynomial] | tuple[Polynomial, ...],
     order: TermOrder,
+    meter: _Meter | None = None,
 ) -> Polynomial:
     """Fully reduce f modulo the basis: no term of the result is
-    divisible by any basis lead term."""
+    divisible by any basis lead term.  A meter, when given, is charged
+    for every reduction step."""
     leads = [(lead_monomial(g, order), lead_coefficient(g, order), g) for g in basis]
     coeffs: dict[Monomial, Fraction] = dict(f.terms)
     heap = [(tuple(-a for a in order.key(m)), m) for m in coeffs]
@@ -88,6 +125,8 @@ def normal_form(
         lead, lc, g = hit
         quot = mono_div(m, lead)
         factor = c / lc
+        if meter is not None:
+            meter.reduce(len(g.terms), factor)
         for gm, gc in g.terms:
             if gm == lead:
                 continue
@@ -147,18 +186,13 @@ def buchberger(
         for j in range(i + 1, len(G)):
             push_pair(i, j)
 
-    spent = 0
+    meter = _Meter(budget)
     while heap:
         _, _, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        spent += 1
-        if spent > budget:
-            raise GroebnerBudgetError(
-                f"Groebner basis pair budget exceeded: {spent} pairs spent"
-                f" against a budget of {budget}, basis size {len(G)}"
-            )
+        meter.pair(len(G))
         lcm = mono_lcm(leads[i], leads[j])
         if lcm == mono_mul(leads[i], leads[j]):
             continue  # coprime lead terms
@@ -171,7 +205,7 @@ def buchberger(
             for k in range(len(G))
         ):
             continue  # chain criterion
-        r = normal_form(_spoly(G[i], G[j], order), G, order)
+        r = normal_form(_spoly(G[i], G[j], order), G, order, meter)
         if not r.is_zero:
             G.append(_monic(r, order))
             leads.append(lead_monomial(G[-1], order))
@@ -194,7 +228,7 @@ def buchberger(
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(_monic(normal_form(g, others, order), order))
+        reduced.append(_monic(normal_form(g, others, order, meter), order))
     reduced.sort(key=lambda g: order.key(lead_monomial(g, order)))
     result = tuple(reduced)
     if isinstance(I, Ideal):

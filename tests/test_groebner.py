@@ -276,6 +276,34 @@ class TestBudget:
         ):
             buchberger(gens, LEX, budget=2)
 
+    def test_reduction_work_is_budgeted(self):
+        # A lex elimination whose coefficients swell to hundreds of
+        # thousands of bits within a hundred pairs: the pair count stays
+        # far below the budget, so only the reduction work can stop it.
+        I = make_ideal([P("z[1,1]^2*z[2,1] - 3*z[1,1] - 1")], (2, 2))
+        J = make_ideal(
+            [P("-2*z[1,1]*z[1,2]^2 + 3*z[1,2]"), P("2*z[1,2]^2*z[2,1]^2 + 2*z[1,1] + 2")],
+            (2, 2),
+        )
+        with pytest.raises(
+            GroebnerBudgetError,
+            match=r"^Groebner basis reduction budget exceeded: \d+ units spent"
+            r" against 2000000 \(50 per unit of a budget of 40000\), \d+ pairs spent$",
+        ):
+            intersect_ideals(I, J, budget=40_000)
+
+    def test_reduction_work_spares_determinantal_bases(self):
+        # every 2x2 minor of a generic 3x3 matrix: a budget of 81 pairs
+        # allows 4,050 reduction units, more than this basis needs
+        minors = [
+            P(f"z[{a},{c}]*z[{b},{d}] - z[{a},{d}]*z[{b},{c}]")
+            for a, b in ((1, 2), (1, 3), (2, 3))
+            for c, d in ((1, 2), (1, 3), (2, 3))
+        ]
+        order = antidiagonal_order(3, 3)
+        basis = buchberger(minors, order)
+        assert buchberger(minors, order, budget=len(minors) ** 2) == basis
+
     def test_default_budget_is_generous(self):
         assert DEFAULT_BUDGET >= 10_000
 
