@@ -5,10 +5,12 @@ matrices are excluded up front; the interesting question is how the
 remaining ASM varieties split.  For size 4 the run takes well under a
 second; size 5 visits 309 non-permutation matrices (208 Cohen-Macaulay,
 101 not) and takes about 1.5 s on a 2-vCPU x86-64 machine with
-Python 3.11.
+Python 3.11.  Size 6 visits 6,716 (3,308 Cohen-Macaulay, 3,408 not) and
+took 142 s on the same machine.
 
     python3 scripts/cm_partition.py            # size 4
     python3 scripts/cm_partition.py --size 5 --show-non-cm
+    python3 scripts/cm_partition.py --size 6
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from .monomial import (
     MonomialIdeal,
     SimplicialComplex,
     betti_numbers,
+    collect_stats,
     is_cm_quotient,
     minimal_primes,
     monomial_ideal,

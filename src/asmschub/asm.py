@@ -18,6 +18,7 @@ from .perm import Permutation
 
 ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348)  # n = 1..7
 ENUM_LIMIT = 7
+DRAW_LIMIT = 100_000
 
 
 def _as_grid(matrix: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -371,14 +372,28 @@ def enumerate_asms(n: int, force: bool = False) -> list[PartialASM]:
     return list(_enumerate(n))
 
 
-def random_asms(
-    n: int, m: int, seed: int, replace: bool = True
-) -> list[PartialASM]:
-    """m ASMs of size n drawn uniformly from the full enumeration."""
+def check_draw(n: int, m: int, force: bool = False) -> None:
+    """Refuse a draw of m ASMs of size n before anything is allocated.
+
+    Counts above DRAW_LIMIT are refused unless force is set.
+    """
     if n > ENUM_LIMIT:
         raise ValueError(f"n = {n} exceeds the enumeration guard ({ENUM_LIMIT})")
     if m < 0:
         raise ValueError(f"count m = {m} must be nonnegative")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if m > DRAW_LIMIT and not force:
+        raise ValueError(
+            f"count m = {m} exceeds the draw guard ({DRAW_LIMIT}); pass force to override"
+        )
+
+
+def random_asms(
+    n: int, m: int, seed: int, replace: bool = True, force: bool = False
+) -> list[PartialASM]:
+    """m ASMs of size n drawn uniformly from the full enumeration."""
+    check_draw(n, m, force)
     pool = enumerate_asms(n)
     rng = random.Random(seed)
     if replace:

@@ -29,9 +29,11 @@ parse back through `poly_from_json`, monomial `generators` through
 `rank_table` through `rank_table_from_json`, `permutations` through
 `perm_from_json` and pipe dreams through `pipe_dream_from_json`.
 
-Every verb takes `--json`; `--budget`, `--seed`, `--max-lattice` and
-`--max-faces` are taken only by the verbs that read them (see each
-verb's `--help`).
+Every verb takes `--json`; `--budget`, `--seed`, `--force`, `--count`,
+`--max-lattice`, `--max-faces` and `--stats` are taken only by the verbs
+that read them (see each verb's `--help`).  `--stats` reports the
+homology work counted by `collect_stats`: one `name: count` line each
+on stderr, or a `stats` object inside the `--json` document.
 Exit code 0 on success, 1 on domain errors (invalid matrices, budget
 exhaustion, unrecognized ideals), 2 on usage errors.
 """
@@ -42,13 +44,16 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from .asm import (
+    DRAW_LIMIT,
     ENUM_LIMIT,
     PartialASM,
     RankTable,
     asm_to_json,
+    check_draw,
     complete_asm,
     enumerate_asms,
     make_partial_asm,
@@ -80,6 +85,7 @@ from .ideal import (
 from .monomial import (
     DEFAULT_FACE_LIMIT,
     DEFAULT_LATTICE_LIMIT,
+    collect_stats,
     monomial_ideal_to_json,
     monomial_ideal_to_text,
 )
@@ -227,7 +233,11 @@ def _asm_enumerate(a):
 
 
 def _asm_random(a):
-    return _render_asm_list(random_asms(a.n, a.m, seed=a.seed), a.count)
+    if a.count:
+        # the count is m itself: nothing is drawn, so no draw guard applies
+        check_draw(a.n, a.m, force=True)
+        return str(a.m), {"count": a.m}
+    return _render_asm_list(random_asms(a.n, a.m, seed=a.seed, force=a.force), False)
 
 
 # --------------------------------------------------------------- ideal
@@ -386,6 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if guards:
             p.add_argument("--max-lattice", type=int, default=DEFAULT_LATTICE_LIMIT, help="largest lcm lattice walked for Betti numbers")
             p.add_argument("--max-faces", type=int, default=DEFAULT_FACE_LIMIT, help="most faces built for one homology computation")
+            p.add_argument("--stats", action="store_true", help="report the homology work: on stderr, or as a stats field with --json")
         return p
 
     perm = groups.add_parser("perm", help="diagram combinatorics of permutations").add_subparsers(dest="verb", required=True)
@@ -418,7 +429,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--seed", type=int, default=0, help="seed for random draws")
-    p.add_argument("--count", action="store_true", help="print only the count")
+    p.add_argument("--count", action="store_true", help="print only the count, without drawing")
+    p.add_argument(
+        "--force",
+        action="store_true",
+        help=f"list more draws than the guard ({DRAW_LIMIT}); may exhaust memory",
+    )
 
     ideal = groups.add_parser("ideal", help="determinantal ideals and initial ideals").add_subparsers(dest="verb", required=True)
     leaf(ideal, "fulton", _ideal_fulton, "defining minors from the essential boxes").add_argument("input")
@@ -467,11 +483,18 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    want_stats = getattr(args, "stats", False)
     try:
-        text, payload = args.handler(args)
+        with collect_stats() if want_stats else nullcontext() as stats:
+            text, payload = args.handler(args)
     except (ValueError, GroebnerBudgetError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    if want_stats:
+        if args.json:
+            payload = {**payload, "stats": stats}
+        else:
+            print("\n".join(f"{name}: {n}" for name, n in stats.items()), file=sys.stderr)
     if args.json:
         print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}))
     else:

@@ -145,7 +145,9 @@ def is_schubert_cm(A: Schubertable, **guards) -> bool:
     Permutation matrices short-circuit to True; everything else checks
     pdim == codim on the squarefree antidiagonal degeneration, which
     `is_cm_quotient` first gates on unmixedness: minimal primes of more
-    than one height give False before any homology.
+    than one height give False before any homology.  It then walks the
+    smaller of the two lcm lattices, of the degeneration or of its
+    Alexander dual (Eagon-Reiner).
     """
     M = as_partial_asm(A)
     if as_permutation(M) is not None:

@@ -12,17 +12,29 @@ Alexander dual inside the multidegree: for a squarefree multidegree s,
 
 which is a union of few explicitly-known simplices.  Strong collapses
 and Dowker flips shrink that union before any boundary matrix is
-built, so the lattice sweep stays cheap.  All homology is rational and
-exact.  Boundary ranks are taken over GF(2) first, which certifies the
-rational answer whenever the GF(2) homology is zero or sits in a single
-degree: rational Betti numbers never exceed the GF(2) ones and both
-have the same Euler characteristic.  Homology spread over two or more
-degrees is recomputed with exact integer elimination.
+built, so the lattice sweep stays cheap.
+
+Cohen-Macaulayness and regularity walk the smaller lcm lattice: that
+of J, or that of its Alexander dual J^v = (x^p : p a minimal prime of
+J), with a tie going to J.  On the dual side R/J is Cohen-Macaulay
+exactly when J^v has a linear resolution (Eagon and Reiner, 1998), and
+reg(R/J) = pdim(R/J^v) - 1 (Terai, 1999).
+
+All homology is rational and exact.  Boundary ranks are taken over
+GF(2) first, which certifies the rational answer whenever the GF(2)
+homology is zero or sits in a single degree: rational Betti numbers
+never exceed the GF(2) ones and both have the same Euler
+characteristic.  The GF(2) ranks run from the largest face size down
+with clearing (the "twist" of Chen and Kerber, 2011): the row of a face
+that was a pivot one size up reduces to zero, so it is skipped.
+Homology spread over two or more degrees is recomputed with exact
+integer elimination.  `collect_stats` counts this work.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -187,6 +199,58 @@ def stanley_reisner_complex(J: MonomialIdeal) -> SimplicialComplex:
     return SimplicialComplex(J.variables, tuple(facets))
 
 
+# -- work counters ----------------------------------------------------------
+
+
+STAT_NAMES = (
+    "route_gate",
+    "route_primal",
+    "route_dual",
+    "lattice",
+    "complexes",
+    "faces",
+    "gf2_ranks",
+    "rows_cleared",
+    "exact_fallbacks",
+)
+
+_STATS: ContextVar[dict[str, int] | None] = ContextVar("homology_stats", default=None)
+
+
+class collect_stats:
+    """Context manager that counts the homology work of the calls made
+    inside its block, in a dict keyed by STAT_NAMES.
+
+    `route_gate` counts answers the unmixedness gate decided alone;
+    `route_primal` and `route_dual` count lcm-lattice walks over J and
+    over its Alexander dual, and `lattice` the lcms those walks visited.
+    `complexes` counts homology computations, one per multidegree, and
+    `faces` the faces built after collapses.  `gf2_ranks` counts boundary
+    maps reduced over GF(2), `rows_cleared` the rows clearing skipped and
+    `exact_fallbacks` the complexes recomputed by integer elimination.
+
+    >>> with collect_stats() as s:
+    ...     _ = reg_quotient(monomial_ideal([((("x", 1), 1),), ((("x", 2), 1),)]))
+    >>> s["route_dual"], s["lattice"], s["complexes"]
+    (1, 1, 0)
+    """
+
+    def __enter__(self) -> dict[str, int]:
+        self.stats = dict.fromkeys(STAT_NAMES, 0)
+        self.token = _STATS.set(self.stats)
+        return self.stats
+
+    def __exit__(self, *exc) -> None:
+        _STATS.reset(self.token)
+
+
+def _count(**work: int) -> None:
+    stats = _STATS.get()
+    if stats is not None:
+        for name, n in work.items():
+            stats[name] += n
+
+
 # -- homology of a union of simplices -------------------------------------
 #
 # A family of bitmasks over a point set stands for the downward closure
@@ -205,74 +269,136 @@ def _maximal_masks(masks: Sequence[int]) -> list[int]:
 
 
 def _flip(masks: Sequence[int], npoints: int) -> tuple[list[int], int]:
-    flipped = []
-    for u in range(npoints):
-        bit = 1 << u
-        flipped.append(sum(1 << i for i, m in enumerate(masks) if m & bit))
+    flipped = [0] * npoints
+    for i, m in enumerate(masks):
+        while m:
+            bit = m & -m
+            flipped[bit.bit_length() - 1] |= 1 << i
+            m ^= bit
     return _maximal_masks(flipped), len(masks)
 
 
-def _collapse_points(masks: list[int], npoints: int) -> tuple[list[int], int]:
-    # returns masks over a (possibly) reduced, re-indexed point set
+def _collapse_points(masks: list[int]) -> tuple[list[int], int]:
+    """Strong collapses of a family of distinct maximal masks.
+
+    Deletes the first point whose incident masks all contain some other
+    point, again and again, then re-indexes the points left.  Incidences
+    are built once.  A deletion updates only the masks that held the
+    point and drops those now inside another mask, and only a point that
+    lost a mask can newly become deletable.  After each deletion the
+    masks are listed in the order `_maximal_masks` gives them.
+    """
+    cur = list(masks)
+    held: dict[int, int] = {}  # point -> bitmask of the live masks holding it
+    for i, m in enumerate(cur):
+        while m:
+            bit = m & -m
+            u = bit.bit_length() - 1
+            held[u] = held.get(u, 0) | 1 << i
+            m ^= bit
+    live = (1 << len(cur)) - 1
+    points = sorted(held)
+    unchecked = set(points)
+    order = list(masks)
     while True:
-        used = 0
-        for m in masks:
-            used |= m
-        points = [u for u in range(npoints) if used >> u & 1]
-        incidence = {
-            u: sum(1 << i for i, m in enumerate(masks) if m >> u & 1)
-            for u in points
-        }
         victim = None
         for u in points:
-            for u2 in points:
-                if u2 == u:
-                    continue
-                if not incidence[u] & ~incidence[u2]:
-                    victim = u
-                    break
-            if victim is not None:
+            if u not in unchecked:
+                continue
+            meet = -1
+            h = held[u]
+            while h:
+                b = h & -h
+                meet &= cur[b.bit_length() - 1]
+                h ^= b
+            if meet & ~(1 << u):
+                victim = u
                 break
+            unchecked.discard(u)
         if victim is None:
-            remap = {u: k for k, u in enumerate(points)}
-            out = []
-            for m in masks:
-                nm = 0
-                for u in points:
-                    if m >> u & 1:
-                        nm |= 1 << remap[u]
-                out.append(nm)
-            return _maximal_masks(out), len(points)
-        keep = ~(1 << victim)
-        masks = _maximal_masks([m & keep for m in masks])
+            break
+        points.remove(victim)
+        unchecked.discard(victim)
+        gone = 1 << victim
+        touched = []
+        h = held.pop(victim)
+        while h:
+            b = h & -h
+            i = b.bit_length() - 1
+            cur[i] ^= gone
+            touched.append(i)
+            h ^= b
+        for i in touched:
+            m = cur[i]
+            inside = live  # live masks holding every point of m
+            rest = m
+            while rest:
+                bit = rest & -rest
+                inside &= held[bit.bit_length() - 1]
+                rest ^= bit
+            if inside & ~(1 << i):
+                live ^= 1 << i
+                rest = m
+                while rest:
+                    bit = rest & -rest
+                    u = bit.bit_length() - 1
+                    held[u] ^= 1 << i
+                    unchecked.add(u)
+                    rest ^= bit
+        survivors = set()
+        h = live
+        while h:
+            b = h & -h
+            survivors.add(cur[b.bit_length() - 1])
+            h ^= b
+        order = [
+            m
+            for m in sorted(set([m & ~gone for m in order]), key=int.bit_count, reverse=True)
+            if m in survivors
+        ]
+    out = []
+    for m in order:
+        nm = 0
+        for k, u in enumerate(points):
+            if m >> u & 1:
+                nm |= 1 << k
+        out.append(nm)
+    return _maximal_masks(out), len(points)
 
 
 def _enumerate_faces(masks: Sequence[int], limit: int) -> dict[int, list[int]]:
-    seen: set[int] = set()
-    stack = list(masks)
-    while stack:
-        m = stack.pop()
-        if m in seen:
-            continue
-        seen.add(m)
-        if len(seen) > limit:
-            raise ValueError(
-                "simplicial complex too large after collapses:"
-                f" {len(seen)} faces against max_faces = {limit}"
-            )
-        sub = m
-        while sub:
-            bit = sub & -sub
-            child = m & ~bit
-            if child not in seen:
-                stack.append(child)
-            sub &= sub - 1
+    """Faces of the downward closure of distinct maximal masks, by size.
+
+    Sizes run from the largest down, and each size is built once from the
+    one above.  The guard trips when the (limit + 1)-th face is added.
+    """
+    tops: dict[int, list[int]] = {}
+    for m in masks:
+        tops.setdefault(m.bit_count(), []).append(m)
+    size = max(tops)
+    level = set(tops[size])
+    done = 0
     by_size: dict[int, list[int]] = {}
-    for m in seen:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    for v in by_size.values():
-        v.sort()
-    return by_size
+    while done + len(level) <= limit:
+        done += len(level)
+        by_size[size] = sorted(level)
+        if not size:
+            return by_size
+        size -= 1
+        below = set(tops.get(size, ()))
+        for f in level:
+            sub = f
+            while sub:
+                bit = sub & -sub
+                below.add(f ^ bit)
+                sub ^= bit
+            if done + len(below) > limit:
+                break
+        level = below
+    raise ValueError(
+        "simplicial complex too large after collapses:"
+        f" {limit + 1} faces against max_faces = {limit}"
+    )
 
 
 def _int_rank(rows: list[dict[int, int]]) -> int:
@@ -315,30 +441,45 @@ def _int_rank(rows: list[dict[int, int]]) -> int:
 
 
 def _boundary_ranks(by_size: dict[int, list[int]], exact: bool) -> dict[int, int]:
-    # rank of the boundary map from faces of size k to faces of size k-1,
-    # over the rationals when exact, else over GF(2)
+    """Rank of the boundary map from faces of size k to faces of size k-1,
+    for each k; over the rationals when exact, else over GF(2).
+
+    GF(2) ranks go from the largest size down with clearing: a face that
+    is a pivot of the map one size up has a row that reduces to zero, so
+    that row is skipped and every rank is unchanged.
+    """
     ranks: dict[int, int] = {}
-    for k, faces in by_size.items():
+    cleared: Iterable[int] = ()  # indices of faces that were pivots one size up
+    for k in sorted(by_size, reverse=True):
         if k == 0:
             continue
-        below = {m: i for i, m in enumerate(by_size.get(k - 1, []))}
+        below = {m: i for i, m in enumerate(by_size[k - 1])}
         rows = []
-        for m in faces:
-            cols = []
+        for index, m in enumerate(by_size[k]):
+            if index in cleared:
+                continue
+            row = {} if exact else 0
+            sign = 1
             sub = m
             while sub:
                 bit = sub & -sub
-                cols.append(below[m & ~bit])
-                sub &= sub - 1
-            if exact:
-                rows.append({c: -1 if j & 1 else 1 for j, c in enumerate(cols)})
-            else:
-                rows.append(sum(1 << c for c in cols))
-        ranks[k] = _int_rank(rows) if exact else _gf2_rank(rows)
+                if exact:
+                    row[below[m ^ bit]] = sign
+                    sign = -sign
+                else:
+                    row |= 1 << below[m ^ bit]
+                sub ^= bit
+            rows.append(row)
+        if exact:
+            ranks[k] = _int_rank(rows)
+        else:
+            cleared = _gf2_pivots(rows)
+            ranks[k] = len(cleared)
     return ranks
 
 
-def _gf2_rank(rows: list[int]) -> int:
+def _gf2_pivots(rows: list[int]) -> set[int]:
+    """Top bits of the reduced rows, one for each unit of GF(2) rank."""
     pivots: dict[int, int] = {}
     for r in rows:
         while r:
@@ -348,7 +489,7 @@ def _gf2_rank(rows: list[int]) -> int:
                 pivots[top] = r
                 break
             r ^= p
-    return len(pivots)
+    return set(pivots)
 
 
 def _homology_from_ranks(by_size: dict[int, list[int]], ranks: dict[int, int]) -> dict[int, int]:
@@ -370,23 +511,35 @@ def _homology_of_union(masks: Sequence[int], npoints: int, limit: int) -> dict[i
     """
     masks = _maximal_masks(masks)
     if not masks:
+        _count(complexes=1)
         return {}
     for _ in range(12):
-        masks, npoints = _collapse_points(masks, npoints)
+        masks, npoints = _collapse_points(masks)
         if len(masks) <= 1:
             break
         flipped, fpoints = _flip(masks, npoints)
-        flipped, fpoints = _collapse_points(flipped, fpoints)
+        flipped, fpoints = _collapse_points(flipped)
         if len(flipped) < len(masks) or fpoints < npoints:
             masks, npoints = flipped, fpoints
         else:
             break
     if len(masks) == 1:
+        _count(complexes=1)
         return {-1: 1} if masks[0] == 0 else {}
     by_size = _enumerate_faces(masks, limit)
-    hom = _homology_from_ranks(by_size, _boundary_ranks(by_size, exact=False))
-    if len(hom) > 1:
+    ranks = _boundary_ranks(by_size, exact=False)
+    hom = _homology_from_ranks(by_size, ranks)
+    spread = len(hom) > 1
+    if spread:
         hom = _homology_from_ranks(by_size, _boundary_ranks(by_size, exact=True))
+    # each pivot of the map from size k skipped one row of the map below
+    _count(
+        complexes=1,
+        faces=sum(len(faces) for faces in by_size.values()),
+        gf2_ranks=len(ranks),
+        rows_cleared=sum(r for k, r in ranks.items() if k > 1),
+        exact_fallbacks=spread,
+    )
     return hom
 
 
@@ -401,53 +554,107 @@ def reduced_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
     return tuple(hom.get(d, 0) for d in range(-1, top + 1))
 
 
-def _squarefree_supports(J: MonomialIdeal) -> list[frozenset]:
+# -- Betti numbers, Cohen-Macaulayness and regularity ---------------------
+#
+# Generators and minimal primes are bitmasks over the sorted variables of
+# J.  A multidegree sigma is a mask too, and the homology at sigma is
+# taken on the points of sigma in that order.
+
+
+def _squarefree_masks(J: MonomialIdeal) -> tuple[list[Var], list[int]]:
+    """Sorted variables of J and its generators as masks over them."""
     if J.is_unit:
         raise ValueError("unit ideal has no Betti table")
     if not J.is_squarefree:
         raise ValueError("Betti numbers require a squarefree ideal")
-    return [frozenset(mono_support(m)) for m in J.generators]
+    variables = sorted({v for m in J.generators for v in mono_support(m)})
+    pos = {v: i for i, v in enumerate(variables)}
+    gens = [sum(1 << pos[v] for v in mono_support(m)) for m in J.generators]
+    return variables, gens
 
 
-def _betti_entries(
-    supports: list[frozenset], max_lattice: int, max_faces: int, more_than: int
-) -> dict[tuple[int, tuple[Var, ...]], int]:
-    """Betti numbers at the lcm-lattice multidegrees with more than
-    `more_than` variables; the whole lattice is walked and guarded."""
-    lattice: set[frozenset] = set()
-    frontier: set[frozenset] = {frozenset()}
-    seen = {frozenset()}
-    while frontier:
-        new: set[frozenset] = set()
-        for s in frontier:
-            for g in supports:
-                u = s | g
-                if u not in seen:
-                    seen.add(u)
-                    new.add(u)
-                    if len(seen) > max_lattice:
-                        raise ValueError(
-                            "lcm lattice exceeds the size guard:"
-                            f" {len(seen)} lcms against max_lattice = {max_lattice}"
-                        )
-        lattice |= new
-        frontier = new
-    betti: dict[tuple[int, tuple[Var, ...]], int] = {}
-    for sigma in lattice:
-        if len(sigma) <= more_than:
-            continue
-        verts = sorted(sigma)
-        pos = {v: i for i, v in enumerate(verts)}
-        full = (1 << len(verts)) - 1
-        masks = [
-            full & ~sum(1 << pos[v] for v in g)
-            for g in supports
-            if g <= sigma
-        ]
-        hom = _homology_of_union(masks, len(verts), max_faces)
-        for d, r in hom.items():
-            betti[(d + 2, tuple(verts))] = r
-    return betti
+def _prime_masks(J: MonomialIdeal, variables: list[Var]) -> list[int]:
+    """Minimal primes of J, which generate its Alexander dual, as masks."""
+    pos = {v: i for i, v in enumerate(variables)}
+    return [sum(1 << pos[v] for v in p) for p in minimal_primes(J)]
+
+
+def _lcms(gens: list[int], cap: int) -> set[int] | None:
+    """The lcms of all sets of generators, the empty lcm 0 included, or
+    None as soon as there are more than `cap`."""
+    lcms = {0}
+    for g in gens:
+        lcms |= {s | g for s in lcms}
+        if len(lcms) > cap:
+            return None
+    return lcms
+
+
+def _lattice_guard(max_lattice: int) -> ValueError:
+    # the guard trips when the (max_lattice + 1)-th lcm is found
+    return ValueError(
+        "lcm lattice exceeds the size guard:"
+        f" {max_lattice + 1} lcms against max_lattice = {max_lattice}"
+    )
+
+
+def _walk(lcms: set[int], dual: bool) -> list[int]:
+    """The nonempty lcms in increasing order, counted as one walk."""
+    _count(lattice=len(lcms) - 1, route_dual=int(dual), route_primal=int(not dual))
+    return sorted(lcms - {0})
+
+
+def _lcm_lattice(gens: list[int], max_lattice: int, dual: bool = False) -> list[int]:
+    lcms = _lcms(gens, max_lattice)
+    if lcms is None:
+        raise _lattice_guard(max_lattice)
+    return _walk(lcms, dual)
+
+
+def _smaller_lattice(gens: list[int], primes: list[int], max_lattice: int) -> tuple[bool, list[int]]:
+    """Whether the Alexander dual has the smaller lcm lattice (a tie goes
+    to J), and that lattice.
+
+    The side with fewer generators is built first, and the other is given
+    up once it outgrows it.  The guard trips only when both outgrow it.
+    """
+    dual_first = len(primes) < len(gens)
+    first, second = (primes, gens) if dual_first else (gens, primes)
+    built = _lcms(first, max_lattice)
+    # the dual has to be strictly smaller to be taken
+    cap = max_lattice if built is None else len(built) - (not dual_first)
+    other = _lcms(second, cap)
+    if other is not None:
+        return not dual_first, _walk(other, not dual_first)
+    if built is None:
+        raise _lattice_guard(max_lattice)
+    return dual_first, _walk(built, dual_first)
+
+
+def _betti_at(sigma: int, divisors: list[int], max_faces: int) -> dict[int, int]:
+    """Betti numbers {i: rank} in multidegree sigma of the quotient by the
+    squarefree generators `divisors`, which are those dividing x^sigma."""
+    at = {}
+    rest = sigma
+    while rest:
+        bit = rest & -rest
+        at[bit] = 1 << len(at)
+        rest ^= bit
+    full = (1 << len(at)) - 1
+    masks = []
+    for g in divisors:
+        m = 0
+        while g:
+            bit = g & -g
+            m |= at[bit]
+            g ^= bit
+        masks.append(full ^ m)
+    hom = _homology_of_union(masks, len(at), max_faces)
+    return {d + 2: r for d, r in hom.items()}
+
+
+def _divisors(sigma: int, gens: list[int]) -> list[int]:
+    return [g for g in gens if not g & ~sigma]
 
 
 def betti_numbers(
@@ -459,16 +666,115 @@ def betti_numbers(
 
     Keys are (homological degree, sorted multidegree support).
     """
-    supports = _squarefree_supports(J)
-    return {(0, ()): 1, **_betti_entries(supports, max_lattice, max_faces, 0)}
+    variables, gens = _squarefree_masks(J)
+    betti = {(0, ()): 1}
+    for sigma in _lcm_lattice(gens, max_lattice):
+        verts = tuple(v for u, v in enumerate(variables) if sigma >> u & 1)
+        for i, r in _betti_at(sigma, _divisors(sigma, gens), max_faces).items():
+            betti[(i, verts)] = r
+    return betti
 
 
 def pdim_quotient(J: MonomialIdeal, **kw) -> int:
     return max(i for i, _ in betti_numbers(J, **kw))
 
 
-def reg_quotient(J: MonomialIdeal, **kw) -> int:
-    return max(len(sigma) - i for i, sigma in betti_numbers(J, **kw))
+def _cm_regularity(gens: list[int], c: int, lattice: list[int], max_faces: int) -> int | None:
+    """Regularity of R/J when it is Cohen-Macaulay, else None; J is
+    unmixed of height c and `lattice` is its lcm lattice.
+
+    R/J is Cohen-Macaulay exactly when no Betti number sits in homological
+    degree above c, and then reg = max{|sigma| - c : beta_{c,sigma} != 0}.
+    Such numbers need |sigma| > c, and i <= k when k generators divide
+    x^sigma (the homology of a union of k simplices sits in degrees at
+    most k - 2), so only multidegrees with |sigma| > c and k >= c are
+    computed.  Every other entry has |sigma| - i at most the regularity.
+    """
+    reg = 0
+    for sigma in lattice:
+        size = sigma.bit_count()
+        if size <= c:
+            continue
+        divisors = _divisors(sigma, gens)
+        if len(divisors) < c:
+            continue
+        for i in _betti_at(sigma, divisors, max_faces):
+            if i > c:
+                return None
+            reg = max(reg, size - i)
+    return reg
+
+
+def _dual_is_linear(primes: list[int], c: int, lattice: list[int], max_faces: int) -> bool:
+    """Does the Alexander dual, generated in degree c by `primes` with lcm
+    lattice `lattice`, have a linear resolution?
+
+    Its quotient's Betti numbers with i >= 1 all have |sigma| - i >= c - 1,
+    and the resolution is linear when none has i >= 2 and |sigma| - i >= c.
+    Those need |sigma| >= c + 2.
+    """
+    for sigma in lattice:
+        size = sigma.bit_count()
+        if size < c + 2:
+            continue
+        if any(2 <= i <= size - c for i in _betti_at(sigma, _divisors(sigma, primes), max_faces)):
+            return False
+    return True
+
+
+def _dual_pdim(primes: list[int], at_least: int, lattice: list[int], max_faces: int) -> int:
+    """Projective dimension of the quotient by the Alexander dual, which
+    `primes` generate with lcm lattice `lattice`, known to be at least
+    `at_least`.
+
+    A Betti number beta_{i,sigma} needs i <= |sigma| and i <= k, when k
+    generators divide x^sigma.  Multidegrees are visited by that bound,
+    largest first, until it cannot beat the largest i found.
+    """
+    candidates = []
+    for sigma in lattice:
+        divisors = _divisors(sigma, primes)
+        bound = min(sigma.bit_count(), len(divisors))
+        if bound > at_least:
+            candidates.append((bound, sigma, divisors))
+    candidates.sort(key=lambda t: t[0], reverse=True)
+    best = at_least
+    for bound, sigma, divisors in candidates:
+        if bound <= best:
+            break
+        best = max([best, *_betti_at(sigma, divisors, max_faces)])
+    return best
+
+
+def reg_quotient(
+    J: MonomialIdeal,
+    max_lattice: int = DEFAULT_LATTICE_LIMIT,
+    max_faces: int = DEFAULT_FACE_LIMIT,
+) -> int:
+    """Castelnuovo-Mumford regularity of the quotient by a squarefree ideal.
+
+    An unmixed J walks the smaller lcm lattice.  On the side of the
+    Alexander dual J^v the answer is Terai's reg(R/J) = pdim(R/J^v) - 1.
+    On J's side the Cohen-Macaulay pass runs first, and gives the
+    regularity when the answer is yes.  A J that is mixed, or not
+    Cohen-Macaulay, takes the dual route.
+    """
+    variables, gens = _squarefree_masks(J)
+    primes = _prime_masks(J, variables)
+    heights = {p.bit_count() for p in primes}
+    lattice = None
+    if len(heights) == 1:
+        dual, lattice = _smaller_lattice(gens, primes, max_lattice)
+        if not dual:
+            reg = _cm_regularity(gens, heights.pop(), lattice, max_faces)
+            if reg is not None:
+                return reg
+            lattice = None
+    if lattice is None:
+        lattice = _lcm_lattice(primes, max_lattice, dual=True)
+    # beta_{1,g} = 1 for every generator g, so reg(R/J) >= deg g - 1
+    top = max(g.bit_count() for g in gens)
+    return _dual_pdim(primes, top, lattice, max_faces) - 1
 
 
 def is_cm_quotient(
@@ -480,16 +786,23 @@ def is_cm_quotient(
 
     Cohen-Macaulay implies unmixed, so minimal primes of more than one
     height give False before any homology.  When every height is c, the
-    quotient is Cohen-Macaulay exactly when no Betti number sits in
-    homological degree above c; such a number needs a multidegree with
-    more than c variables, so only those are computed.
+    route walks the smaller lcm lattice.  On the side of the Alexander
+    dual, R/J is Cohen-Macaulay exactly when the dual has a linear
+    resolution (Eagon-Reiner).  On J's side it is exactly when no Betti
+    number of R/J sits in homological degree above c, and only
+    multidegrees with more than c variables are computed.
     """
-    supports = _squarefree_supports(J)
-    heights = {len(p) for p in minimal_primes(J)}
+    variables, gens = _squarefree_masks(J)
+    primes = _prime_masks(J, variables)
+    heights = {p.bit_count() for p in primes}
     if len(heights) > 1:
+        _count(route_gate=1)
         return False
     (c,) = heights
-    return all(i <= c for i, _ in _betti_entries(supports, max_lattice, max_faces, c))
+    dual, lattice = _smaller_lattice(gens, primes, max_lattice)
+    if dual:
+        return _dual_is_linear(primes, c, lattice, max_faces)
+    return _cm_regularity(gens, c, lattice, max_faces) is not None
 
 
 def mono_to_text(m: Monomial) -> str:

@@ -152,8 +152,10 @@ def schubert_regularity(A: Schubertable, **guards) -> int:
     """Regularity of the rank-condition quotient.
 
     Permutations (and permutation matrices) go through the Rajchgot
-    index; every other partial ASM goes through the graded Betti table
-    of the squarefree antidiagonal degeneration.
+    index.  Every other partial ASM goes through `reg_quotient` on the
+    squarefree antidiagonal degeneration J, which walks the smaller lcm
+    lattice: Terai's pdim(R/J^v) - 1 on the Alexander dual J^v, or, on
+    J's side, the Cohen-Macaulay pass when it succeeds.
     """
     M = as_partial_asm(A)
     w = as_permutation(M)

@@ -9,6 +9,10 @@ library answers faster by another route, and exists to cross-check it:
   cell, against the essential-box generators;
 - `reisner_is_cm` recurses over vertex links, against the Betti-table
   test `is_cm_quotient`;
+- `collapse_points_by_rescan` recomputes every incidence after each
+  deletion, against the incremental `_collapse_points`;
+- `plain_gf2_ranks` reduces every row of every boundary map, against
+  the cleared GF(2) ranks of `_boundary_ranks`;
 - `family_rank_key`, `dense_display_sort` and `nested_term_key` spell
   out the variable, term and term-order comparisons that plain tuple
   order now gives the library.
@@ -111,6 +115,68 @@ def reisner_is_cm(K: SimplicialComplex) -> bool:
     if not masks:
         return True
     return check(tuple(masks), len(K.vertices))
+
+
+def collapse_points_by_rescan(masks: list[int], npoints: int) -> tuple[list[int], int]:
+    """Strong collapses that rebuild every incidence after each deletion
+    and rescan the points from the first."""
+    while True:
+        used = 0
+        for m in masks:
+            used |= m
+        points = [u for u in range(npoints) if used >> u & 1]
+        incidence = {
+            u: sum(1 << i for i, m in enumerate(masks) if m >> u & 1)
+            for u in points
+        }
+        victim = None
+        for u in points:
+            for u2 in points:
+                if u2 == u:
+                    continue
+                if not incidence[u] & ~incidence[u2]:
+                    victim = u
+                    break
+            if victim is not None:
+                break
+        if victim is None:
+            remap = {u: k for k, u in enumerate(points)}
+            out = []
+            for m in masks:
+                nm = 0
+                for u in points:
+                    if m >> u & 1:
+                        nm |= 1 << remap[u]
+                out.append(nm)
+            return _maximal_masks(out), len(points)
+        keep = ~(1 << victim)
+        masks = _maximal_masks([m & keep for m in masks])
+
+
+def plain_gf2_ranks(by_size: dict[int, list[int]]) -> dict[int, int]:
+    """GF(2) rank of every boundary map, each row reduced in full."""
+    ranks: dict[int, int] = {}
+    for k, faces in by_size.items():
+        if k == 0:
+            continue
+        below = {m: i for i, m in enumerate(by_size.get(k - 1, []))}
+        pivots: dict[int, int] = {}
+        for m in faces:
+            r = 0
+            sub = m
+            while sub:
+                bit = sub & -sub
+                r |= 1 << below[m & ~bit]
+                sub &= sub - 1
+            while r:
+                top = r.bit_length() - 1
+                p = pivots.get(top)
+                if p is None:
+                    pivots[top] = r
+                    break
+                r ^= p
+        ranks[k] = len(pivots)
+    return ranks
 
 
 FAMILY_RANK = {"x": 0, "y": 1, "z": 2, "t": 3}

@@ -270,6 +270,34 @@ class TestExitCodes:
         rc, out, err = run(verb + ["0 1 0;1 -1 1;0 1 0"] + flag)
         assert rc == 1 and out == "" and err == message + "\n"
 
+    def test_draw_guard_refuses_before_drawing(self):
+        rc, out, err = run(["asm", "random", "3", "100001"])
+        assert rc == 1 and out == ""
+        assert err == "count m = 100001 exceeds the draw guard (100000); pass force to override\n"
+        # the count is m itself and draws nothing, so the guard is moot
+        assert run(["asm", "random", "3", "100001", "--count"]) == (0, "100001\n", "")
+        assert run(["asm", "random", "3", "-5", "--count"])[0] == 1
+        assert run(["asm", "random", "9", "2", "--count"])[0] == 1
+        assert run(["asm", "random", "3", "2", "--force", "--seed", "7"]) == run(
+            ["asm", "random", "3", "2", "--seed", "7"]
+        )
+
+    @pytest.mark.parametrize("verb", [["poly", "regularity"], ["decomp", "is-cm"]])
+    def test_stats_flag(self, verb):
+        plain = run(verb + [BULGE])
+        rc, out, err = run(verb + [BULGE, "--stats"])
+        assert rc == 0 and out == plain[1]
+        counts = dict(line.split(": ") for line in err.splitlines())
+        # BULGE has two minimal primes, so its Alexander dual has 3 lcms
+        assert (counts["route_dual"], counts["lattice"]) == ("1", "3")
+        rc, out, _ = run(verb + [BULGE, "--stats", "--json"])
+        data = json.loads(out)
+        assert data["schema_version"] == 1
+        assert data["stats"]["lattice"] == int(counts["lattice"])
+        without = json.loads(run(verb + [BULGE, "--json"])[1])
+        assert {k: v for k, v in data.items() if k != "stats"} == without
+        assert run(["poly", "raj", "2,1,3", "--stats"])[0] == 2
+
     def test_budget_exhaustion(self):
         rc, _, err = run(["decomp", "intersect", "3,4,1,2", "3,2,4,1", "--budget", "1"])
         assert rc == 1 and "budget" in err.lower()

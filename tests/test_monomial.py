@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asmschub import monomial as mi
+from asmschub.asm import as_permutation, enumerate_asms, make_partial_asm
+from asmschub.ideal import anti_diag_init
 from asmschub.poly import monomial, mono_support, x_, z_
-from oracles import reisner_is_cm
+from oracles import collapse_points_by_rescan, plain_gf2_ranks, reisner_is_cm
 
 
 def sqfree(*names):
@@ -377,6 +379,204 @@ class TestCertifiedHomology:
             assert (len(exact_rank_calls) > before) == spread
             fallbacks += spread
         assert fallbacks >= 10
+
+
+def random_unions(seed: int, count: int = 300):
+    """Seeded families of maximal masks on 4-8 points; every other one is
+    a graph."""
+    rng = random.Random(seed)
+    for k in range(count):
+        npoints = rng.randint(4, 8)
+        top = 2 if k % 2 else 4
+        masks = [
+            sum(1 << u for u in rng.sample(range(npoints), rng.randint(1, top)))
+            for _ in range(rng.randint(1, 14))
+        ]
+        yield mi._maximal_masks(masks), npoints
+
+
+class TestKernel:
+    def test_collapse_matches_rescan(self):
+        shrunk = 0
+        for masks, npoints in random_unions(7):
+            assert mi._collapse_points(masks) == collapse_points_by_rescan(masks, npoints)
+            # flips feed the collapse families of another shape
+            fmasks, fpoints = mi._flip(masks, npoints)
+            got = mi._collapse_points(fmasks)
+            assert got == collapse_points_by_rescan(fmasks, fpoints)
+            shrunk += got[1] < fpoints
+        assert shrunk >= 30
+
+    def test_cleared_ranks_match_plain(self):
+        cleared = 0
+        for masks, npoints in random_unions(11):
+            by_size = mi._enumerate_faces(masks, mi.DEFAULT_FACE_LIMIT)
+            ranks = mi._boundary_ranks(by_size, exact=False)
+            assert ranks == plain_gf2_ranks(by_size)
+            cleared += sum(r for k, r in ranks.items() if k > 1)
+        assert cleared >= 300
+
+    def test_faces_are_the_downward_closure(self):
+        for masks, npoints in random_unions(13, 60):
+            faces = {f for m in masks for f in range(1 << npoints) if not f & ~m}
+            by_size = mi._enumerate_faces(masks, mi.DEFAULT_FACE_LIMIT)
+            assert sorted(by_size) == list(range(max(by_size) + 1))
+            assert all(v == sorted(v) and len(set(v)) == len(v) for v in by_size.values())
+            assert {f for v in by_size.values() for f in v} == faces
+            assert all(f.bit_count() == k for k, v in by_size.items() for f in v)
+
+    def test_face_guard_counts_the_whole_complex(self):
+        # the boundary of a tetrahedron has 15 faces with the empty one
+        masks = [0b1110, 0b1101, 0b1011, 0b0111]
+        assert sum(map(len, mi._enumerate_faces(masks, 15).values())) == 15
+        with pytest.raises(ValueError, match=r" 15 faces against max_faces = 14$"):
+            mi._enumerate_faces(masks, 14)
+
+
+BULGE = make_partial_asm(
+    [
+        [0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0],
+        [1, 0, -1, 0, 1],
+        [0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+    ]
+)
+
+
+def uses_dual_route(J: mi.MonomialIdeal) -> bool:
+    variables, gens = mi._squarefree_masks(J)
+    primes = mi._prime_masks(J, variables)
+    return mi._smaller_lattice(gens, primes, mi.DEFAULT_LATTICE_LIMIT)[0]
+
+
+def table_regularity(J: mi.MonomialIdeal) -> int:
+    return max(len(sigma) - i for i, sigma in mi.betti_numbers(J))
+
+
+class TestDualityRoutes:
+    """Both routes against the full Betti table of J itself."""
+
+    @given(ideals())
+    @settings(max_examples=80, deadline=None)
+    def test_routes_match_the_betti_table(self, J):
+        assert mi.reg_quotient(J) == table_regularity(J)
+        assert mi.is_cm_quotient(J) == (mi.pdim_quotient(J) == mi.codim(J))
+
+    def test_seeded_5x5_slice_takes_both_routes(self):
+        pool = [A for A in enumerate_asms(5) if as_permutation(A) is None]
+        ideals_ = [anti_diag_init(A) for A in random.Random(6).sample(pool, 14) + [BULGE]]
+        routes = [uses_dual_route(J) for J in ideals_]
+        assert 0 < sum(routes) < len(routes)
+        for J in ideals_:
+            assert mi.reg_quotient(J) == table_regularity(J)
+            assert mi.is_cm_quotient(J) == (mi.pdim_quotient(J) == mi.codim(J))
+        # BULGE is unmixed and not Cohen-Macaulay
+        assert not mi.is_cm_quotient(ideals_[-1])
+
+    def test_small_ideals_on_both_sides(self):
+        cases = [
+            # (x1, x2): one prime, Koszul on the dual side
+            ([sqfree(X[0]), sqfree(X[1])], True, 0),
+            # x1*x2, x2*x3, x3*x4: primes (x1,x3), (x2,x3), (x2,x4)
+            ([sqfree(X[0], X[1]), sqfree(X[1], X[2]), sqfree(X[2], X[3])], True, 1),
+            # two disjoint edges: four primes, on J's side, a complete
+            # intersection of two quadrics
+            ([sqfree(X[0], X[1]), sqfree(X[2], X[3])], True, 2),
+            # the 4-cycle: two primes and four generators, not CM
+            (
+                [sqfree(X[0], X[1]), sqfree(X[1], X[2]), sqfree(X[2], X[3]), sqfree(X[0], X[3])],
+                False,
+                1,
+            ),
+        ]
+        for gens, cm, reg in cases:
+            J = mi.monomial_ideal(gens)
+            assert mi.is_cm_quotient(J) is cm
+            assert mi.reg_quotient(J) == reg == table_regularity(J)
+
+    def test_unmixed_non_cm_on_js_side(self):
+        # J's lattice is the smaller, its primes all have height 2, and the
+        # Cohen-Macaulay pass fails, so the regularity comes from the dual
+        J = mi.monomial_ideal(
+            [
+                sqfree(X[0], X[1], X[4]),
+                sqfree(X[0], X[2]),
+                sqfree(X[1], X[3], X[4]),
+                sqfree(X[2], X[3], X[4]),
+            ]
+        )
+        assert not uses_dual_route(J)
+        assert {len(p) for p in mi.minimal_primes(J)} == {2}
+        assert not mi.is_cm_quotient(J) and mi.pdim_quotient(J) > 2
+        with mi.collect_stats() as s:
+            assert mi.reg_quotient(J) == 2
+        assert (s["route_primal"], s["route_dual"]) == (1, 1)
+        assert table_regularity(J) == 2
+
+
+class TestStats:
+    def test_routes_are_counted(self):
+        # (x1, x2): the dual (x1*x2) has one lcm against J's three
+        dual = mi.monomial_ideal([sqfree(X[0]), sqfree(X[1])])
+        with mi.collect_stats() as s:
+            assert mi.is_cm_quotient(dual)
+        assert (s["route_dual"], s["route_primal"], s["lattice"]) == (1, 0, 1)
+        # (x1, x2*x3) and its dual (x1*x2, x1*x3) both have three lcms, and
+        # a tie stays on J's side
+        tie = mi.monomial_ideal([sqfree(X[0]), sqfree(X[1], X[2])])
+        with mi.collect_stats() as s:
+            assert mi.is_cm_quotient(tie)
+        assert (s["route_dual"], s["route_primal"], s["lattice"]) == (0, 1, 3)
+        # two disjoint edges: J's lattice is the smaller, and the complete
+        # intersection is Cohen-Macaulay, so its pass gives the regularity
+        edges = mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[2], X[3])])
+        assert uses_dual_route(edges) is False
+        mixed = mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[0], X[2])])
+        with mi.collect_stats() as s:
+            assert not mi.is_cm_quotient(mixed)
+        assert (s["route_gate"], s["route_dual"], s["route_primal"], s["complexes"]) == (1, 0, 0, 0)
+        with mi.collect_stats() as s:
+            assert mi.reg_quotient(mixed) == 1
+        assert (s["route_gate"], s["route_dual"], s["route_primal"]) == (0, 1, 0)
+        with mi.collect_stats() as s:
+            assert mi.reg_quotient(edges) == 2
+        assert (s["route_dual"], s["route_primal"]) == (0, 1)
+
+    def test_lattice_guard_needs_both_sides_to_outgrow_it(self):
+        # J = (x1, .., x4) has 15 lcms; its dual (x1*x2*x3*x4) has one
+        J = mi.monomial_ideal([sqfree(x) for x in X[:4]])
+        assert mi.reg_quotient(J, max_lattice=3) == 0
+        assert mi.is_cm_quotient(J, max_lattice=3)
+        with pytest.raises(ValueError, match=r"^lcm lattice exceeds the size guard: 1 lcms against max_lattice = 0$"):
+            mi.is_cm_quotient(J, max_lattice=0)
+
+    def test_homology_work_is_counted(self):
+        J = mi.monomial_ideal([sqfree(x) for x in X[:4]])
+        with mi.collect_stats() as s:
+            mi.betti_numbers(J)
+        assert (s["route_primal"], s["lattice"], s["complexes"]) == (1, 15, 15)
+        # the boundary of a tetrahedron, which no collapse shrinks: 15
+        # faces, boundary ranks 3, 3 and 1 from the top down, and the 3 + 3
+        # pivots of the two upper maps clear rows of the maps below them
+        with mi.collect_stats() as s:
+            hom = mi._homology_of_union([0b1110, 0b1101, 0b1011, 0b0111], 4, 100)
+        assert hom == {2: 1}
+        assert (s["complexes"], s["faces"], s["gf2_ranks"], s["rows_cleared"], s["exact_fallbacks"]) == (1, 15, 3, 6, 0)
+
+    def test_exact_fallback_is_counted(self):
+        verts = tuple(X[:6])
+        K = mi.SimplicialComplex(verts, tuple(tuple(verts[i] for i in t) for t in RP2))
+        with mi.collect_stats() as s:
+            mi.reduced_homology_ranks(K)
+        assert s["exact_fallbacks"] == 1 and s["complexes"] == 1
+
+    def test_nothing_is_counted_outside_a_block(self):
+        J = mi.monomial_ideal([sqfree(x) for x in X[:3]])
+        with mi.collect_stats() as s:
+            pass
+        mi.betti_numbers(J)
+        assert s == dict.fromkeys(mi.STAT_NAMES, 0)
 
 
 class TestBettiNumbers:
