@@ -48,7 +48,6 @@ from contextlib import nullcontext
 from typing import Sequence
 
 from .asm import (
-    DRAW_LIMIT,
     ENUM_LIMIT,
     PartialASM,
     RankTable,
@@ -235,9 +234,9 @@ def _asm_enumerate(a):
 def _asm_random(a):
     if a.count:
         # the count is m itself: nothing is drawn, so no draw guard applies
-        check_draw(a.n, a.m, force=True)
+        check_draw(a.n, a.m)
         return str(a.m), {"count": a.m}
-    return _render_asm_list(random_asms(a.n, a.m, seed=a.seed, force=a.force), False)
+    return _render_asm_list(random_asms(a.n, a.m, seed=a.seed), False)
 
 
 # --------------------------------------------------------------- ideal
@@ -430,11 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("--seed", type=int, default=0, help="seed for random draws")
     p.add_argument("--count", action="store_true", help="print only the count, without drawing")
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help=f"list more draws than the guard ({DRAW_LIMIT}); may exhaust memory",
-    )
 
     ideal = groups.add_parser("ideal", help="determinantal ideals and initial ideals").add_subparsers(dest="verb", required=True)
     leaf(ideal, "fulton", _ideal_fulton, "defining minors from the essential boxes").add_argument("input")

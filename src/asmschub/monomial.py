@@ -604,11 +604,11 @@ def _walk(lcms: set[int], dual: bool) -> list[int]:
     return sorted(lcms - {0})
 
 
-def _lcm_lattice(gens: list[int], max_lattice: int, dual: bool = False) -> list[int]:
+def _lcm_lattice(gens: list[int], max_lattice: int) -> list[int]:
     lcms = _lcms(gens, max_lattice)
     if lcms is None:
         raise _lattice_guard(max_lattice)
-    return _walk(lcms, dual)
+    return _walk(lcms, False)
 
 
 def _smaller_lattice(gens: list[int], primes: list[int], max_lattice: int) -> tuple[bool, list[int]]:
@@ -746,6 +746,25 @@ def _dual_pdim(primes: list[int], at_least: int, lattice: list[int], max_faces: 
     return best
 
 
+def _primal_reg(gens: list[int], lattice: list[int], max_faces: int) -> int:
+    """Regularity of R/J from J's own lcm lattice, max{|sigma| - i}.
+
+    A generator g gives only beta_{1,g} = 1, so the best starts at the
+    largest generator degree less one.  Any other multidegree has i >= 2,
+    since every generator dividing x^sigma leaves a nonempty face.  So
+    multidegrees are visited largest first, until |sigma| - 2 cannot
+    beat the best; that stops before any generator.
+    """
+    best = max(g.bit_count() for g in gens) - 1
+    for sigma in sorted(lattice, key=int.bit_count, reverse=True):
+        size = sigma.bit_count()
+        if size - 2 <= best:
+            break
+        for i in _betti_at(sigma, _divisors(sigma, gens), max_faces):
+            best = max(best, size - i)
+    return best
+
+
 def reg_quotient(
     J: MonomialIdeal,
     max_lattice: int = DEFAULT_LATTICE_LIMIT,
@@ -753,28 +772,25 @@ def reg_quotient(
 ) -> int:
     """Castelnuovo-Mumford regularity of the quotient by a squarefree ideal.
 
-    An unmixed J walks the smaller lcm lattice.  On the side of the
-    Alexander dual J^v the answer is Terai's reg(R/J) = pdim(R/J^v) - 1.
-    On J's side the Cohen-Macaulay pass runs first, and gives the
-    regularity when the answer is yes.  A J that is mixed, or not
-    Cohen-Macaulay, takes the dual route.
+    The walk takes the smaller lcm lattice.  On the side of the Alexander
+    dual J^v the answer is Terai's reg(R/J) = pdim(R/J^v) - 1.  On J's
+    side an unmixed J runs the Cohen-Macaulay pass first, which gives the
+    regularity when the answer is yes; otherwise the regularity is
+    max{|sigma| - i} over the Betti numbers of R/J.
     """
     variables, gens = _squarefree_masks(J)
     primes = _prime_masks(J, variables)
+    dual, lattice = _smaller_lattice(gens, primes, max_lattice)
+    if dual:
+        # beta_{1,g} = 1 for every generator g, so reg(R/J) >= deg g - 1
+        top = max(g.bit_count() for g in gens)
+        return _dual_pdim(primes, top, lattice, max_faces) - 1
     heights = {p.bit_count() for p in primes}
-    lattice = None
     if len(heights) == 1:
-        dual, lattice = _smaller_lattice(gens, primes, max_lattice)
-        if not dual:
-            reg = _cm_regularity(gens, heights.pop(), lattice, max_faces)
-            if reg is not None:
-                return reg
-            lattice = None
-    if lattice is None:
-        lattice = _lcm_lattice(primes, max_lattice, dual=True)
-    # beta_{1,g} = 1 for every generator g, so reg(R/J) >= deg g - 1
-    top = max(g.bit_count() for g in gens)
-    return _dual_pdim(primes, top, lattice, max_faces) - 1
+        reg = _cm_regularity(gens, heights.pop(), lattice, max_faces)
+        if reg is not None:
+            return reg
+    return _primal_reg(gens, lattice, max_faces)
 
 
 def is_cm_quotient(

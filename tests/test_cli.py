@@ -273,14 +273,11 @@ class TestExitCodes:
     def test_draw_guard_refuses_before_drawing(self):
         rc, out, err = run(["asm", "random", "3", "100001"])
         assert rc == 1 and out == ""
-        assert err == "count m = 100001 exceeds the draw guard (100000); pass force to override\n"
+        assert err == "count m = 100001 exceeds the draw guard (100000)\n"
         # the count is m itself and draws nothing, so the guard is moot
         assert run(["asm", "random", "3", "100001", "--count"]) == (0, "100001\n", "")
         assert run(["asm", "random", "3", "-5", "--count"])[0] == 1
         assert run(["asm", "random", "9", "2", "--count"])[0] == 1
-        assert run(["asm", "random", "3", "2", "--force", "--seed", "7"]) == run(
-            ["asm", "random", "3", "2", "--seed", "7"]
-        )
 
     @pytest.mark.parametrize("verb", [["poly", "regularity"], ["decomp", "is-cm"]])
     def test_stats_flag(self, verb):

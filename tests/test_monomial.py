@@ -329,6 +329,21 @@ def gf2_homology(masks: list[int]) -> dict[int, int]:
     return mi._homology_from_ranks(by_size, mi._boundary_ranks(by_size, exact=False))
 
 
+def random_unions(seed: int, count: int = 300):
+    """Seeded families of masks on 4-8 points.  Every other one is a graph,
+    so that some have homology in two degrees (several components and a
+    cycle)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        npoints = rng.randint(4, 8)
+        top = 2 if k % 2 else 4
+        masks = [
+            sum(1 << u for u in rng.sample(range(npoints), rng.randint(1, top)))
+            for _ in range(rng.randint(1, 14))
+        ]
+        yield masks, npoints
+
+
 @pytest.fixture
 def exact_rank_calls(monkeypatch):
     calls = []
@@ -359,17 +374,8 @@ class TestCertifiedHomology:
         assert not exact_rank_calls
 
     def test_random_unions_match_exact_ranks(self, exact_rank_calls):
-        rng = random.Random(2024)
         fallbacks = 0
-        for k in range(300):
-            # every other union is a graph, so that some have homology in
-            # two degrees (several components and a cycle)
-            npoints = rng.randint(4, 8)
-            top = 2 if k % 2 else 4
-            masks = [
-                sum(1 << u for u in rng.sample(range(npoints), rng.randint(1, top)))
-                for _ in range(rng.randint(1, 14))
-            ]
+        for masks, npoints in random_unions(2024):
             expected = exact_homology(masks)
             spread = len(gf2_homology(masks)) > 1
             before = len(exact_rank_calls)
@@ -381,24 +387,16 @@ class TestCertifiedHomology:
         assert fallbacks >= 10
 
 
-def random_unions(seed: int, count: int = 300):
-    """Seeded families of maximal masks on 4-8 points; every other one is
-    a graph."""
-    rng = random.Random(seed)
-    for k in range(count):
-        npoints = rng.randint(4, 8)
-        top = 2 if k % 2 else 4
-        masks = [
-            sum(1 << u for u in rng.sample(range(npoints), rng.randint(1, top)))
-            for _ in range(rng.randint(1, 14))
-        ]
+def maximal_unions(seed: int, count: int = 300):
+    """The families of random_unions, reduced to their maximal masks."""
+    for masks, npoints in random_unions(seed, count):
         yield mi._maximal_masks(masks), npoints
 
 
 class TestKernel:
     def test_collapse_matches_rescan(self):
         shrunk = 0
-        for masks, npoints in random_unions(7):
+        for masks, npoints in maximal_unions(7):
             assert mi._collapse_points(masks) == collapse_points_by_rescan(masks, npoints)
             # flips feed the collapse families of another shape
             fmasks, fpoints = mi._flip(masks, npoints)
@@ -409,7 +407,7 @@ class TestKernel:
 
     def test_cleared_ranks_match_plain(self):
         cleared = 0
-        for masks, npoints in random_unions(11):
+        for masks, npoints in maximal_unions(11):
             by_size = mi._enumerate_faces(masks, mi.DEFAULT_FACE_LIMIT)
             ranks = mi._boundary_ranks(by_size, exact=False)
             assert ranks == plain_gf2_ranks(by_size)
@@ -417,7 +415,7 @@ class TestKernel:
         assert cleared >= 300
 
     def test_faces_are_the_downward_closure(self):
-        for masks, npoints in random_unions(13, 60):
+        for masks, npoints in maximal_unions(13, 60):
             faces = {f for m in masks for f in range(1 << npoints) if not f & ~m}
             by_size = mi._enumerate_faces(masks, mi.DEFAULT_FACE_LIMIT)
             assert sorted(by_size) == list(range(max(by_size) + 1))
@@ -497,7 +495,7 @@ class TestDualityRoutes:
 
     def test_unmixed_non_cm_on_js_side(self):
         # J's lattice is the smaller, its primes all have height 2, and the
-        # Cohen-Macaulay pass fails, so the regularity comes from the dual
+        # Cohen-Macaulay pass fails, so the regularity comes from J's table
         J = mi.monomial_ideal(
             [
                 sqfree(X[0], X[1], X[4]),
@@ -511,8 +509,23 @@ class TestDualityRoutes:
         assert not mi.is_cm_quotient(J) and mi.pdim_quotient(J) > 2
         with mi.collect_stats() as s:
             assert mi.reg_quotient(J) == 2
-        assert (s["route_primal"], s["route_dual"]) == (1, 1)
+        assert (s["route_primal"], s["route_dual"]) == (1, 0)
         assert table_regularity(J) == 2
+
+    def test_mixed_j_stays_on_the_smaller_lattice(self):
+        # (x1*x2, x1*x3, x4*x5*x6, x7*x8*x9) has 16 lcms, the empty one
+        # included; its 18 primes, of heights 3 and 4, have 148
+        x = [x_(i) for i in range(1, 10)]
+        J = mi.monomial_ideal(
+            [sqfree(x[0], x[1]), sqfree(x[0], x[2]), sqfree(*x[3:6]), sqfree(*x[6:9])]
+        )
+        assert {len(p) for p in mi.minimal_primes(J)} == {3, 4}
+        with mi.collect_stats() as s:
+            assert mi.reg_quotient(J, max_lattice=16) == 5
+        assert table_regularity(J) == 5
+        assert (s["route_primal"], s["route_dual"], s["lattice"]) == (1, 0, 15)
+        with pytest.raises(ValueError, match=r"^lcm lattice exceeds the size guard: 16 lcms"):
+            mi.reg_quotient(J, max_lattice=15)
 
 
 class TestStats:
@@ -536,9 +549,10 @@ class TestStats:
         with mi.collect_stats() as s:
             assert not mi.is_cm_quotient(mixed)
         assert (s["route_gate"], s["route_dual"], s["route_primal"], s["complexes"]) == (1, 0, 0, 0)
+        # a mixed J walks the smaller lattice too, here J's on a tie
         with mi.collect_stats() as s:
             assert mi.reg_quotient(mixed) == 1
-        assert (s["route_gate"], s["route_dual"], s["route_primal"]) == (0, 1, 0)
+        assert (s["route_gate"], s["route_dual"], s["route_primal"]) == (0, 0, 1)
         with mi.collect_stats() as s:
             assert mi.reg_quotient(edges) == 2
         assert (s["route_dual"], s["route_primal"]) == (0, 1)
