@@ -31,7 +31,8 @@ parse back through `poly_from_json`, monomial `generators` through
 
 Every verb takes `--json`; `--budget`, `--seed`, `--force`, `--count`,
 `--max-lattice`, `--max-faces` and `--stats` are taken only by the verbs
-that read them (see each verb's `--help`).  `--stats` reports the
+that read them (see each verb's `--help`); the three guards take a
+nonnegative integer.  `--stats` reports the
 homology work counted by `collect_stats`: one `name: count` line each
 on stderr, or a `stats` object inside the `--json` document.
 Exit code 0 on success, 1 on domain errors (invalid matrices, budget
@@ -151,6 +152,17 @@ def _matrix_from_arg(text: str) -> tuple[tuple[int, ...], ...]:
         with open(text) as fh:
             text = fh.read()
     return matrix_from_text(text)
+
+
+def _nonnegative(text: str) -> int:
+    """argparse type of the guard flags: a limit below 0 is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
 
 
 def _schubertable_from_arg(text: str) -> Permutation | PartialASM:
@@ -391,10 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit a schema_version 1 JSON document")
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="pair-reduction budget for basis computations")
+            p.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET, help="pair-reduction budget for basis computations")
         if guards:
-            p.add_argument("--max-lattice", type=int, default=DEFAULT_LATTICE_LIMIT, help="largest lcm lattice walked for Betti numbers")
-            p.add_argument("--max-faces", type=int, default=DEFAULT_FACE_LIMIT, help="most faces built for one homology computation")
+            p.add_argument("--max-lattice", type=_nonnegative, default=DEFAULT_LATTICE_LIMIT, help="largest lcm lattice walked for Betti numbers")
+            p.add_argument("--max-faces", type=_nonnegative, default=DEFAULT_FACE_LIMIT, help="most faces built for one homology computation")
             p.add_argument("--stats", action="store_true", help="report the homology work: on stderr, or as a stats field with --json")
         return p
 

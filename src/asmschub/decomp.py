@@ -147,7 +147,8 @@ def is_schubert_cm(A: Schubertable, **guards) -> bool:
     `is_cm_quotient` first gates on unmixedness: minimal primes of more
     than one height give False before any homology.  It then walks the
     smaller of the two lcm lattices, of the degeneration or of its
-    Alexander dual (Eagon-Reiner).
+    Alexander dual: pdim and reg swap under Alexander duality, so the
+    dual side asks whether reg(R/J^v) = codim - 1 (Eagon-Reiner).
     """
     M = as_partial_asm(A)
     if as_permutation(M) is not None:

@@ -95,10 +95,6 @@ class Ideal:
                     )
 
 
-def make_ideal(generators, ambient) -> Ideal:
-    return Ideal(tuple(generators), tuple(ambient))
-
-
 def normal_form(
     f: Polynomial,
     basis: list[Polynomial] | tuple[Polynomial, ...],

@@ -14,11 +14,13 @@ which is a union of few explicitly-known simplices.  Strong collapses
 and Dowker flips shrink that union before any boundary matrix is
 built, so the lattice sweep stays cheap.
 
-Cohen-Macaulayness and regularity walk the smaller lcm lattice: that
-of J, or that of its Alexander dual J^v = (x^p : p a minimal prime of
-J), with a tie going to J.  On the dual side R/J is Cohen-Macaulay
-exactly when J^v has a linear resolution (Eagon and Reiner, 1998), and
-reg(R/J) = pdim(R/J^v) - 1 (Terai, 1999).
+pdim and reg swap under Alexander duality.  With J^v = (x^p : p a
+minimal prime of J), whose dual is J again, reg(R/J) = pdim(R/J^v) - 1
+and pdim(R/J) = reg(R/J^v) + 1 (Terai, 1999).  For J unmixed of height
+c, R/J is Cohen-Macaulay exactly when pdim(R/J) = c, that is, when
+reg(R/J^v) = c - 1 (Eagon and Reiner, 1998).  So one pdim walk and one
+reg walk answer both questions, each on the smaller lcm lattice, of J
+or of J^v, with a tie going to J.
 
 All homology is rational and exact.  Boundary ranks are taken over
 GF(2) first, which certifies the rational answer whenever the GF(2)
@@ -136,7 +138,6 @@ def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
     supports = _minimal_sets(
         sum(1 << pos[v] for v in mono_support(m)) for m in J.generators
     )
-    supports.sort(key=lambda s: bin(s).count("1"))
     covers = [0]
     for s in supports:
         grown = set()
@@ -285,8 +286,7 @@ def _collapse_points(masks: list[int]) -> tuple[list[int], int]:
     point, again and again, then re-indexes the points left.  Incidences
     are built once.  A deletion updates only the masks that held the
     point and drops those now inside another mask, and only a point that
-    lost a mask can newly become deletable.  After each deletion the
-    masks are listed in the order `_maximal_masks` gives them.
+    lost a mask can newly become deletable.
     """
     cur = list(masks)
     held: dict[int, int] = {}  # point -> bitmask of the live masks holding it
@@ -299,7 +299,6 @@ def _collapse_points(masks: list[int]) -> tuple[list[int], int]:
     live = (1 << len(cur)) - 1
     points = sorted(held)
     unchecked = set(points)
-    order = list(masks)
     while True:
         victim = None
         for u in points:
@@ -345,19 +344,10 @@ def _collapse_points(masks: list[int]) -> tuple[list[int], int]:
                     held[u] ^= 1 << i
                     unchecked.add(u)
                     rest ^= bit
-        survivors = set()
-        h = live
-        while h:
-            b = h & -h
-            survivors.add(cur[b.bit_length() - 1])
-            h ^= b
-        order = [
-            m
-            for m in sorted(set([m & ~gone for m in order]), key=int.bit_count, reverse=True)
-            if m in survivors
-        ]
     out = []
-    for m in order:
+    for i, m in enumerate(cur):
+        if not live >> i & 1:
+            continue
         nm = 0
         for k, u in enumerate(points):
             if m >> u & 1:
@@ -679,53 +669,9 @@ def pdim_quotient(J: MonomialIdeal, **kw) -> int:
     return max(i for i, _ in betti_numbers(J, **kw))
 
 
-def _cm_regularity(gens: list[int], c: int, lattice: list[int], max_faces: int) -> int | None:
-    """Regularity of R/J when it is Cohen-Macaulay, else None; J is
-    unmixed of height c and `lattice` is its lcm lattice.
-
-    R/J is Cohen-Macaulay exactly when no Betti number sits in homological
-    degree above c, and then reg = max{|sigma| - c : beta_{c,sigma} != 0}.
-    Such numbers need |sigma| > c, and i <= k when k generators divide
-    x^sigma (the homology of a union of k simplices sits in degrees at
-    most k - 2), so only multidegrees with |sigma| > c and k >= c are
-    computed.  Every other entry has |sigma| - i at most the regularity.
-    """
-    reg = 0
-    for sigma in lattice:
-        size = sigma.bit_count()
-        if size <= c:
-            continue
-        divisors = _divisors(sigma, gens)
-        if len(divisors) < c:
-            continue
-        for i in _betti_at(sigma, divisors, max_faces):
-            if i > c:
-                return None
-            reg = max(reg, size - i)
-    return reg
-
-
-def _dual_is_linear(primes: list[int], c: int, lattice: list[int], max_faces: int) -> bool:
-    """Does the Alexander dual, generated in degree c by `primes` with lcm
-    lattice `lattice`, have a linear resolution?
-
-    Its quotient's Betti numbers with i >= 1 all have |sigma| - i >= c - 1,
-    and the resolution is linear when none has i >= 2 and |sigma| - i >= c.
-    Those need |sigma| >= c + 2.
-    """
-    for sigma in lattice:
-        size = sigma.bit_count()
-        if size < c + 2:
-            continue
-        if any(2 <= i <= size - c for i in _betti_at(sigma, _divisors(sigma, primes), max_faces)):
-            return False
-    return True
-
-
-def _dual_pdim(primes: list[int], at_least: int, lattice: list[int], max_faces: int) -> int:
-    """Projective dimension of the quotient by the Alexander dual, which
-    `primes` generate with lcm lattice `lattice`, known to be at least
-    `at_least`.
+def _pdim(gens: list[int], at_least: int, lattice: list[int], max_faces: int) -> int:
+    """Projective dimension of the quotient by the squarefree generators
+    `gens`, with lcm lattice `lattice`, known to be at least `at_least`.
 
     A Betti number beta_{i,sigma} needs i <= |sigma| and i <= k, when k
     generators divide x^sigma.  Multidegrees are visited by that bound,
@@ -733,7 +679,7 @@ def _dual_pdim(primes: list[int], at_least: int, lattice: list[int], max_faces: 
     """
     candidates = []
     for sigma in lattice:
-        divisors = _divisors(sigma, primes)
+        divisors = _divisors(sigma, gens)
         bound = min(sigma.bit_count(), len(divisors))
         if bound > at_least:
             candidates.append((bound, sigma, divisors))
@@ -746,16 +692,17 @@ def _dual_pdim(primes: list[int], at_least: int, lattice: list[int], max_faces: 
     return best
 
 
-def _primal_reg(gens: list[int], lattice: list[int], max_faces: int) -> int:
-    """Regularity of R/J from J's own lcm lattice, max{|sigma| - i}.
+def _reg(gens: list[int], lattice: list[int], max_faces: int) -> int:
+    """Regularity of the quotient by the squarefree generators `gens`,
+    with lcm lattice `lattice`: max{|sigma| - i} over its Betti numbers.
 
     A generator g gives only beta_{1,g} = 1, so the best starts at the
-    largest generator degree less one.  Any other multidegree has i >= 2,
-    since every generator dividing x^sigma leaves a nonempty face.  So
-    multidegrees are visited largest first, until |sigma| - 2 cannot
-    beat the best; that stops before any generator.
+    largest generator degree less one (0 for no generators).  Any other
+    multidegree has i >= 2, since every generator dividing x^sigma leaves
+    a nonempty face.  So multidegrees are visited largest first, until
+    |sigma| - 2 cannot beat the best; that stops before any generator.
     """
-    best = max(g.bit_count() for g in gens) - 1
+    best = max((g.bit_count() for g in gens), default=1) - 1
     for sigma in sorted(lattice, key=int.bit_count, reverse=True):
         size = sigma.bit_count()
         if size - 2 <= best:
@@ -772,10 +719,9 @@ def reg_quotient(
 ) -> int:
     """Castelnuovo-Mumford regularity of the quotient by a squarefree ideal.
 
-    The walk takes the smaller lcm lattice.  On the side of the Alexander
-    dual J^v the answer is Terai's reg(R/J) = pdim(R/J^v) - 1.  On J's
-    side an unmixed J runs the Cohen-Macaulay pass first, which gives the
-    regularity when the answer is yes; otherwise the regularity is
+    The walk takes the smaller lcm lattice, of J or of its Alexander dual
+    J^v.  pdim and reg swap under Alexander duality, so on the dual side
+    the answer is Terai's reg(R/J) = pdim(R/J^v) - 1; on J's side it is
     max{|sigma| - i} over the Betti numbers of R/J.
     """
     variables, gens = _squarefree_masks(J)
@@ -784,13 +730,8 @@ def reg_quotient(
     if dual:
         # beta_{1,g} = 1 for every generator g, so reg(R/J) >= deg g - 1
         top = max(g.bit_count() for g in gens)
-        return _dual_pdim(primes, top, lattice, max_faces) - 1
-    heights = {p.bit_count() for p in primes}
-    if len(heights) == 1:
-        reg = _cm_regularity(gens, heights.pop(), lattice, max_faces)
-        if reg is not None:
-            return reg
-    return _primal_reg(gens, lattice, max_faces)
+        return _pdim(primes, top, lattice, max_faces) - 1
+    return _reg(gens, lattice, max_faces)
 
 
 def is_cm_quotient(
@@ -802,11 +743,10 @@ def is_cm_quotient(
 
     Cohen-Macaulay implies unmixed, so minimal primes of more than one
     height give False before any homology.  When every height is c, the
-    route walks the smaller lcm lattice.  On the side of the Alexander
-    dual, R/J is Cohen-Macaulay exactly when the dual has a linear
-    resolution (Eagon-Reiner).  On J's side it is exactly when no Betti
-    number of R/J sits in homological degree above c, and only
-    multidegrees with more than c variables are computed.
+    route walks the smaller lcm lattice, of J or of its Alexander dual
+    J^v.  pdim and reg swap under Alexander duality, so on the dual side
+    R/J is Cohen-Macaulay exactly when reg(R/J^v) = c - 1 (Eagon-Reiner);
+    on J's side, exactly when pdim(R/J) = c.
     """
     variables, gens = _squarefree_masks(J)
     primes = _prime_masks(J, variables)
@@ -817,8 +757,8 @@ def is_cm_quotient(
     (c,) = heights
     dual, lattice = _smaller_lattice(gens, primes, max_lattice)
     if dual:
-        return _dual_is_linear(primes, c, lattice, max_faces)
-    return _cm_regularity(gens, c, lattice, max_faces) is not None
+        return _reg(primes, lattice, max_faces) == c - 1
+    return _pdim(gens, c, lattice, max_faces) == c
 
 
 def mono_to_text(m: Monomial) -> str:

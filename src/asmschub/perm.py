@@ -60,11 +60,6 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-def make_permutation(entries: Sequence[int]) -> Permutation:
-    """Validate a one-line sequence and wrap it as a Permutation."""
-    return Permutation(tuple(entries))
-
-
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
@@ -235,16 +230,8 @@ def class_membership(w: Permutation, cls: str) -> bool:
     return avoids_all_patterns(w, patterns)
 
 
-def is_vexillary(w: Permutation) -> bool:
-    return class_membership(w, "vexillary")
-
-
 def is_cdg(w: Permutation) -> bool:
     return class_membership(w, "cdg")
-
-
-def is_cartwright_sturmfels(w: Permutation) -> bool:
-    return class_membership(w, "cartwright-sturmfels")
 
 
 def rank(w: Permutation, i: int, j: int) -> int:

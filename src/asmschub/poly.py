@@ -252,10 +252,6 @@ def lex_order(priority: Sequence[Var]) -> TermOrder:
     return TermOrder("lex", tuple(priority))
 
 
-def grevlex_order(priority: Sequence[Var]) -> TermOrder:
-    return TermOrder("grevlex", tuple(priority))
-
-
 def antidiagonal_order(m: int, n: int) -> TermOrder:
     """Lex order making every minor of Z lead with its antidiagonal.
 
@@ -393,7 +389,7 @@ def poly_to_text(f: Polynomial) -> str:
 
 
 _VAR_RE = re.compile(r"^([xyz])\[(\d+(?:,\d+)*)\](?:\^(\d+))?$")
-_COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
+_COEFF_RE = re.compile(r"^\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 
 def poly_from_text(text: str) -> Polynomial:
@@ -402,8 +398,11 @@ def poly_from_text(text: str) -> Polynomial:
         raise ValueError("empty polynomial text")
     if s == "0":
         return ZERO
+    pieces = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(pieces) != s:
+        raise ValueError(f"sign without a term in {text!r}")
     out: dict[Monomial, Fraction] = {}
-    for piece in re.findall(r"[+-]?[^+-]+", s):
+    for piece in pieces:
         sign = Fraction(1)
         if piece[0] in "+-":
             if piece[0] == "-":
@@ -417,12 +416,12 @@ def poly_from_text(text: str) -> Polynomial:
                 fam, idx, exp = mv.group(1), mv.group(2), mv.group(3)
                 v = (fam,) + tuple(int(t) for t in idx.split(","))
                 if (fam == "z") != (len(v) == 3):
-                    raise ValueError(f"bad variable {factor!r}")
+                    raise ValueError(f"bad variable {factor!r} in {text!r}")
                 pairs.append((v, int(exp) if exp else 1))
             elif _COEFF_RE.match(factor):
                 coeff *= Fraction(factor)
             else:
-                raise ValueError(f"cannot parse factor {factor!r}")
+                raise ValueError(f"cannot parse factor {factor!r} in {text!r}")
         m = monomial(pairs)
         out[m] = out.get(m, Fraction(0)) + coeff
     return Polynomial.from_dict(out)

@@ -154,9 +154,9 @@ def schubert_regularity(A: Schubertable, **guards) -> int:
     Permutations (and permutation matrices) go through the Rajchgot
     index.  Every other partial ASM goes through `reg_quotient` on the
     squarefree antidiagonal degeneration J, which walks the smaller lcm
-    lattice: Terai's pdim(R/J^v) - 1 on the Alexander dual J^v, or, on
-    J's side, the Cohen-Macaulay pass when it succeeds and otherwise
-    max{|sigma| - i} over the Betti numbers of R/J.
+    lattice.  pdim and reg swap under Alexander duality, so on the dual
+    J^v it is Terai's pdim(R/J^v) - 1, and on J's side max{|sigma| - i}
+    over the Betti numbers of R/J.
     """
     M = as_partial_asm(A)
     w = as_permutation(M)

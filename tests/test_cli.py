@@ -267,8 +267,10 @@ class TestExitCodes:
         ],
     )
     def test_guard_overrides(self, verb, flag, message):
-        rc, out, err = run(verb + ["0 1 0;1 -1 1;0 1 0"] + flag)
+        rc, out, err = run(verb + ["0 1 0 0;1 -1 0 1;0 0 1 0;0 1 0 0"] + flag)
         assert rc == 1 and out == "" and err == message + "\n"
+        # SPLIT is answered with no homology computed, so the face guard cannot trip
+        assert run(verb + [SPLIT, "--max-faces", "1"])[0] == 0
 
     def test_draw_guard_refuses_before_drawing(self):
         rc, out, err = run(["asm", "random", "3", "100001"])
@@ -310,6 +312,33 @@ class TestExitCodes:
     def test_never_raises(self, argv):
         rc, _, _ = run(argv)
         assert rc in (0, 1, 2)
+
+    # guard flags refuse negatives as usage errors; any other value answers or trips a guard
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-(10**30), 10**30) | st.sampled_from([-1, 0, 1, 10**30]))
+    def test_guard_values_never_raise(self, value):
+        for argv in (
+            ["ideal", "diaginit", "1,3,2", "LexSE", "--budget", str(value)],
+            ["poly", "regularity", SPLIT, "--max-lattice", str(value)],
+            ["decomp", "is-cm", MEET, "--max-faces", str(value)],
+        ):
+            rc = run(argv)[0]
+            assert (rc == 2) if value < 0 else (rc in (0, 1))
+
+    # huge counts are refused by a guard, or answered without drawing
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["asm", "random", "3", str(10**30)], 1),
+            (["asm", "random", str(10**30), "2"], 1),
+            (["asm", "random", "3", str(10**30), "--count"], 0),
+            (["asm", "enumerate", str(10**30)], 1),
+            (["asm", "enumerate", str(10**30), "--count"], 1),
+            (["pipedream", "render", "2,1,4,3", str(10**30)], 1),
+        ],
+    )
+    def test_huge_counts(self, argv, code):
+        assert run(argv)[0] == code
 
     @settings(max_examples=40, deadline=None)
     @given(st.text(string.digits + ",-x", min_size=1, max_size=10))

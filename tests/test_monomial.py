@@ -494,8 +494,8 @@ class TestDualityRoutes:
             assert mi.reg_quotient(J) == reg == table_regularity(J)
 
     def test_unmixed_non_cm_on_js_side(self):
-        # J's lattice is the smaller, its primes all have height 2, and the
-        # Cohen-Macaulay pass fails, so the regularity comes from J's table
+        # J's lattice is the smaller and its primes all have height 2, so
+        # both answers come from J's table: pdim above 2, and max |sigma| - i
         J = mi.monomial_ideal(
             [
                 sqfree(X[0], X[1], X[4]),
@@ -541,8 +541,8 @@ class TestStats:
         with mi.collect_stats() as s:
             assert mi.is_cm_quotient(tie)
         assert (s["route_dual"], s["route_primal"], s["lattice"]) == (0, 1, 3)
-        # two disjoint edges: J's lattice is the smaller, and the complete
-        # intersection is Cohen-Macaulay, so its pass gives the regularity
+        # two disjoint edges: J's lattice is the smaller, so the regularity
+        # of the complete intersection is read from J's own table
         edges = mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[2], X[3])])
         assert uses_dual_route(edges) is False
         mixed = mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[0], X[2])])

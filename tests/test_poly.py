@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asmschub import poly
+from asmschub.monomial import monomial_ideal_from_text
 from asmschub.poly import (
     ONE,
     ZERO,
@@ -148,7 +150,7 @@ class TestOrdersAndLead:
     def test_grevlex_vs_lex_disagree(self):
         # x1^2 beats x1*x2*x3 in lex but loses on degree in grevlex
         order_l = lex_order([x_(1), x_(2), x_(3)])
-        order_g = poly.grevlex_order([x_(1), x_(2), x_(3)])
+        order_g = poly.TermOrder("grevlex", (x_(1), x_(2), x_(3)))
         f = term(1, [(x_(1), 2)]) + term(1, [(x_(1), 1), (x_(2), 1), (x_(3), 1)])
         assert poly.lead_monomial(f, order_l) == monomial([(x_(1), 2)])
         assert poly.lead_monomial(f, order_g) == monomial(
@@ -278,6 +280,14 @@ class TestTextAndJson:
         with pytest.raises(ValueError, match="bad variable|factor"):
             poly_from_text("z[1]")
 
+    # a dangling or doubled sign used to be dropped, and 1/0 raised ZeroDivisionError
+    @pytest.mark.parametrize("text", ["x[1]-", "--x[1]", "x[1]++x[2]", "1/0", "x[1]*1/00"])
+    def test_malformed_text_names_the_text(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            poly_from_text(text)
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            monomial_ideal_from_text(f"monomialIdeal ({text})")
+
     @settings(max_examples=40)
     @given(polys)
     def test_text_roundtrip(self, f):
@@ -357,7 +367,7 @@ class TestCanonicalOrder:
                 gens, key=lambda m: tuple((family_rank_key(v), e) for v, e in m)
             )
             rng.shuffle(priority)
-            for order in (lex_order(priority), poly.grevlex_order(priority)):
+            for order in (lex_order(priority), poly.TermOrder("grevlex", tuple(priority))):
                 monos = [m for m, _ in f.terms]
                 assert sorted(monos, key=order.key) == sorted(
                     monos, key=lambda m: nested_term_key(order, m)
