@@ -1,0 +1,103 @@
+"""Exhaustive cross-route sweeps, frozen into a JSON corpus.
+
+A family compares a fast route of the library with an independent
+slower one over a whole population, and records per item whether the
+two agree.  One family so far:
+
+- ``diag-cdg``: the diagonal initial ideals of every permutation of S_n
+  under LexSE, LexNW and RevLex.  `diag_init`, which reads a CDG
+  permutation's ideal off the lead terms of its CDG generators (Klein's
+  theorem) and runs Buchberger for the rest, against `initial_ideal` of
+  a Buchberger basis.  For every item the sweep also records whether the
+  CDG-generator lead terms alone give Buchberger's ideal: the theorem
+  says they do on CDG permutations and is silent on the others.
+
+The corpus holds, per item ``"<one-line>|<order>"``, three flags:
+the permutation avoids the CDG patterns, `diag_init` agrees with
+Buchberger, and the CDG-generator leads agree with Buchberger.
+
+    python3 scripts/sweep.py --size 5
+    python3 scripts/sweep.py --size 6 --out scripts/corpus/diag-cdg-6.json
+
+Size 6 (2,160 items) took 103 s on a 2-vCPU x86-64 machine with
+Python 3.11, nearly all of it in the Buchberger runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import time
+from dataclasses import dataclass
+
+from asmschub.groebner import initial_ideal
+from asmschub.ideal import (
+    DIAG_VARIANTS,
+    _cdg_init,
+    as_partial_asm,
+    diag_init,
+    diag_order,
+    schubert_determinantal_ideal,
+)
+from asmschub.perm import all_permutations, class_membership
+
+
+@dataclass(frozen=True)
+class Config:
+    size: int = 5
+    out: str | None = None
+
+
+def diag_cdg(cfg: Config) -> dict:
+    items = {}
+    t0 = time.perf_counter()
+    for w in all_permutations(cfg.size):
+        cdg = class_membership(w, "cdg")
+        for variant in DIAG_VARIANTS:
+            order = diag_order(variant, cfg.size, cfg.size)
+            want = initial_ideal(schubert_determinantal_ideal(w), order)
+            leads = _cdg_init(as_partial_asm(w), order)
+            key = "".join(map(str, w.one_line)) + "|" + variant
+            items[key] = [int(cdg), int(diag_init(w, variant) == want), int(leads == want)]
+    print(f"diag-cdg S_{cfg.size}: {len(items)} items in {time.perf_counter() - t0:.1f}s")
+    flags = list(items.values())
+    summary = {
+        "items": len(flags),
+        "agree": sum(a for _, a, _ in flags),
+        "cdg_items": sum(c for c, _, _ in flags),
+        "cdg_leads_agree_on_cdg": sum(c and l for c, _, l in flags),
+        "non_cdg_items": sum(not c for c, _, _ in flags),
+        "cdg_leads_differ_on_non_cdg": sum(not c and not l for c, _, l in flags),
+    }
+    return {"family": "diag-cdg", "size": cfg.size, "summary": summary, "items": items}
+
+
+def write_corpus(corpus: dict, path: str) -> None:
+    """JSON with one item per line, so that two corpora diff by item."""
+    head = json.dumps({k: v for k, v in corpus.items() if k != "items"}, sort_keys=True)
+    body = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(corpus["items"].items()))
+    with open(path, "w") as fh:
+        fh.write(head[:-1] + ', "items": {\n' + body + "\n}}\n")
+
+
+def run(cfg: Config) -> dict:
+    corpus = diag_cdg(cfg)
+    s = corpus["summary"]
+    print(f"  diag_init agrees with Buchberger:        {s['agree']} of {s['items']}")
+    print(f"  CDG leads agree, CDG items:              {s['cdg_leads_agree_on_cdg']} of {s['cdg_items']}")
+    print(f"  CDG leads differ, non-CDG items:         {s['cdg_leads_differ_on_non_cdg']} of {s['non_cdg_items']}")
+    if cfg.out:
+        write_corpus(corpus, cfg.out)
+    return corpus
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--size", type=int, default=5)
+    ap.add_argument("--out", help="write the corpus to this JSON file")
+    a = ap.parse_args()
+    run(Config(size=a.size, out=a.out))
+
+
+if __name__ == "__main__":
+    main()

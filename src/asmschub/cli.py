@@ -33,8 +33,8 @@ Every verb takes `--json`; `--budget`, `--seed`, `--force`, `--count`,
 `--max-lattice`, `--max-faces` and `--stats` are taken only by the verbs
 that read them (see each verb's `--help`); the three guards take a
 nonnegative integer.  `--stats` reports the
-homology work counted by `collect_stats`: one `name: count` line each
-on stderr, or a `stats` object inside the `--json` document.
+homology and Groebner work counted by `collect_stats`: one `name: count`
+line each on stderr, or a `stats` object inside the `--json` document.
 Exit code 0 on success, 1 on domain errors (invalid matrices, budget
 exhaustion, unrecognized ideals), 2 on usage errors.
 """
@@ -398,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="asmschub", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
 
-    def leaf(sub, name: str, handler, help_: str, budget: bool = False, guards: bool = False):
+    def leaf(sub, name: str, handler, help_: str, budget: bool = False, guards: bool = False, stats: bool = False):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit a schema_version 1 JSON document")
@@ -407,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if guards:
             p.add_argument("--max-lattice", type=_nonnegative, default=DEFAULT_LATTICE_LIMIT, help="largest lcm lattice walked for Betti numbers")
             p.add_argument("--max-faces", type=_nonnegative, default=DEFAULT_FACE_LIMIT, help="most faces built for one homology computation")
-            p.add_argument("--stats", action="store_true", help="report the homology work: on stderr, or as a stats field with --json")
+        if guards or stats:
+            p.add_argument("--stats", action="store_true", help="report the homology and Groebner work: on stderr, or as a stats field with --json")
         return p
 
     perm = groups.add_parser("perm", help="diagram combinatorics of permutations").add_subparsers(dest="verb", required=True)
@@ -446,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     leaf(ideal, "fulton", _ideal_fulton, "defining minors from the essential boxes").add_argument("input")
     leaf(ideal, "gens", _ideal_gens, "trimmed minimal generators", budget=True).add_argument("input")
     leaf(ideal, "antidiag", _ideal_antidiag, "antidiagonal initial ideal").add_argument("input")
-    p = leaf(ideal, "diaginit", _ideal_diaginit, "diagonal initial ideal", budget=True)
+    p = leaf(ideal, "diaginit", _ideal_diaginit, "diagonal initial ideal", budget=True, stats=True)
     p.add_argument("input")
     p.add_argument("variant", choices=DIAG_VARIANTS)
     leaf(ideal, "codim", _ideal_codim, "codimension").add_argument("input")

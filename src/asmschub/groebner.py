@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .monomial import MonomialIdeal, monomial_ideal
+from .monomial import MonomialIdeal, _count, monomial_ideal
 from .poly import (
     Monomial,
     Polynomial,
@@ -183,6 +183,7 @@ def buchberger(
             push_pair(i, j)
 
     meter = _Meter(budget)
+    coprime = chain = zeros = 0
     while heap:
         _, _, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
@@ -191,7 +192,8 @@ def buchberger(
         meter.pair(len(G))
         lcm = mono_lcm(leads[i], leads[j])
         if lcm == mono_mul(leads[i], leads[j]):
-            continue  # coprime lead terms
+            coprime += 1
+            continue
         if any(
             k != i
             and k != j
@@ -200,8 +202,10 @@ def buchberger(
             and (min(j, k), max(j, k)) not in pending
             for k in range(len(G))
         ):
-            continue  # chain criterion
+            chain += 1
+            continue
         r = normal_form(_spoly(G[i], G[j], order), G, order, meter)
+        zeros += r.is_zero
         if not r.is_zero:
             G.append(_monic(r, order))
             leads.append(lead_monomial(G[-1], order))
@@ -227,6 +231,8 @@ def buchberger(
         reduced.append(_monic(normal_form(g, others, order, meter), order))
     reduced.sort(key=lambda g: order.key(lead_monomial(g, order)))
     result = tuple(reduced)
+    _count(pairs=meter.pairs, pairs_coprime=coprime, pairs_chain=chain, zero_reductions=zeros,
+           basis_size=len(result), reduction_units=meter.work)
     if isinstance(I, Ideal):
         I.cache[("gb", order)] = result
     return result

@@ -5,8 +5,10 @@ minors coming from its essential boxes: for each maximally-southeast
 cell (i, j) of the diagram with rank bound r, all (r+1)-minors of the
 northwest i x j submatrix of the generic matrix.  The antidiagonal
 initial ideal is read off combinatorially (the generators form a
-Groebner basis under any antidiagonal order); the three diagonal
-initial ideals go through the Buchberger engine.
+Groebner basis under any antidiagonal order).  The three diagonal
+initial ideals are read off the same way for permutations that avoid
+the CDG patterns, where Klein's theorem gives a Groebner basis, and go
+through the Buchberger engine otherwise.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Iterable, Union
 
 from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matrix, rank_table
 from .groebner import DEFAULT_BUDGET, Ideal, initial_ideal
-from .monomial import MonomialIdeal, codim as monomial_codim, monomial_ideal
-from .perm import Permutation
+from .monomial import MonomialIdeal, _count, codim as monomial_codim, monomial_ideal
+from .perm import Permutation, is_cdg
 from .poly import Polynomial, TermOrder, generic_minor, monomial, z_
 
 Schubertable = Union[PartialASM, Permutation]
@@ -154,8 +156,63 @@ def diag_order(variant: str, m: int, n: int) -> TermOrder:
     raise ValueError(f"unknown diagonal variant {variant!r}")
 
 
+def _has_matching(rows, cells) -> bool:
+    """Whether the cells match every row to a distinct column."""
+    reach = {0}
+    for r in rows:
+        reach = {used | 1 << c for used in reach for i, c in cells if i == r and not used >> c & 1}
+    return bool(reach)
+
+
+def _matching_lead(rows, cols, zero, order: TermOrder):
+    """Lead monomial of a minor with the `zero` cells set to 0, or None.
+    Its monomials, with no cancellation, are the row-column matchings off
+    the zero cells: lex keeps each cell, highest first, that a matching
+    still uses; grevlex drops each, lowest first, that a matching avoids."""
+    live = {(r, c) for r in rows for c in cols} - zero
+    if not _has_matching(rows, live):
+        return None
+    lex = order.kind == "lex"
+    for _, r, c in order.priority if lex else reversed(order.priority):
+        if (r, c) in live and lex:
+            trial = {(i, j) for i, j in live if (i == r) == (j == c)}
+            live = trial if _has_matching(rows, trial) else live - {(r, c)}
+        elif (r, c) in live and _has_matching(rows, live - {(r, c)}):
+            live = live - {(r, c)}
+    return monomial((z_(r, c), 1) for r, c in live)
+
+
+def _cdg_init(M: PartialASM, order: TermOrder) -> MonomialIdeal:
+    """Lead terms of the CDG generators of a permutation matrix: the
+    variables at rank-0 cells, and the Fulton minors with those set to 0."""
+    T = rank_table(M)
+    cells = [(i, j) for i in range(1, M.nrows + 1) for j in range(1, M.ncols + 1)]
+    zero = {cell for cell in cells if T(*cell) == 0}
+    leads = [
+        _matching_lead(rows, cols, zero, order)
+        for box in asm_essential_boxes(M)
+        for rows, cols in _minor_indices(box)
+    ]
+    gens = [((z_(*cell), 1),) for cell in zero] + [m for m in leads if m is not None]
+    return monomial_ideal(gens, [z_(*cell) for cell in cells])
+
+
 def diag_init(
     A: Schubertable, variant: str, budget: int = DEFAULT_BUDGET
 ) -> MonomialIdeal:
-    I = schubert_determinantal_ideal(A)
-    return initial_ideal(I, diag_order(variant, *I.ambient), budget)
+    """Initial ideal under `diag_order(variant, ...)`, by one of two routes.
+
+    A permutation or permutation matrix avoiding `perm.CDG_PATTERNS` takes
+    `_cdg_init` and spends no `budget`: Klein, "Diagonal degenerations of
+    matrix Schubert varieties" (Algebraic Combinatorics, 2023), proves the
+    Conca-De Negri-Gorla conjecture that its CDG generators are a Groebner
+    basis under every diagonal order.  All else (other permutations, ASMs,
+    partial ASMs) runs Buchberger through `initial_ideal` under `budget`.
+    """
+    M = as_partial_asm(A)
+    order = diag_order(variant, M.nrows, M.ncols)
+    w = as_permutation(M)
+    if w is not None and is_cdg(w):
+        _count(route_cdg=1)
+        return _cdg_init(M, order)
+    return initial_ideal(schubert_determinantal_ideal(M), order, budget)

@@ -213,14 +213,17 @@ STAT_NAMES = (
     "gf2_ranks",
     "rows_cleared",
     "exact_fallbacks",
+    "route_cdg",
+    "pairs", "pairs_coprime", "pairs_chain",
+    "zero_reductions", "basis_size", "reduction_units",
 )
 
-_STATS: ContextVar[dict[str, int] | None] = ContextVar("homology_stats", default=None)
+_STATS: ContextVar[dict[str, int] | None] = ContextVar("work_stats", default=None)
 
 
 class collect_stats:
-    """Context manager that counts the homology work of the calls made
-    inside its block, in a dict keyed by STAT_NAMES.
+    """Context manager that counts the homology and Groebner work of the
+    calls made inside its block, in a dict keyed by STAT_NAMES.
 
     `route_gate` counts answers the unmixedness gate decided alone;
     `route_primal` and `route_dual` count lcm-lattice walks over J and
@@ -229,6 +232,11 @@ class collect_stats:
     `faces` the faces built after collapses.  `gf2_ranks` counts boundary
     maps reduced over GF(2), `rows_cleared` the rows clearing skipped and
     `exact_fallbacks` the complexes recomputed by integer elimination.
+
+    `route_cdg` counts diagonal initial ideals read off CDG generators.
+    Each Buchberger run adds the S-pairs it popped, those pruned as
+    coprime or by the chain criterion, its reductions to zero, its
+    reduced basis size and the reduction units charged to its budget.
 
     >>> with collect_stats() as s:
     ...     _ = reg_quotient(monomial_ideal([((("x", 1), 1),), ((("x", 2), 1),)]))

@@ -316,17 +316,6 @@ def map_variables(f: Polynomial, mapping: Mapping[Var, Var]) -> Polynomial:
     return Polynomial.from_dict(acc)
 
 
-def substitute(f: Polynomial, values: Mapping[Var, Polynomial]) -> Polynomial:
-    out = ZERO
-    for m, c in f.terms:
-        piece = constant(c)
-        for v, e in m:
-            base = values.get(v)
-            piece = piece * (base**e if base is not None else term(1, [(v, e)]))
-        out = out + piece
-    return out
-
-
 def divided_difference(f: Polynomial, i: int) -> Polynomial:
     """Newton divided difference (f - swap_i f) / (x_i - x_{i+1}).
 
@@ -362,10 +351,6 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
 def isobaric_divided_difference(f: Polynomial, i: int) -> Polynomial:
     """Demazure operator f -> partial_i(f - x_{i+1} f)."""
     return divided_difference(f - variable(x_(i + 1)) * f, i)
-
-
-def swap_variables(f: Polynomial, i: int) -> Polynomial:
-    return map_variables(f, {x_(i): x_(i + 1), x_(i + 1): x_(i)})
 
 
 def poly_to_text(f: Polynomial) -> str:

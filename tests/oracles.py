@@ -15,13 +15,16 @@ library answers faster by another route, and exists to cross-check it:
   the cleared GF(2) ranks of `_boundary_ranks`;
 - `family_rank_key`, `dense_display_sort` and `nested_term_key` spell
   out the variable, term and term-order comparisons that plain tuple
-  order now gives the library.
+  order now gives the library;
+- `substitute` and `swap_variables` evaluate a polynomial term by term,
+  against the divided differences and the y-free parts of double
+  Schubert polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from asmschub.asm import PartialASM, complete_asm, permutation_matrix, rank_table
 from asmschub.groebner import Ideal
@@ -33,7 +36,19 @@ from asmschub.monomial import (
     _maximal_masks,
 )
 from asmschub.perm import Permutation, all_permutations, bruhat_leq
-from asmschub.poly import Monomial, TermOrder, Var, generic_minor, mono_degree
+from asmschub.poly import (
+    ZERO,
+    Monomial,
+    Polynomial,
+    TermOrder,
+    Var,
+    constant,
+    generic_minor,
+    map_variables,
+    mono_degree,
+    term,
+    x_,
+)
 
 
 def perm_set_brute_force(A: PartialASM) -> list[Permutation]:
@@ -217,3 +232,20 @@ def nested_term_key(order: TermOrder, m: Monomial) -> tuple:
     if order.kind == "lex":
         return tuple(vec)
     return (sum(vec), tuple(-e for e in reversed(vec)))
+
+
+def substitute(f: Polynomial, values: Mapping[Var, Polynomial]) -> Polynomial:
+    """f with each variable in `values` replaced by its polynomial."""
+    out = ZERO
+    for m, c in f.terms:
+        piece = constant(c)
+        for v, e in m:
+            base = values.get(v)
+            piece = piece * (base**e if base is not None else term(1, [(v, e)]))
+        out = out + piece
+    return out
+
+
+def swap_variables(f: Polynomial, i: int) -> Polynomial:
+    """f with x[i] and x[i+1] exchanged."""
+    return map_variables(f, {x_(i): x_(i + 1), x_(i + 1): x_(i)})

@@ -297,6 +297,20 @@ class TestExitCodes:
         assert {k: v for k, v in data.items() if k != "stats"} == without
         assert run(["poly", "raj", "2,1,3", "--stats"])[0] == 2
 
+    def test_diaginit_stats(self):
+        verb = ["ideal", "diaginit"]
+        rc, out, err = run(verb + ["1,3,2", "LexSE", "--stats"])
+        assert rc == 0 and out == run(verb + ["1,3,2", "LexSE"])[1]
+        counts = dict(line.split(": ") for line in err.splitlines())
+        # 132 avoids the CDG patterns: its initial ideal is read off, no pairs
+        assert (counts["route_cdg"], counts["pairs"]) == ("1", "0")
+        rc, out, _ = run(verb + ["1,3,2,5,4", "LexSE", "--stats", "--json"])
+        data = json.loads(out)
+        assert data["schema_version"] == 1
+        assert data["stats"]["route_cdg"] == 0 and data["stats"]["pairs"] > 0
+        without = json.loads(run(verb + ["1,3,2,5,4", "LexSE", "--json"])[1])
+        assert {k: v for k, v in data.items() if k != "stats"} == without
+
     def test_budget_exhaustion(self):
         rc, _, err = run(["decomp", "intersect", "3,4,1,2", "3,2,4,1", "--budget", "1"])
         assert rc == 1 and "budget" in err.lower()

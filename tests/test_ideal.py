@@ -9,11 +9,15 @@ from hand computations.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from asmschub.groebner import ideal_equals, initial_ideal
+from asmschub.groebner import GroebnerBudgetError, ideal_equals, initial_ideal
 from asmschub.ideal import (
     DIAG_VARIANTS,
+    _cdg_init,
+    _matching_lead,
     anti_diag_init,
     as_partial_asm,
     asm_diagram,
@@ -25,16 +29,25 @@ from asmschub.ideal import (
     schubert_determinantal_ideal,
 )
 from asmschub.asm import make_partial_asm, permutation_matrix
-from asmschub.monomial import codim as monomial_codim, mono_to_text
+from asmschub.monomial import codim as monomial_codim, collect_stats, mono_to_text
 from asmschub.perm import (
     Permutation,
     all_permutations,
+    class_membership,
     coxeter_length,
     essential_set,
     identity,
     rothe_diagram,
 )
-from asmschub.poly import antidiagonal_order, generic_minor, poly_from_text, z_
+from asmschub.poly import (
+    Polynomial,
+    TermOrder,
+    antidiagonal_order,
+    generic_minor,
+    lead_monomial,
+    poly_from_text,
+    z_,
+)
 from oracles import determinantal_ideal_from_cells
 
 FULCRUM = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
@@ -253,6 +266,84 @@ class TestDiagonalDegreeSixPins:
             "z[1,5]*z[2,4]*z[3,3]*z[4,2]*z[5,1]",
         }
         assert adi != self.SE and adi != self.NW
+
+
+def buchberger_diag(w, variant):
+    """The diagonal initial ideal through Buchberger, whatever the class of w."""
+    n = len(w)
+    return initial_ideal(schubert_determinantal_ideal(w), diag_order(variant, n, n))
+
+
+def cdg_sample(n, count, seed):
+    """`count` distinct CDG permutations of S_n, drawn uniformly by seed."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+        if class_membership(w, "cdg") and w not in out:
+            out.append(w)
+    return out
+
+
+class TestCdgShortcut:
+    """Klein's theorem: for a permutation avoiding the CDG patterns, the
+    lead terms of its CDG generators generate every diagonal initial
+    ideal.  Buchberger stays as the differential test of the shortcut."""
+
+    CDG_S5 = [w for w in all_permutations(5) if class_membership(w, "cdg")]
+
+    @pytest.mark.parametrize("variant", DIAG_VARIANTS)
+    def test_every_cdg_permutation_of_s5(self, variant):
+        assert len(self.CDG_S5) == 118
+        for w in self.CDG_S5:
+            with collect_stats() as s:
+                J = diag_init(w, variant)
+            assert (s["route_cdg"], s["pairs"]) == (1, 0)
+            assert J == buchberger_diag(w, variant), w
+
+    @pytest.mark.parametrize("variant", DIAG_VARIANTS)
+    def test_seeded_cdg_slice_of_s7(self, variant):
+        # seed 3 keeps the six Buchberger runs per order near 0.6 s
+        for w in cdg_sample(7, 6, seed=3):
+            assert diag_init(w, variant) == buchberger_diag(w, variant), w
+
+    @pytest.mark.parametrize("entries", [(1, 3, 2, 5, 4), (2, 1, 5, 4, 3)])
+    def test_cdg_patterns_keep_buchberger(self, entries):
+        w = Permutation(entries)
+        assert not class_membership(w, "cdg")
+        for variant in DIAG_VARIANTS:
+            want = buchberger_diag(w, variant)
+            assert _cdg_init(as_partial_asm(w), diag_order(variant, 5, 5)) != want
+            with collect_stats() as s:
+                assert diag_init(w, variant) == want
+            assert s["route_cdg"] == 0 and s["pairs"] > 0
+
+    def test_greedy_lead_matches_the_expanded_minor(self):
+        rng = random.Random(8)
+        grid = [z_(i, j) for i in range(1, 6) for j in range(1, 6)]
+        for _ in range(150):
+            k = rng.randint(1, 4)
+            rows = sorted(rng.sample(range(1, 6), k))
+            cols = sorted(rng.sample(range(1, 6), k))
+            zero = {(r, c) for r in rows for c in cols if rng.random() < 0.35}
+            f = Polynomial.from_dict({
+                m: c
+                for m, c in generic_minor(rows, cols).terms
+                if not any(v[1:] in zero for v, _ in m)
+            })
+            for kind in ("lex", "grevlex"):
+                order = TermOrder(kind, tuple(rng.sample(grid, len(grid))))
+                want = None if f.is_zero else lead_monomial(f, order)
+                assert _matching_lead(rows, cols, zero, order) == want
+
+    def test_shortcut_spends_no_budget(self):
+        asm = make_partial_asm([[0, 1, 0, 0], [1, -1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])
+        with pytest.raises(GroebnerBudgetError, match="budget of 1"):
+            diag_init(asm, "LexSE", budget=1)
+        w = Permutation((2, 1, 4, 3))  # CDG but not vexillary
+        for variant in DIAG_VARIANTS:
+            assert diag_init(w, variant, budget=0) == buchberger_diag(w, variant)
+            assert diag_init(permutation_matrix(w), variant, budget=0) == buchberger_diag(w, variant)
 
 
 class TestCoercion:

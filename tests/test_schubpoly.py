@@ -23,7 +23,8 @@ from asmschub.perm import (
 )
 from asmschub.pipedream import cross_monomial, pipe_dreams
 from asmschub import schubpoly
-from asmschub.poly import Polynomial, mono_degree, poly_to_text, substitute
+from asmschub.poly import Polynomial, mono_degree, poly_to_text
+from oracles import substitute
 from asmschub.schubpoly import (
     double_schubert_polynomial,
     grothendieck_polynomial,
