@@ -2,7 +2,7 @@
 
 A family compares a fast route of the library with an independent
 slower one over a whole population, and records per item whether the
-two agree.  One family so far:
+two agree.  Two families so far:
 
 - ``diag-cdg``: the diagonal initial ideals of every permutation of S_n
   under LexSE, LexNW and RevLex.  `diag_init`, which reads a CDG
@@ -12,15 +12,24 @@ two agree.  One family so far:
   CDG-generator lead terms alone give Buchberger's ideal: the theorem
   says they do on CDG permutations and is silent on the others.
 
-The corpus holds, per item ``"<one-line>|<order>"``, three flags:
-the permutation avoids the CDG patterns, `diag_init` agrees with
-Buchberger, and the CDG-generator leads agree with Buchberger.
+  The corpus holds, per item ``"<one-line>|<order>"``, three flags:
+  the permutation avoids the CDG patterns, `diag_init` agrees with
+  Buchberger, and the CDG-generator leads agree with Buchberger.
+- ``homology``: every non-permutation n x n ASM.  `is_schubert_cm` and
+  `schubert_regularity`, which walk the smaller lcm lattice of the
+  antidiagonal degeneration J or of its Alexander dual, against the full
+  Betti table of J: Cohen-Macaulay iff pdim equals codim, and reg is
+  max |sigma| - i.  The corpus holds, per item (the matrix, rows joined
+  by ``/``, ``-`` for -1), the two answers, whether each agrees with the
+  table, and the `faces` and `complexes` that `collect_stats` counted
+  over the two fast calls.
 
     python3 scripts/sweep.py --size 5
     python3 scripts/sweep.py --size 6 --out scripts/corpus/diag-cdg-6.json
+    python3 scripts/sweep.py --family homology --out scripts/corpus/homology-5.json
 
-Size 6 (2,160 items) took 103 s on a 2-vCPU x86-64 machine with
-Python 3.11, nearly all of it in the Buchberger runs.
+``diag-cdg`` at size 6 (2,160 items) took 103 s on a 2-vCPU x86-64
+machine with Python 3.11, nearly all of it in the Buchberger runs.
 """
 
 from __future__ import annotations
@@ -30,20 +39,26 @@ import json
 import time
 from dataclasses import dataclass
 
+from asmschub.asm import as_permutation, enumerate_asms
+from asmschub.decomp import is_schubert_cm
 from asmschub.groebner import initial_ideal
 from asmschub.ideal import (
     DIAG_VARIANTS,
     _cdg_init,
+    anti_diag_init,
     as_partial_asm,
     diag_init,
     diag_order,
     schubert_determinantal_ideal,
 )
+from asmschub.monomial import betti_numbers, codim, collect_stats
 from asmschub.perm import all_permutations, class_membership
+from asmschub.schubpoly import schubert_regularity
 
 
 @dataclass(frozen=True)
 class Config:
+    family: str = "diag-cdg"
     size: int = 5
     out: str | None = None
 
@@ -72,6 +87,38 @@ def diag_cdg(cfg: Config) -> dict:
     return {"family": "diag-cdg", "size": cfg.size, "summary": summary, "items": items}
 
 
+def asm_key(A) -> str:
+    return "/".join("".join("-" if e < 0 else str(e) for e in row) for row in A.rows)
+
+
+def homology_item(A) -> list[int]:
+    """[cm, reg, cm agrees, reg agrees, faces, complexes] for one ASM."""
+    with collect_stats() as s:
+        cm, reg = is_schubert_cm(A), schubert_regularity(A)
+    J = anti_diag_init(A)
+    table = betti_numbers(J)
+    pdim = max(i for i, _ in table)
+    table_reg = max(len(sigma) - i for i, sigma in table)
+    return [int(cm), reg, int(cm == (pdim == codim(J))), int(reg == table_reg), s["faces"], s["complexes"]]
+
+
+def homology(cfg: Config) -> dict:
+    pool = [A for A in enumerate_asms(cfg.size) if as_permutation(A) is None]
+    t0 = time.perf_counter()
+    items = {asm_key(A): homology_item(A) for A in pool}
+    print(f"homology {cfg.size}x{cfg.size}: {len(items)} items in {time.perf_counter() - t0:.1f}s")
+    flags = list(items.values())
+    summary = {
+        "items": len(flags),
+        "cm": sum(f[0] for f in flags),
+        "cm_agree": sum(f[2] for f in flags),
+        "reg_agree": sum(f[3] for f in flags),
+        "faces": sum(f[4] for f in flags),
+        "complexes": sum(f[5] for f in flags),
+    }
+    return {"family": "homology", "size": cfg.size, "summary": summary, "items": items}
+
+
 def write_corpus(corpus: dict, path: str) -> None:
     """JSON with one item per line, so that two corpora diff by item."""
     head = json.dumps({k: v for k, v in corpus.items() if k != "items"}, sort_keys=True)
@@ -81,11 +128,18 @@ def write_corpus(corpus: dict, path: str) -> None:
 
 
 def run(cfg: Config) -> dict:
-    corpus = diag_cdg(cfg)
-    s = corpus["summary"]
-    print(f"  diag_init agrees with Buchberger:        {s['agree']} of {s['items']}")
-    print(f"  CDG leads agree, CDG items:              {s['cdg_leads_agree_on_cdg']} of {s['cdg_items']}")
-    print(f"  CDG leads differ, non-CDG items:         {s['cdg_leads_differ_on_non_cdg']} of {s['non_cdg_items']}")
+    if cfg.family == "homology":
+        corpus = homology(cfg)
+        s = corpus["summary"]
+        print(f"  Cohen-Macaulay:                          {s['cm']} of {s['items']}")
+        print(f"  CM agrees with the Betti table:          {s['cm_agree']} of {s['items']}")
+        print(f"  regularity agrees with the Betti table:  {s['reg_agree']} of {s['items']}")
+    else:
+        corpus = diag_cdg(cfg)
+        s = corpus["summary"]
+        print(f"  diag_init agrees with Buchberger:        {s['agree']} of {s['items']}")
+        print(f"  CDG leads agree, CDG items:              {s['cdg_leads_agree_on_cdg']} of {s['cdg_items']}")
+        print(f"  CDG leads differ, non-CDG items:         {s['cdg_leads_differ_on_non_cdg']} of {s['non_cdg_items']}")
     if cfg.out:
         write_corpus(corpus, cfg.out)
     return corpus
@@ -93,10 +147,11 @@ def run(cfg: Config) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--family", choices=("diag-cdg", "homology"), default="diag-cdg")
     ap.add_argument("--size", type=int, default=5)
     ap.add_argument("--out", help="write the corpus to this JSON file")
     a = ap.parse_args()
-    run(Config(size=a.size, out=a.out))
+    run(Config(family=a.family, size=a.size, out=a.out))
 
 
 if __name__ == "__main__":

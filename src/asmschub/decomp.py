@@ -20,7 +20,6 @@ from .asm import (
     pad_asm,
     permutation_matrix,
     rank_table,
-    rank_table_from_matrix,
     rank_table_to_asm,
 )
 from .groebner import (
@@ -79,8 +78,8 @@ def perm_set_of_asm(A: Schubertable) -> tuple[Permutation, ...]:
 def _asm_from_permutations(perms) -> PartialASM:
     n = max(len(w) for w in perms)
     tables = [rank_table(permutation_matrix(pad(w, n))) for w in perms]
-    best = entrywise_extreme_rank_table(tables, "max")
-    return rank_table_to_asm(rank_table_from_matrix(best.values))
+    # an entrywise max of valid rank tables is valid
+    return rank_table_to_asm(entrywise_extreme_rank_table(tables, "max"))
 
 
 def is_asm_ideal(I: Ideal, budget: int = DEFAULT_BUDGET) -> bool:

@@ -265,8 +265,9 @@ def ideal_equals(I: Ideal, J: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
 def ideal_contains(
     I: Ideal, f: Polynomial, budget: int = DEFAULT_BUDGET
 ) -> bool:
+    """Is f in I?  The reduction of f is charged to a budget of its own."""
     order = canonical_order(I.ambient)
-    return normal_form(f, buchberger(I, order, budget), order).is_zero
+    return normal_form(f, buchberger(I, order, budget), order, _Meter(budget)).is_zero
 
 
 _T = ("t", 0)
@@ -299,9 +300,11 @@ def minimal_generators(
     Each candidate is replaced by its monic remainder against the
     generators already kept, so redundant tails drop out (a minor whose
     diagonal term lies in the span of earlier generators comes back as
-    the surviving monomial, for instance).
+    the surviving monomial, for instance).  Those reductions share one
+    budget, apart from the budgets of the bases they reduce against.
     """
     order = canonical_order(I.ambient)
+    meter = _Meter(budget)
     chosen: list[Polynomial] = []
     for g in sorted(
         dict.fromkeys(I.generators),
@@ -309,7 +312,7 @@ def minimal_generators(
     ):
         if chosen:
             basis = buchberger(chosen, order, budget)
-            g = normal_form(g, basis, order)
+            g = normal_form(g, basis, order, meter)
         if not g.is_zero:
             chosen.append(_monic(g, order))
     return tuple(chosen)

@@ -10,9 +10,10 @@ Alexander dual inside the multidegree: for a squarefree multidegree s,
                       union of simplices {s minus supp(g)} over the
                       generators g dividing x^s,
 
-which is a union of few explicitly-known simplices.  Strong collapses
-and Dowker flips shrink that union before any boundary matrix is
-built, so the lattice sweep stays cheap.
+which is a union of few explicitly-known simplices.  One pass of strong
+collapses shrinks that union to its core before any boundary matrix is
+built, so the lattice sweep stays cheap.  Nothing shrinks a core further:
+its transpose is again a core (Barmak and Minian, 2012).
 
 pdim and reg swap under Alexander duality.  With J^v = (x^p : p a
 minimal prime of J), whose dual is J again, reg(R/J) = pdim(R/J^v) - 1
@@ -44,6 +45,7 @@ from typing import Iterable, Sequence
 from .poly import (
     Monomial,
     Var,
+    mono_degree,
     mono_divides,
     mono_lcm,
     mono_support,
@@ -56,12 +58,11 @@ DEFAULT_FACE_LIMIT = 1 << 20
 
 
 def _minimalize(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    uniq = list(dict.fromkeys(monos))
-    kept = [
-        m
-        for m in uniq
-        if not any(other != m and mono_divides(other, m) for other in uniq)
-    ]
+    # a proper divisor of m has lower degree, so one is kept before m is seen
+    kept: list[Monomial] = []
+    for m in sorted(set(monos), key=mono_degree):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
     return tuple(sorted(kept))
 
 
@@ -123,23 +124,22 @@ def _minimal_sets(masks: Iterable[int]) -> list[int]:
     return out
 
 
-def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
-    """Minimal vertex covers of the generator supports, canonically sorted.
+def _support_masks(J: MonomialIdeal) -> tuple[list[Var], list[int]]:
+    """Sorted variables of J and its generator supports as masks over them."""
+    variables = sorted({v for m in J.generators for v in mono_support(m)})
+    pos = {v: i for i, v in enumerate(variables)}
+    return variables, [sum(1 << pos[v] for v in mono_support(m)) for m in J.generators]
+
+
+def _cover_masks(supports: Iterable[int]) -> list[int]:
+    """Minimal vertex covers of a family of support masks.
 
     Computed by Berge multiplication: fold the supports in one at a
     time, extending each partial cover that misses the new support and
-    discarding non-minimal results each round.  Non-squarefree input is
-    replaced by its radical first.
+    discarding non-minimal results each round.
     """
-    if J.is_unit:
-        raise ValueError("unit ideal has no minimal primes")
-    variables = sorted({v for m in J.generators for v in mono_support(m)})
-    pos = {v: i for i, v in enumerate(variables)}
-    supports = _minimal_sets(
-        sum(1 << pos[v] for v in mono_support(m)) for m in J.generators
-    )
     covers = [0]
-    for s in supports:
+    for s in _minimal_sets(supports):
         grown = set()
         for c in covers:
             if c & s:
@@ -151,12 +151,19 @@ def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
                     grown.add(c | bit)
                     bits &= bits - 1
         covers = _minimal_sets(grown)
-    primes = [
-        tuple(variables[i] for i in range(len(variables)) if c >> i & 1)
-        for c in covers
-    ]
-    primes.sort()
-    return tuple(primes)
+    return covers
+
+
+def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
+    """Minimal vertex covers of the generator supports, canonically sorted.
+
+    Non-squarefree input is replaced by its radical first.
+    """
+    if J.is_unit:
+        raise ValueError("unit ideal has no minimal primes")
+    variables, supports = _support_masks(J)
+    covers = _cover_masks(supports)
+    return tuple(sorted(tuple(v for i, v in enumerate(variables) if c >> i & 1) for c in covers))
 
 
 def codim(J: MonomialIdeal) -> int:
@@ -264,9 +271,10 @@ def _count(**work: int) -> None:
 #
 # A family of bitmasks over a point set stands for the downward closure
 # of the given simplices.  Strong collapses (a point whose incident
-# maximal sets all contain some other point may be deleted) and Dowker
-# flips (swap the roles of points and sets) both preserve homotopy
-# type, so reduced homology can be read off a much smaller core.
+# maximal sets all contain some other point may be deleted) preserve
+# homotopy type, so reduced homology is read off a much smaller core.
+# Swapping points and sets preserves it too, but gains nothing there:
+# the transpose of a core is a core, with the two counts swapped.
 
 
 def _maximal_masks(masks: Sequence[int]) -> list[int]:
@@ -277,17 +285,7 @@ def _maximal_masks(masks: Sequence[int]) -> list[int]:
     return out
 
 
-def _flip(masks: Sequence[int], npoints: int) -> tuple[list[int], int]:
-    flipped = [0] * npoints
-    for i, m in enumerate(masks):
-        while m:
-            bit = m & -m
-            flipped[bit.bit_length() - 1] |= 1 << i
-            m ^= bit
-    return _maximal_masks(flipped), len(masks)
-
-
-def _collapse_points(masks: list[int]) -> tuple[list[int], int]:
+def _collapse_points(masks: list[int]) -> list[int]:
     """Strong collapses of a family of distinct maximal masks.
 
     Deletes the first point whose incident masks all contain some other
@@ -361,7 +359,7 @@ def _collapse_points(masks: list[int]) -> tuple[list[int], int]:
             if m >> u & 1:
                 nm |= 1 << k
         out.append(nm)
-    return _maximal_masks(out), len(points)
+    return _maximal_masks(out)
 
 
 def _enumerate_faces(masks: Sequence[int], limit: int) -> dict[int, list[int]]:
@@ -499,7 +497,7 @@ def _homology_from_ranks(by_size: dict[int, list[int]], ranks: dict[int, int]) -
     return out
 
 
-def _homology_of_union(masks: Sequence[int], npoints: int, limit: int) -> dict[int, int]:
+def _homology_of_union(masks: Sequence[int], limit: int) -> dict[int, int]:
     """Reduced rational homology ranks {degree: rank} of a simplex union.
 
     Ranks are taken over GF(2) first.  Rational Betti numbers are at most
@@ -511,16 +509,7 @@ def _homology_of_union(masks: Sequence[int], npoints: int, limit: int) -> dict[i
     if not masks:
         _count(complexes=1)
         return {}
-    for _ in range(12):
-        masks, npoints = _collapse_points(masks)
-        if len(masks) <= 1:
-            break
-        flipped, fpoints = _flip(masks, npoints)
-        flipped, fpoints = _collapse_points(flipped)
-        if len(flipped) < len(masks) or fpoints < npoints:
-            masks, npoints = flipped, fpoints
-        else:
-            break
+    masks = _collapse_points(masks)
     if len(masks) == 1:
         _count(complexes=1)
         return {-1: 1} if masks[0] == 0 else {}
@@ -547,7 +536,7 @@ def reduced_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
         return ()
     pos = {v: i for i, v in enumerate(K.vertices)}
     masks = [sum(1 << pos[v] for v in f) for f in K.facets]
-    hom = _homology_of_union(masks, len(K.vertices), DEFAULT_FACE_LIMIT)
+    hom = _homology_of_union(masks, DEFAULT_FACE_LIMIT)
     top = K.dim
     return tuple(hom.get(d, 0) for d in range(-1, top + 1))
 
@@ -565,16 +554,7 @@ def _squarefree_masks(J: MonomialIdeal) -> tuple[list[Var], list[int]]:
         raise ValueError("unit ideal has no Betti table")
     if not J.is_squarefree:
         raise ValueError("Betti numbers require a squarefree ideal")
-    variables = sorted({v for m in J.generators for v in mono_support(m)})
-    pos = {v: i for i, v in enumerate(variables)}
-    gens = [sum(1 << pos[v] for v in mono_support(m)) for m in J.generators]
-    return variables, gens
-
-
-def _prime_masks(J: MonomialIdeal, variables: list[Var]) -> list[int]:
-    """Minimal primes of J, which generate its Alexander dual, as masks."""
-    pos = {v: i for i, v in enumerate(variables)}
-    return [sum(1 << pos[v] for v in p) for p in minimal_primes(J)]
+    return _support_masks(J)
 
 
 def _lcms(gens: list[int], cap: int) -> set[int] | None:
@@ -647,7 +627,7 @@ def _betti_at(sigma: int, divisors: list[int], max_faces: int) -> dict[int, int]
             m |= at[bit]
             g ^= bit
         masks.append(full ^ m)
-    hom = _homology_of_union(masks, len(at), max_faces)
+    hom = _homology_of_union(masks, max_faces)
     return {d + 2: r for d, r in hom.items()}
 
 
@@ -732,8 +712,8 @@ def reg_quotient(
     the answer is Terai's reg(R/J) = pdim(R/J^v) - 1; on J's side it is
     max{|sigma| - i} over the Betti numbers of R/J.
     """
-    variables, gens = _squarefree_masks(J)
-    primes = _prime_masks(J, variables)
+    _, gens = _squarefree_masks(J)
+    primes = _cover_masks(gens)  # the minimal primes, generating the dual
     dual, lattice = _smaller_lattice(gens, primes, max_lattice)
     if dual:
         # beta_{1,g} = 1 for every generator g, so reg(R/J) >= deg g - 1
@@ -756,8 +736,8 @@ def is_cm_quotient(
     R/J is Cohen-Macaulay exactly when reg(R/J^v) = c - 1 (Eagon-Reiner);
     on J's side, exactly when pdim(R/J) = c.
     """
-    variables, gens = _squarefree_masks(J)
-    primes = _prime_masks(J, variables)
+    _, gens = _squarefree_masks(J)
+    primes = _cover_masks(gens)  # the minimal primes, generating the dual
     heights = {p.bit_count() for p in primes}
     if len(heights) > 1:
         _count(route_gate=1)

@@ -10,7 +10,8 @@ library answers faster by another route, and exists to cross-check it:
 - `reisner_is_cm` recurses over vertex links, against the Betti-table
   test `is_cm_quotient`;
 - `collapse_points_by_rescan` recomputes every incidence after each
-  deletion, against the incremental `_collapse_points`;
+  deletion, against the incremental `_collapse_points`, and `transpose`
+  swaps points and sets to give it families of another shape;
 - `plain_gf2_ranks` reduces every row of every boundary map, against
   the cleared GF(2) ranks of `_boundary_ranks`;
 - `family_rank_key`, `dense_display_sort` and `nested_term_key` spell
@@ -110,7 +111,7 @@ def reisner_is_cm(K: SimplicialComplex) -> bool:
         if key in memo:
             return memo[key]
         dim = max(bin(m).count("1") for m in family) - 1
-        hom = _homology_of_union(list(family), npoints, DEFAULT_FACE_LIMIT)
+        hom = _homology_of_union(list(family), DEFAULT_FACE_LIMIT)
         ok = all(d == dim for d in hom)
         if ok and dim > 0:
             used = 0
@@ -166,6 +167,13 @@ def collapse_points_by_rescan(masks: list[int], npoints: int) -> tuple[list[int]
             return _maximal_masks(out), len(points)
         keep = ~(1 << victim)
         masks = _maximal_masks([m & keep for m in masks])
+
+
+def transpose(masks: list[int], npoints: int) -> tuple[list[int], int]:
+    """The maximal sets of the family with points and sets swapped: set k
+    of the result holds the masks that contain point k."""
+    flipped = [sum(1 << i for i, m in enumerate(masks) if m >> u & 1) for u in range(npoints)]
+    return _maximal_masks(flipped), len(masks)
 
 
 def plain_gf2_ranks(by_size: dict[int, list[int]]) -> dict[int, int]:

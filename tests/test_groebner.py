@@ -306,6 +306,18 @@ class TestBudget:
     def test_default_budget_is_generous(self):
         assert DEFAULT_BUDGET >= 10_000
 
+    def test_membership_and_minimal_generators_meter_their_reductions(self):
+        # neither basis pops a pair or reduces a term; only the reductions
+        # made after it can exceed a budget of 0
+        spent = r"^Groebner basis reduction budget exceeded: [12] units spent against 0 "
+        with pytest.raises(GroebnerBudgetError, match=spent):
+            ideal_contains(Ideal((P("z[1,1]"),), (1, 1)), P("z[1,1]^2"), budget=0)
+        gens = (P("z[1,1] + z[1,2]"), P("z[1,1]^2 + z[1,1]*z[1,2]"))
+        with pytest.raises(GroebnerBudgetError, match=spent):
+            minimal_generators(Ideal(gens, (1, 2)), budget=0)
+        assert ideal_contains(Ideal((P("z[1,1]"),), (1, 1)), P("z[1,1]^2"), budget=1)
+        assert minimal_generators(Ideal(gens, (1, 2)), budget=1) == (P("z[1,1] + z[1,2]"),)
+
 
 class TestMinimalGenerators:
     def test_drops_multiples(self):

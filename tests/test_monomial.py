@@ -20,7 +20,7 @@ from asmschub import monomial as mi
 from asmschub.asm import as_permutation, enumerate_asms, make_partial_asm
 from asmschub.ideal import anti_diag_init
 from asmschub.poly import monomial, mono_support, x_, z_
-from oracles import collapse_points_by_rescan, plain_gf2_ranks, reisner_is_cm
+from oracles import collapse_points_by_rescan, plain_gf2_ranks, reisner_is_cm, transpose
 
 
 def sqfree(*names):
@@ -379,7 +379,7 @@ class TestCertifiedHomology:
             expected = exact_homology(masks)
             spread = len(gf2_homology(masks)) > 1
             before = len(exact_rank_calls)
-            assert mi._homology_of_union(masks, npoints, mi.DEFAULT_FACE_LIMIT) == expected
+            assert mi._homology_of_union(masks, mi.DEFAULT_FACE_LIMIT) == expected
             # the certificate fails exactly when GF(2) homology is spread
             # over two or more degrees, and only then do exact ranks run
             assert (len(exact_rank_calls) > before) == spread
@@ -393,17 +393,38 @@ def maximal_unions(seed: int, count: int = 300):
         yield mi._maximal_masks(masks), npoints
 
 
+def points_used(masks: list[int]) -> int:
+    used = 0
+    for m in masks:
+        used |= m
+    return used.bit_length()
+
+
 class TestKernel:
     def test_collapse_matches_rescan(self):
         shrunk = 0
         for masks, npoints in maximal_unions(7):
-            assert mi._collapse_points(masks) == collapse_points_by_rescan(masks, npoints)
-            # flips feed the collapse families of another shape
-            fmasks, fpoints = mi._flip(masks, npoints)
-            got = mi._collapse_points(fmasks)
-            assert got == collapse_points_by_rescan(fmasks, fpoints)
-            shrunk += got[1] < fpoints
+            want, wpoints = collapse_points_by_rescan(masks, npoints)
+            assert mi._collapse_points(masks) == want
+            assert points_used(want) == wpoints
+            # transposes feed the collapse families of another shape
+            tmasks, tpoints = transpose(masks, npoints)
+            want, wpoints = collapse_points_by_rescan(tmasks, tpoints)
+            assert mi._collapse_points(tmasks) == want
+            assert points_used(want) == wpoints
+            shrunk += wpoints < tpoints
         assert shrunk >= 30
+
+    def test_transposed_core_does_not_collapse(self):
+        # why one collapse is enough: the transpose of a core is a core,
+        # so the transpose never gives a smaller complex
+        for masks, _ in maximal_unions(7):
+            core = mi._collapse_points(masks)
+            tmasks, tpoints = transpose(core, points_used(core))
+            assert (len(tmasks), tpoints) == (points_used(core), len(core))
+            again = mi._collapse_points(tmasks)
+            assert sorted(again) == sorted(tmasks)
+            assert points_used(again) == tpoints
 
     def test_cleared_ranks_match_plain(self):
         cleared = 0
@@ -444,7 +465,10 @@ BULGE = make_partial_asm(
 
 def uses_dual_route(J: mi.MonomialIdeal) -> bool:
     variables, gens = mi._squarefree_masks(J)
-    primes = mi._prime_masks(J, variables)
+    primes = mi._cover_masks(gens)
+    assert sorted(tuple(v for u, v in enumerate(variables) if p >> u & 1) for p in primes) == list(
+        mi.minimal_primes(J)
+    )
     return mi._smaller_lattice(gens, primes, mi.DEFAULT_LATTICE_LIMIT)[0]
 
 
@@ -574,7 +598,7 @@ class TestStats:
         # faces, boundary ranks 3, 3 and 1 from the top down, and the 3 + 3
         # pivots of the two upper maps clear rows of the maps below them
         with mi.collect_stats() as s:
-            hom = mi._homology_of_union([0b1110, 0b1101, 0b1011, 0b0111], 4, 100)
+            hom = mi._homology_of_union([0b1110, 0b1101, 0b1011, 0b0111], 100)
         assert hom == {2: 1}
         assert (s["complexes"], s["faces"], s["gf2_ranks"], s["rows_cleared"], s["exact_fallbacks"]) == (1, 15, 3, 6, 0)
 

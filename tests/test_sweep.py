@@ -1,0 +1,28 @@
+"""Replay a slice of the committed sweep corpora against the library."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from asmschub.asm import as_permutation, enumerate_asms
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("sweep", ROOT / "scripts" / "sweep.py")
+sweep = sys.modules["sweep"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sweep)
+
+
+def test_homology_corpus_replays_every_tenth_item():
+    corpus = json.loads((ROOT / "scripts" / "corpus" / "homology-5.json").read_text())
+    items = corpus["items"]
+    assert corpus["summary"]["items"] == len(items) == 309
+    # every item agrees with its full Betti table
+    assert all(cm_ok and reg_ok for _, _, cm_ok, reg_ok, _, _ in items.values())
+    slice_ = sorted(items)[::10]
+    pool = {sweep.asm_key(A): A for A in enumerate_asms(5) if as_permutation(A) is None}
+    assert set(pool) == set(items)
+    for key in slice_:
+        assert sweep.homology_item(pool[key]) == items[key], key
