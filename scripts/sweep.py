@@ -63,17 +63,21 @@ class Config:
     out: str | None = None
 
 
+def diag_cdg_item(w, variant: str) -> list[int]:
+    """[avoids the CDG patterns, diag_init agrees, CDG leads agree] for one item."""
+    order = diag_order(variant, len(w), len(w))
+    want = initial_ideal(schubert_determinantal_ideal(w), order)
+    leads = _cdg_init(as_partial_asm(w), order)
+    return [int(class_membership(w, "cdg")), int(diag_init(w, variant) == want), int(leads == want)]
+
+
 def diag_cdg(cfg: Config) -> dict:
-    items = {}
     t0 = time.perf_counter()
-    for w in all_permutations(cfg.size):
-        cdg = class_membership(w, "cdg")
-        for variant in DIAG_VARIANTS:
-            order = diag_order(variant, cfg.size, cfg.size)
-            want = initial_ideal(schubert_determinantal_ideal(w), order)
-            leads = _cdg_init(as_partial_asm(w), order)
-            key = "".join(map(str, w.one_line)) + "|" + variant
-            items[key] = [int(cdg), int(diag_init(w, variant) == want), int(leads == want)]
+    items = {
+        "".join(map(str, w.one_line)) + "|" + variant: diag_cdg_item(w, variant)
+        for w in all_permutations(cfg.size)
+        for variant in DIAG_VARIANTS
+    }
     print(f"diag-cdg S_{cfg.size}: {len(items)} items in {time.perf_counter() - t0:.1f}s")
     flags = list(items.values())
     summary = {

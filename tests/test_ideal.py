@@ -318,6 +318,18 @@ class TestCdgShortcut:
                 assert diag_init(w, variant) == want
             assert s["route_cdg"] == 0 and s["pairs"] > 0
 
+    @pytest.mark.parametrize(
+        "entries, counters",
+        [((1, 3, 2, 5, 4), (6, 1, 2, 1, 3, 40)), ((2, 1, 5, 4, 3), (91, 33, 42, 10, 9, 147))],
+    )
+    def test_buchberger_counters_are_pinned(self, entries, counters):
+        names = ("pairs", "pairs_coprime", "pairs_chain", "zero_reductions", "basis_size",
+                 "reduction_units")
+        for variant in DIAG_VARIANTS:
+            with collect_stats() as s:
+                diag_init(Permutation(entries), variant)
+            assert tuple(s[k] for k in names) == counters, variant
+
     def test_greedy_lead_matches_the_expanded_minor(self):
         rng = random.Random(8)
         grid = [z_(i, j) for i in range(1, 6) for j in range(1, 6)]

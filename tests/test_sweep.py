@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from asmschub.asm import as_permutation, enumerate_asms
+from asmschub.perm import Permutation
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("sweep", ROOT / "scripts" / "sweep.py")
@@ -26,3 +27,15 @@ def test_homology_corpus_replays_every_tenth_item():
     assert set(pool) == set(items)
     for key in slice_:
         assert sweep.homology_item(pool[key]) == items[key], key
+
+
+def test_diag_cdg_corpus_replays_every_fortieth_item():
+    corpus = json.loads((ROOT / "scripts" / "corpus" / "diag-cdg-6.json").read_text())
+    items = corpus["items"]
+    assert corpus["summary"]["items"] == len(items) == 2160
+    slice_ = sorted(items)[::40]
+    assert (len(slice_), sum(not items[key][0] for key in slice_)) == (54, 5)
+    for key in slice_:
+        one_line, variant = key.split("|")
+        w = Permutation(tuple(int(c) for c in one_line))
+        assert sweep.diag_cdg_item(w, variant) == items[key], key
