@@ -28,8 +28,8 @@ two agree.  Two families so far:
     python3 scripts/sweep.py --size 6 --out scripts/corpus/diag-cdg-6.json
     python3 scripts/sweep.py --family homology --out scripts/corpus/homology-5.json
 
-``diag-cdg`` at size 6 (2,160 items) took 103 s on a 2-vCPU x86-64
-machine with Python 3.11, nearly all of it in the Buchberger runs.
+``diag-cdg`` at size 6 (2,160 items) took 48 s on a 2-vCPU x86-64 machine
+with Python 3.11, nearly all of it in the Buchberger runs.
 """
 
 from __future__ import annotations

@@ -1,10 +1,16 @@
 """Buchberger engine over exact rationals.
 
-Small and deliberate: normal pair selection with the coprimality and
-chain criteria, full tail reduction to the unique reduced basis, and a
-hard work budget so a runaway computation fails loudly instead of
+Small and deliberate: S-pairs are taken by the total degree of their
+lcm, then by the term order, smallest first; the coprimality and chain
+criteria prune them; tail reduction gives the unique reduced basis; and
+a hard work budget makes a runaway computation fail loudly instead of
 hanging.  Built for determinantal ideals on modest grids, not for
 general-purpose computation.
+
+Inside the engine a basis is a list of monic entries ``(lead, g)``: g
+has lead coefficient 1 and ``lead`` is its lead monomial, computed once
+by `_monic` when g enters the basis.  `_monic` is the only reader of a
+lead coefficient.
 
 The budget bounds both the S-pairs a computation pops and its reduction
 work.  A reduction step costs one unit per term of the reducer, times
@@ -25,18 +31,20 @@ from .poly import (
     Polynomial,
     TermOrder,
     antidiagonal_order,
-    lead_coefficient,
     lead_monomial,
     mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
+    term,
     z_,
 )
 
 DEFAULT_BUDGET = 200_000
 WORK_PER_PAIR = 50
+
+Entry = tuple[Monomial, Polynomial]  # (lead monomial, monic polynomial)
 
 
 class GroebnerBudgetError(RuntimeError):
@@ -97,14 +105,13 @@ class Ideal:
 
 def normal_form(
     f: Polynomial,
-    basis: list[Polynomial] | tuple[Polynomial, ...],
+    basis: list[Entry],
     order: TermOrder,
-    meter: _Meter | None = None,
+    meter: _Meter,
 ) -> Polynomial:
-    """Fully reduce f modulo the basis: no term of the result is
-    divisible by any basis lead term.  A meter, when given, is charged
-    for every reduction step."""
-    leads = [(lead_monomial(g, order), lead_coefficient(g, order), g) for g in basis]
+    """Fully reduce f modulo monic entries ``(lead, g)``: no term of the
+    result is divisible by any lead.  The meter is charged for every
+    reduction step."""
     coeffs: dict[Monomial, Fraction] = dict(f.terms)
     heap = [(tuple(-a for a in order.key(m)), m) for m in coeffs]
     heapq.heapify(heap)
@@ -114,41 +121,38 @@ def normal_form(
         c = coeffs.pop(m, None)
         if not c:
             continue
-        hit = next((lg for lg in leads if mono_divides(lg[0], m)), None)
+        hit = next((e for e in basis if mono_divides(e[0], m)), None)
         if hit is None:
             out[m] = c
             continue
-        lead, lc, g = hit
+        lead, g = hit
         quot = mono_div(m, lead)
-        factor = c / lc
-        if meter is not None:
-            meter.reduce(len(g.terms), factor)
+        meter.reduce(len(g.terms), c)
         for gm, gc in g.terms:
             if gm == lead:
                 continue
             mm = mono_mul(gm, quot)
             prev = coeffs.get(mm)
             if prev is None:
-                coeffs[mm] = -factor * gc
+                coeffs[mm] = -c * gc
                 heapq.heappush(heap, (tuple(-a for a in order.key(mm)), mm))
             else:
-                coeffs[mm] = prev - factor * gc
+                coeffs[mm] = prev - c * gc
     return Polynomial.from_dict(out)
 
 
-def _monic(f: Polynomial, order: TermOrder) -> Polynomial:
-    lc = lead_coefficient(f, order)
-    if lc == 1:
-        return f
-    return Polynomial.from_dict({m: c / lc for m, c in f.terms})
+def _monic(f: Polynomial, order: TermOrder) -> Entry:
+    """The entry ``(lead, f / lc)`` of a nonzero f."""
+    lead, lc = max(f.terms, key=lambda t: order.key(t[0]))
+    if lc != 1:
+        f = Polynomial.from_dict({m: c / lc for m, c in f.terms})
+    return lead, f
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    lf, lg = lead_monomial(f, order), lead_monomial(g, order)
+def _spoly(e: Entry, h: Entry) -> Polynomial:
+    (lf, f), (lg, g) = e, h
     lcm = mono_lcm(lf, lg)
-    a = Polynomial.from_dict({mono_div(lcm, lf): Fraction(1) / lead_coefficient(f, order)})
-    b = Polynomial.from_dict({mono_div(lcm, lg): Fraction(1) / lead_coefficient(g, order)})
-    return a * f - b * g
+    return term(1, mono_div(lcm, lf)) * f - term(1, mono_div(lcm, lg)) * g
 
 
 def buchberger(
@@ -164,17 +168,12 @@ def buchberger(
         gens = I.generators
     else:
         gens = tuple(I)
-    G: list[Polynomial] = []
-    for g in gens:
-        if not g.is_zero:
-            G.append(_monic(g, order))
-    G = list(dict.fromkeys(G))
-    leads = [lead_monomial(g, order) for g in G]
+    G = list(dict.fromkeys(_monic(g, order) for g in gens if not g.is_zero))
     pending: set[tuple[int, int]] = set()
     heap: list = []
 
     def push_pair(i: int, j: int):
-        lcm = mono_lcm(leads[i], leads[j])
+        lcm = mono_lcm(G[i][0], G[j][0])
         pending.add((i, j))
         heapq.heappush(heap, (mono_degree(lcm), order.key(lcm), i, j))
 
@@ -186,51 +185,47 @@ def buchberger(
     coprime = chain = zeros = 0
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
+        pending.remove((i, j))
         meter.pair(len(G))
-        lcm = mono_lcm(leads[i], leads[j])
-        if lcm == mono_mul(leads[i], leads[j]):
+        li, lj = G[i][0], G[j][0]
+        lcm = mono_lcm(li, lj)
+        if lcm == mono_mul(li, lj):
             coprime += 1
             continue
         if any(
             k != i
             and k != j
-            and mono_divides(leads[k], lcm)
+            and mono_divides(G[k][0], lcm)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k in range(len(G))
         ):
             chain += 1
             continue
-        r = normal_form(_spoly(G[i], G[j], order), G, order, meter)
+        r = normal_form(_spoly(G[i], G[j]), G, order, meter)
         zeros += r.is_zero
         if not r.is_zero:
             G.append(_monic(r, order))
-            leads.append(lead_monomial(G[-1], order))
-            t = len(G) - 1
-            for k in range(t):
-                push_pair(k, t)
+            for k in range(len(G) - 1):
+                push_pair(k, len(G) - 1)
 
     # minimalize: drop members whose lead is divisible by another lead
-    keep = []
-    for idx, lm in enumerate(leads):
+    minimal = [
+        (lead, g)
+        for idx, (lead, g) in enumerate(G)
         if not any(
-            other != idx
-            and mono_divides(leads[other], lm)
-            and (leads[other] != lm or other < idx)
-            for other in range(len(G))
-        ):
-            keep.append(idx)
-    minimal = [G[idx] for idx in keep]
-    # tail-reduce each member against the others
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(_monic(normal_form(g, others, order, meter), order))
-    reduced.sort(key=lambda g: order.key(lead_monomial(g, order)))
-    result = tuple(reduced)
+            k != idx and mono_divides(other, lead) and (other != lead or k < idx)
+            for k, (other, _) in enumerate(G)
+        )
+    ]
+    # tail-reduce each member against the others; no other lead divides
+    # its lead, so the lead and its coefficient 1 stay
+    reduced = [
+        (lead, normal_form(g, minimal[:idx] + minimal[idx + 1 :], order, meter))
+        for idx, (lead, g) in enumerate(minimal)
+    ]
+    reduced.sort(key=lambda e: order.key(e[0]))
+    result = tuple(g for _, g in reduced)
     _count(pairs=meter.pairs, pairs_coprime=coprime, pairs_chain=chain, zero_reductions=zeros,
            basis_size=len(result), reduction_units=meter.work)
     if isinstance(I, Ideal):
@@ -267,7 +262,8 @@ def ideal_contains(
 ) -> bool:
     """Is f in I?  The reduction of f is charged to a budget of its own."""
     order = canonical_order(I.ambient)
-    return normal_form(f, buchberger(I, order, budget), order, _Meter(budget)).is_zero
+    basis = [_monic(g, order) for g in buchberger(I, order, budget)]
+    return normal_form(f, basis, order, _Meter(budget)).is_zero
 
 
 _T = ("t", 0)
@@ -311,8 +307,8 @@ def minimal_generators(
         key=lambda f: (f.degree(), order.key(lead_monomial(f, order))),
     ):
         if chosen:
-            basis = buchberger(chosen, order, budget)
+            basis = [_monic(b, order) for b in buchberger(chosen, order, budget)]
             g = normal_form(g, basis, order, meter)
         if not g.is_zero:
-            chosen.append(_monic(g, order))
+            chosen.append(_monic(g, order)[1])
     return tuple(chosen)

@@ -49,6 +49,7 @@ from .poly import (
     mono_divides,
     mono_lcm,
     mono_support,
+    mono_to_text,
     poly_from_text,
     var_to_text,
 )
@@ -747,12 +748,6 @@ def is_cm_quotient(
     if dual:
         return _reg(primes, lattice, max_faces) == c - 1
     return _pdim(gens, c, lattice, max_faces) == c
-
-
-def mono_to_text(m: Monomial) -> str:
-    if not m:
-        return "1"
-    return "*".join(var_to_text(v) + (f"^{e}" if e > 1 else "") for v, e in m)
 
 
 def monomial_ideal_to_json(J: MonomialIdeal) -> list[str]:

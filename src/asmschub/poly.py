@@ -264,21 +264,10 @@ def antidiagonal_order(m: int, n: int) -> TermOrder:
     return lex_order(priority)
 
 
-def lead_term(f: Polynomial, order: TermOrder) -> Polynomial:
-    m, c = max(f.terms, key=lambda it: order.key(it[0])) if f.terms else (None, None)
-    if m is None:
-        raise ValueError("zero polynomial has no lead term")
-    return Polynomial(((m, c),))
-
-
 def lead_monomial(f: Polynomial, order: TermOrder) -> Monomial:
     if f.is_zero:
         raise ValueError("zero polynomial has no lead term")
     return max((m for m, _ in f.terms), key=order.key)
-
-
-def lead_coefficient(f: Polynomial, order: TermOrder) -> Fraction:
-    return f.coefficient(lead_monomial(f, order))
 
 
 def generic_minor(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
@@ -353,23 +342,23 @@ def isobaric_divided_difference(f: Polynomial, i: int) -> Polynomial:
     return divided_difference(f - variable(x_(i + 1)) * f, i)
 
 
+def mono_to_text(m: Monomial) -> str:
+    if not m:
+        return "1"
+    return "*".join(var_to_text(v) + (f"^{e}" if e > 1 else "") for v, e in m)
+
+
 def poly_to_text(f: Polynomial) -> str:
     if f.is_zero:
         return "0"
     chunks = []
     for k, (m, c) in enumerate(f.terms):
-        neg = c < 0
-        mag = -c if neg else c
-        parts = []
-        if mag != 1 or not m:
-            parts.append(str(mag))
-        for v, e in m:
-            parts.append(var_to_text(v) + (f"^{e}" if e > 1 else ""))
-        body = "*".join(parts)
+        mag = abs(c)
+        body = mono_to_text(m) if mag == 1 else str(mag) + (f"*{mono_to_text(m)}" if m else "")
         if k == 0:
-            chunks.append(("-" if neg else "") + body)
+            chunks.append(("-" if c < 0 else "") + body)
         else:
-            chunks.append(("- " if neg else "+ ") + body)
+            chunks.append(("- " if c < 0 else "+ ") + body)
     return " ".join(chunks)
 
 

@@ -19,7 +19,7 @@ from asmschub.poly import (
     divided_difference,
     generic_minor,
     isobaric_divided_difference,
-    lead_term,
+    lead_monomial,
     lex_order,
     monomial,
     poly_from_json,
@@ -110,25 +110,30 @@ class TestArithmetic:
 class TestOrdersAndLead:
     def test_lead_constant(self):
         order = lex_order([x_(1)])
-        assert lead_term(constant(5), order) == constant(5)
+        f = constant(5)
+        assert lead_monomial(f, order) == ()
+        assert f.coefficient(()) == 5
 
     def test_lead_lex(self):
         order = lex_order([x_(1), x_(2)])
         f = variable(x_(1)) + variable(x_(2))
-        assert lead_term(f, order) == variable(x_(1))
+        lead = lead_monomial(f, order)
+        assert lead == monomial([(x_(1), 1)])
+        assert f.coefficient(lead) == 1
 
     def test_lead_of_minor_antidiagonal(self):
         f = generic_minor([1, 2], [1, 2])
-        lt = lead_term(f, antidiagonal_order(2, 2))
-        assert lt == -term(1, [(z_(1, 2), 1), (z_(2, 1), 1)])
+        lead = lead_monomial(f, antidiagonal_order(2, 2))
+        assert lead == monomial([(z_(1, 2), 1), (z_(2, 1), 1)])
+        assert f.coefficient(lead) == -1
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="zero polynomial"):
-            lead_term(ZERO, lex_order([x_(1)]))
+            lead_monomial(ZERO, lex_order([x_(1)]))
 
     def test_uncovered_variable_rejected(self):
         with pytest.raises(ValueError, match="not covered"):
-            lead_term(variable(y_(1)), lex_order([x_(1)]))
+            lead_monomial(variable(y_(1)), lex_order([x_(1)]))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown order"):
