@@ -31,7 +31,7 @@ from .groebner import (
     intersect_ideals,
 )
 from .ideal import Schubertable, anti_diag_init, as_partial_asm, schubert_determinantal_ideal
-from .monomial import MonomialIdeal, is_cm_quotient, minimal_primes
+from .monomial import MonomialIdeal, is_cm_quotient, minimal_primes, vertex_decomposition_h
 from .perm import Permutation, bruhat_leq, demazure_product, pad
 
 Decomposable = MonomialIdeal | Ideal | Schubertable
@@ -141,15 +141,15 @@ def schubert_intersect(factors, budget: int = DEFAULT_BUDGET) -> Ideal:
 def is_schubert_cm(A: Schubertable, **guards) -> bool:
     """Cohen-Macaulayness of the rank-condition quotient.
 
-    Permutation matrices short-circuit to True; everything else checks
-    pdim == codim on the squarefree antidiagonal degeneration, which
-    `is_cm_quotient` first gates on unmixedness: minimal primes of more
-    than one height give False before any homology.  It then walks the
-    smaller of the two lcm lattices, of the degeneration or of its
-    Alexander dual: pdim and reg swap under Alexander duality, so the
-    dual side asks whether reg(R/J^v) = codim - 1 (Eagon-Reiner).
+    Permutation matrices short-circuit to True.  Else the certificate
+    route tries a vertex decomposition of the Stanley-Reisner complex of
+    the antidiagonal degeneration J (Provan-Billera: then R/J is CM;
+    Knutson-Miller: subword complexes have one).  Without one,
+    `is_cm_quotient` gates on unmixedness and walks the smaller lcm
+    lattice, of J or of its Alexander dual (Eagon-Reiner).
     """
     M = as_partial_asm(A)
     if as_permutation(M) is not None:
         return True
-    return is_cm_quotient(anti_diag_init(M), **guards)
+    J = anti_diag_init(M)
+    return vertex_decomposition_h(J) is not None or is_cm_quotient(J, **guards)

@@ -48,13 +48,14 @@ def asm_diagram(A: Schubertable) -> tuple[tuple[int, int], ...]:
     """Cells whose row and column prefix sums both vanish, row-major."""
     A = as_partial_asm(A)
     cells = []
-    for i in range(1, A.nrows + 1):
+    col_sums = [0] * A.ncols
+    for i, row in enumerate(A.rows, start=1):
         row_sum = 0
-        for j in range(1, A.ncols + 1):
-            row_sum += A(i, j)
-            col_sum = sum(A(k, j) for k in range(1, i + 1))
-            if row_sum == 0 and col_sum == 0:
-                cells.append((i, j))
+        for j, a in enumerate(row):
+            row_sum += a
+            col_sums[j] += a
+            if row_sum == col_sums[j] == 0:
+                cells.append((i, j + 1))
     return tuple(cells)
 
 

@@ -32,6 +32,10 @@ with clearing (the "twist" of Chen and Kerber, 2011): the row of a face
 that was a pivot one size up reduces to zero, so it is skipped.
 Homology spread over two or more degrees is recomputed with exact
 integer elimination.  `collect_stats` counts this work.
+
+The Schubert calls first try a certificate: a vertex decomposition makes
+R/J Cohen-Macaulay (Provan and Billera, 1980) and yields the h-vector,
+whose degree is reg(R/J).  Subword complexes have one (Knutson-Miller).
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .poly import (
     Monomial,
     Var,
     mono_degree,
-    mono_divides,
     mono_lcm,
     mono_support,
     mono_to_text,
@@ -62,7 +65,8 @@ def _minimalize(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
     # a proper divisor of m has lower degree, so one is kept before m is seen
     kept: list[Monomial] = []
     for m in sorted(set(monos), key=mono_degree):
-        if not any(mono_divides(k, m) for k in kept):
+        exps = dict(m)
+        if not any(all(exps.get(v, 0) >= e for v, e in k) for k in kept):
             kept.append(m)
     return tuple(sorted(kept))
 
@@ -119,7 +123,7 @@ def intersect_monomial_ideals(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIde
 
 def _minimal_sets(masks: Iterable[int]) -> list[int]:
     out: list[int] = []
-    for m in sorted(set(masks), key=lambda x: bin(x).count("1")):
+    for m in sorted(set(masks), key=int.bit_count):
         if not any(m & o == o for o in out):
             out.append(m)
     return out
@@ -221,6 +225,7 @@ STAT_NAMES = (
     "gf2_ranks",
     "rows_cleared",
     "exact_fallbacks",
+    "route_vd", "vd_nodes", "vd_handovers",
     "route_cdg",
     "pairs", "pairs_coprime", "pairs_chain",
     "zero_reductions", "basis_size", "reduction_units",
@@ -240,6 +245,9 @@ class collect_stats:
     `faces` the faces built after collapses.  `gf2_ranks` counts boundary
     maps reduced over GF(2), `rows_cleared` the rows clearing skipped and
     `exact_fallbacks` the complexes recomputed by integer elimination.
+    `route_vd` counts answers certified by a vertex decomposition
+    (Provan-Billera; Knutson-Miller), `vd_nodes` the complexes searched
+    and `vd_handovers` the unmixed ideals left to the walk.
 
     `route_cdg` counts diagonal initial ideals read off CDG generators.
     Each Buchberger run adds the S-pairs it popped, those pruned as
@@ -583,13 +591,6 @@ def _walk(lcms: set[int], dual: bool) -> list[int]:
     return sorted(lcms - {0})
 
 
-def _lcm_lattice(gens: list[int], max_lattice: int) -> list[int]:
-    lcms = _lcms(gens, max_lattice)
-    if lcms is None:
-        raise _lattice_guard(max_lattice)
-    return _walk(lcms, False)
-
-
 def _smaller_lattice(gens: list[int], primes: list[int], max_lattice: int) -> tuple[bool, list[int]]:
     """Whether the Alexander dual has the smaller lcm lattice (a tie goes
     to J), and that lattice.
@@ -647,7 +648,10 @@ def betti_numbers(
     """
     variables, gens = _squarefree_masks(J)
     betti = {(0, ()): 1}
-    for sigma in _lcm_lattice(gens, max_lattice):
+    lcms = _lcms(gens, max_lattice)
+    if lcms is None:
+        raise _lattice_guard(max_lattice)
+    for sigma in _walk(lcms, False):
         verts = tuple(v for u, v in enumerate(variables) if sigma >> u & 1)
         for i, r in _betti_at(sigma, _divisors(sigma, gens), max_faces).items():
             betti[(i, verts)] = r
@@ -748,6 +752,49 @@ def is_cm_quotient(
     if dual:
         return _reg(primes, lattice, max_faces) == c - 1
     return _pdim(gens, c, lattice, max_faces) == c
+
+
+VD_NODE_LIMIT = 10_000
+
+
+def _vd_h(facets: frozenset[int], memo: dict) -> tuple[int, ...] | None:
+    """h-vector of a vertex decomposition of the pure complex on the facet
+    masks, or None.  A shedding vertex v, tried highest first and never a
+    cone point, has each F - v in a facet without v; then h = h_del +
+    t * h_link, for its deletion {F : v not in F} and link {F - v : v in F}
+    decomposed in turn.  Past VD_NODE_LIMIT complexes in `memo` none is opened."""
+    if len(facets) == 1:
+        return (1,)
+    if facets in memo or len(memo) >= VD_NODE_LIMIT:
+        return memo.get(facets)
+    memo[facets] = None
+    for u in reversed(range(max(facets).bit_length())):
+        link = frozenset(F ^ 1 << u for F in facets if F >> u & 1)
+        rest = frozenset(F for F in facets if not F >> u & 1)
+        if link and rest and all(any(G & ~H == 0 for H in rest) for G in link):
+            h_link = _vd_h(link, memo)
+            h_del = h_link and _vd_h(rest, memo)
+            if h_del:
+                pairs = itertools.zip_longest(h_del, (0, *h_link), fillvalue=0)
+                memo[facets] = tuple(a + b for a, b in pairs)
+                break
+    return memo[facets]
+
+
+def vertex_decomposition_h(J: MonomialIdeal) -> tuple[int, ...] | None:
+    """h-vector (h_0, ..., h_s) of the quotient by a squarefree J when a
+    vertex decomposition of its Stanley-Reisner complex certifies R/J
+    Cohen-Macaulay (Provan and Billera, 1980); then reg(R/J) = s (Bruns
+    and Herzog, ch. 4).  Else None, counted as a hand-over if J is unmixed.
+    """
+    variables, gens = _squarefree_masks(J)
+    primes = _cover_masks(gens)
+    if len({p.bit_count() for p in primes}) > 1:
+        return None
+    memo: dict = {}
+    h = _vd_h(frozenset(((1 << len(variables)) - 1) ^ p for p in primes), memo)
+    _count(route_vd=h is not None, vd_nodes=len(memo), vd_handovers=h is None)
+    return h
 
 
 def monomial_ideal_to_json(J: MonomialIdeal) -> list[str]:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .asm import as_permutation
 from .ideal import Schubertable, anti_diag_init, as_partial_asm
-from .monomial import reg_quotient
+from .monomial import reg_quotient, vertex_decomposition_h
 from .perm import (
     Permutation,
     coxeter_length,
@@ -152,14 +152,16 @@ def schubert_regularity(A: Schubertable, **guards) -> int:
     """Regularity of the rank-condition quotient.
 
     Permutations (and permutation matrices) go through the Rajchgot
-    index.  Every other partial ASM goes through `reg_quotient` on the
-    squarefree antidiagonal degeneration J, which walks the smaller lcm
-    lattice.  pdim and reg swap under Alexander duality, so on the dual
-    J^v it is Terai's pdim(R/J^v) - 1, and on J's side max{|sigma| - i}
-    over the Betti numbers of R/J.
+    index.  Else, when a vertex decomposition certifies the antidiagonal
+    degeneration J Cohen-Macaulay (Provan-Billera; Knutson-Miller), reg
+    is the degree of its h-polynomial.  Otherwise `reg_quotient` walks
+    the smaller lcm lattice: Terai's pdim(R/J^v) - 1 on the dual J^v,
+    max{|sigma| - i} over the Betti numbers of R/J on J's side.
     """
     M = as_partial_asm(A)
     w = as_permutation(M)
     if w is not None:
         return raj_index(w) - coxeter_length(w)
-    return reg_quotient(anti_diag_init(M), **guards)
+    J = anti_diag_init(M)
+    h = vertex_decomposition_h(J)
+    return len(h) - 1 if h else reg_quotient(J, **guards)

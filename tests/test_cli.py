@@ -267,8 +267,12 @@ class TestExitCodes:
         ],
     )
     def test_guard_overrides(self, verb, flag, message):
-        rc, out, err = run(verb + ["0 1 0 0;1 -1 0 1;0 0 1 0;0 1 0 0"] + flag)
+        # unmixed, not Cohen-Macaulay and so without a vertex decomposition: it walks
+        A = "0 0 0 1 0 0;0 0 0 0 1 0;1 0 0 -1 0 1;0 0 1 0 0 0;0 0 0 1 0 0;0 1 0 0 0 0"
+        rc, out, err = run(verb + [A] + flag)
         assert rc == 1 and out == "" and err == message + "\n"
+        # this 4x4 has a vertex decomposition (h = 1, 3, 1), so no lattice is walked
+        assert run(verb + ["0 1 0 0;1 -1 0 1;0 0 1 0;0 1 0 0", "--max-lattice", "1"])[0] == 0
         # SPLIT is answered with no homology computed, so the face guard cannot trip
         assert run(verb + [SPLIT, "--max-faces", "1"])[0] == 0
 
