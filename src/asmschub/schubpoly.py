@@ -164,4 +164,4 @@ def schubert_regularity(A: Schubertable, **guards) -> int:
         return raj_index(w) - coxeter_length(w)
     J = anti_diag_init(M)
     h = vertex_decomposition_h(J)
-    return len(h) - 1 if h else reg_quotient(J, **guards)
+    return len(h) - 1 if h is not None else reg_quotient(J, **guards)

@@ -790,10 +790,10 @@ class TestVertexDecomposition:
         for A in items:
             J = anti_diag_init(A)
             h = mi.vertex_decomposition_h(J)
-            primes = mi.minimal_primes(J)
             if h is None:
                 continue
             certified += 1
+            primes = mi.minimal_primes(J)
             assert len({len(p) for p in primes}) == 1, A
             assert min(h) >= 0 and sum(h) == len(primes), A
             assert mi.is_cm_quotient(J) and len(h) - 1 == mi.reg_quotient(J), A
