@@ -50,7 +50,6 @@ from .poly import (
     Monomial,
     Var,
     mono_degree,
-    mono_lcm,
     mono_support,
     mono_to_text,
     poly_from_text,
@@ -105,20 +104,6 @@ def monomial_ideal(
             names = ", ".join(sorted(var_to_text(v) for v in missing))
             raise ValueError(f"generators use variables outside the ambient set: {names}")
     return MonomialIdeal(gens, ambient)
-
-
-def radical(J: MonomialIdeal) -> MonomialIdeal:
-    return monomial_ideal(
-        (tuple((v, 1) for v in mono_support(m)) for m in J.generators),
-        J.variables,
-    )
-
-
-def intersect_monomial_ideals(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    ambient = set(I.variables) | set(J.variables)
-    return monomial_ideal(
-        (mono_lcm(f, g) for f in I.generators for g in J.generators), ambient
-    )
 
 
 def _minimal_sets(masks: Iterable[int]) -> list[int]:

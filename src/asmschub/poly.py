@@ -9,14 +9,22 @@ its terms in a canonical descending order (degree first, then
 reverse-lex in tuple order), which makes rendering and structural
 equality deterministic.  Term orders for Groebner work are separate
 values so the same polynomial can be read under several orders.
+
+Stored coefficients are always `Fraction`s; products and divided
+differences sum those with denominator 1 as plain `int`s and convert
+once, on storing.  A product monomial is one merge of two sorted pair
+tuples.  As x_i and x_{i+1} are adjacent in variable order, a divided
+difference splices each new x_i, x_{i+1} pair into the input monomial
+between its pairs before x_i and after x_{i+1}, with no sort.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 Var = tuple
@@ -53,11 +61,26 @@ MONE: Monomial = ()
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return monomial(itertools.chain(a, b))
+    """Product of two monomials by one merge of their sorted pairs."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (va, ea), (vb, eb) = a[i], b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def mono_degree(a: Monomial) -> int:
-    return sum(e for _, e in a)
+    return sum(map(itemgetter(1), a))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -99,6 +122,17 @@ def _display_sort(terms: Iterable[tuple[Monomial, Fraction]]):
     return tuple(sorted(terms, key=lambda it: (-mono_degree(it[0]), it[0][::-1])))
 
 
+def _plain(c: Fraction) -> int | Fraction:
+    """c as an int when its denominator is 1: int sums skip Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _collect(acc: Mapping[Monomial, int | Fraction]) -> "Polynomial":
+    """The polynomial of the nonzero coefficients, stored as Fractions."""
+    pairs = ((m, c if type(c) is Fraction else Fraction(c)) for m, c in acc.items() if c)
+    return Polynomial(_display_sort(pairs))
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Immutable polynomial with exact rational coefficients.
@@ -112,12 +146,7 @@ class Polynomial:
 
     @staticmethod
     def from_dict(d: Mapping[Monomial, Fraction | int]) -> "Polynomial":
-        cleaned = {}
-        for m, c in d.items():
-            c = Fraction(c)
-            if c:
-                cleaned[m] = c
-        return Polynomial(_display_sort(cleaned.items()))
+        return _collect(d)
 
     @property
     def is_zero(self) -> bool:
@@ -139,15 +168,10 @@ class Polynomial:
         return {v for m, _ in self.terms for v, _ in m}
 
     def __add__(self, other) -> "Polynomial":
-        other = as_polynomial(other)
         acc = dict(self.terms)
-        for m, c in other.terms:
-            s = acc.get(m, Fraction(0)) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return Polynomial(_display_sort(acc.items()))
+        for m, c in as_polynomial(other).terms:
+            acc[m] = acc.get(m, 0) + c
+        return _collect(acc)
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
@@ -162,17 +186,15 @@ class Polynomial:
         return as_polynomial(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        other = as_polynomial(other)
-        acc: dict[Monomial, Fraction] = {}
+        right = [(m, _plain(c)) for m, c in as_polynomial(other).terms]
+        acc: dict[Monomial, int | Fraction] = {}
+        get = acc.get
         for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
+            c1 = _plain(c1)
+            for m2, c2 in right:
                 m = mono_mul(m1, m2)
-                s = acc.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-        return Polynomial(_display_sort(acc.items()))
+                acc[m] = get(m, 0) + c1 * c2
+        return _collect(acc)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -297,49 +319,59 @@ def generic_minor(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
     return expand(tuple(rows), tuple(cols))
 
 
-def map_variables(f: Polynomial, mapping: Mapping[Var, Var]) -> Polynomial:
-    acc: dict[Monomial, Fraction] = {}
+def _difference(f: Polynomial, i: int, shifts) -> Polynomial:
+    """Sum over (k, sign) in shifts of sign * partial_i(x_{i+1}^k f).
+
+    One bisection splits each monomial into (head, x_i^a, x_{i+1}^b,
+    tail).  partial_i(x_i^a x_{i+1}^b) is the sum of x_i^p
+    x_{i+1}^(a+b-1-p) over min(a, b) <= p < max(a, b), negated when
+    a < b, and each of its monomials is spliced between head and tail.
+    """
+    if i < 1:
+        raise ValueError("index must be positive")
+    u, v = x_(i), x_(i + 1)
+    acc: dict[Monomial, int | Fraction] = {}
+    get = acc.get
     for m, c in f.terms:
-        nm = monomial((mapping.get(v, v), e) for v, e in m)
-        acc[nm] = acc.get(nm, Fraction(0)) + c
-    return Polynomial.from_dict(acc)
+        k = bisect_left(m, (u,))
+        a = m[k][1] if k < len(m) and m[k][0] == u else 0
+        j = k + (a > 0)
+        b = m[j][1] if j < len(m) and m[j][0] == v else 0
+        head, tail = m[:k], m[j + (b > 0) :]
+        c = _plain(c)
+        for shift, sign in shifts:
+            bk = b + shift
+            if a == bk:
+                continue
+            lo, hi, s = (bk, a, sign * c) if a > bk else (a, bk, -sign * c)
+            for p in range(lo, hi):
+                q = a + bk - 1 - p
+                mid = ((u, p),) if p else ()
+                nm = head + (mid + ((v, q),) if q else mid) + tail
+                acc[nm] = get(nm, 0) + s
+    return _collect(acc)
 
 
 def divided_difference(f: Polynomial, i: int) -> Polynomial:
     """Newton divided difference (f - swap_i f) / (x_i - x_{i+1}).
 
-    Computed term by term via the telescoping identity, so no division
-    ever happens and exactness is automatic.
+    Computed term by term with no division: each output monomial is
+    spliced around the new x_i and x_{i+1} exponents and integer
+    coefficients are summed as ints (see `_difference`).
 
     >>> poly_to_text(divided_difference(variable(x_(1)) ** 2, 1))
     'x[1] + x[2]'
     """
-    if i < 1:
-        raise ValueError("index must be positive")
-    u, v = x_(i), x_(i + 1)
-    acc: dict[Monomial, Fraction] = {}
-    for m, c in f.terms:
-        d = dict(m)
-        a = d.pop(u, 0)
-        b = d.pop(v, 0)
-        if a == b:
-            continue
-        rest = tuple(sorted(d.items()))
-        sign = 1 if a > b else -1
-        for p in range(min(a, b), max(a, b)):
-            q = a + b - 1 - p
-            nm = mono_mul(rest, monomial([(u, p), (v, q)]))
-            s = acc.get(nm, Fraction(0)) + sign * c
-            if s:
-                acc[nm] = s
-            else:
-                del acc[nm]
-    return Polynomial(_display_sort(acc.items()))
+    return _difference(f, i, ((0, 1),))
 
 
 def isobaric_divided_difference(f: Polynomial, i: int) -> Polynomial:
-    """Demazure operator f -> partial_i(f - x_{i+1} f)."""
-    return divided_difference(f - variable(x_(i + 1)) * f, i)
+    """Demazure operator f -> partial_i(f - x_{i+1} f).
+
+    One pass of the same kernel: each term contributes partial_i of
+    itself and minus partial_i of itself times x_{i+1}.
+    """
+    return _difference(f, i, ((0, 1), (1, -1)))
 
 
 def mono_to_text(m: Monomial) -> str:

@@ -17,9 +17,16 @@ library answers faster by another route, and exists to cross-check it:
 - `family_rank_key`, `dense_display_sort` and `nested_term_key` spell
   out the variable, term and term-order comparisons that plain tuple
   order now gives the library;
-- `substitute` and `swap_variables` evaluate a polynomial term by term,
-  against the divided differences and the y-free parts of double
-  Schubert polynomials.
+- `substitute`, `map_variables` and `swap_variables` evaluate a
+  polynomial term by term, against the divided differences and the
+  y-free parts of double Schubert polynomials;
+- `radical` and `intersect_monomial_ideals` build those monomial
+  ideals from generators, which the library never needs:
+  `minimal_primes` reads the radical off support masks, and ideals are
+  intersected through Groebner bases by `intersect_ideals`;
+- `sorted_product` multiplies term by term through `monomial`'s
+  sort-and-merge, against the merging `mono_mul` and the integer sums
+  of `Polynomial.__mul__`.
 """
 
 from __future__ import annotations
@@ -32,9 +39,11 @@ from asmschub.groebner import Ideal
 from asmschub.ideal import EssentialBox, Schubertable, _minor_indices, as_partial_asm
 from asmschub.monomial import (
     DEFAULT_FACE_LIMIT,
+    MonomialIdeal,
     SimplicialComplex,
     _homology_of_union,
     _maximal_masks,
+    monomial_ideal,
 )
 from asmschub.perm import Permutation, all_permutations, bruhat_leq
 from asmschub.poly import (
@@ -45,8 +54,10 @@ from asmschub.poly import (
     Var,
     constant,
     generic_minor,
-    map_variables,
+    monomial,
     mono_degree,
+    mono_lcm,
+    mono_support,
     term,
     x_,
 )
@@ -131,6 +142,20 @@ def reisner_is_cm(K: SimplicialComplex) -> bool:
     if not masks:
         return True
     return check(tuple(masks), len(K.vertices))
+
+
+def radical(J: MonomialIdeal) -> MonomialIdeal:
+    return monomial_ideal(
+        (tuple((v, 1) for v in mono_support(m)) for m in J.generators),
+        J.variables,
+    )
+
+
+def intersect_monomial_ideals(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    ambient = set(I.variables) | set(J.variables)
+    return monomial_ideal(
+        (mono_lcm(f, g) for f in I.generators for g in J.generators), ambient
+    )
 
 
 def collapse_points_by_rescan(masks: list[int], npoints: int) -> tuple[list[int], int]:
@@ -254,6 +279,27 @@ def substitute(f: Polynomial, values: Mapping[Var, Polynomial]) -> Polynomial:
     return out
 
 
+def map_variables(f: Polynomial, mapping: Mapping[Var, Var]) -> Polynomial:
+    """f with each variable v renamed to mapping.get(v, v); terms that
+    meet are added."""
+    acc: dict[Monomial, Fraction] = {}
+    for m, c in f.terms:
+        nm = monomial((mapping.get(v, v), e) for v, e in m)
+        acc[nm] = acc.get(nm, Fraction(0)) + c
+    return Polynomial.from_dict(acc)
+
+
 def swap_variables(f: Polynomial, i: int) -> Polynomial:
     """f with x[i] and x[i+1] exchanged."""
     return map_variables(f, {x_(i): x_(i + 1), x_(i + 1): x_(i)})
+
+
+def sorted_product(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f * g with every product monomial rebuilt by `monomial`, which
+    sorts and merges the pairs of both factors, and Fraction sums."""
+    acc: dict[Monomial, Fraction] = {}
+    for m1, c1 in f.terms:
+        for m2, c2 in g.terms:
+            m = monomial(m1 + m2)
+            acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+    return Polynomial.from_dict(acc)

@@ -33,7 +33,15 @@ from asmschub.poly import (
     z_,
 )
 from asmschub.monomial import monomial_ideal
-from oracles import dense_display_sort, family_rank_key, nested_term_key, substitute, swap_variables
+from oracles import (
+    dense_display_sort,
+    family_rank_key,
+    map_variables,
+    nested_term_key,
+    sorted_product,
+    substitute,
+    swap_variables,
+)
 
 
 def perm_sum_det(rows, cols):
@@ -53,16 +61,18 @@ def perm_sum_det(rows, cols):
     return out
 
 
+# x[5], y and z sort after every x[i], x[i+1] pair that a divided
+# difference splits at; denominators 2 and 3 keep Fraction sums running
+# beside the integer ones
+VARIABLES = [x_(1), x_(2), x_(3), x_(4), x_(5), y_(1), y_(2), z_(1, 1)]
 monomials = st.builds(
     monomial,
-    st.lists(
-        st.tuples(st.sampled_from([x_(1), x_(2), x_(3), x_(4)]), st.integers(1, 3)),
-        max_size=3,
-    ),
+    st.lists(st.tuples(st.sampled_from(VARIABLES), st.integers(1, 3)), max_size=3),
 )
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 polys = st.builds(
     Polynomial.from_dict,
-    st.dictionaries(monomials, st.integers(-4, 4).map(Fraction), max_size=4),
+    st.dictionaries(monomials, coefficients, max_size=4),
 )
 
 
@@ -105,6 +115,18 @@ class TestArithmetic:
         assert f + g == g + f
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+    @settings(max_examples=60)
+    @given(polys, polys)
+    def test_product_against_sort_and_merge(self, f, g):
+        assert f * g == sorted_product(f, g)
+
+    @settings(max_examples=40)
+    @given(polys, polys, st.integers(1, 4))
+    def test_stored_coefficients_are_fractions(self, f, g, i):
+        # an int in terms would turn groebner._monic's c / lc into a float
+        for h in (f * g, divided_difference(f, i), isobaric_divided_difference(f, i)):
+            assert all(type(c) is Fraction for _, c in h.terms)
 
 
 class TestOrdersAndLead:
@@ -235,6 +257,12 @@ class TestIsobaric:
         x1, x2 = variable(x_(1)), variable(x_(2))
         assert isobaric_divided_difference(x1**2, 1) == x1 + x2 - x1 * x2
 
+    @settings(max_examples=40)
+    @given(polys, st.integers(1, 4))
+    def test_against_its_definition(self, f, i):
+        g = f - variable(x_(i + 1)) * f
+        assert isobaric_divided_difference(f, i) == divided_difference(g, i)
+
     @settings(max_examples=20)
     @given(polys, st.integers(1, 3))
     def test_idempotent(self, f, i):
@@ -311,12 +339,12 @@ class TestTextAndJson:
 class TestSubstitution:
     def test_map_variables(self):
         f = variable(x_(1)) * variable(x_(2))
-        g = poly.map_variables(f, {x_(1): y_(1)})
+        g = map_variables(f, {x_(1): y_(1)})
         assert g == variable(y_(1)) * variable(x_(2))
 
     def test_merge_on_collision(self):
         f = variable(x_(1)) + variable(x_(2))
-        g = poly.map_variables(f, {x_(2): x_(1)})
+        g = map_variables(f, {x_(2): x_(1)})
         assert g == 2 * variable(x_(1))
 
     def test_substitute(self):
