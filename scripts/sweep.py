@@ -2,7 +2,7 @@
 
 A family compares a fast route of the library with an independent
 slower one over a whole population, and records per item whether the
-two agree.  Two families so far:
+two agree.  Three families so far:
 
 - ``diag-cdg``: the diagonal initial ideals of every permutation of S_n
   under LexSE, LexNW and RevLex.  `diag_init`, which reads a CDG
@@ -23,13 +23,25 @@ two agree.  Two families so far:
   by ``/``, ``-`` for -1), the two answers, whether each agrees with the
   table, and the `faces` and `complexes` that `collect_stats` counted
   over the two fast calls.
+- ``flag``: every permutation of S_n.  The divided-difference Schubert
+  polynomial against the transition recursion, the divided-difference
+  Grothendieck polynomial against the signed pipe-dream sum (only up to
+  n = ``NON_REDUCED_LIMIT``), and the y-free part of the double Schubert
+  polynomial against the Schubert polynomial (only up to n =
+  ``DOUBLE_LIMIT``).  The corpus holds, per item (the one-line
+  notation), each of the three checks as a pair: whether the routes
+  agree, then the term count of the divided-difference polynomial
+  (Schubert, Grothendieck, double Schubert); null where a route is past
+  its limit.  Each check is timed over the whole population.
 
     python3 scripts/sweep.py --size 5
     python3 scripts/sweep.py --size 6 --out scripts/corpus/diag-cdg-6.json
     python3 scripts/sweep.py --family homology --out scripts/corpus/homology-5.json
+    python3 scripts/sweep.py --family flag --out scripts/corpus/flag-5.json
 
 ``diag-cdg`` at size 6 (2,160 items) took 48 s on a 2-vCPU x86-64 machine
-with Python 3.11, nearly all of it in the Buchberger runs.
+with Python 3.11, nearly all of it in the Buchberger runs.  ``flag`` at
+size 6 spends nearly all its time enumerating non-reduced pipe dreams.
 """
 
 from __future__ import annotations
@@ -53,7 +65,18 @@ from asmschub.ideal import (
 )
 from asmschub.monomial import betti_numbers, codim, collect_stats
 from asmschub.perm import all_permutations, class_membership
-from asmschub.schubpoly import schubert_regularity
+from asmschub.pipedream import NON_REDUCED_LIMIT
+from asmschub.poly import Polynomial
+from asmschub.schubpoly import (
+    double_schubert_polynomial,
+    grothendieck_polynomial,
+    schubert_polynomial,
+    schubert_regularity,
+)
+
+# the double Schubert polynomial of the longest element of S_7 expands a
+# product of 21 binomials, too large to descend from for every item
+DOUBLE_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -123,6 +146,62 @@ def homology(cfg: Config) -> dict:
     return {"family": "homology", "size": cfg.size, "summary": summary, "items": items}
 
 
+def _schubert_check(w) -> tuple[int, int]:
+    f = schubert_polynomial(w)
+    return int(f == schubert_polynomial(w, "Transition")), len(f.terms)
+
+
+def _grothendieck_check(w) -> tuple[int | None, int]:
+    g = grothendieck_polynomial(w)
+    if len(w) > NON_REDUCED_LIMIT:
+        return None, len(g.terms)
+    return int(g == grothendieck_polynomial(w, "PipeDream")), len(g.terms)
+
+
+def _double_check(w) -> tuple[int | None, int | None]:
+    if len(w) > DOUBLE_LIMIT:
+        return None, None
+    d = double_schubert_polynomial(w)
+    y_free = Polynomial.from_dict({m: c for m, c in d.terms if all(v[0] != "y" for v, _ in m)})
+    return int(y_free == schubert_polynomial(w)), len(d.terms)
+
+
+FLAG_CHECKS = {
+    "schubert_vs_transition": _schubert_check,
+    "grothendieck_vs_pipe_dream": _grothendieck_check,
+    "y_free_double_vs_schubert": _double_check,
+}
+
+
+def flag_item(w) -> list[int | None]:
+    """[Schubert agrees, its terms, Grothendieck agrees, its terms, double
+    Schubert agrees, its terms] for one item."""
+    return [x for check in FLAG_CHECKS.values() for x in check(w)]
+
+
+def flag(cfg: Config) -> dict:
+    perms = list(all_permutations(cfg.size))
+    columns = []
+    for name, check in FLAG_CHECKS.items():
+        t0 = time.perf_counter()
+        columns.append([check(w) for w in perms])
+        print(f"flag S_{cfg.size}: {name} over {len(perms)} items in {time.perf_counter() - t0:.1f}s")
+    items = {
+        "".join(map(str, w.one_line)): [x for check in row for x in check]
+        for w, row in zip(perms, zip(*columns))
+    }
+    rows = list(items.values())
+    summary = {
+        "items": len(rows),
+        "schubert_agree": sum(r[0] for r in rows),
+        "grothendieck_checked": sum(r[2] is not None for r in rows),
+        "grothendieck_agree": sum(r[2] or 0 for r in rows),
+        "double_checked": sum(r[4] is not None for r in rows),
+        "double_agree": sum(r[4] or 0 for r in rows),
+    }
+    return {"family": "flag", "size": cfg.size, "summary": summary, "items": items}
+
+
 def write_corpus(corpus: dict, path: str) -> None:
     """JSON with one item per line, so that two corpora diff by item."""
     head = json.dumps({k: v for k, v in corpus.items() if k != "items"}, sort_keys=True)
@@ -138,6 +217,12 @@ def run(cfg: Config) -> dict:
         print(f"  Cohen-Macaulay:                          {s['cm']} of {s['items']}")
         print(f"  CM agrees with the Betti table:          {s['cm_agree']} of {s['items']}")
         print(f"  regularity agrees with the Betti table:  {s['reg_agree']} of {s['items']}")
+    elif cfg.family == "flag":
+        corpus = flag(cfg)
+        s = corpus["summary"]
+        print(f"  Schubert agrees with Transition:         {s['schubert_agree']} of {s['items']}")
+        print(f"  Grothendieck agrees with PipeDream:      {s['grothendieck_agree']} of {s['grothendieck_checked']}")
+        print(f"  y-free double Schubert agrees:           {s['double_agree']} of {s['double_checked']}")
     else:
         corpus = diag_cdg(cfg)
         s = corpus["summary"]
@@ -151,7 +236,7 @@ def run(cfg: Config) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--family", choices=("diag-cdg", "homology"), default="diag-cdg")
+    ap.add_argument("--family", choices=("diag-cdg", "homology", "flag"), default="diag-cdg")
     ap.add_argument("--size", type=int, default=5)
     ap.add_argument("--out", help="write the corpus to this JSON file")
     a = ap.parse_args()

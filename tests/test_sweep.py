@@ -39,3 +39,14 @@ def test_diag_cdg_corpus_replays_every_fortieth_item():
         one_line, variant = key.split("|")
         w = Permutation(tuple(int(c) for c in one_line))
         assert sweep.diag_cdg_item(w, variant) == items[key], key
+
+
+def test_flag_corpus_replays_every_tenth_item():
+    corpus = json.loads((ROOT / "scripts" / "corpus" / "flag-5.json").read_text())
+    items = corpus["items"]
+    assert corpus["summary"]["items"] == len(items) == 120
+    # every route agrees with its cross-check on every item
+    assert all(row[0] == row[2] == row[4] == 1 for row in items.values())
+    for key in sorted(items)[::10]:
+        w = Permutation(tuple(int(c) for c in key))
+        assert sweep.flag_item(w) == items[key], key
