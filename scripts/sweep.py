@@ -38,6 +38,12 @@ two agree.  Three families so far:
     python3 scripts/sweep.py --size 6 --out scripts/corpus/diag-cdg-6.json
     python3 scripts/sweep.py --family homology --out scripts/corpus/homology-5.json
     python3 scripts/sweep.py --family flag --out scripts/corpus/flag-5.json
+    python3 scripts/sweep.py --family diag-cdg --size 6 --check
+
+``--check`` reruns a family and compares it with its committed corpus,
+``scripts/corpus/<family>-<size>.json`` unless a path is given, and
+exits 1 naming the first item key, in sorted order, whose row differs
+or that only one side has.
 
 ``diag-cdg`` at size 6 (2,160 items) took 48 s on a 2-vCPU x86-64 machine
 with Python 3.11, nearly all of it in the Buchberger runs.  ``flag`` at
@@ -48,8 +54,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from asmschub.asm import as_permutation, enumerate_asms
 from asmschub.decomp import is_schubert_cm
@@ -77,6 +85,7 @@ from asmschub.schubpoly import (
 # the double Schubert polynomial of the longest element of S_7 expands a
 # product of 21 binomials, too large to descend from for every item
 DOUBLE_LIMIT = 6
+CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 
 
 @dataclass(frozen=True)
@@ -210,6 +219,19 @@ def write_corpus(corpus: dict, path: str) -> None:
         fh.write(head[:-1] + ', "items": {\n' + body + "\n}}\n")
 
 
+def check(corpus: dict, path) -> int:
+    """0 if the corpus at path has exactly these items, else 1 after
+    printing the first key that differs."""
+    want = json.loads(Path(path).read_text())["items"]
+    got = json.loads(json.dumps(corpus["items"]))  # rows as JSON reads them back
+    key = next((k for k in sorted(got.keys() | want.keys()) if got.get(k) != want.get(k)), None)
+    if key is None:
+        print(f"  agrees with {path}: {len(got)} items")
+        return 0
+    print(f"  differs from {path} first at {key!r}: {got.get(key)} here, {want.get(key)} there")
+    return 1
+
+
 def run(cfg: Config) -> dict:
     if cfg.family == "homology":
         corpus = homology(cfg)
@@ -239,8 +261,12 @@ def main() -> None:
     ap.add_argument("--family", choices=("diag-cdg", "homology", "flag"), default="diag-cdg")
     ap.add_argument("--size", type=int, default=5)
     ap.add_argument("--out", help="write the corpus to this JSON file")
+    ap.add_argument("--check", nargs="?", const="", metavar="CORPUS",
+                    help="compare with a corpus, by default the committed one; exit 1 if it differs")
     a = ap.parse_args()
-    run(Config(family=a.family, size=a.size, out=a.out))
+    corpus = run(Config(family=a.family, size=a.size, out=a.out))
+    if a.check is not None:
+        sys.exit(check(corpus, a.check or CORPUS_DIR / f"{a.family}-{a.size}.json"))
 
 
 if __name__ == "__main__":

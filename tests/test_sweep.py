@@ -50,3 +50,23 @@ def test_flag_corpus_replays_every_tenth_item():
     for key in sorted(items)[::10]:
         w = Permutation(tuple(int(c) for c in key))
         assert sweep.flag_item(w) == items[key], key
+
+
+def test_check_names_the_first_differing_key(tmp_path, capsys):
+    corpus = sweep.run(sweep.Config(family="diag-cdg", size=3))
+    path = tmp_path / "diag-cdg-3.json"
+    sweep.write_corpus(corpus, str(path))
+    assert sweep.check(corpus, path) == 0
+    keys = sorted(corpus["items"])
+    assert len(keys) == 18
+    stored = json.loads(path.read_text())
+    stored["items"][keys[7]][1] = 0  # diag_init disagrees with Buchberger
+    del stored["items"][keys[12]]
+    path.write_text(json.dumps(stored))
+    capsys.readouterr()
+    assert sweep.check(corpus, path) == 1
+    assert f"first at {keys[7]!r}: [1, 1, 1] here, [1, 0, 1] there" in capsys.readouterr().out
+    stored["items"][keys[7]][1] = 1
+    path.write_text(json.dumps(stored))
+    assert sweep.check(corpus, path) == 1
+    assert f"first at {keys[12]!r}" in capsys.readouterr().out
