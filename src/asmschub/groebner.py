@@ -7,10 +7,24 @@ a hard work budget makes a runaway computation fail loudly instead of
 hanging.  Built for determinantal ideals on modest grids, not for
 general-purpose computation.
 
-Inside the engine a basis is a list of monic entries ``(lead, g)``: g
-has lead coefficient 1 and ``lead`` is its lead monomial, computed once
-by `_monic` when g enters the basis.  `_monic` is the only reader of a
-lead coefficient.
+Monomials are packed into ints (Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998).  Each
+variable of a computation gets a field of w bits, as does the degree,
+and each field is topped by a guard bit that stays clear.  Under lex the
+variable fields run from the top in priority order and the degree field
+is lowest, so a monomial is its own key; under grevlex the degree field
+is on top with the variable fields below it in reversed priority, and
+the key complements the variable fields.  A product is a sum, a quotient
+a difference, ``a`` divides ``b`` when ``((b | G) - a) & G == G`` for
+the guard mask G, and the same guard bits pick the field-wise max of an
+lcm.  Every monomial packed or made is checked against the guards; an
+overflow restarts the computation with fields twice as wide, from
+`MIN_WIDTH`, so the width never changes a basis, a counter or a budget
+trip.  A basis is a list of monic entries ``(lead, tail)``, the tail
+holding the other ``(monomial, coefficient)`` pairs, with coefficients
+kept as ints while their denominator is 1.  One kernel, `_reduce`,
+reduces S-polynomials, basis tails and, through `normal_form`, outside
+polynomials; only a returned basis is unpacked into `Polynomial`s.
 
 The budget bounds both the S-pairs a computation pops and its reduction
 work.  A reduction step costs one unit per term of the reducer, times
@@ -30,19 +44,18 @@ from .poly import (
     Monomial,
     Polynomial,
     TermOrder,
+    _collect,
+    _plain,
     antidiagonal_order,
     lead_monomial,
     mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    term,
+    var_to_text,
     z_,
 )
 
 DEFAULT_BUDGET = 200_000
 WORK_PER_PAIR = 50
+MIN_WIDTH = 8  # bits per packed exponent field before any overflow
 
 Entry = tuple[Monomial, Polynomial]  # (lead monomial, monic polynomial)
 
@@ -98,84 +111,136 @@ class Ideal:
                 raise ValueError("ideal generators must be nonzero")
             for v in g.variables():
                 if v[0] != "z" or not (1 <= v[1] <= m and 1 <= v[2] <= n):
-                    raise ValueError(
-                        f"variable outside the {m}x{n} ambient grid"
-                    )
+                    raise ValueError(f"variable outside the {m}x{n} ambient grid")
 
 
-def normal_form(
-    f: Polynomial,
-    basis: list[Entry],
-    order: TermOrder,
-    meter: _Meter,
-) -> Polynomial:
-    """Fully reduce f modulo monic entries ``(lead, g)``: no term of the
-    result is divisible by any lead.  The meter is charged for every
-    reduction step."""
-    coeffs: dict[Monomial, Fraction] = dict(f.terms)
-    heap = [(tuple(-a for a in order.key(m)), m) for m in coeffs]
+class _Overflow(Exception):
+    """A packed exponent or degree outgrew its field."""
+
+
+class _Ring:
+    """The monomials of one computation packed with `width`-bit fields."""
+
+    def __init__(self, order: TermOrder, polys, width: int):
+        rank = {v: k for k, v in enumerate(order.priority)}
+        used = set().union(*(g.variables() for g in polys))
+        for v in sorted(used - rank.keys()):
+            raise ValueError(f"variable {var_to_text(v)} not covered by the term order")
+        n, s, lex = len(used), width + 1, order.kind == "lex"
+        shifts = [s * (n - k) if lex else s * k for k in range(n)]  # by priority
+        self.shift = dict(zip(sorted(used, key=rank.get), shifts))
+        self.fields = sorted(self.shift.items())  # in variable order
+        self.width, self.field, self.deg = width, (1 << width) - 1, 0 if lex else s * n
+        self.guard = sum(1 << (sh + width) for sh in shifts + [self.deg])
+        self.varmask = sum(self.field << sh for sh in shifts)
+        self.flip = 0 if lex else self.varmask  # the key of m is m ^ flip
+        self.ones, self.top = sum(1 << (s * k) for k in range(n)), max(shifts, default=0)
+
+    def pack_mono(self, m: Monomial) -> int:
+        d = mono_degree(m)  # no exponent exceeds it
+        if d > self.field:
+            raise _Overflow
+        return sum(e << self.shift[v] for v, e in m) | d << self.deg
+
+    def unpack_mono(self, p: int) -> Monomial:
+        return tuple((v, e) for v, sh in self.fields if (e := p >> sh & self.field))
+
+    def pack(self, f: Polynomial) -> dict:
+        return {self.pack_mono(m): _plain(c) for m, c in f.terms}
+
+    def unpack(self, terms) -> Polynomial:
+        return _collect({self.unpack_mono(p): c for p, c in terms})
+
+    def lcm(self, a: int, b: int) -> int:
+        """Field-wise max, where the guard bits of (a | G) - b mark a >= b.
+        Each partial sum of its fields is below 2^(width+1), so one field
+        of v * ones, the top one, holds the degree without carries."""
+        t = ((a | self.guard) - b) & self.guard
+        keep = t - (t >> self.width)
+        v = ((a & keep) | (b & ~keep)) & self.varmask
+        d = (v * self.ones) >> self.top & (2 * self.field + 1)
+        if d > self.field:
+            raise _Overflow
+        return v | d << self.deg
+
+    def monic(self, coeffs: dict) -> tuple[int, tuple]:
+        """The entry (lead, tail) of coeffs divided by its lead coefficient."""
+        lead = max(coeffs, key=lambda m: m ^ self.flip)
+        lc = coeffs[lead]
+        return lead, tuple((m, c if lc == 1 else _plain(Fraction(c, lc)))
+                           for m, c in coeffs.items() if m != lead)
+
+
+def _reduce(ring: _Ring, coeffs: dict, basis: list, meter: _Meter) -> dict:
+    """Fully reduce packed coeffs (consumed) modulo monic packed entries,
+    each term by the first entry whose lead divides it, charging the meter
+    for every step."""
+    G, flip = ring.guard, ring.flip
+    heap = [-(m ^ flip) for m in coeffs]
     heapq.heapify(heap)
-    out: dict[Monomial, Fraction] = {}
+    out = {}
     while heap:
-        _, m = heapq.heappop(heap)
-        c = coeffs.pop(m, None)
+        m = -heapq.heappop(heap) ^ flip
+        c = coeffs.pop(m)
         if not c:
             continue
-        hit = next((e for e in basis if mono_divides(e[0], m)), None)
-        if hit is None:
+        mg = m | G
+        for lead, tail in basis:
+            if (mg - lead) & G == G:
+                break
+        else:
             out[m] = c
             continue
-        lead, g = hit
-        quot = mono_div(m, lead)
-        meter.reduce(len(g.terms), c)
-        for gm, gc in g.terms:
-            if gm == lead:
-                continue
-            mm = mono_mul(gm, quot)
+        q = m - lead
+        meter.reduce(len(tail) + 1, c)
+        for gm, gc in tail:
+            mm = gm + q
+            if mm & G:
+                raise _Overflow
             prev = coeffs.get(mm)
             if prev is None:
                 coeffs[mm] = -c * gc
-                heapq.heappush(heap, (tuple(-a for a in order.key(mm)), mm))
+                heapq.heappush(heap, -(mm ^ flip))
             else:
                 coeffs[mm] = prev - c * gc
-    return Polynomial.from_dict(out)
+    return out
 
 
-def _monic(f: Polynomial, order: TermOrder) -> Entry:
-    """The entry ``(lead, f / lc)`` of a nonzero f."""
-    lead, lc = max(f.terms, key=lambda t: order.key(t[0]))
-    if lc != 1:
-        f = Polynomial.from_dict({m: c / lc for m, c in f.terms})
-    return lead, f
+def _packed(order: TermOrder, polys, run):
+    """run(ring) over the variables of polys, with fields twice as wide
+    after each overflow."""
+    width = MIN_WIDTH
+    while True:
+        try:
+            return run(_Ring(order, polys, width))
+        except _Overflow:
+            width *= 2
 
 
-def _spoly(e: Entry, h: Entry) -> Polynomial:
-    (lf, f), (lg, g) = e, h
-    lcm = mono_lcm(lf, lg)
-    return term(1, mono_div(lcm, lf)) * f - term(1, mono_div(lcm, lg)) * g
+def normal_form(f: Polynomial, basis: list[Entry], order: TermOrder, meter: _Meter) -> Polynomial:
+    """Fully reduce f modulo monic entries ``(lead, g)``: no term of the
+    result is divisible by any lead.  The meter is charged for every
+    reduction step."""
+    spent = meter.work
+
+    def run(ring: _Ring) -> Polynomial:
+        meter.work = spent  # an overflowed attempt charges nothing
+        entries = [ring.monic(ring.pack(g)) for _, g in basis]
+        return ring.unpack(_reduce(ring, ring.pack(f), entries, meter).items())
+
+    return _packed(order, [f, *(g for _, g in basis)], run)
 
 
-def buchberger(
-    I: Ideal | list[Polynomial] | tuple[Polynomial, ...],
-    order: TermOrder,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[Polynomial, ...]:
-    """The unique reduced Groebner basis, sorted by increasing lead term."""
-    if isinstance(I, Ideal):
-        cached = I.cache.get(("gb", order))
-        if cached is not None:
-            return cached
-        gens = I.generators
-    else:
-        gens = tuple(I)
-    G = list(dict.fromkeys(_monic(g, order) for g in gens if not g.is_zero))
-    pending: set[tuple[int, int]] = set()
+def _buchberger(ring: _Ring, gens: list[Polynomial], budget: int):
+    """The reduced basis and its counters."""
+    G = list(dict.fromkeys(ring.monic(ring.pack(g)) for g in gens))
+    deg, top, flip, guard = ring.deg, ring.field, ring.flip, ring.guard
+    pending: dict[tuple[int, int], int] = {}  # pair -> lcm of its leads
     heap: list = []
 
     def push_pair(i: int, j: int):
-        lcm = mono_lcm(G[i][0], G[j][0])
-        pending.add((i, j))
-        heapq.heappush(heap, (mono_degree(lcm), order.key(lcm), i, j))
+        lcm = pending[i, j] = ring.lcm(G[i][0], G[j][0])
+        heapq.heappush(heap, (lcm >> deg & top, lcm ^ flip, i, j))
 
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
@@ -185,64 +250,78 @@ def buchberger(
     coprime = chain = zeros = 0
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        pending.remove((i, j))
+        lcm = pending.pop((i, j))
         meter.pair(len(G))
-        li, lj = G[i][0], G[j][0]
-        lcm = mono_lcm(li, lj)
-        if lcm == mono_mul(li, lj):
+        (li, ti), (lj, tj) = G[i], G[j]
+        if lcm == li + lj:
             coprime += 1
             continue
+        lg = lcm | guard
         if any(
-            k != i
-            and k != j
-            and mono_divides(G[k][0], lcm)
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
+            k != i and k != j and (lg - G[k][0]) & guard == guard
+            and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
             for k in range(len(G))
         ):
             chain += 1
             continue
-        r = normal_form(_spoly(G[i], G[j]), G, order, meter)
-        zeros += r.is_zero
-        if not r.is_zero:
-            G.append(_monic(r, order))
+        qi, qj = lcm - li, lcm - lj  # the S-polynomial, whose leads cancel
+        coeffs = {m + qi: c for m, c in ti}
+        for m, c in tj:
+            coeffs[m + qj] = coeffs.get(m + qj, 0) - c
+        if any(m & guard for m in coeffs):
+            raise _Overflow
+        r = _reduce(ring, coeffs, G, meter)
+        zeros += not r
+        if r:
+            G.append(ring.monic(r))
             for k in range(len(G) - 1):
                 push_pair(k, len(G) - 1)
 
     # minimalize: drop members whose lead is divisible by another lead
     minimal = [
-        (lead, g)
-        for idx, (lead, g) in enumerate(G)
+        (lead, tail)
+        for idx, (lead, tail) in enumerate(G)
         if not any(
-            k != idx and mono_divides(other, lead) and (other != lead or k < idx)
+            k != idx and ((lead | guard) - other) & guard == guard and (other != lead or k < idx)
             for k, (other, _) in enumerate(G)
         )
     ]
     # tail-reduce each member against the others; no other lead divides
     # its lead, so the lead and its coefficient 1 stay
     reduced = [
-        (lead, normal_form(g, minimal[:idx] + minimal[idx + 1 :], order, meter))
-        for idx, (lead, g) in enumerate(minimal)
+        (lead, _reduce(ring, {lead: 1, **dict(tail)}, minimal[:idx] + minimal[idx + 1 :], meter))
+        for idx, (lead, tail) in enumerate(minimal)
     ]
-    reduced.sort(key=lambda e: order.key(e[0]))
-    result = tuple(g for _, g in reduced)
-    _count(pairs=meter.pairs, pairs_coprime=coprime, pairs_chain=chain, zero_reductions=zeros,
-           basis_size=len(result), reduction_units=meter.work)
+    reduced.sort(key=lambda e: e[0] ^ flip)
+    counts = dict(pairs=meter.pairs, pairs_coprime=coprime, pairs_chain=chain, zero_reductions=zeros,
+                  basis_size=len(reduced), reduction_units=meter.work)
+    return tuple(ring.unpack(r.items()) for _, r in reduced), counts
+
+
+def buchberger(I: Ideal | list[Polynomial] | tuple[Polynomial, ...], order: TermOrder,
+               budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, ...]:
+    """The unique reduced Groebner basis, sorted by increasing lead term."""
+    if isinstance(I, Ideal):
+        cached = I.cache.get(("gb", order))
+        if cached is not None:
+            return cached
+        gens = I.generators
+    else:
+        gens = tuple(I)
+    gens = [g for g in gens if not g.is_zero]
+    result, counts = _packed(order, gens, lambda ring: _buchberger(ring, gens, budget))
+    _count(**counts)
     if isinstance(I, Ideal):
         I.cache[("gb", order)] = result
     return result
 
 
-def initial_ideal(
-    I: Ideal, order: TermOrder, budget: int = DEFAULT_BUDGET
-) -> MonomialIdeal:
+def initial_ideal(I: Ideal, order: TermOrder, budget: int = DEFAULT_BUDGET) -> MonomialIdeal:
     """Minimal monomial generators of the lead terms of the reduced basis."""
     basis = buchberger(I, order, budget)
     m, n = I.ambient
     ambient_vars = [z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    return monomial_ideal(
-        (lead_monomial(g, order) for g in basis), ambient_vars
-    )
+    return monomial_ideal((lead_monomial(g, order) for g in basis), ambient_vars)
 
 
 def canonical_order(ambient: tuple[int, int]) -> TermOrder:
@@ -257,12 +336,10 @@ def ideal_equals(I: Ideal, J: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     return buchberger(I, order, budget) == buchberger(J, order, budget)
 
 
-def ideal_contains(
-    I: Ideal, f: Polynomial, budget: int = DEFAULT_BUDGET
-) -> bool:
+def ideal_contains(I: Ideal, f: Polynomial, budget: int = DEFAULT_BUDGET) -> bool:
     """Is f in I?  The reduction of f is charged to a budget of its own."""
     order = canonical_order(I.ambient)
-    basis = [_monic(g, order) for g in buchberger(I, order, budget)]
+    basis = [(lead_monomial(g, order), g) for g in buchberger(I, order, budget)]
     return normal_form(f, basis, order, _Meter(budget)).is_zero
 
 
@@ -277,7 +354,6 @@ def intersect_ideals(I: Ideal, J: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
     """
     if I.ambient != J.ambient:
         raise ValueError("ideals live on different ambient grids")
-    m, n = I.ambient
     t = Polynomial.from_dict({((_T, 1),): 1})
     one_minus_t = Polynomial.from_dict({((_T, 1),): -1, (): 1})
     gens = [t * f for f in I.generators] + [one_minus_t * g for g in J.generators]
@@ -288,9 +364,7 @@ def intersect_ideals(I: Ideal, J: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
     return Ideal(kept, I.ambient)
 
 
-def minimal_generators(
-    I: Ideal, budget: int = DEFAULT_BUDGET
-) -> tuple[Polynomial, ...]:
+def minimal_generators(I: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, ...]:
     """A minimal generating set, greedily by increasing degree.
 
     Each candidate is replaced by its monic remainder against the
@@ -307,8 +381,9 @@ def minimal_generators(
         key=lambda f: (f.degree(), order.key(lead_monomial(f, order))),
     ):
         if chosen:
-            basis = [_monic(b, order) for b in buchberger(chosen, order, budget)]
+            basis = [(lead_monomial(b, order), b) for b in buchberger(chosen, order, budget)]
             g = normal_form(g, basis, order, meter)
         if not g.is_zero:
-            chosen.append(_monic(g, order)[1])
+            lc = g.coefficient(lead_monomial(g, order))
+            chosen.append(Polynomial.from_dict({m: c / lc for m, c in g.terms}))
     return tuple(chosen)

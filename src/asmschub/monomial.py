@@ -524,17 +524,6 @@ def _homology_of_union(masks: Sequence[int], limit: int) -> dict[int, int]:
     return hom
 
 
-def reduced_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
-    """Ranks of rational reduced homology in degrees -1 .. dim K."""
-    if not K.facets:
-        return ()
-    pos = {v: i for i, v in enumerate(K.vertices)}
-    masks = [sum(1 << pos[v] for v in f) for f in K.facets]
-    hom = _homology_of_union(masks, DEFAULT_FACE_LIMIT)
-    top = K.dim
-    return tuple(hom.get(d, 0) for d in range(-1, top + 1))
-
-
 # -- Betti numbers, Cohen-Macaulayness and regularity ---------------------
 #
 # Generators and minimal primes are bitmasks over the sorted variables of
@@ -641,10 +630,6 @@ def betti_numbers(
         for i, r in _betti_at(sigma, _divisors(sigma, gens), max_faces).items():
             betti[(i, verts)] = r
     return betti
-
-
-def pdim_quotient(J: MonomialIdeal, **kw) -> int:
-    return max(i for i, _ in betti_numbers(J, **kw))
 
 
 def _pdim(gens: list[int], at_least: int, lattice: list[int], max_faces: int) -> int:
@@ -811,24 +796,3 @@ def monomial_ideal_from_text(text: str, variables: Iterable[Var] | None = None) 
         raise ValueError("expected monomialIdeal (...)")
     inner = s[len("monomialIdeal (") : -1]
     return monomial_ideal_from_json(inner.split(", ") if inner else [], variables)
-
-
-def betti_to_text(betti: dict[tuple[int, tuple[Var, ...]], int]) -> str:
-    rows = []
-    for i in sorted({i for i, _ in betti}):
-        entries = [
-            (sigma, r) for (j, sigma), r in sorted(betti.items()) if j == i
-        ]
-        body = ", ".join(
-            "{" + ",".join(var_to_text(v) for v in sigma) + "} -> " + str(r)
-            for sigma, r in entries
-        )
-        rows.append(f"{i}: {body}")
-    return "\n".join(rows)
-
-
-def betti_to_json(betti: dict[tuple[int, tuple[Var, ...]], int]) -> list[dict]:
-    return [
-        {"i": i, "multidegree": [list(v) for v in sigma], "rank": r}
-        for (i, sigma), r in sorted(betti.items())
-    ]

@@ -64,11 +64,6 @@ def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
 
-def longest_element(n: int) -> Permutation:
-    """The order-reversing permutation n, n-1, ..., 1."""
-    return Permutation(tuple(range(n, 0, -1)))
-
-
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order."""
     for p in itertools.permutations(range(1, n + 1)):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .perm import Permutation, cells_to_json, coxeter_length, demazure_product, lehmer_code
+from .perm import Permutation, cells_to_json, demazure_product, lehmer_code
 from .poly import Monomial, Var, monomial, x_, z_
 
 Cell = tuple[int, int]
@@ -61,10 +61,6 @@ def reading_word(D: PipeDream) -> tuple[int, ...]:
 
 def permutation_of(D: PipeDream) -> Permutation:
     return demazure_product(reading_word(D), D.size)
-
-
-def is_reduced(D: PipeDream) -> bool:
-    return len(D.crosses) == coxeter_length(permutation_of(D))
 
 
 def cross_monomial(D: PipeDream) -> Monomial:

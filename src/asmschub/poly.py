@@ -24,6 +24,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -81,33 +82,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(a: Monomial) -> int:
     return sum(map(itemgetter(1), a))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    bd = dict(b)
-    return all(bd.get(v, 0) >= e for v, e in a)
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, defined only when b divides a."""
-    bd = dict(b)
-    out = []
-    for v, e in a:
-        r = e - bd.pop(v, 0)
-        if r < 0:
-            raise ValueError("inexact monomial division")
-        if r:
-            out.append((v, r))
-    if bd:
-        raise ValueError("inexact monomial division")
-    return tuple(out)
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    acc = dict(a)
-    for v, e in b:
-        acc[v] = max(acc.get(v, 0), e)
-    return tuple(sorted(acc.items()))
 
 
 def mono_support(a: Monomial) -> tuple[Var, ...]:
@@ -304,19 +278,13 @@ def generic_minor(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
         raise ValueError("row and column sets must be nonempty and of equal size")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("row and column indices must be distinct")
-
-    def expand(rs: tuple[int, ...], cs: tuple[int, ...]) -> Polynomial:
-        if len(rs) == 1:
-            return variable(z_(rs[0], cs[0]))
-        out = ZERO
-        rest = rs[1:]
-        for k, c in enumerate(cs):
-            cofactor = expand(rest, cs[:k] + cs[k + 1 :])
-            piece = variable(z_(rs[0], c)) * cofactor
-            out = out + (piece if k % 2 == 0 else -piece)
-        return out
-
-    return expand(tuple(rows), tuple(cols))
+    # the Leibniz sum: with rows ascending each product is already a
+    # monomial in variable order, and no two products share a monomial
+    acc = {}
+    for perm in permutations(cols):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        acc[tuple((z_(r, c), 1) for r, c in zip(rows, perm))] = -1 if inversions & 1 else 1
+    return _collect(acc)
 
 
 def _difference(f: Polynomial, i: int, shifts) -> Polynomial:

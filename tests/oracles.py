@@ -26,7 +26,15 @@ library answers faster by another route, and exists to cross-check it:
   intersected through Groebner bases by `intersect_ideals`;
 - `sorted_product` multiplies term by term through `monomial`'s
   sort-and-merge, against the merging `mono_mul` and the integer sums
-  of `Polynomial.__mul__`.
+  of `Polynomial.__mul__`;
+- `mono_divides`, `mono_div` and `mono_lcm` work on monomials as
+  tuples of pairs, against the packed-int divisibility, quotient and
+  lcm inside `groebner`.
+
+The rest are small readers that only the tests need: `longest_element`,
+`is_reduced`, `reduced_homology_ranks` (the homology kernel on a
+simplicial complex), `pdim_quotient` (read off a full Betti table), and
+`betti_to_text` and `betti_to_json`.
 """
 
 from __future__ import annotations
@@ -43,9 +51,11 @@ from asmschub.monomial import (
     SimplicialComplex,
     _homology_of_union,
     _maximal_masks,
+    betti_numbers,
     monomial_ideal,
 )
-from asmschub.perm import Permutation, all_permutations, bruhat_leq
+from asmschub.perm import Permutation, all_permutations, bruhat_leq, coxeter_length
+from asmschub.pipedream import PipeDream, permutation_of
 from asmschub.poly import (
     ZERO,
     Monomial,
@@ -56,9 +66,9 @@ from asmschub.poly import (
     generic_minor,
     monomial,
     mono_degree,
-    mono_lcm,
     mono_support,
     term,
+    var_to_text,
     x_,
 )
 
@@ -303,3 +313,75 @@ def sorted_product(f: Polynomial, g: Polynomial) -> Polynomial:
             m = monomial(m1 + m2)
             acc[m] = acc.get(m, Fraction(0)) + c1 * c2
     return Polynomial.from_dict(acc)
+
+
+def mono_divides(a: Monomial, b: Monomial) -> bool:
+    bd = dict(b)
+    return all(bd.get(v, 0) >= e for v, e in a)
+
+
+def mono_div(a: Monomial, b: Monomial) -> Monomial:
+    """a / b, defined only when b divides a."""
+    bd = dict(b)
+    out = []
+    for v, e in a:
+        r = e - bd.pop(v, 0)
+        if r < 0:
+            raise ValueError("inexact monomial division")
+        if r:
+            out.append((v, r))
+    if bd:
+        raise ValueError("inexact monomial division")
+    return tuple(out)
+
+
+def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
+    acc = dict(a)
+    for v, e in b:
+        acc[v] = max(acc.get(v, 0), e)
+    return tuple(sorted(acc.items()))
+
+
+def longest_element(n: int) -> Permutation:
+    """The order-reversing permutation n, n-1, ..., 1."""
+    return Permutation(tuple(range(n, 0, -1)))
+
+
+def is_reduced(D: PipeDream) -> bool:
+    return len(D.crosses) == coxeter_length(permutation_of(D))
+
+
+def reduced_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
+    """Ranks of rational reduced homology in degrees -1 .. dim K."""
+    if not K.facets:
+        return ()
+    pos = {v: i for i, v in enumerate(K.vertices)}
+    masks = [sum(1 << pos[v] for v in f) for f in K.facets]
+    hom = _homology_of_union(masks, DEFAULT_FACE_LIMIT)
+    top = K.dim
+    return tuple(hom.get(d, 0) for d in range(-1, top + 1))
+
+
+def pdim_quotient(J: MonomialIdeal, **kw) -> int:
+    return max(i for i, _ in betti_numbers(J, **kw))
+
+
+def betti_to_text(betti: dict[tuple[int, tuple[Var, ...]], int]) -> str:
+    rows = []
+    for i in sorted({i for i, _ in betti}):
+        entries = [
+            (sigma, r) for (j, sigma), r in sorted(betti.items()) if j == i
+        ]
+        body = ", ".join(
+            "{" + ",".join(var_to_text(v) for v in sigma) + "} -> " + str(r)
+            for sigma, r in entries
+        )
+        rows.append(f"{i}: {body}")
+    return "\n".join(rows)
+
+
+def betti_to_json(betti: dict[tuple[int, tuple[Var, ...]], int]) -> list[dict]:
+    return [
+        {"i": i, "multidegree": [list(v) for v in sigma], "rank": r}
+        for (i, sigma), r in sorted(betti.items())
+    ]

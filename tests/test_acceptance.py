@@ -43,7 +43,6 @@ from asmschub.monomial import (
     minimal_primes,
     mono_to_text,
     monomial_ideal,
-    pdim_quotient,
 )
 from asmschub.perm import (
     Permutation,
@@ -61,7 +60,7 @@ from asmschub.schubpoly import (
     schubert_polynomial,
     schubert_regularity,
 )
-from oracles import perm_set_brute_force
+from oracles import pdim_quotient, perm_set_brute_force
 
 SPLIT = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
 

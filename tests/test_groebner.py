@@ -15,13 +15,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from asmschub.groebner import (
     DEFAULT_BUDGET,
     GroebnerBudgetError,
     Ideal,
     _Meter,
+    _Overflow,
+    _Ring,
     buchberger,
     canonical_order,
     ideal_contains,
@@ -38,12 +40,14 @@ from asmschub.poly import (
     antidiagonal_order,
     lead_monomial,
     lex_order,
-    mono_divides,
+    mono_degree,
+    mono_mul,
     monomial,
     poly_from_text,
     variable,
     z_,
 )
+from oracles import mono_div, mono_divides, mono_lcm
 
 X, Y, Z = z_(1, 1), z_(1, 2), z_(1, 3)
 LEX = lex_order([X, Y, Z])
@@ -55,8 +59,6 @@ def P(text: str) -> Polynomial:
 
 
 def spoly(f, g, order):
-    from asmschub.poly import mono_div, mono_lcm
-
     lf, lg = lead_monomial(f, order), lead_monomial(g, order)
     lcm = mono_lcm(lf, lg)
     a = Polynomial.from_dict({mono_div(lcm, lf): Fraction(1) / f.coefficient(lf)})
@@ -139,6 +141,37 @@ class TestBuchbergerPinned:
 
     def test_zero_ideal(self):
         assert buchberger([], LEX) == ()
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX])
+    def test_constants_give_the_unit_ideal(self, order):
+        assert buchberger([P("2"), P("3")], order) == (P("1"),)
+
+
+class TestPackedOverflow:
+    """Exponents past the first packed field width restart the computation
+    with wider fields instead of wrapping into the next field."""
+
+    def test_lex_basis_outgrows_its_input(self):
+        # neither z[1,2]^20000 nor z[1,2]^40000 fits the first fields
+        basis = buchberger([P("z[1,1] - z[1,2]^20000"), P("z[1,1]^2")], LEX)
+        assert set(basis) == {P("z[1,2]^40000"), P("z[1,1] - z[1,2]^20000")}
+
+    def test_lex_basis_outgrows_the_first_width(self):
+        # the input fits the first 8-bit fields, z[1,2]^400 does not
+        basis = buchberger([P("z[1,1] - z[1,2]^200"), P("z[1,1]^2")], LEX)
+        assert set(basis) == {P("z[1,2]^400"), P("z[1,1] - z[1,2]^200")}
+
+    def test_grevlex_input_outgrows_the_first_width(self):
+        basis = buchberger([P("z[1,1]^40000 - z[1,2]"), P("z[1,2]^2")], GREVLEX)
+        assert set(basis) == {P("z[1,2]^2"), P("z[1,1]^40000 - z[1,2]")}
+
+    def test_normal_form_outgrows_the_first_width(self):
+        meter = _Meter(DEFAULT_BUDGET)
+        entries = [(monomial([(X, 1)]), P("z[1,1] - z[1,2]^200"))]
+        assert normal_form(P("z[1,1]^2"), entries, LEX, meter) == P("z[1,2]^400")
+        # two steps by a two-term reducer; the attempt that overflowed on
+        # the second step is not charged
+        assert meter.work == 4
 
 
 class TestNormalForm:
@@ -335,6 +368,44 @@ class TestMinimalGenerators:
         gens = (P("z[1,1] + z[1,2]"), P("z[1,1]"))
         kept = minimal_generators(Ideal(gens, (1, 2)))
         assert len(kept) == 2
+
+
+# -- packed monomials --------------------------------------------------------
+
+GRID = [z_(i, j) for i in range(1, 4) for j in range(1, 4)]
+grid_monomials = st.builds(
+    monomial, st.lists(st.tuples(st.sampled_from(GRID), st.integers(1, 9)), max_size=4)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_monomials, grid_monomials, st.sampled_from(["lex", "grevlex"]), st.integers(3, 8), st.randoms())
+def test_packed_monomials_agree_with_the_tuple_oracles(a, b, kind, width, rng):
+    order = TermOrder(kind, tuple(rng.sample(GRID, len(GRID))))
+    assume(max(mono_degree(a), mono_degree(b)) < 1 << width)
+    ring = _Ring(order, [Polynomial.from_dict({a: 1, b: 2})], width)
+    pa, pb = ring.pack_mono(a), ring.pack_mono(b)
+    assert ring.unpack_mono(pa) == a and ring.unpack_mono(pb) == b
+    # the key order is the term order
+    assert (pa ^ ring.flip < pb ^ ring.flip) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    G = ring.guard
+    for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa)):
+        divides = ((py | G) - px) & G == G
+        assert divides == mono_divides(x, y)
+        if divides:
+            assert ring.unpack_mono(py - px) == mono_div(y, x)
+    # a product overflows exactly when its degree does not fit a field
+    fits = mono_degree(a) + mono_degree(b) <= ring.field
+    assert not (pa + pb) & G == fits
+    if fits:
+        assert ring.unpack_mono(pa + pb) == mono_mul(a, b)
+    lcm = mono_lcm(a, b)
+    if mono_degree(lcm) <= ring.field:
+        assert ring.lcm(pa, pb) == ring.pack_mono(lcm)
+    else:
+        with pytest.raises(_Overflow):
+            ring.lcm(pa, pb)
 
 
 # -- randomized certification ----------------------------------------------

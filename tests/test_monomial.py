@@ -21,10 +21,14 @@ from asmschub.asm import as_permutation, enumerate_asms, make_partial_asm
 from asmschub.ideal import anti_diag_init
 from asmschub.poly import monomial, mono_support, x_, z_
 from oracles import (
+    betti_to_json,
+    betti_to_text,
     collapse_points_by_rescan,
     intersect_monomial_ideals,
+    pdim_quotient,
     plain_gf2_ranks,
     radical,
+    reduced_homology_ranks,
     reisner_is_cm,
     transpose,
 )
@@ -255,24 +259,24 @@ class TestHomology:
         K = mi.SimplicialComplex(
             (X[0], X[1], X[2]), ((X[0], X[1]), (X[1], X[2]), (X[0], X[2]))
         )
-        assert mi.reduced_homology_ranks(K) == (0, 0, 1)
+        assert reduced_homology_ranks(K) == (0, 0, 1)
 
     def test_point(self):
         K = mi.SimplicialComplex((X[0],), ((X[0],),))
-        assert mi.reduced_homology_ranks(K) == (0, 0)
+        assert reduced_homology_ranks(K) == (0, 0)
 
     def test_two_points(self):
         K = mi.SimplicialComplex((X[0], X[1]), ((X[0],), (X[1],)))
-        assert mi.reduced_homology_ranks(K) == (0, 1)
+        assert reduced_homology_ranks(K) == (0, 1)
 
     def test_empty_complex(self):
         K = mi.SimplicialComplex((), ((),))
-        assert mi.reduced_homology_ranks(K) == (1,)
+        assert reduced_homology_ranks(K) == (1,)
 
     def test_boundary_of_four_simplex(self):
         verts = tuple(X[:5])
         K = mi.SimplicialComplex(verts, tuple(itertools.combinations(verts, 4)))
-        assert mi.reduced_homology_ranks(K) == (0, 0, 0, 0, 1)
+        assert reduced_homology_ranks(K) == (0, 0, 0, 0, 1)
 
     def test_two_spheres_wedge_like(self):
         # two disjoint hollow triangles: two circles plus a connectedness gap
@@ -281,7 +285,7 @@ class TestHomology:
             itertools.combinations(X[3:6], 2)
         )
         K = mi.SimplicialComplex(vs, facets)
-        assert mi.reduced_homology_ranks(K) == (0, 1, 2)
+        assert reduced_homology_ranks(K) == (0, 1, 2)
 
     @given(
         st.lists(
@@ -313,7 +317,7 @@ class TestHomology:
                 seen.add(t)
                 facets.append(t)
         K = mi.SimplicialComplex(tuple(x_(i) for i in verts), tuple(facets))
-        got = mi.reduced_homology_ranks(K)
+        got = reduced_homology_ranks(K)
         assert {d: r for d, r in zip(range(-1, len(got)), got) if r} == expected
 
 
@@ -371,13 +375,13 @@ class TestCertifiedHomology:
         masks = [sum(1 << i for i in t) for t in RP2]
         assert gf2_homology(masks) == {1: 1, 2: 1}
         assert not exact_rank_calls
-        assert mi.reduced_homology_ranks(K) == (0, 0, 0, 0)
+        assert reduced_homology_ranks(K) == (0, 0, 0, 0)
         assert exact_rank_calls
 
     def test_sphere_is_certified_without_fallback(self, exact_rank_calls):
         verts = tuple(X[:5])
         K = mi.SimplicialComplex(verts, tuple(itertools.combinations(verts, 4)))
-        assert mi.reduced_homology_ranks(K) == (0, 0, 0, 0, 1)
+        assert reduced_homology_ranks(K) == (0, 0, 0, 0, 1)
         assert not exact_rank_calls
 
     def test_random_unions_match_exact_ranks(self, exact_rank_calls):
@@ -490,7 +494,7 @@ class TestDualityRoutes:
     @settings(max_examples=80, deadline=None)
     def test_routes_match_the_betti_table(self, J):
         assert mi.reg_quotient(J) == table_regularity(J)
-        assert mi.is_cm_quotient(J) == (mi.pdim_quotient(J) == mi.codim(J))
+        assert mi.is_cm_quotient(J) == (pdim_quotient(J) == mi.codim(J))
 
     def test_seeded_5x5_slice_takes_both_routes(self):
         pool = [A for A in enumerate_asms(5) if as_permutation(A) is None]
@@ -499,7 +503,7 @@ class TestDualityRoutes:
         assert 0 < sum(routes) < len(routes)
         for J in ideals_:
             assert mi.reg_quotient(J) == table_regularity(J)
-            assert mi.is_cm_quotient(J) == (mi.pdim_quotient(J) == mi.codim(J))
+            assert mi.is_cm_quotient(J) == (pdim_quotient(J) == mi.codim(J))
         # BULGE is unmixed and not Cohen-Macaulay
         assert not mi.is_cm_quotient(ideals_[-1])
 
@@ -537,7 +541,7 @@ class TestDualityRoutes:
         )
         assert not uses_dual_route(J)
         assert {len(p) for p in mi.minimal_primes(J)} == {2}
-        assert not mi.is_cm_quotient(J) and mi.pdim_quotient(J) > 2
+        assert not mi.is_cm_quotient(J) and pdim_quotient(J) > 2
         with mi.collect_stats() as s:
             assert mi.reg_quotient(J) == 2
         assert (s["route_primal"], s["route_dual"]) == (1, 0)
@@ -613,7 +617,7 @@ class TestStats:
         verts = tuple(X[:6])
         K = mi.SimplicialComplex(verts, tuple(tuple(verts[i] for i in t) for t in RP2))
         with mi.collect_stats() as s:
-            mi.reduced_homology_ranks(K)
+            reduced_homology_ranks(K)
         assert s["exact_fallbacks"] == 1 and s["complexes"] == 1
 
     def test_nothing_is_counted_outside_a_block(self):
@@ -633,7 +637,7 @@ class TestBettiNumbers:
             (1, (X[1],)): 1,
             (2, (X[0], X[1])): 1,
         }
-        assert mi.pdim_quotient(J) == 2
+        assert pdim_quotient(J) == 2
         assert mi.reg_quotient(J) == 0
         assert mi.is_cm_quotient(J)
 
@@ -644,14 +648,14 @@ class TestBettiNumbers:
         for (i, _), r in b.items():
             totals[i] = totals.get(i, 0) + r
         assert totals == {0: 1, 1: 2, 2: 1}
-        assert mi.pdim_quotient(J) == 2
+        assert pdim_quotient(J) == 2
         assert mi.codim(J) == 1
         assert not mi.is_cm_quotient(J)
 
     def test_zero_ideal(self):
         J = mi.monomial_ideal([], [X[0]])
         assert mi.betti_numbers(J) == {(0, ()): 1}
-        assert mi.pdim_quotient(J) == 0
+        assert pdim_quotient(J) == 0
         assert mi.reg_quotient(J) == 0
         assert mi.is_cm_quotient(J)
 
@@ -716,7 +720,7 @@ class TestBettiNumbers:
     @given(ideals())
     @settings(max_examples=40, deadline=None)
     def test_pdim_at_least_codim(self, J):
-        pd = mi.pdim_quotient(J)
+        pd = pdim_quotient(J)
         cd = mi.codim(J)
         assert pd >= cd
         assert mi.is_cm_quotient(J) == (pd == cd)
@@ -811,7 +815,7 @@ class TestVertexDecomposition:
 class TestRenders:
     def test_betti_text(self):
         J = mi.monomial_ideal([sqfree(X[0]), sqfree(X[1])])
-        text = mi.betti_to_text(mi.betti_numbers(J))
+        text = betti_to_text(mi.betti_numbers(J))
         lines = text.splitlines()
         assert lines[0] == "0: {} -> 1"
         assert lines[1] == "1: {x[1]} -> 1, {x[2]} -> 1"
@@ -819,6 +823,6 @@ class TestRenders:
 
     def test_betti_json(self):
         J = mi.monomial_ideal([sqfree(X[0])])
-        data = mi.betti_to_json(mi.betti_numbers(J))
+        data = betti_to_json(mi.betti_numbers(J))
         assert {"i": 0, "multidegree": [], "rank": 1} in data
         assert {"i": 1, "multidegree": [["x", 1]], "rank": 1} in data

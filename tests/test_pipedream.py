@@ -18,13 +18,11 @@ from asmschub.perm import (
     all_permutations,
     coxeter_length,
     identity,
-    longest_element,
 )
 from asmschub.pipedream import (
     PipeDream,
     bottom_pipe_dream,
     cross_monomial,
-    is_reduced,
     permutation_of,
     pipe_dream,
     pipe_dream_from_json,
@@ -37,6 +35,7 @@ from asmschub.pipedream import (
     subword_complex_facets,
 )
 from asmschub.poly import monomial, x_, z_
+from oracles import is_reduced, longest_element
 
 
 def brute_force_dreams(w):

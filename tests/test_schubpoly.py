@@ -18,13 +18,12 @@ from asmschub.perm import (
     all_permutations,
     coxeter_length,
     identity,
-    longest_element,
     pad,
 )
 from asmschub.pipedream import cross_monomial, pipe_dreams
 from asmschub import schubpoly
 from asmschub.poly import Polynomial, mono_degree, poly_to_text
-from oracles import substitute
+from oracles import longest_element, substitute
 from asmschub.schubpoly import (
     double_schubert_polynomial,
     grothendieck_polynomial,
