@@ -17,14 +17,15 @@ is on top with the variable fields below it in reversed priority, and
 the key complements the variable fields.  A product is a sum, a quotient
 a difference, ``a`` divides ``b`` when ``((b | G) - a) & G == G`` for
 the guard mask G, and the same guard bits pick the field-wise max of an
-lcm.  Every monomial packed or made is checked against the guards; an
-overflow restarts the computation with fields twice as wide, from
-`MIN_WIDTH`, so the width never changes a basis, a counter or a budget
-trip.  A basis is a list of monic entries ``(lead, tail)``, the tail
-holding the other ``(monomial, coefficient)`` pairs, with coefficients
-kept as ints while their denominator is 1.  One kernel, `_reduce`,
-reduces S-polynomials, basis tails and, through `normal_form`, outside
-polynomials; only a returned basis is unpacked into `Polynomial`s.
+lcm.  Every packed input, product and lcm is checked against the
+guards (a quotient cannot overflow); an overflow restarts the
+computation with fields twice as wide, from `MIN_WIDTH`, so the width
+never changes a basis, a counter or a budget trip.  A basis is a list
+of monic entries ``(lead, tail)``, the tail holding the other
+``(monomial, coefficient)`` pairs, with coefficients kept as ints while
+their denominator is 1.  One kernel, `_reduce`, reduces S-polynomials,
+basis tails and, through `normal_form`, outside polynomials; only a
+returned basis is unpacked into `Polynomial`s.
 
 The budget bounds both the S-pairs a computation pops and its reduction
 work.  A reduction step costs one unit per term of the reducer, times
@@ -267,7 +268,8 @@ def _buchberger(ring: _Ring, gens: list[Polynomial], budget: int):
         qi, qj = lcm - li, lcm - lj  # the S-polynomial, whose leads cancel
         coeffs = {m + qi: c for m, c in ti}
         for m, c in tj:
-            coeffs[m + qj] = coeffs.get(m + qj, 0) - c
+            m += qj
+            coeffs[m] = coeffs.get(m, 0) - c
         if any(m & guard for m in coeffs):
             raise _Overflow
         r = _reduce(ring, coeffs, G, meter)
