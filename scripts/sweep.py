@@ -45,8 +45,9 @@ two agree.  Three families so far:
 exits 1 naming the first item key, in sorted order, whose row differs
 or that only one side has.
 
-``diag-cdg`` at size 6 (2,160 items) took 48 s on a 2-vCPU x86-64 machine
-with Python 3.11, nearly all of it in the Buchberger runs.  ``flag`` at
+``diag-cdg`` at size 6 (2,160 items) takes about 7 s on a 2-vCPU x86-64
+machine with Python 3.11 (25 s before Buchberger packed its monomials),
+most of it in the Buchberger runs.  ``flag`` at
 size 6 spends nearly all its time enumerating non-reduced pipe dreams.
 """
 
