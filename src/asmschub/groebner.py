@@ -58,8 +58,6 @@ DEFAULT_BUDGET = 200_000
 WORK_PER_PAIR = 50
 MIN_WIDTH = 8  # bits per packed exponent field before any overflow
 
-Entry = tuple[Monomial, Polynomial]  # (lead monomial, monic polynomial)
-
 
 class GroebnerBudgetError(RuntimeError):
     """Raised when a basis computation exceeds its work budget."""
@@ -218,18 +216,18 @@ def _packed(order: TermOrder, polys, run):
             width *= 2
 
 
-def normal_form(f: Polynomial, basis: list[Entry], order: TermOrder, meter: _Meter) -> Polynomial:
-    """Fully reduce f modulo monic entries ``(lead, g)``: no term of the
-    result is divisible by any lead.  The meter is charged for every
-    reduction step."""
+def normal_form(f: Polynomial, basis: tuple[Polynomial, ...], order: TermOrder, meter: _Meter) -> Polynomial:
+    """Fully reduce f modulo the basis polynomials, each made monic: no
+    term of the result is divisible by the lead of any of them.  The meter
+    is charged for every reduction step."""
     spent = meter.work
 
     def run(ring: _Ring) -> Polynomial:
         meter.work = spent  # an overflowed attempt charges nothing
-        entries = [ring.monic(ring.pack(g)) for _, g in basis]
+        entries = [ring.monic(ring.pack(g)) for g in basis]
         return ring.unpack(_reduce(ring, ring.pack(f), entries, meter).items())
 
-    return _packed(order, [f, *(g for _, g in basis)], run)
+    return _packed(order, [f, *basis], run)
 
 
 def _buchberger(ring: _Ring, gens: list[Polynomial], budget: int):
@@ -341,8 +339,7 @@ def ideal_equals(I: Ideal, J: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
 def ideal_contains(I: Ideal, f: Polynomial, budget: int = DEFAULT_BUDGET) -> bool:
     """Is f in I?  The reduction of f is charged to a budget of its own."""
     order = canonical_order(I.ambient)
-    basis = [(lead_monomial(g, order), g) for g in buchberger(I, order, budget)]
-    return normal_form(f, basis, order, _Meter(budget)).is_zero
+    return normal_form(f, buchberger(I, order, budget), order, _Meter(budget)).is_zero
 
 
 _T = ("t", 0)
@@ -369,23 +366,23 @@ def intersect_ideals(I: Ideal, J: Ideal, budget: int = DEFAULT_BUDGET) -> Ideal:
 def minimal_generators(I: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, ...]:
     """A minimal generating set, greedily by increasing degree.
 
-    Each candidate is replaced by its monic remainder against the
-    generators already kept, so redundant tails drop out (a minor whose
-    diagonal term lies in the span of earlier generators comes back as
-    the surviving monomial, for instance).  Those reductions share one
-    budget, apart from the budgets of the bases they reduce against.
+    Each candidate is replaced by its monic remainder against the basis
+    of the generators already kept, cached on an `Ideal` of them, so
+    redundant tails drop out (a minor whose diagonal term lies in the
+    span of earlier generators comes back as the surviving monomial, for
+    instance).  Those reductions share one budget, apart from the budgets
+    of the bases they reduce against.
     """
     order = canonical_order(I.ambient)
     meter = _Meter(budget)
-    chosen: list[Polynomial] = []
+    kept = Ideal((), I.ambient, {("gb", order): ()})  # the empty ideal's basis is known
     for g in sorted(
         dict.fromkeys(I.generators),
         key=lambda f: (f.degree(), order.key(lead_monomial(f, order))),
     ):
-        if chosen:
-            basis = [(lead_monomial(b, order), b) for b in buchberger(chosen, order, budget)]
-            g = normal_form(g, basis, order, meter)
+        g = normal_form(g, buchberger(kept, order, budget), order, meter)
         if not g.is_zero:
             lc = g.coefficient(lead_monomial(g, order))
-            chosen.append(Polynomial.from_dict({m: c / lc for m, c in g.terms}))
-    return tuple(chosen)
+            g = Polynomial.from_dict({m: c / lc for m, c in g.terms})
+            kept = Ideal((*kept.generators, g), I.ambient)
+    return kept.generators

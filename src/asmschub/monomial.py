@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -76,6 +77,18 @@ class MonomialIdeal:
 
     generators: tuple[Monomial, ...]
     variables: tuple[Var, ...]
+
+    @cached_property
+    def _supports(self) -> tuple[tuple[Var, ...], tuple[int, ...]]:
+        """Sorted variables of the generators and their supports as masks over them."""
+        used = tuple(sorted({v for m in self.generators for v in mono_support(m)}))
+        pos = {v: i for i, v in enumerate(used)}
+        return used, tuple(sum(1 << pos[v] for v in mono_support(m)) for m in self.generators)
+
+    @cached_property
+    def _primes(self) -> tuple[int, ...]:
+        """Minimal primes as masks over the variables of `_supports`."""
+        return tuple(_cover_masks(self._supports[1]))
 
     @property
     def is_zero(self) -> bool:
@@ -114,13 +127,6 @@ def _minimal_sets(masks: Iterable[int]) -> list[int]:
     return out
 
 
-def _support_masks(J: MonomialIdeal) -> tuple[list[Var], list[int]]:
-    """Sorted variables of J and its generator supports as masks over them."""
-    variables = sorted({v for m in J.generators for v in mono_support(m)})
-    pos = {v: i for i, v in enumerate(variables)}
-    return variables, [sum(1 << pos[v] for v in mono_support(m)) for m in J.generators]
-
-
 def _cover_masks(supports: Iterable[int]) -> list[int]:
     """Minimal vertex covers of a family of support masks.
 
@@ -151,14 +157,11 @@ def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
     """
     if J.is_unit:
         raise ValueError("unit ideal has no minimal primes")
-    variables, supports = _support_masks(J)
-    covers = _cover_masks(supports)
-    return tuple(sorted(tuple(v for i, v in enumerate(variables) if c >> i & 1) for c in covers))
+    variables = J._supports[0]
+    return tuple(sorted(tuple(v for i, v in enumerate(variables) if c >> i & 1) for c in J._primes))
 
 
 def codim(J: MonomialIdeal) -> int:
-    if J.is_zero:
-        return 0
     return min(len(p) for p in minimal_primes(J))
 
 
@@ -531,16 +534,15 @@ def _homology_of_union(masks: Sequence[int], limit: int) -> dict[int, int]:
 # taken on the points of sigma in that order.
 
 
-def _squarefree_masks(J: MonomialIdeal) -> tuple[list[Var], list[int]]:
-    """Sorted variables of J and its generators as masks over them."""
+def _require_squarefree(J: MonomialIdeal) -> None:
+    """Reject the unit ideal and non-squarefree ideals."""
     if J.is_unit:
         raise ValueError("unit ideal has no Betti table")
     if not J.is_squarefree:
         raise ValueError("Betti numbers require a squarefree ideal")
-    return _support_masks(J)
 
 
-def _lcms(gens: list[int], cap: int) -> set[int] | None:
+def _lcms(gens: Sequence[int], cap: int) -> set[int] | None:
     """The lcms of all sets of generators, the empty lcm 0 included, or
     None as soon as there are more than `cap`."""
     lcms = {0}
@@ -565,7 +567,7 @@ def _walk(lcms: set[int], dual: bool) -> list[int]:
     return sorted(lcms - {0})
 
 
-def _smaller_lattice(gens: list[int], primes: list[int], max_lattice: int) -> tuple[bool, list[int]]:
+def _smaller_lattice(gens: Sequence[int], primes: Sequence[int], max_lattice: int) -> tuple[bool, list[int]]:
     """Whether the Alexander dual has the smaller lcm lattice (a tie goes
     to J), and that lattice.
 
@@ -607,7 +609,7 @@ def _betti_at(sigma: int, divisors: list[int], max_faces: int) -> dict[int, int]
     return {d + 2: r for d, r in hom.items()}
 
 
-def _divisors(sigma: int, gens: list[int]) -> list[int]:
+def _divisors(sigma: int, gens: Sequence[int]) -> list[int]:
     return [g for g in gens if not g & ~sigma]
 
 
@@ -620,7 +622,8 @@ def betti_numbers(
 
     Keys are (homological degree, sorted multidegree support).
     """
-    variables, gens = _squarefree_masks(J)
+    _require_squarefree(J)
+    variables, gens = J._supports
     betti = {(0, ()): 1}
     lcms = _lcms(gens, max_lattice)
     if lcms is None:
@@ -632,7 +635,7 @@ def betti_numbers(
     return betti
 
 
-def _pdim(gens: list[int], at_least: int, lattice: list[int], max_faces: int) -> int:
+def _pdim(gens: Sequence[int], at_least: int, lattice: list[int], max_faces: int) -> int:
     """Projective dimension of the quotient by the squarefree generators
     `gens`, with lcm lattice `lattice`, known to be at least `at_least`.
 
@@ -655,7 +658,7 @@ def _pdim(gens: list[int], at_least: int, lattice: list[int], max_faces: int) ->
     return best
 
 
-def _reg(gens: list[int], lattice: list[int], max_faces: int) -> int:
+def _reg(gens: Sequence[int], lattice: list[int], max_faces: int) -> int:
     """Regularity of the quotient by the squarefree generators `gens`,
     with lcm lattice `lattice`: max{|sigma| - i} over its Betti numbers.
 
@@ -687,8 +690,8 @@ def reg_quotient(
     the answer is Terai's reg(R/J) = pdim(R/J^v) - 1; on J's side it is
     max{|sigma| - i} over the Betti numbers of R/J.
     """
-    _, gens = _squarefree_masks(J)
-    primes = _cover_masks(gens)  # the minimal primes, generating the dual
+    _require_squarefree(J)
+    gens, primes = J._supports[1], J._primes  # the minimal primes generate the dual
     dual, lattice = _smaller_lattice(gens, primes, max_lattice)
     if dual:
         # beta_{1,g} = 1 for every generator g, so reg(R/J) >= deg g - 1
@@ -711,8 +714,8 @@ def is_cm_quotient(
     R/J is Cohen-Macaulay exactly when reg(R/J^v) = c - 1 (Eagon-Reiner);
     on J's side, exactly when pdim(R/J) = c.
     """
-    _, gens = _squarefree_masks(J)
-    primes = _cover_masks(gens)  # the minimal primes, generating the dual
+    _require_squarefree(J)
+    gens, primes = J._supports[1], J._primes  # the minimal primes generate the dual
     heights = {p.bit_count() for p in primes}
     if len(heights) > 1:
         _count(route_gate=1)
@@ -757,12 +760,11 @@ def vertex_decomposition_h(J: MonomialIdeal) -> tuple[int, ...] | None:
     Cohen-Macaulay (Provan and Billera, 1980); then reg(R/J) = s (Bruns
     and Herzog, ch. 4).  Else None, counted as a hand-over if J is unmixed.
     """
-    variables, gens = _squarefree_masks(J)
-    primes = _cover_masks(gens)
-    if len({p.bit_count() for p in primes}) > 1:
+    _require_squarefree(J)
+    if len({p.bit_count() for p in J._primes}) > 1:
         return None
     memo: dict = {}
-    h = _vd_h(frozenset(((1 << len(variables)) - 1) ^ p for p in primes), memo)
+    h = _vd_h(frozenset(((1 << len(J._supports[0])) - 1) ^ p for p in J._primes), memo)
     _count(route_vd=h is not None, vd_nodes=len(memo), vd_handovers=h is None)
     return h
 

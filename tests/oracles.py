@@ -29,7 +29,10 @@ library answers faster by another route, and exists to cross-check it:
   of `Polynomial.__mul__`;
 - `mono_divides`, `mono_div` and `mono_lcm` work on monomials as
   tuples of pairs, against the packed-int divisibility, quotient and
-  lcm inside `groebner`.
+  lcm inside `groebner`;
+- `minimal_generators_by_rebuild` computes the basis of the generators
+  kept so far afresh before every candidate, against `minimal_generators`,
+  which computes it once per kept generator.
 
 The rest are small readers that only the tests need: `longest_element`,
 `is_reduced`, `reduced_homology_ranks` (the homology kernel on a
@@ -43,7 +46,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from asmschub.asm import PartialASM, complete_asm, permutation_matrix, rank_table
-from asmschub.groebner import Ideal
+from asmschub.groebner import DEFAULT_BUDGET, Ideal, _Meter, buchberger, canonical_order, normal_form
 from asmschub.ideal import EssentialBox, Schubertable, _minor_indices, as_partial_asm
 from asmschub.monomial import (
     DEFAULT_FACE_LIMIT,
@@ -64,6 +67,7 @@ from asmschub.poly import (
     Var,
     constant,
     generic_minor,
+    lead_monomial,
     monomial,
     mono_degree,
     mono_support,
@@ -340,6 +344,24 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     for v, e in b:
         acc[v] = max(acc.get(v, 0), e)
     return tuple(sorted(acc.items()))
+
+
+def minimal_generators_by_rebuild(I: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, ...]:
+    """The greedy minimal generating set of `minimal_generators`, with a
+    fresh basis of the kept generators before every candidate."""
+    order = canonical_order(I.ambient)
+    meter = _Meter(budget)
+    chosen: list[Polynomial] = []
+    for g in sorted(
+        dict.fromkeys(I.generators),
+        key=lambda f: (f.degree(), order.key(lead_monomial(f, order))),
+    ):
+        if chosen:
+            g = normal_form(g, buchberger(chosen, order, budget), order, meter)
+        if not g.is_zero:
+            lc = g.coefficient(lead_monomial(g, order))
+            chosen.append(Polynomial.from_dict({m: c / lc for m, c in g.terms}))
+    return tuple(chosen)
 
 
 def longest_element(n: int) -> Permutation:

@@ -31,11 +31,18 @@ from asmschub.decomp import (
     schubert_decompose,
     schubert_intersect,
 )
-from asmschub.groebner import ideal_equals, initial_ideal, canonical_order, minimal_generators
+from asmschub.groebner import (
+    DEFAULT_BUDGET,
+    GroebnerBudgetError,
+    canonical_order,
+    ideal_equals,
+    initial_ideal,
+    minimal_generators,
+)
 from asmschub.ideal import anti_diag_init, schubert_determinantal_ideal
 from asmschub.monomial import mono_to_text
 from asmschub.perm import Permutation, all_permutations, bruhat_leq, identity
-from oracles import perm_set_brute_force
+from oracles import minimal_generators_by_rebuild, perm_set_brute_force
 
 # 3x3 ASM whose variety splits into the 312 and 231 components
 SPLIT = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
@@ -250,3 +257,33 @@ class TestCohenMacaulay:
         # every trimmed element is monomial here: the minors reduce away
         for g in trimmed:
             assert len(g.terms) == 1
+
+
+def trimmed_or_error(trim, I, budget):
+    """The terms of each generator trim keeps, coefficient types included,
+    or the message of the budget error it raises."""
+    try:
+        return repr([g.terms for g in trim(I, budget)])
+    except GroebnerBudgetError as e:
+        return f"GroebnerBudgetError: {e}"
+
+
+class TestMinimalGeneratorsDifferential:
+    """`minimal_generators` keeps one basis per kept generator; the oracle
+    rebuilds it before every candidate.  Reduced bases are unique, so both
+    keep the same generators and trip the same budgets."""
+
+    def test_every_21st_permutation_of_s6_and_bulge(self):
+        for A in list(all_permutations(6))[::21] + [BULGE]:
+            I = schubert_determinantal_ideal(A)
+            assert trimmed_or_error(minimal_generators, I, DEFAULT_BUDGET) == trimmed_or_error(
+                minimal_generators_by_rebuild, I, DEFAULT_BUDGET
+            ), A
+
+    def test_bulge_on_both_sides_of_its_budget(self):
+        # 28 is the least budget under which the oracle finishes
+        I = schubert_determinantal_ideal(BULGE)
+        for budget in (27, 28):
+            expected = trimmed_or_error(minimal_generators_by_rebuild, I, budget)
+            assert expected.startswith("GroebnerBudgetError") == (budget == 27)
+            assert trimmed_or_error(minimal_generators, I, budget) == expected

@@ -67,9 +67,8 @@ def spoly(f, g, order):
 
 
 def reduce(f, basis, order):
-    """normal_form of f against a monic basis, as (lead, g) entries."""
-    entries = [(lead_monomial(g, order), g) for g in basis]
-    return normal_form(f, entries, order, _Meter(DEFAULT_BUDGET))
+    """normal_form of f against the polynomials of basis."""
+    return normal_form(f, tuple(basis), order, _Meter(DEFAULT_BUDGET))
 
 
 def assert_reduced_groebner(gens, basis, order):
@@ -167,8 +166,8 @@ class TestPackedOverflow:
 
     def test_normal_form_outgrows_the_first_width(self):
         meter = _Meter(DEFAULT_BUDGET)
-        entries = [(monomial([(X, 1)]), P("z[1,1] - z[1,2]^200"))]
-        assert normal_form(P("z[1,1]^2"), entries, LEX, meter) == P("z[1,2]^400")
+        basis = (P("z[1,1] - z[1,2]^200"),)
+        assert normal_form(P("z[1,1]^2"), basis, LEX, meter) == P("z[1,2]^400")
         # two steps by a two-term reducer; the attempt that overflowed on
         # the second step is not charged
         assert meter.work == 4

@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from asmschub import monomial as mi
 from asmschub.asm import as_permutation, enumerate_asms, make_partial_asm
+from asmschub.decomp import is_schubert_cm
 from asmschub.ideal import anti_diag_init
 from asmschub.poly import monomial, mono_support, x_, z_
+from asmschub.schubpoly import schubert_regularity
 from oracles import (
     betti_to_json,
     betti_to_text,
@@ -475,8 +477,7 @@ BULGE = make_partial_asm(
 
 
 def uses_dual_route(J: mi.MonomialIdeal) -> bool:
-    variables, gens = mi._squarefree_masks(J)
-    primes = mi._cover_masks(gens)
+    (variables, gens), primes = J._supports, J._primes
     assert sorted(tuple(v for u, v in enumerate(variables) if p >> u & 1) for p in primes) == list(
         mi.minimal_primes(J)
     )
@@ -810,6 +811,48 @@ class TestVertexDecomposition:
             assert mi.is_cm_quotient(J) and len(h) - 1 == mi.reg_quotient(J), A
         # every Cohen-Macaulay item: 208 of the 5x5 ones and 60 of the slice
         assert certified == 208 + 60
+
+
+class TestCoversOnce:
+    """An ideal finds its minimal primes once, however many routes read them."""
+
+    @pytest.fixture
+    def cover_calls(self, monkeypatch):
+        calls = []
+        covers = mi._cover_masks
+
+        def counted(supports):
+            calls.append(1)
+            return covers(supports)
+
+        monkeypatch.setattr(mi, "_cover_masks", counted)
+        return calls
+
+    def test_unmixed_item_without_a_certificate(self, cover_calls):
+        # BULGE is unmixed with no vertex decomposition, so the certificate
+        # and the walk both read its primes
+        with mi.collect_stats() as s:
+            assert not is_schubert_cm(BULGE)
+        assert (s["vd_handovers"], s["route_primal"] + s["route_dual"]) == (1, 1)
+        assert len(cover_calls) == 1
+
+    def test_mixed_item(self, cover_calls):
+        # a mixed ideal fails the certificate on its heights, then walks
+        A = next(
+            A
+            for A in non_permutation_asms(5)
+            if len({len(p) for p in mi.minimal_primes(anti_diag_init(A))}) > 1
+        )
+        reg = table_regularity(anti_diag_init(A))
+        cover_calls.clear()
+        with mi.collect_stats() as s:
+            assert schubert_regularity(A) == reg
+        assert (s["vd_nodes"], s["route_primal"] + s["route_dual"]) == (0, 1)
+        assert len(cover_calls) == 1
+
+    def test_betti_numbers_find_no_covers(self, cover_calls):
+        mi.betti_numbers(anti_diag_init(BULGE))
+        assert cover_calls == []
 
 
 class TestRenders:
