@@ -145,7 +145,7 @@ class _Ring:
         return tuple((v, e) for v, sh in self.fields if (e := p >> sh & self.field))
 
     def pack(self, f: Polynomial) -> dict:
-        return {self.pack_mono(m): _plain(c) for m, c in f.terms}
+        return {self.pack_mono(m): c for m, c in f.coeffs.items()}
 
     def unpack(self, terms) -> Polynomial:
         return _collect({self.unpack_mono(p): c for p, c in terms})
@@ -382,7 +382,7 @@ def minimal_generators(I: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[Polynomi
     ):
         g = normal_form(g, buchberger(kept, order, budget), order, meter)
         if not g.is_zero:
-            lc = g.coefficient(lead_monomial(g, order))
-            g = Polynomial.from_dict({m: c / lc for m, c in g.terms})
+            lc = g.coeffs[lead_monomial(g, order)]
+            g = Polynomial.from_dict({m: Fraction(c, lc) for m, c in g.coeffs.items()})
             kept = Ideal((*kept.generators, g), I.ambient)
     return kept.generators

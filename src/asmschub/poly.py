@@ -4,17 +4,17 @@ Variables come in three families: a generic matrix z[i,j] and two
 alphabets x[i], y[i], written as tuples ("x", i), ("y", i) and
 ("z", i, j).  The canonical order is Python's tuple order on those
 tuples, so x < y < z and each family runs ascending by index.  A
-monomial lists its variables in that order, and a polynomial stores
-its terms in a canonical descending order (degree first, then
-reverse-lex in tuple order), which makes rendering and structural
-equality deterministic.  Term orders for Groebner work are separate
-values so the same polynomial can be read under several orders.
+monomial lists its variables in that order.  A polynomial stores a
+read-only map from monomial to nonzero coefficient, an `int` when its
+denominator is 1 and a `Fraction` otherwise, so kernels add plain ints;
+its `terms` list the pairs, with `Fraction` coefficients, in a canonical
+descending order (degree first, then reverse-lex in tuple order), sorted
+once, on first read.  Term orders for Groebner work are separate values
+so the same polynomial can be read under several orders.
 
-Stored coefficients are always `Fraction`s; products and divided
-differences sum those with denominator 1 as plain `int`s and convert
-once, on storing.  A product monomial is one merge of two sorted pair
-tuples.  As x_i and x_{i+1} are adjacent in variable order, a divided
-difference splices each new x_i, x_{i+1} pair into the input monomial
+A product monomial is one merge of two sorted pair tuples.  As x_i and
+x_{i+1} are adjacent in variable order, a divided difference splices
+new x_i, x_{i+1} pairs, made once per exponent, into the input monomial
 between its pairs before x_i and after x_{i+1}, with no sort.
 """
 
@@ -24,8 +24,10 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Var = tuple
@@ -88,62 +90,86 @@ def mono_support(a: Monomial) -> tuple[Var, ...]:
     return tuple(v for v, _ in a)
 
 
-def _display_sort(terms: Iterable[tuple[Monomial, Fraction]]):
+def _display_sort(coeffs: Mapping[Monomial, int | Fraction]):
     # Degree descending, then reverse-lex: the reversed monomials first
     # differ exactly where dense exponent vectors read from the top
     # variable down would, and neither is a prefix of the other when the
-    # degrees agree.
-    return tuple(sorted(terms, key=lambda it: (-mono_degree(it[0]), it[0][::-1])))
+    # degrees agree.  Two stable sorts on keys computed in C beat one
+    # sort on a pair of keys.  Equal coefficients share one Fraction.
+    monos = sorted(coeffs, key=itemgetter(slice(None, None, -1)))
+    monos.sort(key=mono_degree, reverse=True)
+    fracs = {c: Fraction(c) for c in set(coeffs.values())}
+    return tuple(zip(monos, map(fracs.__getitem__, map(coeffs.__getitem__, monos))))
 
 
 def _plain(c: Fraction) -> int | Fraction:
-    """c as an int when its denominator is 1: int sums skip Fraction."""
+    """c as an int when its denominator is 1."""
     return c.numerator if c.denominator == 1 else c
 
 
-def _collect(acc: Mapping[Monomial, int | Fraction]) -> "Polynomial":
-    """The polynomial of the nonzero coefficients, stored as Fractions."""
-    pairs = ((m, c if type(c) is Fraction else Fraction(c)) for m, c in acc.items() if c)
-    return Polynomial(_display_sort(pairs))
+def _collect(acc: dict[Monomial, int | Fraction]) -> "Polynomial":
+    """The polynomial of the nonzero coefficients of acc, which it takes
+    over: zeros go, and whole Fractions become ints, in place."""
+    for m in [m for m, c in acc.items() if not c or type(c) is not int]:
+        c = acc.pop(m)
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+        if c:
+            acc[m] = _plain(c)
+    return Polynomial(acc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Polynomial:
     """Immutable polynomial with exact rational coefficients.
+
+    `coeffs` maps monomials to nonzero int or Fraction coefficients;
+    `terms`, sorted on first read, has them in display order as Fractions.
 
     >>> f = variable(x_(1)) + variable(x_(2))
     >>> poly_to_text(f * f)
     'x[1]^2 + 2*x[1]*x[2] + x[2]^2'
     """
 
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    coeffs: Mapping[Monomial, int | Fraction]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", MappingProxyType(self.coeffs))
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+        return _display_sort(self.coeffs)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
+
+    def __repr__(self) -> str:
+        return f"Polynomial(terms={self.terms!r})"
+
+    def __reduce__(self):
+        return Polynomial, (dict(self.coeffs),)
 
     @staticmethod
     def from_dict(d: Mapping[Monomial, Fraction | int]) -> "Polynomial":
-        return _collect(d)
+        return _collect(dict(d))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def coefficient(self, m: Monomial) -> Fraction:
-        for mono_, c in self.terms:
-            if mono_ == m:
-                return c
-        return Fraction(0)
+        return Fraction(self.coeffs.get(m, 0))
 
     def degree(self) -> int:
         """Total degree; the zero polynomial gets -1."""
-        if self.is_zero:
-            return -1
-        return max(mono_degree(m) for m, _ in self.terms)
+        return max(map(mono_degree, self.coeffs), default=-1)
 
     def variables(self) -> set:
-        return {v for m, _ in self.terms for v, _ in m}
+        return {v for m in self.coeffs for v, _ in m}
 
     def __add__(self, other) -> "Polynomial":
-        acc = dict(self.terms)
-        for m, c in as_polynomial(other).terms:
+        acc = self.coeffs.copy()
+        for m, c in as_polynomial(other).coeffs.items():
             acc[m] = acc.get(m, 0) + c
         return _collect(acc)
 
@@ -151,7 +177,7 @@ class Polynomial:
         return self.__add__(other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple((m, -c) for m, c in self.terms))
+        return Polynomial({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-as_polynomial(other))
@@ -160,11 +186,10 @@ class Polynomial:
         return as_polynomial(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        right = [(m, _plain(c)) for m, c in as_polynomial(other).terms]
+        right = as_polynomial(other).coeffs.items()
         acc: dict[Monomial, int | Fraction] = {}
         get = acc.get
-        for m1, c1 in self.terms:
-            c1 = _plain(c1)
+        for m1, c1 in self.coeffs.items():
             for m2, c2 in right:
                 m = mono_mul(m1, m2)
                 acc[m] = get(m, 0) + c1 * c2
@@ -185,8 +210,8 @@ class Polynomial:
         return poly_to_text(self)
 
 
-ZERO = Polynomial(())
-ONE = Polynomial(((MONE, Fraction(1)),))
+ZERO = Polynomial({})
+ONE = Polynomial({MONE: 1})
 
 
 def as_polynomial(value) -> Polynomial:
@@ -198,17 +223,15 @@ def as_polynomial(value) -> Polynomial:
 
 
 def constant(c) -> Polynomial:
-    c = Fraction(c)
-    return Polynomial(((MONE, c),)) if c else ZERO
+    return term(c, ())
 
 
 def variable(v: Var) -> Polynomial:
-    return Polynomial(((monomial([(v, 1)]), Fraction(1)),))
+    return Polynomial({monomial([(v, 1)]): 1})
 
 
 def term(c, pairs: Iterable[tuple[Var, int]]) -> Polynomial:
-    c = Fraction(c)
-    return Polynomial(((monomial(pairs), c),)) if c else ZERO
+    return _collect({monomial(pairs): Fraction(c)})
 
 
 @dataclass(frozen=True)
@@ -263,7 +286,7 @@ def antidiagonal_order(m: int, n: int) -> TermOrder:
 def lead_monomial(f: Polynomial, order: TermOrder) -> Monomial:
     if f.is_zero:
         raise ValueError("zero polynomial has no lead term")
-    return max((m for m, _ in f.terms), key=order.key)
+    return max(f.coeffs, key=order.key)
 
 
 def generic_minor(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
@@ -298,24 +321,25 @@ def _difference(f: Polynomial, i: int, shifts) -> Polynomial:
     if i < 1:
         raise ValueError("index must be positive")
     u, v = x_(i), x_(i + 1)
+    U, V = [()], [()]  # U[p] is ((x_i, p),), made once; () for p = 0
     acc: dict[Monomial, int | Fraction] = {}
     get = acc.get
-    for m, c in f.terms:
+    for m, c in f.coeffs.items():
         k = bisect_left(m, (u,))
         a = m[k][1] if k < len(m) and m[k][0] == u else 0
         j = k + (a > 0)
         b = m[j][1] if j < len(m) and m[j][0] == v else 0
         head, tail = m[:k], m[j + (b > 0) :]
-        c = _plain(c)
+        while len(U) <= a + b:  # no new exponent exceeds max(a - 1, b)
+            U.append(((u, len(U)),))
+            V.append(((v, len(V)),))
         for shift, sign in shifts:
             bk = b + shift
             if a == bk:
                 continue
             lo, hi, s = (bk, a, sign * c) if a > bk else (a, bk, -sign * c)
             for p in range(lo, hi):
-                q = a + bk - 1 - p
-                mid = ((u, p),) if p else ()
-                nm = head + (mid + ((v, q),) if q else mid) + tail
+                nm = head + U[p] + V[a + bk - 1 - p] + tail
                 acc[nm] = get(nm, 0) + s
     return _collect(acc)
 

@@ -100,11 +100,11 @@ def grothendieck_polynomial(w: Permutation, algorithm: str = "DividedDifference"
                 f"pipe dream formula is limited to n <= {NON_REDUCED_LIMIT}"
             )
         ell = coxeter_length(w)
-        out = Polynomial.from_dict({})
+        acc: dict = {}
         for D in pipe_dreams_non_reduced(w):
-            sign = -1 if (len(D.crosses) - ell) % 2 else 1
-            out = out + Polynomial.from_dict({cross_monomial(D): sign})
-        return out
+            m = cross_monomial(D)
+            acc[m] = acc.get(m, 0) + (-1 if (len(D.crosses) - ell) % 2 else 1)
+        return Polynomial.from_dict(acc)
     raise ValueError(f"unknown Grothendieck algorithm {algorithm!r}")
 
 

@@ -368,6 +368,15 @@ class TestMinimalGenerators:
         kept = minimal_generators(Ideal(gens, (1, 2)))
         assert len(kept) == 2
 
+    def test_lead_coefficient_two_is_divided_exactly(self):
+        # z[1,2] leads with coefficient 2; coeffs stores it as an int, so
+        # a plain c / lc would divide int by int into a float
+        z11, z12 = monomial([(z_(1, 1), 1)]), monomial([(z_(1, 2), 1)])
+        kept = minimal_generators(Ideal((Polynomial.from_dict({z11: 1, z12: 2}),), (1, 2)))
+        assert kept == (P("1/2*z[1,1] + z[1,2]"),)
+        assert (z11, Fraction(1, 2)) in kept[0].terms
+        assert not any(type(c) is float for g in kept for c in g.coeffs.values())
+
 
 # -- packed monomials --------------------------------------------------------
 

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmschub import poly
+from asmschub import poly, schubpoly
+from asmschub.groebner import GroebnerBudgetError, buchberger
 from asmschub.monomial import monomial_ideal_from_text
+from asmschub.perm import Permutation
 from asmschub.poly import (
     ONE,
     ZERO,
@@ -409,3 +413,76 @@ class TestCanonicalOrder:
                 assert sorted(monos, key=order.key) == sorted(
                     monos, key=lambda m: nested_term_key(order, m)
                 )
+
+
+def assert_canonical(h):
+    """Nonzero coeffs, ints where whole, and terms in display order."""
+    assert all(c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+               for c in h.coeffs.values())
+    assert h.terms == dense_display_sort((m, Fraction(c)) for m, c in h.coeffs.items())
+
+
+class TestCoefficientMap:
+    """coeffs is the stored map; terms is its display order, read once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, polys, st.integers(1, 4), st.integers(1, 3))
+    def test_every_kernel_reads_in_display_order(self, f, g, i, k):
+        kernels = [f * g, f + g, f - g, -f, divided_difference(f, i),
+                   isobaric_divided_difference(f, i), generic_minor(range(1, k + 1), range(2, k + 2))]
+        kernels.append(Polynomial.from_dict({m: Fraction(c) for m, c in f.coeffs.items()}))
+        try:
+            kernels += buchberger([f, g], poly.TermOrder("grevlex", tuple(VARIABLES)), budget=50)
+        except GroebnerBudgetError:
+            pass
+        for h in kernels:
+            assert_canonical(h)
+
+    @settings(max_examples=60)
+    @given(polys, st.randoms())
+    def test_shuffled_and_whole_fractions_compare_equal(self, f, rng):
+        items = [(m, Fraction(c)) for m, c in f.coeffs.items()]
+        rng.shuffle(items)
+        g = Polynomial.from_dict(dict(items))
+        assert g == f and hash(g) == hash(f)
+        assert g.coeffs == f.coeffs
+        assert_canonical(g)
+
+    def test_int_and_fraction_coefficients_hash_alike(self):
+        m, n = monomial([(x_(1), 2)]), monomial([(y_(1), 1)])
+        f = Polynomial.from_dict({m: 3, n: Fraction(1, 2)})
+        g = Polynomial.from_dict({n: Fraction(1, 2), m: Fraction(6, 2)})
+        assert f == g and hash(f) == hash(g)
+        assert type(g.coeffs[m]) is int
+        assert f.terms == g.terms == ((m, Fraction(3)), (n, Fraction(1, 2)))
+
+    def test_immutable(self):
+        f = variable(x_(1)) + 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.coeffs = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.terms = ()
+        with pytest.raises(TypeError):
+            f.coeffs[()] = 5
+        assert f == variable(x_(1)) + 2
+        assert pickle.loads(pickle.dumps(f)) == f
+
+    def test_rejects_inexact_coefficients(self):
+        with pytest.raises(TypeError, match="0.5"):
+            Polynomial.from_dict({(): 0.5})
+
+    def test_double_schubert_sorts_once(self, monkeypatch):
+        # the 15 staircase products, 15 x_i - y_j and 11 divided
+        # differences each sorted their result when terms were stored
+        calls = []
+
+        def counting(coeffs):
+            calls.append(len(coeffs))
+            return display_sort(coeffs)
+
+        display_sort = poly._display_sort
+        monkeypatch.setattr(poly, "_display_sort", counting)
+        schubpoly._descend.cache_clear()
+        f = schubpoly.double_schubert_polynomial(Permutation((1, 4, 3, 2, 6, 5)))
+        poly_to_text(f)
+        assert calls == [len(f.coeffs)]
