@@ -2,7 +2,7 @@
 
 Everything downstream (diagrams, determinantal ideals, pipe dreams) is built
 on the combinatorics in this module: Rothe diagrams, essential sets, pattern
-containment, Bruhat order via rank tables, and Demazure (0-Hecke) products.
+containment, Bruhat order by sorted prefixes, and Demazure (0-Hecke) products.
 Positions and values are 1-based throughout, matching the usual conventions
 for matrix coordinates.
 """
@@ -229,22 +229,19 @@ def is_cdg(w: Permutation) -> bool:
     return class_membership(w, "cdg")
 
 
-def rank(w: Permutation, i: int, j: int) -> int:
-    """#{a <= i : w(a) <= j}, the rank of the northwest i x j corner."""
-    return sum(1 for a in range(1, i + 1) if w(a) <= j)
-
-
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat order: u <= w iff every northwest rank of u dominates that of w.
+    """Bruhat order by the tableau criterion: u <= w iff, for every k, the
+    sorted first k entries of u lie entrywise below those of w.
 
     Inputs of different sizes are padded with fixed points first.
     """
     n = max(len(u), len(w))
-    u, w = pad(u, n), pad(w, n)
+    # padded as tuples: `pad` would build and validate two Permutations
+    a, b = (v.one_line + tuple(range(len(v) + 1, n + 1)) for v in (u, w))
     return all(
-        rank(u, i, j) >= rank(w, i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
+        p <= q
+        for k in range(1, n)
+        for p, q in zip(sorted(a[:k]), sorted(b[:k]))
     )
 
 
@@ -269,11 +266,16 @@ def demazure_product(word: Sequence[int], n: int | None = None) -> Permutation:
         n = max(word) + 1 if word else 1
     if word and max(word) + 1 > n:
         raise ValueError(f"letter {max(word)} does not fit in S_{n}")
-    line = list(range(1, n + 1))
+    return Permutation(_hecke(tuple(range(1, n + 1)), word))
+
+
+def _hecke(line: tuple[int, ...], word: Iterable[int]) -> tuple[int, ...]:
+    """line * s_a * s_b * ... in the 0-Hecke monoid, in one-line notation."""
+    out = list(line)
     for i in word:
-        if line[i - 1] < line[i]:
-            line[i - 1], line[i] = line[i], line[i - 1]
-    return Permutation(tuple(line))
+        if out[i - 1] < out[i]:
+            out[i - 1], out[i] = out[i], out[i - 1]
+    return tuple(out)
 
 
 def cells_to_text(cells: Iterable[Cell]) -> str:

@@ -12,16 +12,14 @@ Stanley-Reisner complex appearing as cross-set complements.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .perm import Permutation, cells_to_json, demazure_product, lehmer_code
-from .poly import Monomial, Var, monomial, x_, z_
+from .poly import Var, z_
 
 Cell = tuple[int, int]
 
 PIPE_DREAM_LIMIT = 8
-NON_REDUCED_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -61,11 +59,6 @@ def reading_word(D: PipeDream) -> tuple[int, ...]:
 
 def permutation_of(D: PipeDream) -> Permutation:
     return demazure_product(reading_word(D), D.size)
-
-
-def cross_monomial(D: PipeDream) -> Monomial:
-    """The weight x^D, one x_i for every cross in row i."""
-    return monomial((x_(i), 1) for (i, j) in D.crosses)
 
 
 def bottom_pipe_dream(w: Permutation) -> PipeDream:
@@ -123,27 +116,6 @@ def pipe_dreams(w: Permutation) -> tuple[PipeDream, ...]:
                     nxt.append(E)
         frontier = nxt
     return tuple(sorted(seen, key=lambda D: D.crosses))
-
-
-def _staircase(n: int) -> list[Cell]:
-    return [(i, j) for i in range(1, n) for j in range(1, n - i + 1)]
-
-
-def pipe_dreams_non_reduced(w: Permutation) -> tuple[PipeDream, ...]:
-    """Every staircase cross set whose Demazure product is w."""
-    n = len(w)
-    if n > NON_REDUCED_LIMIT:
-        raise ValueError(
-            f"non-reduced enumeration is limited to n <= {NON_REDUCED_LIMIT}"
-        )
-    cells = _staircase(n)
-    found = []
-    for size in range(len(cells) + 1):
-        for combo in itertools.combinations(cells, size):
-            D = PipeDream(n, combo)
-            if permutation_of(D) == w:
-                found.append(D)
-    return tuple(sorted(found, key=lambda D: D.crosses))
 
 
 def subword_complex_facets(w: Permutation) -> tuple[tuple[Var, ...], ...]:

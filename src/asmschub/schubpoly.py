@@ -3,14 +3,17 @@
 All three families start from the staircase monomial of the longest
 element and descend through (isobaric) divided differences; the
 transition recursion and the signed pipe-dream sum provide independent
-routes to the same polynomials.  The Rajchgot index, the degree of the
-Grothendieck polynomial, yields the regularity of the rank-condition
-quotient ring: raj(w) - length(w) for a permutation, and the graded
-Betti table of the antidiagonal degeneration in general.
+routes to the same polynomials.  The pipe-dream sum runs over 0-Hecke
+(Demazure product) states and never lists the dreams themselves.  The
+Rajchgot index, the degree of the Grothendieck polynomial, yields the
+regularity of the rank-condition quotient ring: raj(w) - length(w) for
+a permutation, and the graded Betti table of the antidiagonal
+degeneration in general.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .asm import as_permutation
@@ -18,17 +21,15 @@ from .ideal import Schubertable, anti_diag_init, as_partial_asm
 from .monomial import reg_quotient, vertex_decomposition_h
 from .perm import (
     Permutation,
+    _hecke,
+    bruhat_leq,
     coxeter_length,
     descents,
     is_dominant,
     lehmer_code,
     times_transposition,
 )
-from .pipedream import (
-    NON_REDUCED_LIMIT,
-    cross_monomial,
-    pipe_dreams_non_reduced,
-)
+from .pipedream import PIPE_DREAM_LIMIT
 from .poly import (
     ONE,
     Polynomial,
@@ -95,17 +96,41 @@ def grothendieck_polynomial(w: Permutation, algorithm: str = "DividedDifference"
     if algorithm == "DividedDifference":
         return _descend(w, _staircase, isobaric_divided_difference)
     if algorithm == "PipeDream":
-        if len(w) > NON_REDUCED_LIMIT:
-            raise ValueError(
-                f"pipe dream formula is limited to n <= {NON_REDUCED_LIMIT}"
-            )
-        ell = coxeter_length(w)
-        acc: dict = {}
-        for D in pipe_dreams_non_reduced(w):
-            m = cross_monomial(D)
-            acc[m] = acc.get(m, 0) + (-1 if (len(D.crosses) - ell) % 2 else 1)
-        return Polynomial.from_dict(acc)
+        if len(w) > PIPE_DREAM_LIMIT:
+            raise ValueError(f"pipe dream formula is limited to n <= {PIPE_DREAM_LIMIT}")
+        return _pipe_dream_sum(w)
     raise ValueError(f"unknown Grothendieck algorithm {algorithm!r}")
+
+
+def _pipe_dream_sum(w: Permutation) -> Polynomial:
+    """The sum of (-1)^(|D| - l(w)) x^D over the non-reduced pipe dreams D of w.
+
+    Reads the staircase cells in reading order, keeping for each Demazure
+    product u of the crosses so far the signed weights of the dreams that
+    reach it.  An elbow leaves u; a cross at (i, j) applies s_{i+j-1} in
+    the 0-Hecke monoid with weight -x_i, and as x_i is the largest
+    variable yet, only a monomial's last pair changes.  A state is kept
+    while u <= w <= u * (the letters still unread).
+    """
+    n = len(w)
+    cells = [(i, i + j - 1) for i in range(1, n) for j in range(n - i, 0, -1)]
+    word = [k for _, k in cells]
+    states = {tuple(range(1, n + 1)): Counter({(): (-1) ** coxeter_length(w)})}
+    for t, (i, k) in enumerate(cells):
+        xi, nxt = x_(i), {}
+        for u, sums in states.items():
+            crossed = {
+                m[:-1] + ((xi, m[-1][1] + 1),) if m and m[-1][0] == xi else m + ((xi, 1),): -c
+                for m, c in sums.items()
+            }
+            nxt.setdefault(u, Counter()).update(sums)
+            nxt.setdefault(_hecke(u, (k,)), Counter()).update(crossed)
+        states = {
+            u: sums
+            for u, sums in nxt.items()
+            if bruhat_leq(Permutation(u), w) and bruhat_leq(w, Permutation(_hecke(u, word[t + 1:])))
+        }
+    return Polynomial.from_dict(states[w.one_line])
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -32,17 +32,28 @@ library answers faster by another route, and exists to cross-check it:
   lcm inside `groebner`;
 - `minimal_generators_by_rebuild` computes the basis of the generators
   kept so far afresh before every candidate, against `minimal_generators`,
-  which computes it once per kept generator.
+  which computes it once per kept generator;
+- `bruhat_leq_by_ranks` compares the northwest rank tables of two
+  permutations, against the sorted prefixes of `bruhat_leq`;
+- `pipe_dreams_non_reduced` lists every subset of the staircase and keeps
+  those whose Demazure product is w, and `grothendieck_by_brute_force`
+  sums their signed weights, against the 0-Hecke state
+  sum of `grothendieck_polynomial(w, "PipeDream")`;
+- `double_schuberts_by_reduced_dreams` sums x_i - y_j over the crosses of
+  reduced pipe dreams, against the divided differences of
+  `double_schubert_polynomial`, y terms included.
 
 The rest are small readers that only the tests need: `longest_element`,
-`is_reduced`, `reduced_homology_ranks` (the homology kernel on a
-simplicial complex), `pdim_quotient` (read off a full Betti table), and
-`betti_to_text` and `betti_to_json`.
+`is_reduced`, `cross_monomial` (the weight x^D of a pipe dream),
+`reduced_homology_ranks` (the homology kernel on a simplicial complex),
+`pdim_quotient` (read off a full Betti table), and `betti_to_text` and
+`betti_to_json`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from asmschub.asm import PartialASM, complete_asm, permutation_matrix, rank_table
@@ -57,9 +68,10 @@ from asmschub.monomial import (
     betti_numbers,
     monomial_ideal,
 )
-from asmschub.perm import Permutation, all_permutations, bruhat_leq, coxeter_length
+from asmschub.perm import Permutation, all_permutations, bruhat_leq, coxeter_length, pad
 from asmschub.pipedream import PipeDream, permutation_of
 from asmschub.poly import (
+    ONE,
     ZERO,
     Monomial,
     Polynomial,
@@ -73,7 +85,9 @@ from asmschub.poly import (
     mono_support,
     term,
     var_to_text,
+    variable,
     x_,
+    y_,
 )
 
 
@@ -362,6 +376,67 @@ def minimal_generators_by_rebuild(I: Ideal, budget: int = DEFAULT_BUDGET) -> tup
             lc = g.coefficient(lead_monomial(g, order))
             chosen.append(Polynomial.from_dict({m: c / lc for m, c in g.terms}))
     return tuple(chosen)
+
+
+def bruhat_leq_by_ranks(u: Permutation, w: Permutation) -> bool:
+    """Bruhat order by rank tables: u <= w iff, after padding both to one
+    size, #{a <= i : u(a) <= j} >= #{a <= i : w(a) <= j} at every (i, j)."""
+    n = max(len(u), len(w))
+    u, w = pad(u, n), pad(w, n)
+
+    def rank(v: Permutation, i: int, j: int) -> int:
+        return sum(1 for a in range(1, i + 1) if v(a) <= j)
+
+    return all(rank(u, i, j) >= rank(w, i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+def cross_monomial(D: PipeDream) -> Monomial:
+    """The weight x^D, one x_i for every cross in row i."""
+    return monomial((x_(i), 1) for (i, j) in D.crosses)
+
+
+def pipe_dreams_non_reduced(w: Permutation) -> tuple[PipeDream, ...]:
+    """Every staircase cross set whose Demazure product is w, found among
+    all 2^(n(n-1)/2) subsets of the staircase."""
+    n = len(w)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n - i + 1)]
+    found = [
+        D
+        for size in range(len(cells) + 1)
+        for D in (PipeDream(n, combo) for combo in combinations(cells, size))
+        if permutation_of(D) == w
+    ]
+    return tuple(sorted(found, key=lambda D: D.crosses))
+
+
+def grothendieck_by_brute_force(w: Permutation) -> Polynomial:
+    """The sum of (-1)^(|D| - l(w)) x^D over `pipe_dreams_non_reduced(w)`."""
+    acc: dict[Monomial, int] = {}
+    for D in pipe_dreams_non_reduced(w):
+        m = cross_monomial(D)
+        acc[m] = acc.get(m, 0) + (-1) ** (len(D.crosses) - coxeter_length(w))
+    return Polynomial.from_dict(acc)
+
+
+def double_schuberts_by_reduced_dreams(n: int) -> dict[tuple[int, ...], Polynomial]:
+    """Every double Schubert polynomial of S_n, keyed by one-line notation,
+    as the sum over reduced pipe dreams of the product of x_i - y_j over
+    their crosses (i, j).
+
+    One state sum over the staircase cells in reading order serves all of
+    S_n.  A state is the product of the crosses so far, and a cell takes a
+    cross only where its letter makes that product longer."""
+    states = {tuple(range(1, n + 1)): ONE}
+    for i in range(1, n):
+        for j in range(n - i, 0, -1):
+            k, weight = i + j - 1, variable(x_(i)) - variable(y_(j))
+            crossed = dict(states)
+            for u, f in states.items():
+                if u[k - 1] < u[k]:
+                    v = u[: k - 1] + (u[k], u[k - 1]) + u[k + 1 :]
+                    crossed[v] = crossed.get(v, ZERO) + f * weight
+            states = crossed
+    return states
 
 
 def longest_element(n: int) -> Permutation:

@@ -60,7 +60,7 @@ from asmschub.schubpoly import (
     schubert_polynomial,
     schubert_regularity,
 )
-from oracles import pdim_quotient, perm_set_brute_force
+from oracles import cross_monomial, pdim_quotient, perm_set_brute_force
 
 SPLIT = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
 
@@ -365,7 +365,6 @@ def test_criterion_15_property_gates():
     for w in all_permutations(5):
         assert schubert_polynomial(w, algorithm="Transition") == schubert_polynomial(w)
 
-    from asmschub.pipedream import cross_monomial
     from asmschub.poly import Polynomial
 
     for w in all_permutations(4):

@@ -253,6 +253,12 @@ class TestExitCodes:
         rc, _, err = run(["asm", "enumerate", "9", "--count"])
         assert rc == 1 and "guard" in err
 
+    def test_pipe_dream_route_guard(self):
+        argv = ["poly", "grothendieck", "1,2,3,4,5,6,8,7"]
+        assert run(argv + ["--algorithm", "PipeDream"]) == run(argv)
+        rc, out, err = run(["poly", "grothendieck", "1,2,3,4,5,6,7,8,9", "--algorithm", "PipeDream"])
+        assert (rc, out, err) == (1, "", "pipe dream formula is limited to n <= 8\n")
+
     def test_unrecognized_intersection(self):
         rc, _, err = run(["decomp", "get-asm", "1,2,4,3", "1,3,2,4"])
         assert rc == 1 and "no ASM attached" in err

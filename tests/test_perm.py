@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from asmschub import perm
 from asmschub.perm import Permutation
-from oracles import longest_element
+from oracles import bruhat_leq_by_ranks, longest_element
 
 
 def brute_length(w):
@@ -224,6 +224,19 @@ class TestBruhat:
 
     def test_padding(self):
         assert perm.bruhat_leq(Permutation((2, 1)), Permutation((3, 2, 1)))
+
+    def test_rank_tables_s5(self):
+        s5 = list(perm.all_permutations(5))
+        for u in s5:
+            for w in s5:
+                assert perm.bruhat_leq(u, w) == bruhat_leq_by_ranks(u, w), (u, w)
+
+    def test_rank_tables_across_sizes(self):
+        for m, n in ((1, 3), (2, 4), (3, 4), (3, 5)):
+            for u in perm.all_permutations(m):
+                for w in perm.all_permutations(n):
+                    assert perm.bruhat_leq(u, w) == bruhat_leq_by_ranks(u, w), (u, w)
+                    assert perm.bruhat_leq(w, u) == bruhat_leq_by_ranks(w, u), (w, u)
 
 
 class TestDemazure:

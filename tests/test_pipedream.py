@@ -22,20 +22,18 @@ from asmschub.perm import (
 from asmschub.pipedream import (
     PipeDream,
     bottom_pipe_dream,
-    cross_monomial,
     permutation_of,
     pipe_dream,
     pipe_dream_from_json,
     pipe_dream_from_text,
     pipe_dream_to_json,
     pipe_dreams,
-    pipe_dreams_non_reduced,
     reading_word,
     render_pipe_dream,
     subword_complex_facets,
 )
 from asmschub.poly import monomial, x_, z_
-from oracles import is_reduced, longest_element
+from oracles import cross_monomial, is_reduced, longest_element, pipe_dreams_non_reduced
 
 
 def brute_force_dreams(w):
@@ -170,10 +168,6 @@ class TestNonReduced:
         sizes = sorted(len(D.crosses) for D in pipe_dreams_non_reduced(w))
         assert sizes[0] == coxeter_length(w)
         assert all(s >= coxeter_length(w) for s in sizes)
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError, match="n <= 6"):
-            pipe_dreams_non_reduced(identity(7))
 
 
 class TestSubwordFacets:

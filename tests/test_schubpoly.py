@@ -8,6 +8,8 @@ polynomial before anything trusts it.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from asmschub.asm import make_partial_asm, permutation_matrix
@@ -20,10 +22,16 @@ from asmschub.perm import (
     identity,
     pad,
 )
-from asmschub.pipedream import cross_monomial, pipe_dreams
+from asmschub.pipedream import pipe_dreams
 from asmschub import schubpoly
 from asmschub.poly import Polynomial, mono_degree, poly_to_text
-from oracles import longest_element, substitute
+from oracles import (
+    cross_monomial,
+    double_schuberts_by_reduced_dreams,
+    grothendieck_by_brute_force,
+    longest_element,
+    substitute,
+)
 from asmschub.schubpoly import (
     double_schubert_polynomial,
     grothendieck_polynomial,
@@ -101,6 +109,13 @@ class TestDoubleSchubert:
             single = substitute(f, {v: zero for v in ys})
             assert single == schubert_polynomial(w)
 
+    def test_reduced_pipe_dream_sum_through_degree_five(self):
+        # y terms included: the only route to them besides divided differences
+        for n in (4, 5):
+            by_dreams = double_schuberts_by_reduced_dreams(n)
+            for w in all_permutations(n):
+                assert by_dreams[w.one_line] == double_schubert_polynomial(w), w
+
 
 class TestGrothendieck:
     def test_pinned_value(self):
@@ -127,8 +142,20 @@ class TestGrothendieck:
             assert part == schubert_polynomial(w)
 
     def test_size_guard_on_pipe_dream_path(self):
-        with pytest.raises(ValueError, match="n <= 6"):
-            grothendieck_polynomial(identity(7), "PipeDream")
+        with pytest.raises(ValueError, match="n <= 8"):
+            grothendieck_polynomial(identity(9), "PipeDream")
+
+    def test_pipe_dream_sum_matches_brute_force_through_degree_five(self):
+        for n in range(1, 6):
+            for w in all_permutations(n):
+                assert grothendieck_polynomial(w, "PipeDream") == grothendieck_by_brute_force(w), w
+
+    def test_pipe_dream_sum_matches_divided_differences_past_the_brute_force(self):
+        items = list(all_permutations(6))[::5]
+        items += random.Random(7).sample(list(all_permutations(7)), 50)
+        items += [Permutation((1, 2, 3, 8, 7, 6, 5, 4)), Permutation((2, 1, 7, 8, 6, 5, 4, 3)), longest_element(8)]
+        for w in items:
+            assert grothendieck_polynomial(w, "PipeDream") == grothendieck_polynomial(w), w
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown Grothendieck algorithm"):
