@@ -37,8 +37,8 @@ library answers faster by another route, and exists to cross-check it:
   permutations, against the sorted prefixes of `bruhat_leq`;
 - `pipe_dreams_non_reduced` lists every subset of the staircase and keeps
   those whose Demazure product is w, and `grothendieck_by_brute_force`
-  sums their signed weights, against the 0-Hecke state
-  sum of `grothendieck_polynomial(w, "PipeDream")`;
+  sums their signed weights, against the 0-Hecke state sum of
+  `grothendieck_polynomial(w, "PipeDream")`;
 - `double_schuberts_by_reduced_dreams` sums x_i - y_j over the crosses of
   reduced pipe dreams, against the divided differences of
   `double_schubert_polynomial`, y terms included.
@@ -430,12 +430,12 @@ def double_schuberts_by_reduced_dreams(n: int) -> dict[tuple[int, ...], Polynomi
     for i in range(1, n):
         for j in range(n - i, 0, -1):
             k, weight = i + j - 1, variable(x_(i)) - variable(y_(j))
-            crossed = dict(states)
+            nxt = dict(states)  # every state may take an elbow
             for u, f in states.items():
                 if u[k - 1] < u[k]:
                     v = u[: k - 1] + (u[k], u[k - 1]) + u[k + 1 :]
-                    crossed[v] = crossed.get(v, ZERO) + f * weight
-            states = crossed
+                    nxt[v] = nxt.get(v, ZERO) + f * weight
+            states = nxt
     return states
 
 
