@@ -47,10 +47,10 @@ or that only one side has.
 
 ``diag-cdg`` at size 6 (2,160 items) takes about 7 s on a 2-vCPU x86-64
 machine with Python 3.11 (25 s before Buchberger packed its monomials),
-most of it in the Buchberger runs.  ``flag`` at size 6 takes about 13 s,
-most of it in the double Schubert divided differences, and at size 7
-about 50 s (the pipe-dream sum runs over 0-Hecke states, where it listed
-every subset of the staircase and took 336 s at size 6).
+most of it in the Buchberger runs.  ``flag`` takes about 12 s at size 6,
+most of it in the double Schubert divided differences, and about 44 s at
+size 7, where the double Schubert check is past its limit and nearly all
+the time goes to the two Grothendieck routes.
 """
 
 from __future__ import annotations
