@@ -16,13 +16,16 @@ two agree.  Three families so far:
   the permutation avoids the CDG patterns, `diag_init` agrees with
   Buchberger, and the CDG-generator leads agree with Buchberger.
 - ``homology``: every non-permutation n x n ASM.  `is_schubert_cm` and
-  `schubert_regularity`, which walk the smaller lcm lattice of the
-  antidiagonal degeneration J or of its Alexander dual, against the full
-  Betti table of J: Cohen-Macaulay iff pdim equals codim, and reg is
-  max |sigma| - i.  The corpus holds, per item (the matrix, rows joined
-  by ``/``, ``-`` for -1), the two answers, whether each agrees with the
-  table, and the `faces` and `complexes` that `collect_stats` counted
-  over the two fast calls.
+  `schubert_regularity`, which certify most items by a vertex
+  decomposition of the Stanley-Reisner complex of the antidiagonal
+  degeneration J and walk the smaller lcm lattice, of J or of its
+  Alexander dual, for the rest.  Up to n = ``BETTI_LIMIT`` (5) they are
+  checked against the full Betti table of J: Cohen-Macaulay iff pdim
+  equals codim, and reg is max |sigma| - i.  Past it, against the walks
+  `is_cm_quotient` and `reg_quotient` on the same J.  The corpus holds,
+  per item (the matrix, rows joined by ``/``, ``-`` for -1), the two
+  answers, whether each agrees with its check, and the `faces` and
+  `complexes` that `collect_stats` counted over the two fast calls.
 - ``flag``: every permutation of S_n.  The divided-difference Schubert
   polynomial against the transition recursion, the divided-difference
   Grothendieck polynomial against the signed pipe-dream sum (only up to
@@ -48,9 +51,14 @@ or that only one side has.
 ``diag-cdg`` at size 6 (2,160 items) takes about 7 s on a 2-vCPU x86-64
 machine with Python 3.11 (25 s before Buchberger packed its monomials),
 most of it in the Buchberger runs.  ``flag`` takes about 12 s at size 6,
-most of it in the double Schubert divided differences, and about 44 s at
-size 7, where the double Schubert check is past its limit and nearly all
-the time goes to the two Grothendieck routes.
+most of it in the double Schubert divided differences, and about 27 s at
+size 7 (44 s before the pipe-dream sum compared plain sorted prefixes),
+where the double Schubert check is past its limit and nearly all the time
+goes to the two Grothendieck routes.  ``homology`` takes about 100 s at
+size 6, of which the two fast calls take about 8 s and the checking
+walks the rest: 3,308 of the 6,716 items are Cohen-Macaulay, and the
+regularity histogram is {1: 538, 2: 1192, 3: 1794, 4: 1535, 5: 963,
+6: 486, 7: 152, 8: 43, 9: 11, 10: 2}.  No 6x6 corpus is committed.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,7 +83,7 @@ from asmschub.ideal import (
     diag_order,
     schubert_determinantal_ideal,
 )
-from asmschub.monomial import betti_numbers, codim, collect_stats
+from asmschub.monomial import betti_numbers, codim, collect_stats, is_cm_quotient, reg_quotient
 from asmschub.perm import all_permutations, class_membership
 from asmschub.pipedream import PIPE_DREAM_LIMIT
 from asmschub.poly import Polynomial
@@ -85,6 +94,8 @@ from asmschub.schubpoly import (
     schubert_regularity,
 )
 
+# full Betti tables of all 6,716 non-permutation 6x6 ASMs take over an hour
+BETTI_LIMIT = 5
 # the double Schubert polynomial of the longest element of S_7 expands a
 # product of 21 binomials, too large to descend from for every item
 DOUBLE_LIMIT = 6
@@ -135,10 +146,13 @@ def homology_item(A) -> list[int]:
     with collect_stats() as s:
         cm, reg = is_schubert_cm(A), schubert_regularity(A)
     J = anti_diag_init(A)
-    table = betti_numbers(J)
-    pdim = max(i for i, _ in table)
-    table_reg = max(len(sigma) - i for i, sigma in table)
-    return [int(cm), reg, int(cm == (pdim == codim(J))), int(reg == table_reg), s["faces"], s["complexes"]]
+    if A.nrows > BETTI_LIMIT:
+        want_cm, want_reg = is_cm_quotient(J), reg_quotient(J)
+    else:
+        table = betti_numbers(J)
+        want_cm = max(i for i, _ in table) == codim(J)
+        want_reg = max(len(sigma) - i for i, sigma in table)
+    return [int(cm), reg, int(cm == want_cm), int(reg == want_reg), s["faces"], s["complexes"]]
 
 
 def homology(cfg: Config) -> dict:
@@ -239,9 +253,12 @@ def run(cfg: Config) -> dict:
     if cfg.family == "homology":
         corpus = homology(cfg)
         s = corpus["summary"]
-        print(f"  Cohen-Macaulay:                          {s['cm']} of {s['items']}")
-        print(f"  CM agrees with the Betti table:          {s['cm_agree']} of {s['items']}")
-        print(f"  regularity agrees with the Betti table:  {s['reg_agree']} of {s['items']}")
+        oracle = "the Betti table" if cfg.size <= BETTI_LIMIT else "the walk"
+        for label, n in [("Cohen-Macaulay", s["cm"]), (f"CM agrees with {oracle}", s["cm_agree"]),
+                         (f"regularity agrees with {oracle}", s["reg_agree"])]:
+            print(f"  {label + ':':<41}{n} of {s['items']}")
+        regs = Counter(row[1] for row in corpus["items"].values())
+        print(f"  {'regularity histogram:':<41}{dict(sorted(regs.items()))}")
     elif cfg.family == "flag":
         corpus = flag(cfg)
         s = corpus["summary"]

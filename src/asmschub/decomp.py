@@ -30,8 +30,8 @@ from .groebner import (
     initial_ideal,
     intersect_ideals,
 )
-from .ideal import Schubertable, anti_diag_init, as_partial_asm, schubert_determinantal_ideal
-from .monomial import MonomialIdeal, is_cm_quotient, minimal_primes, vertex_decomposition_h
+from .ideal import Schubertable, _degeneration, anti_diag_init, as_partial_asm, schubert_determinantal_ideal
+from .monomial import MonomialIdeal, is_cm_quotient, minimal_primes, vertex_decomposition_reg
 from .perm import Permutation, bruhat_leq, demazure_product, pad
 
 Decomposable = MonomialIdeal | Ideal | Schubertable
@@ -141,15 +141,15 @@ def schubert_intersect(factors, budget: int = DEFAULT_BUDGET) -> Ideal:
 def is_schubert_cm(A: Schubertable, **guards) -> bool:
     """Cohen-Macaulayness of the rank-condition quotient.
 
-    Permutation matrices short-circuit to True.  Else the certificate
-    route tries a vertex decomposition of the Stanley-Reisner complex of
-    the antidiagonal degeneration J (Provan-Billera: then R/J is CM;
-    Knutson-Miller: subword complexes have one).  Without one,
-    `is_cm_quotient` gates on unmixedness and walks the smaller lcm
-    lattice, of J or of its Alexander dual (Eagon-Reiner).
+    Permutation matrices short-circuit to True.  Else the antidiagonal
+    degeneration J, shared with `schubert_regularity`, is CM if unmixed
+    with a vertex decomposition (Provan-Billera; Knutson-Miller: subword
+    complexes have one).  Else `is_cm_quotient` answers a mixed J by its
+    height gate, before any search, or walks the smaller lcm lattice, of
+    J or of its Alexander dual (Eagon-Reiner).
     """
     M = as_partial_asm(A)
     if as_permutation(M) is not None:
         return True
-    J = anti_diag_init(M)
-    return vertex_decomposition_h(J) is not None or is_cm_quotient(J, **guards)
+    J = _degeneration(M)
+    return vertex_decomposition_reg(J, pure=True) is not None or is_cm_quotient(J, **guards)

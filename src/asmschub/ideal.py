@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matrix, rank_table
@@ -123,6 +124,22 @@ def anti_diag_init(A: Schubertable) -> MonomialIdeal:
         for j in range(1, A.ncols + 1)
     ]
     return monomial_ideal(monos, ambient)
+
+
+DEGENERATION_CACHE = 16  # ASMs whose J the Schubert homology calls share
+
+
+@lru_cache(maxsize=DEGENERATION_CACHE)
+def _degeneration_memo(M: PartialASM) -> MonomialIdeal:
+    return anti_diag_init(M)  # by name, so a traced anti_diag_init sees each build
+
+
+def _degeneration(M: PartialASM) -> MonomialIdeal:
+    """`anti_diag_init(M)`, its primes and its certificate, built once per ASM."""
+    hits = _degeneration_memo.cache_info().hits
+    J = _degeneration_memo(M)
+    _count(memo_hits=_degeneration_memo.cache_info().hits - hits)
+    return J
 
 
 def schubert_codim(A: Schubertable) -> int:

@@ -33,9 +33,10 @@ that was a pivot one size up reduces to zero, so it is skipped.
 Homology spread over two or more degrees is recomputed with exact
 integer elimination.  `collect_stats` counts this work.
 
-The Schubert calls first try a certificate: a vertex decomposition makes
-R/J Cohen-Macaulay (Provan and Billera, 1980) and yields the h-vector,
-whose degree is reg(R/J).  Subword complexes have one (Knutson-Miller).
+The Schubert calls first try a certificate, kept by the ideal: a vertex
+decomposition, pure or not, is a shelling whose largest restriction is
+reg(R/J) (Bjorner-Wachs; Herzog-Hibi-Zheng); a pure one makes R/J
+Cohen-Macaulay (Provan-Billera).  Subword complexes have one (Knutson-Miller).
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ class MonomialIdeal:
     def _primes(self) -> tuple[int, ...]:
         """Minimal primes as masks over the variables of `_supports`."""
         return tuple(_cover_masks(self._supports[1]))
+
+    # the search `vertex_decomposition_reg` reads, made once per ideal
+    _shelling = cached_property(lambda self: _vd_search(self))
 
     @property
     def is_zero(self) -> bool:
@@ -213,7 +217,7 @@ STAT_NAMES = (
     "gf2_ranks",
     "rows_cleared",
     "exact_fallbacks",
-    "route_vd", "vd_nodes", "vd_handovers",
+    "route_vd", "route_vd_nonpure", "vd_nodes", "vd_handovers", "memo_hits",
     "route_cdg",
     "pairs", "pairs_coprime", "pairs_chain",
     "zero_reductions", "basis_size", "reduction_units",
@@ -233,14 +237,17 @@ class collect_stats:
     `faces` the faces built after collapses.  `gf2_ranks` counts boundary
     maps reduced over GF(2), `rows_cleared` the rows clearing skipped and
     `exact_fallbacks` the complexes recomputed by integer elimination.
-    `route_vd` counts answers certified by a vertex decomposition
-    (Provan-Billera; Knutson-Miller), `vd_nodes` the complexes searched
-    and `vd_handovers` the unmixed ideals left to the walk.
+    `route_vd` and `route_vd_nonpure` count answers certified by a vertex
+    decomposition of a pure and of a nonpure complex, `vd_nodes` the
+    complexes searched, `vd_handovers` the answers left to the walk and
+    `memo_hits` the Schubert calls that found their ASM's J already built.
 
     `route_cdg` counts diagonal initial ideals read off CDG generators.
     Each Buchberger run adds the S-pairs it popped, those pruned as
     coprime or by the chain criterion, its reductions to zero, its
     reduced basis size and the reduction units charged to its budget.
+    `route_*`, `vd_handovers` and `memo_hits` count per call; the rest
+    count work done, which a kept J or search does not repeat.
 
     >>> with collect_stats() as s:
     ...     _ = reg_quotient(monomial_ideal([((("x", 1), 1),), ((("x", 2), 1),)]))
@@ -731,10 +738,11 @@ VD_NODE_LIMIT = 10_000
 
 
 def _vd_h(facets: frozenset[int], memo: dict) -> tuple[int, ...] | None:
-    """h-vector of a vertex decomposition of the pure complex on the facet
-    masks, or None.  A shedding vertex v, tried highest first and never a
-    cone point, has each F - v in a facet without v; then h = h_del +
-    t * h_link, for its deletion {F : v not in F} and link {F - v : v in F}
+    """Restriction counts (h_0, h_1, ...) of the shelling from a vertex
+    decomposition of the complex on the facet masks, pure or not (then the
+    h-vector), or None.  A shedding vertex v, tried highest first and never a
+    cone point, has each F - v in a facet without v; then h = h_del + t *
+    h_link, for its deletion {F : v not in F} and link {F - v : v in F}
     decomposed in turn.  Past VD_NODE_LIMIT complexes in `memo` none is opened."""
     if len(facets) == 1:
         return (1,)
@@ -754,6 +762,14 @@ def _vd_h(facets: frozenset[int], memo: dict) -> tuple[int, ...] | None:
     return memo[facets]
 
 
+def _vd_search(J: MonomialIdeal) -> tuple[int, ...] | None:
+    """`_vd_h` of the Stanley-Reisner complex of J, its nodes counted."""
+    memo: dict = {}
+    h = _vd_h(frozenset(((1 << len(J._supports[0])) - 1) ^ p for p in J._primes), memo)
+    _count(vd_nodes=len(memo))
+    return h
+
+
 def vertex_decomposition_h(J: MonomialIdeal) -> tuple[int, ...] | None:
     """h-vector (h_0, ..., h_s) of the quotient by a squarefree J when a
     vertex decomposition of its Stanley-Reisner complex certifies R/J
@@ -763,10 +779,23 @@ def vertex_decomposition_h(J: MonomialIdeal) -> tuple[int, ...] | None:
     _require_squarefree(J)
     if len({p.bit_count() for p in J._primes}) > 1:
         return None
-    memo: dict = {}
-    h = _vd_h(frozenset(((1 << len(J._supports[0])) - 1) ^ p for p in J._primes), memo)
-    _count(route_vd=h is not None, vd_nodes=len(memo), vd_handovers=h is None)
+    h = _vd_search(J)
+    _count(route_vd=h is not None, vd_handovers=h is None)
     return h
+
+
+def vertex_decomposition_reg(J: MonomialIdeal, pure: bool = False) -> int | None:
+    """reg(R/J) = deg h of `_vd_h`, kept by J, if the Stanley-Reisner complex
+    of a squarefree J has a vertex decomposition, a shelling (Bjorner-Wachs),
+    so that J^v has linear quotients (Herzog-Hibi-Zheng).  Else None, a
+    hand-over.  With `pure`, a mixed J gets None before any search."""
+    _require_squarefree(J)
+    mixed = len({p.bit_count() for p in J._primes}) > 1
+    if pure and mixed:
+        return None
+    h = J._shelling
+    _count(route_vd=h is not None and not mixed, route_vd_nonpure=h is not None and mixed, vd_handovers=h is None)
+    return None if h is None else len(h) - 1
 
 
 def monomial_ideal_to_json(J: MonomialIdeal) -> list[str]:

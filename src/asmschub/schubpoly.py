@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from operator import le
 
 from .asm import as_permutation
-from .ideal import Schubertable, anti_diag_init, as_partial_asm
-from .monomial import reg_quotient, vertex_decomposition_h
+from .ideal import Schubertable, _degeneration, as_partial_asm
+from .monomial import reg_quotient, vertex_decomposition_reg
 from .perm import (
     Permutation,
     _hecke,
-    bruhat_leq,
     coxeter_length,
     descents,
     is_dominant,
@@ -110,11 +110,16 @@ def _pipe_dream_sum(w: Permutation) -> Polynomial:
     reach it.  An elbow leaves u; a cross at (i, j) applies s_{i+j-1} in
     the 0-Hecke monoid with weight -x_i, and as x_i is the largest
     variable yet, only a monomial's last pair changes.  A state is kept
-    while u <= w <= u * (the letters still unread).
+    while u <= w <= u * (the letters still unread), by `bruhat_leq`'s
+    test on the sorted first k entries, k < n, put end to end.
     """
     n = len(w)
     cells = [(i, i + j - 1) for i in range(1, n) for j in range(n - i, 0, -1)]
     word = [k for _, k in cells]
+
+    def prefixes(line):  # u <= w iff u's lie entrywise below w's
+        return [v for k in range(1, n) for v in sorted(line[:k])]
+    top = prefixes(w.one_line)
     states = {tuple(range(1, n + 1)): Counter({(): (-1) ** coxeter_length(w)})}
     for t, (i, k) in enumerate(cells):
         xi, nxt = x_(i), {}
@@ -128,7 +133,7 @@ def _pipe_dream_sum(w: Permutation) -> Polynomial:
         states = {
             u: sums
             for u, sums in nxt.items()
-            if bruhat_leq(Permutation(u), w) and bruhat_leq(w, Permutation(_hecke(u, word[t + 1:])))
+            if all(map(le, prefixes(u), top)) and all(map(le, top, prefixes(_hecke(u, word[t + 1:]))))
         }
     return Polynomial.from_dict(states[w.one_line])
 
@@ -177,16 +182,16 @@ def schubert_regularity(A: Schubertable, **guards) -> int:
     """Regularity of the rank-condition quotient.
 
     Permutations (and permutation matrices) go through the Rajchgot
-    index.  Else, when a vertex decomposition certifies the antidiagonal
-    degeneration J Cohen-Macaulay (Provan-Billera; Knutson-Miller), reg
-    is the degree of its h-polynomial.  Otherwise `reg_quotient` walks
-    the smaller lcm lattice: Terai's pdim(R/J^v) - 1 on the dual J^v,
-    max{|sigma| - i} over the Betti numbers of R/J on J's side.
+    index.  Else the antidiagonal degeneration J, shared with
+    `is_schubert_cm`, takes reg from a vertex decomposition, pure or not
+    (`vertex_decomposition_reg`), or else `reg_quotient` walks the smaller
+    lcm lattice: Terai's pdim(R/J^v) - 1 on the dual J^v, max{|sigma| - i}
+    over the Betti numbers of R/J on J's side.
     """
     M = as_partial_asm(A)
     w = as_permutation(M)
     if w is not None:
         return raj_index(w) - coxeter_length(w)
-    J = anti_diag_init(M)
-    h = vertex_decomposition_h(J)
-    return len(h) - 1 if h is not None else reg_quotient(J, **guards)
+    J = _degeneration(M)
+    reg = vertex_decomposition_reg(J)
+    return reg if reg is not None else reg_quotient(J, **guards)

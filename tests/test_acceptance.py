@@ -43,6 +43,7 @@ from asmschub.monomial import (
     minimal_primes,
     mono_to_text,
     monomial_ideal,
+    reg_quotient,
 )
 from asmschub.perm import (
     Permutation,
@@ -416,16 +417,14 @@ def test_criterion_17_cohen_macaulay_6x6_slice():
     pool = [A for A in enumerate_asms(6) if as_permutation(A) is None]
     assert len(pool) == 6716
     items = random.Random(17).sample(pool, len(SLICE_6X6))
-    walks = []
-
-    def item(A):
-        with collect_stats() as s:
-            out = (is_schubert_cm(A), schubert_regularity(A))
-        walks.append((s["route_primal"], s["route_dual"]))
-        return out
-
-    got, dt = timed(10.0, lambda: [item(A) for A in items])
+    got, dt = timed(10.0, lambda: [(is_schubert_cm(A), schubert_regularity(A)) for A in items])
     assert tuple(got) == SLICE_6X6
-    # some items walk only J's lcm lattice, some only the dual's
+    # the certificate answers every item, so the walk is asked directly:
+    # it agrees, and some items walk only J's lcm lattice, some only the dual's
+    walks = []
+    for A, (_, reg) in zip(items, SLICE_6X6):
+        with collect_stats() as s:
+            assert reg_quotient(anti_diag_init(A)) == reg
+        walks.append((s["route_primal"], s["route_dual"]))
     assert any(p and not d for p, d in walks) and any(d and not p for p, d in walks)
     report(17, "Cohen-Macaulayness and regularity of a 6x6 slice", dt)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from asmschub import monomial as mi
 from asmschub.asm import as_permutation, enumerate_asms, make_partial_asm
 from asmschub.decomp import is_schubert_cm
-from asmschub.ideal import anti_diag_init
+from asmschub.ideal import _degeneration_memo, anti_diag_init
 from asmschub.poly import monomial, mono_support, x_, z_
 from asmschub.schubpoly import schubert_regularity
 from oracles import (
@@ -813,11 +813,75 @@ class TestVertexDecomposition:
         assert certified == 208 + 60
 
 
+def mixed(J: mi.MonomialIdeal) -> bool:
+    return len({len(p) for p in mi.minimal_primes(J)}) > 1
+
+
+class TestNonpureCertificate:
+    """One vertex-decomposition search, pure or not, certifies reg(R/J) as
+    its largest shelling restriction; the walk stays the oracle."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        _degeneration_memo.cache_clear()
+
+    def test_small_complexes(self):
+        # J = x1 (x2, x3): a point and an edge, reg 1
+        J = mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[0], X[2])])
+        with mi.collect_stats() as s:
+            assert mi.vertex_decomposition_reg(J, pure=True) is None
+        assert s == dict.fromkeys(mi.STAT_NAMES, 0)
+        with mi.collect_stats() as s:
+            assert mi.vertex_decomposition_reg(J) == 1 == mi.reg_quotient(J)
+        assert (s["route_vd"], s["route_vd_nonpure"], s["vd_handovers"]) == (0, 1, 0)
+        # the search is kept: a second call counts the answer, not the work
+        with mi.collect_stats() as s:
+            assert mi.vertex_decomposition_reg(J) == 1
+        assert (s["route_vd_nonpure"], s["vd_nodes"]) == (1, 0)
+        # a pure certificate gives deg h
+        J = mi.monomial_ideal([sqfree(*X[:3])])
+        assert mi.vertex_decomposition_reg(J, pure=True) == 2
+
+    def test_node_limit_hands_over(self, monkeypatch):
+        monkeypatch.setattr(mi, "VD_NODE_LIMIT", 0)
+        J = mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[0], X[2])])
+        with mi.collect_stats() as s:
+            assert mi.vertex_decomposition_reg(J) is None
+        assert (s["route_vd_nonpure"], s["vd_nodes"], s["vd_handovers"]) == (0, 0, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ideals(max_vars=7, max_gens=5).filter(mixed))
+    def test_mixed_certificate_agrees_with_the_walk(self, J):
+        reg = mi.vertex_decomposition_reg(J)
+        assert reg in (None, mi.reg_quotient(J))
+
+    # every 5x5 item and a seeded slice of 150 of the 6,716 6x6 items
+    def test_differential_on_asms(self):
+        pool6 = non_permutation_asms(6)
+        items = non_permutation_asms(5) + random.Random(12).sample(pool6, 150)
+        certified = []
+        for A in items:
+            J = anti_diag_init(A)
+            cm, reg = mi.is_cm_quotient(J), mi.reg_quotient(J)
+            assert (is_schubert_cm(A), schubert_regularity(A)) == (cm, reg), A
+            cert = mi.vertex_decomposition_reg(J)
+            assert cert in (None, reg), A
+            certified.append((mixed(J), cert is not None))
+        # all but BULGE of the 5x5 items, mixed ones included
+        assert sum(c for _, c in certified[:309]) == 308
+        assert sum(m and c for m, c in certified[:309]) == 100
+        # the slice has 82 mixed items, and one of them is left to the walk
+        assert sum(c for _, c in certified[309:]) == 149
+        assert sum(m and c for m, c in certified[309:]) == 81
+
+
 class TestCoversOnce:
     """An ideal finds its minimal primes once, however many routes read them."""
 
     @pytest.fixture
     def cover_calls(self, monkeypatch):
+        # the Schubert calls keep recent degenerations, primes included
+        _degeneration_memo.cache_clear()
         calls = []
         covers = mi._cover_masks
 
@@ -837,7 +901,7 @@ class TestCoversOnce:
         assert len(cover_calls) == 1
 
     def test_mixed_item(self, cover_calls):
-        # a mixed ideal fails the certificate on its heights, then walks
+        # a mixed ideal is certified by a nonpure vertex decomposition
         A = next(
             A
             for A in non_permutation_asms(5)
@@ -847,7 +911,7 @@ class TestCoversOnce:
         cover_calls.clear()
         with mi.collect_stats() as s:
             assert schubert_regularity(A) == reg
-        assert (s["vd_nodes"], s["route_primal"] + s["route_dual"]) == (0, 1)
+        assert s["vd_nodes"] > 0 and (s["route_vd_nonpure"], s["route_primal"] + s["route_dual"]) == (1, 0)
         assert len(cover_calls) == 1
 
     def test_betti_numbers_find_no_covers(self, cover_calls):
