@@ -2,7 +2,7 @@
 
 A family compares a fast route of the library with an independent
 slower one over a whole population, and records per item whether the
-two agree.  Three families so far:
+two agree.  Four families so far:
 
 - ``diag-cdg``: the diagonal initial ideals of every permutation of S_n
   under LexSE, LexNW and RevLex.  `diag_init`, which reads a CDG
@@ -37,10 +37,23 @@ two agree.  Three families so far:
   (Schubert, Grothendieck, double Schubert); null where a route is past
   its limit.  Each check is timed over the whole population.
 
+- ``decomp``: every n x n ASM.  `perm_set_of_asm`, which reads the
+  components off the minimal-prime masks of the antidiagonal
+  degeneration, against `perm_set_brute_force` from ``tests/oracles.py``,
+  a scan of S_n for the Bruhat-minimal permutations whose rank tables
+  the ASM bounds.  For each component w, `pipe_dreams(w)` against the
+  minimal primes of `anti_diag_init(w)` read as cross sets
+  (Knutson-Miller).  The corpus holds, per item (the matrix, as in
+  ``homology``), the components in order (one-line notation, space
+  separated), whether they agree with the brute force as a set, the
+  number of pipe dreams over the components, and whether those agree
+  with the primes.
+
     python3 scripts/sweep.py --size 5
     python3 scripts/sweep.py --size 6 --out scripts/corpus/diag-cdg-6.json
     python3 scripts/sweep.py --family homology --out scripts/corpus/homology-5.json
     python3 scripts/sweep.py --family flag --out scripts/corpus/flag-5.json
+    python3 scripts/sweep.py --family decomp --out scripts/corpus/decomp-5.json
     python3 scripts/sweep.py --family diag-cdg --size 6 --check
 
 ``--check`` reruns a family and compares it with its committed corpus,
@@ -69,10 +82,11 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from asmschub.asm import as_permutation, enumerate_asms
-from asmschub.decomp import is_schubert_cm
+from asmschub.decomp import is_schubert_cm, perm_set_of_asm
 from asmschub.groebner import initial_ideal
 from asmschub.ideal import (
     DIAG_VARIANTS,
@@ -83,9 +97,9 @@ from asmschub.ideal import (
     diag_order,
     schubert_determinantal_ideal,
 )
-from asmschub.monomial import betti_numbers, codim, collect_stats, is_cm_quotient, reg_quotient
+from asmschub.monomial import betti_numbers, codim, collect_stats, is_cm_quotient, minimal_primes, reg_quotient
 from asmschub.perm import all_permutations, class_membership
-from asmschub.pipedream import PIPE_DREAM_LIMIT
+from asmschub.pipedream import PIPE_DREAM_LIMIT, pipe_dreams
 from asmschub.poly import Polynomial
 from asmschub.schubpoly import (
     double_schubert_polynomial,
@@ -100,6 +114,8 @@ BETTI_LIMIT = 5
 # product of 21 binomials, too large to descend from for every item
 DOUBLE_LIMIT = 6
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
+sys.path.insert(0, str(CORPUS_DIR.parent.parent / "tests"))
+from oracles import perm_set_brute_force  # noqa: E402  (the slow route of `decomp`)
 
 
 @dataclass(frozen=True)
@@ -170,6 +186,43 @@ def homology(cfg: Config) -> dict:
         "complexes": sum(f[5] for f in flags),
     }
     return {"family": "homology", "size": cfg.size, "summary": summary, "items": items}
+
+
+@lru_cache(maxsize=None)
+def prime_cells(w) -> frozenset:
+    """Minimal primes of `anti_diag_init(w)` as sorted cell tuples."""
+    return frozenset(tuple((v[1], v[2]) for v in P) for P in minimal_primes(anti_diag_init(w)))
+
+
+def decomp_item(A) -> list:
+    """[components, they agree with the brute force, pipe dreams, those
+    agree with the primes] for one ASM."""
+    ws = perm_set_of_asm(A)
+    dreams = [pipe_dreams(w) for w in ws]
+    brute = perm_set_brute_force(A, max_size=A.nrows)
+    return [
+        " ".join("".join(map(str, w.one_line)) for w in ws),
+        int(set(ws) == set(brute)),
+        sum(map(len, dreams)),
+        int(all({D.crosses for D in ds} == prime_cells(w) for w, ds in zip(ws, dreams))),
+    ]
+
+
+def decomp(cfg: Config) -> dict:
+    pool = enumerate_asms(cfg.size)
+    t0 = time.perf_counter()
+    items = {asm_key(A): decomp_item(A) for A in pool}
+    print(f"decomp {cfg.size}x{cfg.size}: {len(items)} items in {time.perf_counter() - t0:.1f}s")
+    rows = list(items.values())
+    summary = {
+        "items": len(rows),
+        "components": sum(len(r[0].split()) for r in rows),
+        "distinct_components": len({w for r in rows for w in r[0].split()}),
+        "perm_set_agree": sum(r[1] for r in rows),
+        "dreams": sum(r[2] for r in rows),
+        "dreams_agree": sum(r[3] for r in rows),
+    }
+    return {"family": "decomp", "size": cfg.size, "summary": summary, "items": items}
 
 
 def _schubert_check(w) -> tuple[int, int]:
@@ -259,6 +312,12 @@ def run(cfg: Config) -> dict:
             print(f"  {label + ':':<41}{n} of {s['items']}")
         regs = Counter(row[1] for row in corpus["items"].values())
         print(f"  {'regularity histogram:':<41}{dict(sorted(regs.items()))}")
+    elif cfg.family == "decomp":
+        corpus = decomp(cfg)
+        s = corpus["summary"]
+        print(f"  components agree with the brute force:   {s['perm_set_agree']} of {s['items']}")
+        print(f"  pipe dreams agree with minimal primes:   {s['dreams_agree']} of {s['items']}")
+        print(f"  components, distinct components, dreams: {s['components']}, {s['distinct_components']}, {s['dreams']}")
     elif cfg.family == "flag":
         corpus = flag(cfg)
         s = corpus["summary"]
@@ -278,7 +337,7 @@ def run(cfg: Config) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--family", choices=("diag-cdg", "homology", "flag"), default="diag-cdg")
+    ap.add_argument("--family", choices=("diag-cdg", "homology", "flag", "decomp"), default="diag-cdg")
     ap.add_argument("--size", type=int, default=5)
     ap.add_argument("--out", help="write the corpus to this JSON file")
     ap.add_argument("--check", nargs="?", const="", metavar="CORPUS",

@@ -3,10 +3,10 @@
 An ASM variety is a union of matrix Schubert varieties; the minimal
 primes of its squarefree antidiagonal initial ideal are coordinate
 subspaces whose variable indices spell reduced words, one permutation
-per prime.  From the component list one can reconstitute the ASM (via
-entrywise-extreme rank tables), recognize whether an arbitrary ideal is
-an ASM ideal, form sums and intersections, and test Cohen-Macaulayness
-through the degeneration.
+per prime, read straight off the prime masks the ideal keeps.  From the
+component list one can reconstitute the ASM (via entrywise-extreme rank
+tables), recognize whether an arbitrary ideal is an ASM ideal, form sums
+and intersections, and test Cohen-Macaulayness through the degeneration.
 """
 
 from __future__ import annotations
@@ -31,16 +31,10 @@ from .groebner import (
     intersect_ideals,
 )
 from .ideal import Schubertable, _degeneration, anti_diag_init, as_partial_asm, schubert_determinantal_ideal
-from .monomial import MonomialIdeal, is_cm_quotient, minimal_primes, vertex_decomposition_reg
-from .perm import Permutation, bruhat_leq, demazure_product, pad
+from .monomial import MonomialIdeal, is_cm_quotient, vertex_decomposition_reg
+from .perm import Permutation, _hecke, bruhat_leq, pad
 
 Decomposable = MonomialIdeal | Ideal | Schubertable
-
-
-def _prime_to_permutation(prime: tuple, n: int) -> Permutation:
-    """Read the cells of a coordinate subspace as a reduced word."""
-    cells = sorted(((v[1], v[2]) for v in prime), key=lambda c: (c[0], -c[1]))
-    return demazure_product(tuple(i + j - 1 for (i, j) in cells), n)
 
 
 def schubert_decompose(
@@ -48,8 +42,10 @@ def schubert_decompose(
 ) -> tuple[Permutation, ...]:
     """Permutations labeling the components of the initial ideal.
 
-    Order follows the canonical minimal-prime order, first occurrence
-    kept on duplicates.
+    Each minimal prime mask of J is read as a word, its cells in reading
+    order (rows down, right to left), and its 0-Hecke product is taken on
+    one-line tuples.  Components follow the canonical minimal-prime order:
+    by their least prime, compared as ascending bit lists.
     """
     if isinstance(I, MonomialIdeal):
         J = I
@@ -60,14 +56,13 @@ def schubert_decompose(
     grid = max((max(v[1], v[2]) for v in J.variables), default=1)
     if J.is_zero:
         return (Permutation(tuple(range(1, grid + 1))),)
-    primes = minimal_primes(J)
-    n = max(grid, max(v[1] + v[2] - 1 for P in primes for v in P) + 1)
-    out: list[Permutation] = []
-    for P in primes:
-        w = _prime_to_permutation(P, n)
-        if w not in out:
-            out.append(w)
-    return tuple(out)
+    if J.is_unit:
+        raise ValueError("unit ideal has no minimal primes")
+    letters = sorted(((v[1], -v[2]), 1 << k, v[1] + v[2] - 1) for k, v in enumerate(J._supports[0]))
+    primes = sorted(J._primes, key=lambda p: [k for k in range(p.bit_length()) if p >> k & 1])
+    words = [[a for _, b, a in letters if p & b] for p in primes]
+    line = tuple(range(1, max(grid, max(map(max, words)) + 1) + 1))
+    return tuple(map(Permutation, dict.fromkeys(_hecke(line, word) for word in words)))
 
 
 def perm_set_of_asm(A: Schubertable) -> tuple[Permutation, ...]:

@@ -101,8 +101,8 @@ def schubert_determinantal_ideal(A: Schubertable) -> Ideal:
 
 
 def _antidiagonal_monomial(rows, cols):
-    size = len(rows)
-    return monomial([(z_(rows[k], cols[size - 1 - k]), 1) for k in range(size)])
+    # rows ascend, so the pairs are already in monomial order
+    return tuple((z_(r, c), 1) for r, c in zip(rows, reversed(cols)))
 
 
 def anti_diag_init(A: Schubertable) -> MonomialIdeal:

@@ -63,13 +63,16 @@ DEFAULT_FACE_LIMIT = 1 << 20
 
 
 def _minimalize(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    # a proper divisor of m has lower degree, so one is kept before m is seen
-    kept: list[Monomial] = []
-    for m in sorted(set(monos), key=mono_degree):
-        exps = dict(m)
-        if not any(all(exps.get(v, 0) >= e for v, e in k) for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept))
+    # a proper divisor of m has lower degree, so one is kept before m is
+    # seen; its support mask lies inside m's, tested before the exponents
+    ordered = sorted(set(monos), key=mono_degree)
+    bit = {v: 1 << i for i, v in enumerate({v for m in ordered for v, _ in m})}
+    kept: list[tuple[int, Monomial]] = []
+    for m in ordered:
+        s, exps = sum(bit[v] for v, _ in m), dict(m)
+        if not any(t & ~s == 0 and all(exps[v] >= e for v, e in k) for t, k in kept):
+            kept.append((s, m))
+    return tuple(sorted(m for _, m in kept))
 
 
 @dataclass(frozen=True)
@@ -136,21 +139,26 @@ def _cover_masks(supports: Iterable[int]) -> list[int]:
 
     Computed by Berge multiplication: fold the supports in one at a
     time, extending each partial cover that misses the new support and
-    discarding non-minimal results each round.
+    discarding non-minimal results each round.  The covers that already
+    hit it stay minimal, and an extension can contain only one of them,
+    never another extension (the covers are an antichain), so only those
+    are compared.
     """
     covers = [0]
     for s in _minimal_sets(supports):
-        grown = set()
+        grown, old = set(), []
         for c in covers:
             if c & s:
                 grown.add(c)
+                old.append(c)
             else:
                 bits = s
                 while bits:
                     bit = bits & -bits
                     grown.add(c | bit)
                     bits &= bits - 1
-        covers = _minimal_sets(grown)
+        covers = [m for m in sorted(set(grown), key=int.bit_count)
+                  if m in old or not any(m & o == o for o in old)]
     return covers
 
 
@@ -217,7 +225,7 @@ STAT_NAMES = (
     "gf2_ranks",
     "rows_cleared",
     "exact_fallbacks",
-    "route_vd", "route_vd_nonpure", "vd_nodes", "vd_handovers", "memo_hits",
+    "route_vd", "route_vd_nonpure", "vd_nodes", "vd_handovers", "memo_hits", "dream_hits",
     "route_cdg",
     "pairs", "pairs_coprime", "pairs_chain",
     "zero_reductions", "basis_size", "reduction_units",
@@ -241,13 +249,15 @@ class collect_stats:
     decomposition of a pure and of a nonpure complex, `vd_nodes` the
     complexes searched, `vd_handovers` the answers left to the walk and
     `memo_hits` the Schubert calls that found their ASM's J already built.
+    `dream_hits` counts the `pipe_dreams` calls answered from its memo.
 
     `route_cdg` counts diagonal initial ideals read off CDG generators.
     Each Buchberger run adds the S-pairs it popped, those pruned as
     coprime or by the chain criterion, its reductions to zero, its
     reduced basis size and the reduction units charged to its budget.
-    `route_*`, `vd_handovers` and `memo_hits` count per call; the rest
-    count work done, which a kept J or search does not repeat.
+    `route_*`, `vd_handovers`, `memo_hits` and `dream_hits` count per
+    call; the rest count work done, which a kept J or search does not
+    repeat.
 
     >>> with collect_stats() as s:
     ...     _ = reg_quotient(monomial_ideal([((("x", 1), 1),), ((("x", 2), 1),)]))
@@ -767,20 +777,6 @@ def _vd_search(J: MonomialIdeal) -> tuple[int, ...] | None:
     memo: dict = {}
     h = _vd_h(frozenset(((1 << len(J._supports[0])) - 1) ^ p for p in J._primes), memo)
     _count(vd_nodes=len(memo))
-    return h
-
-
-def vertex_decomposition_h(J: MonomialIdeal) -> tuple[int, ...] | None:
-    """h-vector (h_0, ..., h_s) of the quotient by a squarefree J when a
-    vertex decomposition of its Stanley-Reisner complex certifies R/J
-    Cohen-Macaulay (Provan and Billera, 1980); then reg(R/J) = s (Bruns
-    and Herzog, ch. 4).  Else None, counted as a hand-over if J is unmixed.
-    """
-    _require_squarefree(J)
-    if len({p.bit_count() for p in J._primes}) > 1:
-        return None
-    h = _vd_search(J)
-    _count(route_vd=h is not None, vd_handovers=h is None)
     return h
 
 

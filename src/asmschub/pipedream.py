@@ -8,18 +8,26 @@ Demazure product is the permutation of the dream.  Reduced pipe dreams
 of w index the minimal primes of the antidiagonal initial ideal of the
 rank-condition ideal of w, with the facets of the associated
 Stanley-Reisner complex appearing as cross-set complements.
+
+`pipe_dreams` keeps the dreams of PIPE_DREAM_CACHE permutations, since
+ASM components repeat: 3,000 seeded 6x6 ASMs ask 10,825 times for 674
+permutations.  By tracemalloc, all of S_6 holds 1.8 MiB, 720 entries of
+S_7 about 6 MiB and 120 of S_8 4.6 MiB, so 720 of S_8 about 28 MiB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .monomial import _count
 from .perm import Permutation, cells_to_json, demazure_product, lehmer_code
 from .poly import Var, z_
 
 Cell = tuple[int, int]
 
 PIPE_DREAM_LIMIT = 8
+PIPE_DREAM_CACHE = 720  # permutations whose dreams `pipe_dreams` keeps: all of S_6
 
 
 @dataclass(frozen=True)
@@ -98,12 +106,23 @@ def pipe_dreams(w: Permutation) -> tuple[PipeDream, ...]:
 
     Ladder-move closure starting from the bottom dream; completeness
     is certified against brute-force enumeration in the test suite.
+    The result is kept in a memo of PIPE_DREAM_CACHE permutations, so
+    a repeated w returns the same tuple; `collect_stats` counts those
+    calls as `dream_hits`.
     """
     n = len(w)
     if n > PIPE_DREAM_LIMIT:
         raise ValueError(
             f"pipe dream enumeration is limited to n <= {PIPE_DREAM_LIMIT}"
         )
+    hits = _pipe_dreams_memo.cache_info().hits
+    dreams = _pipe_dreams_memo(w)
+    _count(dream_hits=_pipe_dreams_memo.cache_info().hits - hits)
+    return dreams
+
+
+@lru_cache(maxsize=PIPE_DREAM_CACHE)
+def _pipe_dreams_memo(w: Permutation) -> tuple[PipeDream, ...]:
     start = bottom_pipe_dream(w)
     seen = {start}
     frontier = [start]

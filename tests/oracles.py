@@ -5,6 +5,12 @@ library answers faster by another route, and exists to cross-check it:
 
 - `perm_set_brute_force` scans all of S_n in Bruhat order, against
   `perm_set_of_asm` (minimal primes of the antidiagonal initial ideal);
+- `components_by_primes` lists the minimal primes as variable tuples and
+  takes the Demazure product of each, against `schubert_decompose`,
+  which reads prime masks and builds one `Permutation` per component;
+- `vertex_decomposition_h` searches afresh for a pure vertex
+  decomposition on each call, against the search a `MonomialIdeal`
+  keeps for `vertex_decomposition_reg`;
 - `determinantal_ideal_from_cells` takes the minors at every given
   cell, against the essential-box generators;
 - `reisner_is_cm` recurses over vertex links, against the Betti-table
@@ -53,8 +59,10 @@ The rest are small readers that only the tests need: `longest_element`,
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping
+from operator import le
+from typing import Iterable, Iterator, Mapping
 
 from asmschub.asm import PartialASM, complete_asm, permutation_matrix, rank_table
 from asmschub.groebner import DEFAULT_BUDGET, Ideal, _Meter, buchberger, canonical_order, normal_form
@@ -63,12 +71,16 @@ from asmschub.monomial import (
     DEFAULT_FACE_LIMIT,
     MonomialIdeal,
     SimplicialComplex,
+    _count,
     _homology_of_union,
     _maximal_masks,
+    _require_squarefree,
+    _vd_search,
     betti_numbers,
+    minimal_primes,
     monomial_ideal,
 )
-from asmschub.perm import Permutation, all_permutations, bruhat_leq, coxeter_length, pad
+from asmschub.perm import Permutation, all_permutations, coxeter_length, demazure_product, pad
 from asmschub.pipedream import PipeDream, permutation_of
 from asmschub.poly import (
     ONE,
@@ -91,31 +103,54 @@ from asmschub.poly import (
 )
 
 
-def perm_set_brute_force(A: PartialASM) -> list[Permutation]:
+@lru_cache(maxsize=8)
+def _flat_rank_tables(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The rank table of each permutation of S_n, rows concatenated."""
+    return {w.one_line: sum(rank_table(permutation_matrix(w)).values, ()) for w in all_permutations(n)}
+
+
+def _lower_covers(line: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """w t_ij for each inversion i < j of w with no value of w between
+    w(j) and w(i) at the positions between them: one inversion fewer."""
+    for i, j in combinations(range(len(line)), 2):
+        if line[i] > line[j] and not any(line[j] < line[k] < line[i] for k in range(i + 1, j)):
+            yield line[:i] + (line[j],) + line[i + 1 : j] + (line[i],) + line[j + 1 :]
+
+
+def perm_set_brute_force(A: PartialASM, max_size: int = 5) -> list[Permutation]:
     """Bruhat-minimal permutations whose rank table is bounded by A's.
 
-    Exhaustive scan of S_n, so the completed size must stay at most 5.
+    Exhaustive scan of S_n, so the completed size must stay at most
+    `max_size`.  A larger permutation in Bruhat order has smaller ranks,
+    so the bounded permutations form an up-set, and one of them is
+    minimal when none of its lower covers is bounded.
     """
     B = complete_asm(A)
     n = B.nrows
-    if n > 5:
-        raise ValueError(f"brute force limited to n <= 5, got {n}")
-    bound = rank_table(B)
-    above = []
-    for w in all_permutations(n):
-        tw = rank_table(permutation_matrix(w))
-        if all(
-            tw.values[i][j] <= bound.values[i][j]
-            for i in range(n)
-            for j in range(n)
-        ):
-            above.append(w)
-    minimal = [
-        w
-        for w in above
-        if not any(u != w and bruhat_leq(u, w) for u in above)
-    ]
-    return sorted(minimal, key=lambda w: w.one_line)
+    if n > max_size:
+        raise ValueError(f"brute force limited to n <= {max_size}, got {n}")
+    bound = sum(rank_table(B).values, ())
+    above = {w for w, t in _flat_rank_tables(n).items() if all(map(le, t, bound))}
+    minimal = [w for w in above if not any(u in above for u in _lower_covers(w))]
+    return [Permutation(w) for w in sorted(minimal)]
+
+
+def components_by_primes(J: MonomialIdeal) -> tuple[Permutation, ...]:
+    """The components of `schubert_decompose(J)`, read one minimal prime
+    at a time: the Demazure product of the prime's cells in reading order
+    (rows down, right to left), first occurrences kept."""
+    grid = max((max(v[1], v[2]) for v in J.variables), default=1)
+    if J.is_zero:
+        return (Permutation(tuple(range(1, grid + 1))),)
+    primes = minimal_primes(J)
+    n = max(grid, max(v[1] + v[2] - 1 for P in primes for v in P) + 1)
+    out: list[Permutation] = []
+    for P in primes:
+        cells = sorted(((v[1], v[2]) for v in P), key=lambda c: (c[0], -c[1]))
+        w = demazure_product(tuple(i + j - 1 for (i, j) in cells), n)
+        if w not in out:
+            out.append(w)
+    return tuple(out)
 
 
 def determinantal_ideal_from_cells(
@@ -457,6 +492,20 @@ def reduced_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
     hom = _homology_of_union(masks, DEFAULT_FACE_LIMIT)
     top = K.dim
     return tuple(hom.get(d, 0) for d in range(-1, top + 1))
+
+
+def vertex_decomposition_h(J: MonomialIdeal) -> tuple[int, ...] | None:
+    """h-vector (h_0, ..., h_s) of the quotient by a squarefree J when a
+    vertex decomposition of its Stanley-Reisner complex certifies R/J
+    Cohen-Macaulay (Provan and Billera, 1980); then reg(R/J) = s (Bruns
+    and Herzog, ch. 4).  Else None, counted as a hand-over if J is unmixed.
+    """
+    _require_squarefree(J)
+    if len({p.bit_count() for p in J._primes}) > 1:
+        return None
+    h = _vd_search(J)
+    _count(route_vd=h is not None, vd_handovers=h is None)
+    return h
 
 
 def pdim_quotient(J: MonomialIdeal, **kw) -> int:

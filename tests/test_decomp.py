@@ -11,6 +11,7 @@ computations.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -42,7 +43,7 @@ from asmschub.groebner import (
 from asmschub.ideal import anti_diag_init, schubert_determinantal_ideal
 from asmschub.monomial import mono_to_text
 from asmschub.perm import Permutation, all_permutations, bruhat_leq, identity
-from oracles import minimal_generators_by_rebuild, perm_set_brute_force
+from oracles import components_by_primes, minimal_generators_by_rebuild, perm_set_brute_force
 
 # 3x3 ASM whose variety splits into the 312 and 231 components
 SPLIT = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
@@ -91,6 +92,32 @@ class TestDecompose:
         u, w = Permutation((3, 4, 1, 2)), Permutation((3, 2, 4, 1))
         I = schubert_intersect([u, w])
         assert set(schubert_decompose(I)) == {u, w}
+
+
+class TestDecomposeDifferential:
+    """`schubert_decompose` reads prime masks; the oracle reads one minimal
+    prime at a time as variables.  Components and their order agree."""
+
+    def test_every_asm_through_size_five(self):
+        for n in range(1, 6):
+            for A in enumerate_asms(n):
+                assert schubert_decompose(A) == components_by_primes(anti_diag_init(A)), A.rows
+
+    def test_seeded_6x6_sample(self):
+        for A in random.Random(18).sample(enumerate_asms(6), 300):
+            assert schubert_decompose(A) == components_by_primes(anti_diag_init(A)), A.rows
+
+    def test_ideal_and_monomial_ideal_inputs(self):
+        ideals = [schubert_determinantal_ideal(SPLIT), schubert_intersect([(3, 4, 1, 2), (3, 2, 4, 1)])]
+        ideals += [schubert_determinantal_ideal(permutation_matrix(w)) for w in all_permutations(3)]
+        ideals += [
+            schubert_determinantal_ideal(permutation_matrix(Permutation(w)))
+            for w in [(2, 1, 4, 3), (1, 4, 2, 3), (3, 1, 4, 2), (4, 2, 3, 1)]
+        ]
+        for I in ideals:
+            want = components_by_primes(initial_ideal(I, canonical_order(I.ambient)))
+            assert schubert_decompose(I) == want
+        assert schubert_decompose(anti_diag_init(SPLIT)) == components_by_primes(anti_diag_init(SPLIT))
 
 
 class TestPermSet:

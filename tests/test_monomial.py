@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from asmschub import monomial as mi
 from asmschub.asm import as_permutation, enumerate_asms, make_partial_asm
@@ -27,12 +27,14 @@ from oracles import (
     betti_to_text,
     collapse_points_by_rescan,
     intersect_monomial_ideals,
+    mono_divides,
     pdim_quotient,
     plain_gf2_ranks,
     radical,
     reduced_homology_ranks,
     reisner_is_cm,
     transpose,
+    vertex_decomposition_h,
 )
 
 
@@ -137,6 +139,11 @@ def ideals(max_vars=6, max_gens=4):
     return st.lists(gen, min_size=1, max_size=max_gens).map(mi.monomial_ideal)
 
 
+def powers(max_vars=4, max_exp=3):
+    exps = st.dictionaries(st.integers(1, max_vars), st.integers(1, max_exp), max_size=3)
+    return exps.map(lambda d: monomial([(x_(i), e) for i, e in d.items()]))
+
+
 class TestMonomialIdeal:
     def test_minimalization_and_sort(self):
         J = mi.monomial_ideal(
@@ -145,6 +152,15 @@ class TestMonomialIdeal:
         assert J.generators == (sqfree(X[0]),)
         J2 = mi.monomial_ideal([sqfree(X[2]), sqfree(X[0])])
         assert J2.generators == (sqfree(X[0]), sqfree(X[2]))
+
+    # supports may nest where exponents do not divide: x1^3 and x1^2*x2
+    @given(st.lists(powers(), max_size=6))
+    @example([monomial([(X[0], 3)]), monomial([(X[0], 2), (X[1], 1)])])
+    @example([monomial([(X[0], 3)]), monomial([(X[0], 2), (X[1], 2)])])
+    @settings(max_examples=150, deadline=None)
+    def test_minimalization_against_divisibility(self, monos):
+        want = {m for m in monos if not any(o != m and mono_divides(o, m) for o in monos)}
+        assert mi.monomial_ideal(monos).generators == tuple(sorted(want))
 
     def test_flags(self):
         assert mi.monomial_ideal([]).is_zero
@@ -763,33 +779,33 @@ class TestVertexDecomposition:
     def test_small_complexes(self):
         # the boundary of a triangle, J = (x1 x2 x3): h = 1 + t + t^2
         with mi.collect_stats() as s:
-            assert mi.vertex_decomposition_h(mi.monomial_ideal([sqfree(*X[:3])])) == (1, 1, 1)
+            assert vertex_decomposition_h(mi.monomial_ideal([sqfree(*X[:3])])) == (1, 1, 1)
         assert (s["route_vd"], s["vd_handovers"]) == (1, 0) and s["vd_nodes"] > 0
         # two disjoint edges are pure but not connected, so not Cohen-Macaulay
         J = mi.monomial_ideal([sqfree(a, b) for a in X[:2] for b in X[2:4]])
         with mi.collect_stats() as s:
-            assert mi.vertex_decomposition_h(J) is None
+            assert vertex_decomposition_h(J) is None
         assert (s["route_vd"], s["vd_handovers"]) == (0, 1)
         # a mixed ideal gives None before any search
         J = mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[0], X[2])])
         with mi.collect_stats() as s:
-            assert mi.vertex_decomposition_h(J) is None
+            assert vertex_decomposition_h(J) is None
         assert s == dict.fromkeys(mi.STAT_NAMES, 0)
         # the zero ideal is a simplex
-        assert mi.vertex_decomposition_h(mi.monomial_ideal([], X[:2])) == (1,)
+        assert vertex_decomposition_h(mi.monomial_ideal([], X[:2])) == (1,)
 
     def test_node_limit_hands_over(self, monkeypatch):
         J = anti_diag_init(make_partial_asm([[0, 1, 0, 0], [1, -1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]))
-        assert mi.vertex_decomposition_h(J) == (1, 3, 1)
+        assert vertex_decomposition_h(J) == (1, 3, 1)
         monkeypatch.setattr(mi, "VD_NODE_LIMIT", 0)
         with mi.collect_stats() as s:
-            assert mi.vertex_decomposition_h(J) is None
+            assert vertex_decomposition_h(J) is None
         assert (s["route_vd"], s["vd_nodes"], s["vd_handovers"]) == (0, 0, 1)
 
     @settings(max_examples=150, deadline=None)
     @given(ideals(max_vars=7, max_gens=5))
     def test_certificate_agrees_with_the_walk(self, J):
-        h = mi.vertex_decomposition_h(J)
+        h = vertex_decomposition_h(J)
         if h is not None:
             assert mi.is_cm_quotient(J) and len(h) - 1 == mi.reg_quotient(J)
             assert sum(h) == len(mi.minimal_primes(J))
@@ -801,7 +817,7 @@ class TestVertexDecomposition:
         certified = 0
         for A in items:
             J = anti_diag_init(A)
-            h = mi.vertex_decomposition_h(J)
+            h = vertex_decomposition_h(J)
             if h is None:
                 continue
             certified += 1

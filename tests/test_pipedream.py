@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asmschub.ideal import anti_diag_init
-from asmschub.monomial import stanley_reisner_complex
+from asmschub.monomial import collect_stats, stanley_reisner_complex
 from asmschub.perm import (
     Permutation,
     all_permutations,
@@ -20,7 +20,9 @@ from asmschub.perm import (
     identity,
 )
 from asmschub.pipedream import (
+    PIPE_DREAM_CACHE,
     PipeDream,
+    _pipe_dreams_memo,
     bottom_pipe_dream,
     permutation_of,
     pipe_dream,
@@ -144,6 +146,30 @@ class TestEnumeration:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="n <= 8"):
             pipe_dreams(identity(9))
+
+
+class TestMemo:
+    def test_repeated_call_returns_the_same_tuple(self):
+        w = Permutation((3, 1, 5, 2, 4))
+        assert pipe_dreams(w) is pipe_dreams(w)
+        assert pipe_dreams(w) == brute_force_dreams(w)
+
+    def test_memo_is_bounded(self):
+        assert _pipe_dreams_memo.cache_info().maxsize == PIPE_DREAM_CACHE == 720
+
+    def test_hits_are_counted(self):
+        _pipe_dreams_memo.cache_clear()
+        w = Permutation((2, 1, 4, 3, 6, 5))
+        with collect_stats() as s:
+            first = pipe_dreams(w)
+            assert pipe_dreams(w) is first and pipe_dreams(identity(4)) == (pipe_dream(4, []),)
+        assert s["dream_hits"] == 1
+
+    def test_size_guard_comes_before_the_memo(self):
+        before = _pipe_dreams_memo.cache_info()
+        with pytest.raises(ValueError, match=r"^pipe dream enumeration is limited to n <= 8$"):
+            pipe_dreams(identity(9))
+        assert _pipe_dreams_memo.cache_info() == before
 
 
 class TestNonReduced:
