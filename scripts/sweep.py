@@ -72,6 +72,8 @@ size 6, of which the two fast calls take about 8 s and the checking
 walks the rest: 3,308 of the 6,716 items are Cohen-Macaulay, and the
 regularity histogram is {1: 538, 2: 1192, 3: 1794, 4: 1535, 5: 963,
 6: 486, 7: 152, 8: 43, 9: 11, 10: 2}.  No 6x6 corpus is committed.
+``decomp`` takes under a second at size 5 and about 17 s at size 6, where
+7,436 of 7,436 items agree over 720 distinct components.
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ BETTI_LIMIT = 5
 # the double Schubert polynomial of the longest element of S_7 expands a
 # product of 21 binomials, too large to descend from for every item
 DOUBLE_LIMIT = 6
+# the brute force scans S_n once per ASM: 7,436 x 720 at size 6, hours at 7
+BRUTE_LIMIT = 6
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 sys.path.insert(0, str(CORPUS_DIR.parent.parent / "tests"))
 from oracles import perm_set_brute_force  # noqa: E402  (the slow route of `decomp`)
@@ -199,7 +203,7 @@ def decomp_item(A) -> list:
     agree with the primes] for one ASM."""
     ws = perm_set_of_asm(A)
     dreams = [pipe_dreams(w) for w in ws]
-    brute = perm_set_brute_force(A, max_size=A.nrows)
+    brute = perm_set_brute_force(A, max_size=BRUTE_LIMIT)
     return [
         " ".join("".join(map(str, w.one_line)) for w in ws),
         int(set(ws) == set(brute)),

@@ -70,3 +70,15 @@ def test_check_names_the_first_differing_key(tmp_path, capsys):
     path.write_text(json.dumps(stored))
     assert sweep.check(corpus, path) == 1
     assert f"first at {keys[12]!r}" in capsys.readouterr().out
+
+
+def test_decomp_corpus_replays_every_tenth_item():
+    corpus = json.loads((ROOT / "scripts" / "corpus" / "decomp-5.json").read_text())
+    items = corpus["items"]
+    assert corpus["summary"]["items"] == len(items) == 429
+    # every perm set agrees with the brute force and every dream with the primes
+    assert all(row[1] == row[3] == 1 for row in items.values())
+    pool = {sweep.asm_key(A): A for A in enumerate_asms(5)}
+    assert set(pool) == set(items)
+    for key in sorted(items)[::10]:
+        assert sweep.decomp_item(pool[key]) == items[key], key
