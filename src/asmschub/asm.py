@@ -372,22 +372,18 @@ def enumerate_asms(n: int, force: bool = False) -> list[PartialASM]:
     return list(_enumerate(n))
 
 
-def check_draw(n: int, m: int) -> None:
-    """Refuse a size n or a count m that no draw can take."""
+def random_asms(n: int, m: int, seed: int, replace: bool = True) -> list[PartialASM]:
+    """m ASMs of size n drawn uniformly from the full enumeration.
+
+    Sizes and counts that no draw can take, and counts above DRAW_LIMIT,
+    are refused before anything is allocated.
+    """
     if n > ENUM_LIMIT:
         raise ValueError(f"n = {n} exceeds the enumeration guard ({ENUM_LIMIT})")
     if m < 0:
         raise ValueError(f"count m = {m} must be nonnegative")
     if n < 1:
         raise ValueError("n must be positive")
-
-
-def random_asms(n: int, m: int, seed: int, replace: bool = True) -> list[PartialASM]:
-    """m ASMs of size n drawn uniformly from the full enumeration.
-
-    Counts above DRAW_LIMIT are refused before anything is allocated.
-    """
-    check_draw(n, m)
     if m > DRAW_LIMIT:
         raise ValueError(f"count m = {m} exceeds the draw guard ({DRAW_LIMIT})")
     pool = enumerate_asms(n)

@@ -1,6 +1,8 @@
 """Command-line front end for the library.
 
-Every public operation is reachable through a two-word verb:
+Each verb is two words.  Some library functions have no verb, among
+them `betti_numbers`, `is_asm_union`, `minimal_primes` and
+`ideal_contains`.  The verbs:
 
     perm      diagram | essential | length | descents | avoids | class
     asm       validate | ranktable | from-ranktable | normalize-ranktable
@@ -53,7 +55,6 @@ from .asm import (
     PartialASM,
     RankTable,
     asm_to_json,
-    check_draw,
     complete_asm,
     enumerate_asms,
     make_partial_asm,
@@ -244,10 +245,6 @@ def _asm_enumerate(a):
 
 
 def _asm_random(a):
-    if a.count:
-        # the count is m itself: nothing is drawn, so no draw guard applies
-        check_draw(a.n, a.m)
-        return str(a.m), {"count": a.m}
     return _render_asm_list(random_asms(a.n, a.m, seed=a.seed), False)
 
 
@@ -441,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--seed", type=int, default=0, help="seed for random draws")
-    p.add_argument("--count", action="store_true", help="print only the count, without drawing")
 
     ideal = groups.add_parser("ideal", help="determinantal ideals and initial ideals").add_subparsers(dest="verb", required=True)
     leaf(ideal, "fulton", _ideal_fulton, "defining minors from the essential boxes").add_argument("input")

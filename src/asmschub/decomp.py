@@ -33,6 +33,7 @@ from .groebner import (
 from .ideal import Schubertable, _degeneration, anti_diag_init, as_partial_asm, schubert_determinantal_ideal
 from .monomial import MonomialIdeal, is_cm_quotient, vertex_decomposition_reg
 from .perm import Permutation, _hecke, bruhat_leq, pad
+from .pipedream import reading_order
 
 Decomposable = MonomialIdeal | Ideal | Schubertable
 
@@ -42,10 +43,10 @@ def schubert_decompose(
 ) -> tuple[Permutation, ...]:
     """Permutations labeling the components of the initial ideal.
 
-    Each minimal prime mask of J is read as a word, its cells in reading
-    order (rows down, right to left), and its 0-Hecke product is taken on
-    one-line tuples.  Components follow the canonical minimal-prime order:
-    by their least prime, compared as ascending bit lists.
+    Each minimal prime mask of J is read as a word, its cells in
+    `reading_order`, and its 0-Hecke product is taken on one-line tuples.
+    Components follow the canonical minimal-prime order: by their least
+    prime, compared as ascending bit lists.
     """
     if isinstance(I, MonomialIdeal):
         J = I
@@ -58,9 +59,9 @@ def schubert_decompose(
         return (Permutation(tuple(range(1, grid + 1))),)
     if J.is_unit:
         raise ValueError("unit ideal has no minimal primes")
-    letters = sorted(((v[1], -v[2]), 1 << k, v[1] + v[2] - 1) for k, v in enumerate(J._supports[0]))
+    letters = [(1 << k, a) for k, a in reading_order([v[1:] for v in J._supports[0]])]
     primes = sorted(J._primes, key=lambda p: [k for k in range(p.bit_length()) if p >> k & 1])
-    words = [[a for _, b, a in letters if p & b] for p in primes]
+    words = [[a for b, a in letters if p & b] for p in primes]
     line = tuple(range(1, max(grid, max(map(max, words)) + 1) + 1))
     return tuple(map(Permutation, dict.fromkeys(_hecke(line, word) for word in words)))
 

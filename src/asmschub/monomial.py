@@ -19,19 +19,23 @@ pdim and reg swap under Alexander duality.  With J^v = (x^p : p a
 minimal prime of J), whose dual is J again, reg(R/J) = pdim(R/J^v) - 1
 and pdim(R/J) = reg(R/J^v) + 1 (Terai, 1999).  For J unmixed of height
 c, R/J is Cohen-Macaulay exactly when pdim(R/J) = c, that is, when
-reg(R/J^v) = c - 1 (Eagon and Reiner, 1998).  So one pdim walk and one
-reg walk answer both questions, each on the smaller lcm lattice, of J
-or of J^v, with a tie going to J.
+reg(R/J^v) = c - 1 (Eagon and Reiner, 1998).  So one bounded walk over
+the Betti numbers, scoring i for pdim or |sigma| - i for reg, answers
+both questions, on the smaller lcm lattice, of J or of J^v, with a tie
+going to J.
 
 All homology is rational and exact.  Boundary ranks are taken over
 GF(2) first, which certifies the rational answer whenever the GF(2)
 homology is zero or sits in a single degree: rational Betti numbers
 never exceed the GF(2) ones and both have the same Euler
-characteristic.  The GF(2) ranks run from the largest face size down
-with clearing (the "twist" of Chen and Kerber, 2011): the row of a face
-that was a pivot one size up reduces to zero, so it is skipped.
-Homology spread over two or more degrees is recomputed with exact
-integer elimination.  `collect_stats` counts this work.
+characteristic.  Homology spread over two or more degrees is recomputed
+over the rationals.  Both fields run one elimination, each row reduced
+at its top column, from the largest face size down with clearing (the
+"twist" of Chen and Kerber, 2011), which is valid over any field: the
+row of a face that was a pivot one size up reduces to zero, so it is
+skipped.  Building a row is all that differs between the two.  The
+unit-pivot integer elimination this replaced is the test oracle in
+`tests/oracles.py`.  `collect_stats` counts this work.
 
 The Schubert calls first try a certificate, kept by the ideal: a vertex
 decomposition, pure or not, is a shelling whose largest restriction is
@@ -44,8 +48,8 @@ from __future__ import annotations
 import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -411,52 +415,36 @@ def _enumerate_faces(masks: Sequence[int], limit: int) -> dict[int, list[int]]:
     )
 
 
-def _int_rank(rows: list[dict[int, int]]) -> int:
-    rank = 0
-    rows = [r for r in rows if r]
-    while rows:
-        best = min(
-            range(len(rows)),
-            key=lambda k: (not any(abs(v) == 1 for v in rows[k].values()), len(rows[k])),
-        )
-        pivot_row = rows.pop(best)
-        unit_cols = [c for c, v in pivot_row.items() if abs(v) == 1]
-        col = min(unit_cols) if unit_cols else min(pivot_row)
-        pv = pivot_row[col]
-        rank += 1
-        new_rows = []
-        for r in rows:
-            v = r.get(col)
-            if v is None:
-                new_rows.append(r)
-                continue
-            merged = {}
-            for c, a in r.items():
-                merged[c] = a * pv
-            for c, b in pivot_row.items():
-                s = merged.get(c, 0) - b * v
-                if s:
-                    merged[c] = s
-                else:
-                    merged.pop(c, None)
-            if merged:
-                g = 0
-                for a in merged.values():
-                    g = gcd(g, a)
-                if g > 1:
-                    merged = {c: a // g for c, a in merged.items()}
-                new_rows.append(merged)
-        rows = new_rows
-    return rank
+def _pivots(rows: list, exact: bool) -> set[int]:
+    """Top columns of the reduced rows, one for each unit of rank.
+
+    Each row is reduced at its top column by the row kept there, until it
+    is zero or its top column is new.  Over GF(2) rows are bitmasks; over
+    the rationals they are dicts {column: entry}, reduced by `Fraction`s.
+    """
+    kept: dict = {}
+    for r in rows:
+        while r:
+            top = max(r) if exact else r.bit_length() - 1
+            p = kept.get(top)
+            if p is None:
+                kept[top] = r
+                break
+            if exact:
+                f = Fraction(r[top], p[top])
+                r = {c: v for c in r.keys() | p.keys() if (v := r.get(c, 0) - f * p.get(c, 0))}
+            else:
+                r ^= p
+    return set(kept)
 
 
 def _boundary_ranks(by_size: dict[int, list[int]], exact: bool) -> dict[int, int]:
     """Rank of the boundary map from faces of size k to faces of size k-1,
     for each k; over the rationals when exact, else over GF(2).
 
-    GF(2) ranks go from the largest size down with clearing: a face that
-    is a pivot of the map one size up has a row that reduces to zero, so
-    that row is skipped and every rank is unchanged.
+    Ranks go from the largest size down with clearing, which is valid over
+    any field: a face that is a pivot of the map one size up has a row that
+    reduces to zero, so that row is skipped and every rank is unchanged.
     """
     ranks: dict[int, int] = {}
     cleared: Iterable[int] = ()  # indices of faces that were pivots one size up
@@ -480,26 +468,9 @@ def _boundary_ranks(by_size: dict[int, list[int]], exact: bool) -> dict[int, int
                     row |= 1 << below[m ^ bit]
                 sub ^= bit
             rows.append(row)
-        if exact:
-            ranks[k] = _int_rank(rows)
-        else:
-            cleared = _gf2_pivots(rows)
-            ranks[k] = len(cleared)
+        cleared = _pivots(rows, exact)
+        ranks[k] = len(cleared)
     return ranks
-
-
-def _gf2_pivots(rows: list[int]) -> set[int]:
-    """Top bits of the reduced rows, one for each unit of GF(2) rank."""
-    pivots: dict[int, int] = {}
-    for r in rows:
-        while r:
-            top = r.bit_length() - 1
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = r
-                break
-            r ^= p
-    return set(pivots)
 
 
 def _homology_from_ranks(by_size: dict[int, list[int]], ranks: dict[int, int]) -> dict[int, int]:
@@ -517,7 +488,7 @@ def _homology_of_union(masks: Sequence[int], limit: int) -> dict[int, int]:
     Ranks are taken over GF(2) first.  Rational Betti numbers are at most
     the GF(2) ones in every degree and share their Euler characteristic,
     so GF(2) homology in at most one degree is the rational homology;
-    otherwise the ranks are recomputed exactly with `_int_rank`.
+    otherwise the ranks are recomputed over the rationals.
     """
     masks = _maximal_masks(masks)
     if not masks:
@@ -652,46 +623,28 @@ def betti_numbers(
     return betti
 
 
-def _pdim(gens: Sequence[int], at_least: int, lattice: list[int], max_faces: int) -> int:
-    """Projective dimension of the quotient by the squarefree generators
-    `gens`, with lcm lattice `lattice`, known to be at least `at_least`.
+def _betti_walk(gens: Sequence[int], lattice: list[int], best: int, pdim: bool, max_faces: int) -> int:
+    """pdim (with `pdim`) or reg of the quotient by the squarefree generators
+    `gens`, with lcm lattice `lattice`, known to be at least `best`: the
+    largest i, or |sigma| - i, over its Betti numbers beta_{i,sigma}.
 
-    A Betti number beta_{i,sigma} needs i <= |sigma| and i <= k, when k
-    generators divide x^sigma.  Multidegrees are visited by that bound,
-    largest first, until it cannot beat the largest i found.
+    beta_{i,sigma} needs i <= |sigma| and i <= k, when k generators divide
+    x^sigma, and i >= 2 off the generators, whose beta_{1,g} = 1 the caller
+    counts in `best`.  Multidegrees are visited by the bound this puts on
+    the score, min(|sigma|, k) or |sigma| - 2, largest first in a stable
+    sort, until it cannot beat the best.
     """
-    candidates = []
+    walk = []
     for sigma in lattice:
         divisors = _divisors(sigma, gens)
-        bound = min(sigma.bit_count(), len(divisors))
-        if bound > at_least:
-            candidates.append((bound, sigma, divisors))
-    candidates.sort(key=lambda t: t[0], reverse=True)
-    best = at_least
-    for bound, sigma, divisors in candidates:
+        size = sigma.bit_count()
+        walk.append((min(size, len(divisors)) if pdim else size - 2, size, sigma, divisors))
+    walk.sort(key=lambda t: t[0], reverse=True)
+    for bound, size, sigma, divisors in walk:
         if bound <= best:
             break
-        best = max([best, *_betti_at(sigma, divisors, max_faces)])
-    return best
-
-
-def _reg(gens: Sequence[int], lattice: list[int], max_faces: int) -> int:
-    """Regularity of the quotient by the squarefree generators `gens`,
-    with lcm lattice `lattice`: max{|sigma| - i} over its Betti numbers.
-
-    A generator g gives only beta_{1,g} = 1, so the best starts at the
-    largest generator degree less one (0 for no generators).  Any other
-    multidegree has i >= 2, since every generator dividing x^sigma leaves
-    a nonempty face.  So multidegrees are visited largest first, until
-    |sigma| - 2 cannot beat the best; that stops before any generator.
-    """
-    best = max((g.bit_count() for g in gens), default=1) - 1
-    for sigma in sorted(lattice, key=int.bit_count, reverse=True):
-        size = sigma.bit_count()
-        if size - 2 <= best:
-            break
-        for i in _betti_at(sigma, _divisors(sigma, gens), max_faces):
-            best = max(best, size - i)
+        for i in _betti_at(sigma, divisors, max_faces):
+            best = max(best, i if pdim else size - i)
     return best
 
 
@@ -710,11 +663,11 @@ def reg_quotient(
     _require_squarefree(J)
     gens, primes = J._supports[1], J._primes  # the minimal primes generate the dual
     dual, lattice = _smaller_lattice(gens, primes, max_lattice)
+    # beta_{1,g} = 1 for every generator g, so reg(R/J) >= deg g - 1
+    top = max((g.bit_count() for g in gens), default=1)
     if dual:
-        # beta_{1,g} = 1 for every generator g, so reg(R/J) >= deg g - 1
-        top = max(g.bit_count() for g in gens)
-        return _pdim(primes, top, lattice, max_faces) - 1
-    return _reg(gens, lattice, max_faces)
+        return _betti_walk(primes, lattice, top, True, max_faces) - 1
+    return _betti_walk(gens, lattice, top - 1, False, max_faces)
 
 
 def is_cm_quotient(
@@ -740,8 +693,8 @@ def is_cm_quotient(
     (c,) = heights
     dual, lattice = _smaller_lattice(gens, primes, max_lattice)
     if dual:
-        return _reg(primes, lattice, max_faces) == c - 1
-    return _pdim(gens, c, lattice, max_faces) == c
+        return _betti_walk(primes, lattice, c - 1, False, max_faces) == c - 1
+    return _betti_walk(gens, lattice, c, True, max_faces) == c
 
 
 VD_NODE_LIMIT = 10_000

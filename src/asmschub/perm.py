@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 Cell = tuple[int, int]
@@ -229,20 +230,22 @@ def is_cdg(w: Permutation) -> bool:
     return class_membership(w, "cdg")
 
 
+def _tableau(line: Sequence[int]) -> list[int]:
+    """The sorted first k entries of a one-line word, for k < n, put end to
+    end.  The tableau criterion: u <= w in Bruhat order iff u's lie
+    entrywise below w's."""
+    return [v for k in range(1, len(line)) for v in sorted(line[:k])]
+
+
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat order by the tableau criterion: u <= w iff, for every k, the
-    sorted first k entries of u lie entrywise below those of w.
+    """Bruhat order by the tableau criterion of `_tableau`.
 
     Inputs of different sizes are padded with fixed points first.
     """
     n = max(len(u), len(w))
     # padded as tuples: `pad` would build and validate two Permutations
     a, b = (v.one_line + tuple(range(len(v) + 1, n + 1)) for v in (u, w))
-    return all(
-        p <= q
-        for k in range(1, n)
-        for p, q in zip(sorted(a[:k]), sorted(b[:k]))
-    )
+    return all(map(le, _tableau(a), _tableau(b)))
 
 
 def times_transposition(w: Permutation, q: int, r: int) -> Permutation:

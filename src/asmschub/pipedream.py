@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .monomial import _count
 from .perm import Permutation, cells_to_json, demazure_product, lehmer_code
@@ -54,15 +55,16 @@ def pipe_dream(size: int, crosses) -> PipeDream:
     return PipeDream(size, tuple(sorted(set(map(tuple, crosses)))))
 
 
+def reading_order(cells: Sequence[Cell]) -> list[tuple[int, int]]:
+    """(position in `cells`, letter) of each cell, in reading order: rows
+    top to bottom, right to left within a row, and cell (i, j) read as
+    s_{i+j-1}."""
+    return [(k, i - nj - 1) for i, nj, k in sorted([(i, -j, k) for k, (i, j) in enumerate(cells)])]
+
+
 def reading_word(D: PipeDream) -> tuple[int, ...]:
-    """Rows top to bottom, right to left within a row; (i,j) -> i+j-1."""
-    crosses = set(D.crosses)
-    word = []
-    for i in range(1, D.size + 1):
-        for j in range(D.size - i, 0, -1):
-            if (i, j) in crosses:
-                word.append(i + j - 1)
-    return tuple(word)
+    """The letters of the crosses in reading order."""
+    return tuple(a for _, a in reading_order(D.crosses))
 
 
 def permutation_of(D: PipeDream) -> Permutation:

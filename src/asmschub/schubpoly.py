@@ -23,13 +23,14 @@ from .monomial import reg_quotient, vertex_decomposition_reg
 from .perm import (
     Permutation,
     _hecke,
+    _tableau,
     coxeter_length,
     descents,
     is_dominant,
     lehmer_code,
     times_transposition,
 )
-from .pipedream import PIPE_DREAM_LIMIT
+from .pipedream import PIPE_DREAM_LIMIT, reading_order
 from .poly import (
     ONE,
     Polynomial,
@@ -110,19 +111,17 @@ def _pipe_dream_sum(w: Permutation) -> Polynomial:
     reach it.  An elbow leaves u; a cross at (i, j) applies s_{i+j-1} in
     the 0-Hecke monoid with weight -x_i, and as x_i is the largest
     variable yet, only a monomial's last pair changes.  A state is kept
-    while u <= w <= u * (the letters still unread), by `bruhat_leq`'s
-    test on the sorted first k entries, k < n, put end to end.
+    while u <= w <= u * (the letters still unread), by the tableau
+    criterion of `bruhat_leq` (`_tableau`).
     """
     n = len(w)
-    cells = [(i, i + j - 1) for i in range(1, n) for j in range(n - i, 0, -1)]
-    word = [k for _, k in cells]
-
-    def prefixes(line):  # u <= w iff u's lie entrywise below w's
-        return [v for k in range(1, n) for v in sorted(line[:k])]
-    top = prefixes(w.one_line)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n - i + 1)]
+    order = reading_order(cells)
+    word = [k for _, k in order]
+    top = _tableau(w.one_line)
     states = {tuple(range(1, n + 1)): Counter({(): (-1) ** coxeter_length(w)})}
-    for t, (i, k) in enumerate(cells):
-        xi, nxt = x_(i), {}
+    for t, (p, k) in enumerate(order):
+        xi, nxt = x_(cells[p][0]), {}
         for u, sums in states.items():
             crossed = {
                 m[:-1] + ((xi, m[-1][1] + 1),) if m and m[-1][0] == xi else m + ((xi, 1),): -c
@@ -133,7 +132,7 @@ def _pipe_dream_sum(w: Permutation) -> Polynomial:
         states = {
             u: sums
             for u, sums in nxt.items()
-            if all(map(le, prefixes(u), top)) and all(map(le, top, prefixes(_hecke(u, word[t + 1:]))))
+            if all(map(le, _tableau(u), top)) and all(map(le, top, _tableau(_hecke(u, word[t + 1:]))))
         }
     return Polynomial.from_dict(states[w.one_line])
 

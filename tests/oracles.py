@@ -20,6 +20,10 @@ library answers faster by another route, and exists to cross-check it:
   swaps points and sets to give it families of another shape;
 - `plain_gf2_ranks` reduces every row of every boundary map, against
   the cleared GF(2) ranks of `_boundary_ranks`;
+- `int_rank` is integer elimination on unit pivots, and
+  `plain_exact_ranks` ranks every map of `signed_boundary_rows` with it,
+  no row cleared, against the rational top-column elimination and
+  clearing of `_pivots` and `_boundary_ranks`;
 - `family_rank_key`, `dense_display_sort` and `nested_term_key` spell
   out the variable, term and term-order comparisons that plain tuple
   order now gives the library;
@@ -61,6 +65,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from operator import le
 from typing import Iterable, Iterator, Mapping
 
@@ -288,6 +293,67 @@ def plain_gf2_ranks(by_size: dict[int, list[int]]) -> dict[int, int]:
                 r ^= p
         ranks[k] = len(pivots)
     return ranks
+
+
+def int_rank(rows: list[dict[int, int]]) -> int:
+    """Rational rank of integer rows {column: entry}.  Each step takes the
+    shortest row with a unit entry (else the shortest row) as the pivot,
+    at its least unit column, eliminates that column from the other rows
+    fraction-free, and divides each new row by the gcd of its entries."""
+    rank = 0
+    rows = [r for r in rows if r]
+    while rows:
+        best = min(
+            range(len(rows)),
+            key=lambda k: (not any(abs(v) == 1 for v in rows[k].values()), len(rows[k])),
+        )
+        pivot_row = rows.pop(best)
+        unit_cols = [c for c, v in pivot_row.items() if abs(v) == 1]
+        col = min(unit_cols) if unit_cols else min(pivot_row)
+        pv = pivot_row[col]
+        rank += 1
+        new_rows = []
+        for r in rows:
+            v = r.get(col)
+            if v is None:
+                new_rows.append(r)
+                continue
+            merged = {}
+            for c, a in r.items():
+                merged[c] = a * pv
+            for c, b in pivot_row.items():
+                s = merged.get(c, 0) - b * v
+                if s:
+                    merged[c] = s
+                else:
+                    merged.pop(c, None)
+            if merged:
+                g = 0
+                for a in merged.values():
+                    g = gcd(g, a)
+                if g > 1:
+                    merged = {c: a // g for c, a in merged.items()}
+                new_rows.append(merged)
+        rows = new_rows
+    return rank
+
+
+def signed_boundary_rows(by_size: dict[int, list[int]]) -> dict[int, list[dict[int, int]]]:
+    """Every boundary map, by face size, as rows {column: +-1}, none
+    cleared.  The row of a face has sign (-1)^s at the facet missing its
+    s-th point."""
+    maps = {}
+    for k, faces in by_size.items():
+        if k:
+            below = {m: i for i, m in enumerate(by_size.get(k - 1, []))}
+            points = [[u for u in range(m.bit_length()) if m >> u & 1] for m in faces]
+            maps[k] = [{below[m ^ 1 << u]: (-1) ** s for s, u in enumerate(us)} for m, us in zip(faces, points)]
+    return maps
+
+
+def plain_exact_ranks(by_size: dict[int, list[int]]) -> dict[int, int]:
+    """Rational rank of every boundary map by `int_rank`, no row cleared."""
+    return {k: int_rank(rows) for k, rows in signed_boundary_rows(by_size).items()}
 
 
 FAMILY_RANK = {"x": 0, "y": 1, "z": 2, "t": 3}

@@ -148,7 +148,7 @@ class TestSpotValues:
         first = run(["asm", "random", "3", "4", "--seed", "7"])
         assert first == run(["asm", "random", "3", "4", "--seed", "7"])
         assert first[0] == 0
-        assert run(["asm", "random", "3", "2", "--count"])[1] == "2\n"
+        assert run(["asm", "random", "3", "2", "--count"])[0] == 2
 
 
 class TestJsonSchemas:
@@ -286,10 +286,10 @@ class TestExitCodes:
         rc, out, err = run(["asm", "random", "3", "100001"])
         assert rc == 1 and out == ""
         assert err == "count m = 100001 exceeds the draw guard (100000)\n"
-        # the count is m itself and draws nothing, so the guard is moot
-        assert run(["asm", "random", "3", "100001", "--count"]) == (0, "100001\n", "")
-        assert run(["asm", "random", "3", "-5", "--count"])[0] == 1
-        assert run(["asm", "random", "9", "2", "--count"])[0] == 1
+        # `random` takes no --count, whatever its size and count
+        assert run(["asm", "random", "3", "100001", "--count"])[0] == 2
+        assert run(["asm", "random", "3", "-5", "--count"])[0] == 2
+        assert run(["asm", "random", "9", "2", "--count"])[0] == 2
 
     @pytest.mark.parametrize("verb", [["poly", "regularity"], ["decomp", "is-cm"]])
     def test_stats_flag(self, verb):
@@ -349,13 +349,13 @@ class TestExitCodes:
             rc = run(argv)[0]
             assert (rc == 2) if value < 0 else (rc in (0, 1))
 
-    # huge counts are refused by a guard, or answered without drawing
+    # huge counts are refused by a guard, or by the parser
     @pytest.mark.parametrize(
         "argv,code",
         [
             (["asm", "random", "3", str(10**30)], 1),
             (["asm", "random", str(10**30), "2"], 1),
-            (["asm", "random", "3", str(10**30), "--count"], 0),
+            (["asm", "random", "3", str(10**30), "--count"], 2),
             (["asm", "enumerate", str(10**30)], 1),
             (["asm", "enumerate", str(10**30), "--count"], 1),
             (["pipedream", "render", "2,1,4,3", str(10**30)], 1),

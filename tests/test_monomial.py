@@ -26,13 +26,16 @@ from oracles import (
     betti_to_json,
     betti_to_text,
     collapse_points_by_rescan,
+    int_rank,
     intersect_monomial_ideals,
     mono_divides,
     pdim_quotient,
+    plain_exact_ranks,
     plain_gf2_ranks,
     radical,
     reduced_homology_ranks,
     reisner_is_cm,
+    signed_boundary_rows,
     transpose,
     vertex_decomposition_h,
 )
@@ -348,9 +351,9 @@ RP2 = (
 
 
 def exact_homology(masks: list[int]) -> dict[int, int]:
-    """Reduced homology of the uncollapsed union, ranks by `_int_rank`."""
+    """Reduced homology of the uncollapsed union, ranks by `int_rank`."""
     by_size = mi._enumerate_faces(mi._maximal_masks(masks), mi.DEFAULT_FACE_LIMIT)
-    return mi._homology_from_ranks(by_size, mi._boundary_ranks(by_size, exact=True))
+    return mi._homology_from_ranks(by_size, plain_exact_ranks(by_size))
 
 
 def gf2_homology(masks: list[int]) -> dict[int, int]:
@@ -376,13 +379,14 @@ def random_unions(seed: int, count: int = 300):
 @pytest.fixture
 def exact_rank_calls(monkeypatch):
     calls = []
-    exact = mi._int_rank
+    pivots = mi._pivots
 
-    def counted(rows):
-        calls.append(len(rows))
-        return exact(rows)
+    def counted(rows, exact):
+        if exact:
+            calls.append(len(rows))
+        return pivots(rows, exact)
 
-    monkeypatch.setattr(mi, "_int_rank", counted)
+    monkeypatch.setattr(mi, "_pivots", counted)
     return calls
 
 
@@ -414,6 +418,42 @@ class TestCertifiedHomology:
             assert (len(exact_rank_calls) > before) == spread
             fallbacks += spread
         assert fallbacks >= 10
+
+
+class TestExactRanks:
+    """The rational top-column elimination of `_pivots`, with and without
+    clearing, against the unit-pivot integer elimination `int_rank`."""
+
+    def test_sparse_matrices_whose_fields_disagree(self):
+        rng = random.Random(19)
+        disagree = 0
+        for _ in range(400):
+            ncols = rng.randint(1, 9)
+            rows = [
+                {c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in rng.sample(range(ncols), rng.randint(0, min(4, ncols)))}
+                for _ in range(rng.randint(1, 9))
+            ]
+            rank = len(mi._pivots(rows, exact=True))
+            assert rank == int_rank(rows)
+            odd = [sum(1 << c for c, v in r.items() if v % 2) for r in rows]
+            disagree += len(mi._pivots(odd, exact=False)) != rank
+        assert disagree >= 50
+
+    def test_every_boundary_map_of_random_unions(self):
+        for masks, _ in maximal_unions(2024):
+            by_size = mi._enumerate_faces(masks, mi.DEFAULT_FACE_LIMIT)
+            for rows in signed_boundary_rows(by_size).values():
+                assert len(mi._pivots(rows, exact=True)) == int_rank(rows)
+            # clearing over the rationals keeps every rank
+            assert mi._boundary_ranks(by_size, exact=True) == plain_exact_ranks(by_size)
+
+    def test_rp2(self):
+        by_size = mi._enumerate_faces([sum(1 << i for i in t) for t in RP2], mi.DEFAULT_FACE_LIMIT)
+        for rows in signed_boundary_rows(by_size).values():
+            assert len(mi._pivots(rows, exact=True)) == int_rank(rows)
+        exact = mi._boundary_ranks(by_size, exact=True)
+        assert exact == plain_exact_ranks(by_size)
+        assert exact != mi._boundary_ranks(by_size, exact=False)
 
 
 def maximal_unions(seed: int, count: int = 300):
