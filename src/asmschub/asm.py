@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from .perm import Permutation
 
-ASM_COUNTS = (1, 2, 7, 42, 429, 7436, 218348)  # n = 1..7
 ENUM_LIMIT = 7
 DRAW_LIMIT = 100_000
 

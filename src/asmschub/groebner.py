@@ -367,22 +367,25 @@ def minimal_generators(I: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[Polynomi
     """A minimal generating set, greedily by increasing degree.
 
     Each candidate is replaced by its monic remainder against the basis
-    of the generators already kept, cached on an `Ideal` of them, so
-    redundant tails drop out (a minor whose diagonal term lies in the
-    span of earlier generators comes back as the surviving monomial, for
-    instance).  Those reductions share one budget, apart from the budgets
-    of the bases they reduce against.
+    of the generators already kept, built when a candidate first needs
+    it, so redundant tails drop out (a minor whose diagonal term lies in
+    the span of earlier generators comes back as the surviving monomial,
+    for instance).  Those reductions share one budget, apart from the
+    budgets of the bases they reduce against.
     """
     order = canonical_order(I.ambient)
     meter = _Meter(budget)
-    kept = Ideal((), I.ambient, {("gb", order): ()})  # the empty ideal's basis is known
+    kept: list[Polynomial] = []
+    basis: tuple[Polynomial, ...] | None = ()  # None once kept has outgrown it
     for g in sorted(
         dict.fromkeys(I.generators),
         key=lambda f: (f.degree(), order.key(lead_monomial(f, order))),
     ):
-        g = normal_form(g, buchberger(kept, order, budget), order, meter)
+        if basis is None:
+            basis = buchberger(kept, order, budget)
+        g = normal_form(g, basis, order, meter)
         if not g.is_zero:
             lc = g.coeffs[lead_monomial(g, order)]
-            g = Polynomial.from_dict({m: Fraction(c, lc) for m, c in g.coeffs.items()})
-            kept = Ideal((*kept.generators, g), I.ambient)
-    return kept.generators
+            kept.append(Polynomial.from_dict({m: Fraction(c, lc) for m, c in g.coeffs.items()}))
+            basis = None
+    return tuple(kept)

@@ -307,9 +307,10 @@ def _collapse_points(masks: list[int]) -> list[int]:
     """Strong collapses of a family of distinct maximal masks.
 
     Deletes the first point whose incident masks all contain some other
-    point, again and again, then re-indexes the points left.  Incidences
-    are built once.  A deletion updates only the masks that held the
-    point and drops those now inside another mask, and only a point that
+    point, again and again, and returns the live masks, still on the
+    input's points.  Incidences are built once.  A deletion updates only
+    the masks that held the point and drops those now inside another
+    mask, so the live masks stay distinct and maximal; only a point that
     lost a mask can newly become deletable.
     """
     cur = list(masks)
@@ -368,16 +369,7 @@ def _collapse_points(masks: list[int]) -> list[int]:
                     held[u] ^= 1 << i
                     unchecked.add(u)
                     rest ^= bit
-    out = []
-    for i, m in enumerate(cur):
-        if not live >> i & 1:
-            continue
-        nm = 0
-        for k, u in enumerate(points):
-            if m >> u & 1:
-                nm |= 1 << k
-        out.append(nm)
-    return _maximal_masks(out)
+    return [m for i, m in enumerate(cur) if live >> i & 1]
 
 
 def _enumerate_faces(masks: Sequence[int], limit: int) -> dict[int, list[int]]:
@@ -518,8 +510,8 @@ def _homology_of_union(masks: Sequence[int], limit: int) -> dict[int, int]:
 # -- Betti numbers, Cohen-Macaulayness and regularity ---------------------
 #
 # Generators and minimal primes are bitmasks over the sorted variables of
-# J.  A multidegree sigma is a mask too, and the homology at sigma is
-# taken on the points of sigma in that order.
+# J.  A multidegree sigma is a mask too, and the simplices at sigma, their
+# core and its faces keep those bits: sigma ^ g is sigma minus supp(g).
 
 
 def _require_squarefree(J: MonomialIdeal) -> None:
@@ -578,22 +570,7 @@ def _smaller_lattice(gens: Sequence[int], primes: Sequence[int], max_lattice: in
 def _betti_at(sigma: int, divisors: list[int], max_faces: int) -> dict[int, int]:
     """Betti numbers {i: rank} in multidegree sigma of the quotient by the
     squarefree generators `divisors`, which are those dividing x^sigma."""
-    at = {}
-    rest = sigma
-    while rest:
-        bit = rest & -rest
-        at[bit] = 1 << len(at)
-        rest ^= bit
-    full = (1 << len(at)) - 1
-    masks = []
-    for g in divisors:
-        m = 0
-        while g:
-            bit = g & -g
-            m |= at[bit]
-            g ^= bit
-        masks.append(full ^ m)
-    hom = _homology_of_union(masks, max_faces)
+    hom = _homology_of_union([sigma ^ g for g in divisors], max_faces)
     return {d + 2: r for d, r in hom.items()}
 
 

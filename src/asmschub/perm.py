@@ -84,13 +84,7 @@ def coxeter_length(w: Permutation) -> int:
     >>> coxeter_length(Permutation((2, 1, 4, 3)))
     2
     """
-    line = w.one_line
-    return sum(
-        1
-        for i in range(len(line))
-        for j in range(i + 1, len(line))
-        if line[i] > line[j]
-    )
+    return sum(lehmer_code(w))
 
 
 def descents(w: Permutation) -> tuple[int, ...]:

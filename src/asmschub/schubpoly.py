@@ -139,16 +139,13 @@ def _pipe_dream_sum(w: Permutation) -> Polynomial:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _transition(w: Permutation) -> Polynomial:
-    des = descents(w)
-    if not des:
-        out = ONE
-    elif is_dominant(w):
+    if is_dominant(w):
         # dominant permutations are fixed points of the recursion
         out = Polynomial.from_dict(
             {monomial((x_(i + 1), c) for i, c in enumerate(lehmer_code(w))): 1}
         )
     else:
-        r = des[-1]
+        r = descents(w)[-1]
         line = w.one_line
         s = max(t for t in range(r + 1, len(line) + 1) if line[t - 1] < line[r - 1])
         v = times_transposition(w, r, s)

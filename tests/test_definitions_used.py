@@ -5,13 +5,17 @@ A name counts when it is read as an identifier or an attribute, imported,
 or written as a word inside a string (the benchmark's tracer names the
 functions it wraps by string, and doctests call functions from
 docstrings).  Comments do not count.  Dunder methods are exempt: Python
-calls them.
+calls them.  Conversely, every name the benchmark's tracer wraps or
+counts is a callable of the library.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +77,20 @@ def test_library_definitions_are_named():
     ]
     library = [p.read_text() for p in sorted((ROOT / "src" / "asmschub").glob("*.py"))]
     assert unreferenced(library, sources) == []
+
+
+def test_traced_names_resolve(monkeypatch):
+    # a traced name that is renamed or deleted fails here, and not only
+    # in traced benchmark runs; loading the tracer writes no bytecode
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, qual, *_ in tracing.SPANS + tracing.COUNTS:
+        owner = importlib.import_module(f"asmschub.{module}")
+        for attr in qual.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module}.{qual}")
+    assert missing == []

@@ -469,17 +469,30 @@ def points_used(masks: list[int]) -> int:
     return used.bit_length()
 
 
+def relabelled(masks: list[int]) -> list[int]:
+    """The masks with the points they use renumbered 0, 1, ... in order,
+    sorted: the core `_collapse_points` keeps on the input's points, in
+    the labels of the rescan oracle."""
+    used = [u for u in range(points_used(masks)) if any(m >> u & 1 for m in masks)]
+    return sorted(sum(1 << k for k, u in enumerate(used) if m >> u & 1) for m in masks)
+
+
+def spread(m: int) -> int:
+    """Point u moved to 3u + 1."""
+    return sum(1 << 3 * u + 1 for u in range(m.bit_length()) if m >> u & 1)
+
+
 class TestKernel:
     def test_collapse_matches_rescan(self):
         shrunk = 0
         for masks, npoints in maximal_unions(7):
             want, wpoints = collapse_points_by_rescan(masks, npoints)
-            assert mi._collapse_points(masks) == want
+            assert relabelled(mi._collapse_points(masks)) == sorted(want)
             assert points_used(want) == wpoints
             # transposes feed the collapse families of another shape
             tmasks, tpoints = transpose(masks, npoints)
             want, wpoints = collapse_points_by_rescan(tmasks, tpoints)
-            assert mi._collapse_points(tmasks) == want
+            assert relabelled(mi._collapse_points(tmasks)) == sorted(want)
             assert points_used(want) == wpoints
             shrunk += wpoints < tpoints
         assert shrunk >= 30
@@ -488,12 +501,24 @@ class TestKernel:
         # why one collapse is enough: the transpose of a core is a core,
         # so the transpose never gives a smaller complex
         for masks, _ in maximal_unions(7):
-            core = mi._collapse_points(masks)
+            core = relabelled(mi._collapse_points(masks))
             tmasks, tpoints = transpose(core, points_used(core))
             assert (len(tmasks), tpoints) == (points_used(core), len(core))
             again = mi._collapse_points(tmasks)
             assert sorted(again) == sorted(tmasks)
             assert points_used(again) == tpoints
+
+    def test_spread_points_change_nothing(self):
+        # the kernel works on the input's points: gaps between them change
+        # neither the homology nor the core, which keeps those points
+        for masks, _ in random_unions(29):
+            spread_masks = [spread(m) for m in masks]
+            limit = mi.DEFAULT_FACE_LIMIT
+            assert mi._homology_of_union(spread_masks, limit) == mi._homology_of_union(masks, limit)
+            core = mi._collapse_points(mi._maximal_masks(masks))
+            spread_core = mi._collapse_points(mi._maximal_masks(spread_masks))
+            assert relabelled(spread_core) == relabelled(core)
+            assert sorted(spread_core) == sorted(map(spread, core))
 
     def test_cleared_ranks_match_plain(self):
         cleared = 0
