@@ -20,7 +20,7 @@ from typing import Iterable, Union
 
 from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matrix, rank_table
 from .groebner import DEFAULT_BUDGET, Ideal, initial_ideal
-from .monomial import MonomialIdeal, _count, codim as monomial_codim, monomial_ideal
+from .monomial import MonomialIdeal, _count, _mask_ideal, codim as monomial_codim, monomial_ideal
 from .perm import Permutation, is_cdg
 from .poly import Polynomial, TermOrder, generic_minor, monomial, z_
 
@@ -100,30 +100,28 @@ def schubert_determinantal_ideal(A: Schubertable) -> Ideal:
     return I
 
 
-def _antidiagonal_monomial(rows, cols):
-    # rows ascend, so the pairs are already in monomial order
-    return tuple((z_(r, c), 1) for r, c in zip(rows, reversed(cols)))
-
-
 def anti_diag_init(A: Schubertable) -> MonomialIdeal:
     """Antidiagonal terms of the defining minors, minimalized.
 
     No Groebner computation: the generators are already a basis for
     any antidiagonal order, so their lead terms generate the initial
-    ideal.
+    ideal.  J is built on grid masks: cell (r, c) is bit (r - 1) * ncols
+    + c - 1, the place of z[r,c] among the sorted variables.
     """
     A = as_partial_asm(A)
-    monos = [
-        _antidiagonal_monomial(rows, cols)
-        for box in asm_essential_boxes(A)
-        for rows, cols in _minor_indices(box)
-    ]
-    ambient = [
-        z_(i, j)
-        for i in range(1, A.nrows + 1)
-        for j in range(1, A.ncols + 1)
-    ]
-    return monomial_ideal(monos, ambient)
+    n = A.ncols
+    masks = []
+    for box in asm_essential_boxes(A):
+        (i, j), size = box.cell, box.rank_bound + 1
+        right_to_left = list(itertools.combinations(range(j - 1, -1, -1), size))
+        for rows in itertools.combinations(range(0, i * n, n), size):
+            for cols in right_to_left:
+                mask = 0
+                for r, c in zip(rows, cols):
+                    mask |= 1 << r + c
+                masks.append(mask)
+    grid = tuple(z_(i, j) for i in range(1, A.nrows + 1) for j in range(1, n + 1))
+    return _mask_ideal(masks, grid, grid)
 
 
 DEGENERATION_CACHE = 16  # ASMs whose J the Schubert homology calls share

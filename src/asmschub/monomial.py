@@ -49,7 +49,8 @@ import itertools
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -67,16 +68,13 @@ DEFAULT_FACE_LIMIT = 1 << 20
 
 
 def _minimalize(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    # a proper divisor of m has lower degree, so one is kept before m is
-    # seen; its support mask lies inside m's, tested before the exponents
-    ordered = sorted(set(monos), key=mono_degree)
-    bit = {v: 1 << i for i, v in enumerate({v for m in ordered for v, _ in m})}
-    kept: list[tuple[int, Monomial]] = []
-    for m in ordered:
-        s, exps = sum(bit[v] for v, _ in m), dict(m)
-        if not any(t & ~s == 0 and all(exps[v] >= e for v, e in k) for t, k in kept):
-            kept.append((s, m))
-    return tuple(sorted(m for _, m in kept))
+    # input with a power: a proper divisor of m has lower degree, so is kept first
+    kept: list[Monomial] = []
+    for m in sorted(set(monos), key=mono_degree):
+        exps = dict(m)
+        if not any(all(exps.get(v, 0) >= e for v, e in k) for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
 
 
 @dataclass(frozen=True)
@@ -117,17 +115,21 @@ class MonomialIdeal:
 def monomial_ideal(
     monos: Iterable[Monomial], variables: Iterable[Var] | None = None
 ) -> MonomialIdeal:
-    gens = _minimalize(monos)
-    support = {v for m in gens for v in mono_support(m)}
-    if variables is None:
-        ambient = tuple(sorted(support))
-    else:
-        ambient = tuple(sorted(set(variables)))
-        missing = support - set(ambient)
-        if missing:
-            names = ", ".join(sorted(var_to_text(v) for v in missing))
-            raise ValueError(f"generators use variables outside the ambient set: {names}")
-    return MonomialIdeal(gens, ambient)
+    monos = set(monos)
+    if any(e != 1 for m in monos for _, e in m):
+        gens = _minimalize(monos)
+        return MonomialIdeal(gens, _ambient({v for m in gens for v in mono_support(m)}, variables))
+    names = tuple(sorted({v for m in monos for v, _ in m}))
+    bit = {v: 1 << i for i, v in enumerate(names)}
+    return _mask_ideal([sum(bit[v] for v, _ in m) for m in monos], names, variables)
+
+
+def _ambient(support: Iterable[Var], variables: Iterable[Var] | None) -> tuple[Var, ...]:
+    ambient = tuple(sorted(set(support if variables is None else variables)))
+    if missing := set(support) - set(ambient):
+        names = ", ".join(sorted(var_to_text(v) for v in missing))
+        raise ValueError(f"generators use variables outside the ambient set: {names}")
+    return ambient
 
 
 def _minimal_sets(masks: Iterable[int]) -> list[int]:
@@ -138,31 +140,61 @@ def _minimal_sets(masks: Iterable[int]) -> list[int]:
     return out
 
 
+def _mask_ideal(masks: Iterable[int], names: Sequence[Var], variables: Iterable[Var] | None) -> MonomialIdeal:
+    """The ideal of squarefree monomials given as masks, bit k for the sorted
+    names[k], in the ambient `variables` (by default those used).  Generator
+    tuples are made once, for the masks `_minimal_sets` keeps, and
+    `_supports` is set from those, compressed to the variables they use."""
+    kept = _minimal_sets(masks)
+    used = reduce(or_, kept, 0)
+    place = {k: 1 << i for i, k in enumerate(k for k in range(used.bit_length()) if used >> k & 1)}
+    rows = []
+    for m in kept:
+        mono, packed = [], 0
+        while m:
+            k = (m & -m).bit_length() - 1
+            mono.append((names[k], 1))
+            packed |= place[k]
+            m &= m - 1
+        rows.append((tuple(mono), packed))
+    rows.sort()
+    support = tuple(names[k] for k in place)
+    J = MonomialIdeal(tuple(m for m, _ in rows), _ambient(support, variables))
+    J.__dict__["_supports"] = support, tuple(p for _, p in rows)  # as a first read would
+    return J
+
+
 def _cover_masks(supports: Iterable[int]) -> list[int]:
     """Minimal vertex covers of a family of support masks.
 
-    Computed by Berge multiplication: fold the supports in one at a
-    time, extending each partial cover that misses the new support and
-    discarding non-minimal results each round.  The covers that already
-    hit it stay minimal, and an extension can contain only one of them,
-    never another extension (the covers are an antichain), so only those
-    are compared.
+    Computed by Berge multiplication: fold the supports in one at a time,
+    extending each partial cover c that misses the new support s by each
+    bit of s and discarding non-minimal results.  The covers that hit s
+    stay minimal, and c | bit contains one of them, o, exactly when o & s
+    is that single bit and the rest o ^ bit lies inside c; only those
+    rests are tested.  Every extension still enters `grown`, whose set
+    copy fixes the order of the primes, which the homology walks read.
     """
     covers = [0]
     for s in _minimal_sets(supports):
-        grown, old = set(), []
+        rests = [(o ^ hit, hit) for o in covers if (hit := o & s) and not hit & (hit - 1)]
+        grown, dead = set(), set()
         for c in covers:
             if c & s:
                 grown.add(c)
-                old.append(c)
-            else:
-                bits = s
-                while bits:
-                    bit = bits & -bits
-                    grown.add(c | bit)
-                    bits &= bits - 1
-        covers = [m for m in sorted(set(grown), key=int.bit_count)
-                  if m in old or not any(m & o == o for o in old)]
+                continue
+            gone = 0  # the bits whose extensions of c contain an old cover
+            for r, bit in rests:
+                if not r & ~c:
+                    gone |= bit
+            bits = s
+            while bits:
+                bit = bits & -bits
+                grown.add(c | bit)
+                if gone & bit:
+                    dead.add(c | bit)
+                bits &= bits - 1
+        covers = [m for m in sorted(set(grown), key=int.bit_count) if m not in dead]
     return covers
 
 

@@ -30,6 +30,12 @@ library answers faster by another route, and exists to cross-check it:
 - `substitute`, `map_variables` and `swap_variables` evaluate a
   polynomial term by term, against the divided differences and the
   y-free parts of double Schubert polynomials;
+- `anti_diag_init_by_tuples` builds one monomial tuple per minor and
+  passes them to `monomial_ideal_by_exponents`, which minimalizes by
+  pairwise exponent divisibility and leaves the support masks to the
+  ideal, against `anti_diag_init` and `monomial_ideal` on grid and
+  support bitmasks; `cover_masks_all_pairs` compares each extension
+  with every old cover, against the single-bit test of `_cover_masks`;
 - `radical` and `intersect_monomial_ideals` build those monomial
   ideals from generators, which the library never needs:
   `minimal_primes` reads the radical off support masks, and ideals are
@@ -71,7 +77,7 @@ from typing import Iterable, Iterator, Mapping
 
 from asmschub.asm import PartialASM, complete_asm, permutation_matrix, rank_table
 from asmschub.groebner import DEFAULT_BUDGET, Ideal, _Meter, buchberger, canonical_order, normal_form
-from asmschub.ideal import EssentialBox, Schubertable, _minor_indices, as_partial_asm
+from asmschub.ideal import EssentialBox, Schubertable, _minor_indices, as_partial_asm, asm_essential_boxes
 from asmschub.monomial import (
     DEFAULT_FACE_LIMIT,
     MonomialIdeal,
@@ -79,6 +85,7 @@ from asmschub.monomial import (
     _count,
     _homology_of_union,
     _maximal_masks,
+    _minimal_sets,
     _require_squarefree,
     _vd_search,
     betti_numbers,
@@ -105,6 +112,7 @@ from asmschub.poly import (
     variable,
     x_,
     y_,
+    z_,
 )
 
 
@@ -224,6 +232,55 @@ def intersect_monomial_ideals(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIde
     return monomial_ideal(
         (mono_lcm(f, g) for f in I.generators for g in J.generators), ambient
     )
+
+
+def minimalize_by_exponents(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The minimal monomials by pairwise exponent divisibility, sorted."""
+    monos = set(monos)
+    return tuple(sorted(m for m in monos if not any(o != m and mono_divides(o, m) for o in monos)))
+
+
+def monomial_ideal_by_exponents(monos: Iterable[Monomial], variables: Iterable[Var] | None = None) -> MonomialIdeal:
+    """`monomial_ideal` through exponents alone: squarefree input included,
+    whose support masks the ideal then builds from the generator tuples."""
+    gens = minimalize_by_exponents(monos)
+    support = {v for m in gens for v in mono_support(m)}
+    ambient = tuple(sorted(support if variables is None else set(variables)))
+    if not support <= set(ambient):
+        raise ValueError("generators use variables outside the ambient set")
+    return MonomialIdeal(gens, ambient)
+
+
+def antidiagonal_monomial(rows: tuple[int, ...], cols: tuple[int, ...]) -> Monomial:
+    # rows ascend, so the pairs are already in monomial order
+    return tuple((z_(r, c), 1) for r, c in zip(rows, reversed(cols)))
+
+
+def anti_diag_init_by_tuples(A: Schubertable) -> MonomialIdeal:
+    """The antidiagonal initial ideal from one monomial tuple per minor."""
+    A = as_partial_asm(A)
+    monos = [antidiagonal_monomial(rows, cols) for box in asm_essential_boxes(A) for rows, cols in _minor_indices(box)]
+    return monomial_ideal_by_exponents(monos, [z_(i, j) for i in range(1, A.nrows + 1) for j in range(1, A.ncols + 1)])
+
+
+def cover_masks_all_pairs(supports: Iterable[int]) -> list[int]:
+    """Berge multiplication that compares each extension with every cover
+    that already hits the new support, in `_cover_masks`' order."""
+    covers = [0]
+    for s in _minimal_sets(supports):
+        grown, old = set(), []
+        for c in covers:
+            if c & s:
+                grown.add(c)
+                old.append(c)
+            else:
+                bits = s
+                while bits:
+                    bit = bits & -bits
+                    grown.add(c | bit)
+                    bits &= bits - 1
+        covers = [m for m in sorted(set(grown), key=int.bit_count) if m in old or not any(m & o == o for o in old)]
+    return covers
 
 
 def collapse_points_by_rescan(masks: list[int], npoints: int) -> tuple[list[int], int]:

@@ -28,7 +28,7 @@ from asmschub.ideal import (
     schubert_codim,
     schubert_determinantal_ideal,
 )
-from asmschub.asm import make_partial_asm, permutation_matrix
+from asmschub.asm import enumerate_asms, make_partial_asm, permutation_matrix
 from asmschub.monomial import codim as monomial_codim, collect_stats, mono_to_text
 from asmschub.perm import (
     Permutation,
@@ -48,7 +48,7 @@ from asmschub.poly import (
     poly_from_text,
     z_,
 )
-from oracles import determinantal_ideal_from_cells
+from oracles import anti_diag_init_by_tuples, cover_masks_all_pairs, determinantal_ideal_from_cells
 
 FULCRUM = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
 
@@ -179,6 +179,39 @@ class TestAntiDiagInit:
 
     def test_zero_for_identity(self):
         assert anti_diag_init(identity(3)).is_zero
+
+
+def assert_same_as_tuple_route(A):
+    J, want = anti_diag_init(A), anti_diag_init_by_tuples(A)
+    assert "_supports" in J.__dict__  # set from the grid masks, not read off tuples
+    assert (J.generators, J.variables, J._supports) == (want.generators, want.variables, want._supports), A
+    assert J._primes == tuple(cover_masks_all_pairs(want._supports[1])), A
+
+
+class TestAntiDiagInitOnMasks:
+    """The grid-mask route against one monomial tuple per minor, the
+    order of the generators, supports and primes included."""
+
+    def test_every_4x4_and_5x5_asm(self):
+        for A in enumerate_asms(4) + enumerate_asms(5):
+            assert_same_as_tuple_route(A)
+
+    def test_seeded_6x6_sample(self):
+        for A in random.Random(21).sample(enumerate_asms(6), 500):
+            assert_same_as_tuple_route(A)
+
+    def test_rectangular_corners(self):
+        # northwest corners of ASMs are partial ASMs; on a grid of n
+        # columns, z[r,c] sits n bits above z[r-1,c]
+        shapes = ((2, 5), (5, 2), (3, 6), (6, 3), (4, 5), (5, 4))
+        corners = {
+            tuple(row[:n] for row in A.rows[:m])
+            for A in random.Random(7).sample(enumerate_asms(6), 80)
+            for m, n in shapes
+        }
+        assert len(corners) > 200
+        for rows in sorted(corners):
+            assert_same_as_tuple_route(make_partial_asm(rows))
 
 
 class TestCodim:

@@ -26,9 +26,11 @@ from oracles import (
     betti_to_json,
     betti_to_text,
     collapse_points_by_rescan,
+    cover_masks_all_pairs,
     int_rank,
     intersect_monomial_ideals,
     mono_divides,
+    monomial_ideal_by_exponents,
     pdim_quotient,
     plain_exact_ranks,
     plain_gf2_ranks,
@@ -165,6 +167,17 @@ class TestMonomialIdeal:
         want = {m for m in monos if not any(o != m and mono_divides(o, m) for o in monos)}
         assert mi.monomial_ideal(monos).generators == tuple(sorted(want))
 
+    # lists of squarefree monomials take the mask route, lists with a
+    # power the exponent route
+    @given(st.lists(st.one_of(powers(), st.sets(st.integers(1, 6), max_size=3).map(
+        lambda s: sqfree(*(x_(i) for i in s)))), max_size=7), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_mask_route_against_exponents(self, monos, ambient):
+        variables = X[:6] if ambient else None
+        got, want = mi.monomial_ideal(monos, variables), monomial_ideal_by_exponents(monos, variables)
+        assert (got.generators, got.variables, got._supports) == (want.generators, want.variables, want._supports)
+        assert got._primes == tuple(cover_masks_all_pairs(want._supports[1]))
+
     def test_flags(self):
         assert mi.monomial_ideal([]).is_zero
         assert mi.monomial_ideal([()]).is_unit
@@ -247,6 +260,12 @@ class TestMinimalPrimes:
     @settings(max_examples=60, deadline=None)
     def test_against_cover_oracle(self, J):
         assert mi.minimal_primes(J) == oracle_minimal_covers(J)
+
+    # the covers in the order the homology walks read, nested supports included
+    @given(st.lists(st.integers(0, (1 << 10) - 1), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_single_bit_test_against_all_pairs(self, supports):
+        assert mi._cover_masks(supports) == cover_masks_all_pairs(supports)
 
     def test_radical_applied_first(self):
         J = mi.monomial_ideal([monomial([(X[0], 2)])])
