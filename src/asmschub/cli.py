@@ -1,8 +1,7 @@
 """Command-line front end for the library.
 
 Each verb is two words.  Some library functions have no verb, among
-them `betti_numbers`, `is_asm_union`, `minimal_primes` and
-`ideal_contains`.  The verbs:
+them `betti_numbers`, `minimal_primes` and `ideal_contains`.  The verbs:
 
     perm      diagram | essential | length | descents | avoids | class
     asm       validate | ranktable | from-ranktable | normalize-ranktable
@@ -67,12 +66,13 @@ from .asm import (
 )
 from .decomp import (
     get_asm,
-    is_asm_ideal,
+    is_asm_union,
     is_schubert_cm,
     perm_set_of_asm,
     schubert_add,
     schubert_decompose,
     schubert_intersect,
+    union_asm,
 )
 from .groebner import DEFAULT_BUDGET, GroebnerBudgetError, minimal_generators
 from .ideal import (
@@ -349,19 +349,16 @@ def _decomp_permset(a):
     return _perm_list_text(perms), {"permutations": [perm_to_json(w) for w in perms]}
 
 
-def _intersection_of(inputs, budget):
-    return schubert_intersect([_schubertable_from_arg(t) for t in inputs], budget)
-
-
+# is-asm and get-asm take --budget but answer by the union test, no basis
 def _decomp_is_asm(a):
-    b = is_asm_ideal(_intersection_of(a.inputs, a.budget), a.budget)
+    b = is_asm_union([_schubertable_from_arg(t) for t in a.inputs])
     return _bool_text(b), {"is_asm": b}
 
 
 def _decomp_get_asm(a):
-    I = _intersection_of(a.inputs, a.budget)
-    is_asm_ideal(I, a.budget)
-    A = get_asm(I)
+    A = union_asm([_schubertable_from_arg(t) for t in a.inputs])
+    if A is None:
+        raise ValueError("no ASM attached")
     return _box(A.rows), {"asm": asm_to_json(A)}
 
 
@@ -375,7 +372,7 @@ def _decomp_add(a):
 
 
 def _decomp_intersect(a):
-    I = _intersection_of(a.inputs, a.budget)
+    I = schubert_intersect([_schubertable_from_arg(t) for t in a.inputs], a.budget)
     return _ideal_text(I.generators), {
         "generators": [poly_to_json(g) for g in I.generators],
         "ambient": list(I.ambient),

@@ -7,9 +7,16 @@ per prime, read straight off the prime masks the ideal keeps.  From the
 component list one can reconstitute the ASM (via entrywise-extreme rank
 tables), recognize whether an arbitrary ideal is an ASM ideal, form sums
 and intersections, and test Cohen-Macaulayness through the degeneration.
+
+Unions are recognized by rank tables alone: an ASM variety is the union
+of the matrix Schubert varieties of its permutation set (Weigandt,
+"Prism tableaux for alternating sign matrix varieties", 2018), so that
+`union_asm` needs no Groebner basis, unlike `is_asm_ideal`.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .asm import (
     PartialASM,
@@ -71,8 +78,7 @@ def perm_set_of_asm(A: Schubertable) -> tuple[Permutation, ...]:
     return schubert_decompose(as_partial_asm(A))
 
 
-def _asm_from_permutations(perms) -> PartialASM:
-    n = max(len(w) for w in perms)
+def _asm_from_permutations(perms, n: int) -> PartialASM:
     tables = [rank_table(permutation_matrix(pad(w, n))) for w in perms]
     # an entrywise max of valid rank tables is valid
     return rank_table_to_asm(entrywise_extreme_rank_table(tables, "max"))
@@ -81,13 +87,11 @@ def _asm_from_permutations(perms) -> PartialASM:
 def is_asm_ideal(I: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     """Recognize I as the ideal of an ASM; caches the matrix on success."""
     perms = schubert_decompose(I, budget)
-    A = _asm_from_permutations(perms)
-    if (A.nrows, A.ncols) != I.ambient:
+    A = _asm_from_permutations(perms, len(perms[0]))
+    if (A.nrows, A.ncols) != I.ambient or not ideal_equals(I, schubert_determinantal_ideal(A), budget):
         return False
-    if ideal_equals(I, schubert_determinantal_ideal(A), budget):
-        I.cache["asm"] = A
-        return True
-    return False
+    I.cache["asm"] = A
+    return True
 
 
 def get_asm(I: Ideal) -> PartialASM:
@@ -96,20 +100,43 @@ def get_asm(I: Ideal) -> PartialASM:
     return I.cache["asm"]
 
 
-def is_asm_union(perms) -> bool:
-    """Is the union of the matrix Schubert varieties an ASM variety?"""
-    perms = [w if isinstance(w, Permutation) else Permutation(tuple(w)) for w in perms]
-    if not perms:
+def _shaped(xs) -> list[PartialASM]:
+    """The inputs as partial ASMs of one shape: when shapes differ, each is
+    completed and all are padded to the largest completed size."""
+    matrices = [as_partial_asm(x) for x in xs]
+    if len({(A.nrows, A.ncols) for A in matrices}) > 1:
+        matrices = [complete_asm(A) for A in matrices]
+        size = max(A.nrows for A in matrices)
+        matrices = [pad_asm(A, size) for A in matrices]
+    return matrices
+
+
+def _trim(w: Permutation) -> Permutation:
+    """w without its trailing fixed points."""
+    n = max((i for i, v in enumerate(w, 1) if v != i), default=1)
+    return Permutation(w.one_line[:n])
+
+
+def union_asm(xs) -> PartialASM | None:
+    """The ASM whose variety is the union of the inputs' varieties, or None:
+    the union is one when its shape is square, and the Bruhat-minimal labels
+    of the inputs (trimmed) fit in it and are the permutation set of the ASM
+    built from them.  Inputs are brought to one shape by `_shaped`."""
+    matrices = _shaped(xs)
+    if not matrices:
         raise ValueError("need at least one permutation")
-    n = max(len(w) for w in perms)
-    padded = [pad(w, n) for w in perms]
-    minimal = [
-        w
-        for w in padded
-        if not any(u != w and bruhat_leq(u, w) for u in padded)
-    ]
-    A = _asm_from_permutations(minimal)
-    return set(perm_set_of_asm(A)) == set(minimal)
+    labels = {_trim(w) for A in matrices for w in perm_set_of_asm(A)}
+    minimal = {w for w in labels if not any(u != w and bruhat_leq(u, w) for u in labels)}
+    n = matrices[0].nrows
+    if n != matrices[0].ncols or any(len(w) > n for w in minimal):
+        return None
+    A = _asm_from_permutations(minimal, n)
+    return A if {_trim(w) for w in perm_set_of_asm(A)} == minimal else None
+
+
+def is_asm_union(xs) -> bool:
+    """Is the union of the varieties of permutations or partial ASMs of any shapes an ASM variety?"""
+    return union_asm(xs) is not None
 
 
 def schubert_add(summands) -> Ideal:
@@ -119,19 +146,11 @@ def schubert_add(summands) -> Ideal:
 
 
 def schubert_intersect(factors, budget: int = DEFAULT_BUDGET) -> Ideal:
-    """Generator-level intersection of the rank-condition ideals."""
-    matrices = [as_partial_asm(x) for x in factors]
+    """Generator-level intersection of the rank-condition ideals of the `_shaped` inputs."""
+    matrices = _shaped(factors)
     if not matrices:
         raise ValueError("need at least one factor")
-    shapes = {(A.nrows, A.ncols) for A in matrices}
-    if len(shapes) > 1:
-        size = max(max(s) for s in shapes)
-        matrices = [pad_asm(complete_asm(A), size) for A in matrices]
-    ideals = [schubert_determinantal_ideal(A) for A in matrices]
-    out = ideals[0]
-    for J in ideals[1:]:
-        out = intersect_ideals(out, J, budget)
-    return out
+    return reduce(lambda I, J: intersect_ideals(I, J, budget), map(schubert_determinantal_ideal, matrices))
 
 
 def is_schubert_cm(A: Schubertable, **guards) -> bool:

@@ -93,7 +93,7 @@ class MonomialIdeal:
 
     @cached_property
     def _primes(self) -> tuple[int, ...]:
-        """Minimal primes as masks over the variables of `_supports`."""
+        """Minimal primes as masks over the variables of `_supports`, ascending."""
         return tuple(_cover_masks(self._supports[1]))
 
     # the search `vertex_decomposition_reg` reads, made once per ideal
@@ -165,37 +165,31 @@ def _mask_ideal(masks: Iterable[int], names: Sequence[Var], variables: Iterable[
 
 
 def _cover_masks(supports: Iterable[int]) -> list[int]:
-    """Minimal vertex covers of a family of support masks.
+    """Minimal vertex covers of a family of support masks, ascending as ints.
 
     Computed by Berge multiplication: fold the supports in one at a time,
     extending each partial cover c that misses the new support s by each
     bit of s and discarding non-minimal results.  The covers that hit s
     stay minimal, and c | bit contains one of them, o, exactly when o & s
     is that single bit and the rest o ^ bit lies inside c; only those
-    rests are tested.  Every extension still enters `grown`, whose set
-    copy fixes the order of the primes, which the homology walks read.
+    rests are tested.  No two kept extensions coincide.
     """
     covers = [0]
     for s in _minimal_sets(supports):
         rests = [(o ^ hit, hit) for o in covers if (hit := o & s) and not hit & (hit - 1)]
-        grown, dead = set(), set()
+        bits = [1 << k for k in range(s.bit_length()) if s >> k & 1]
+        grown = []
         for c in covers:
             if c & s:
-                grown.add(c)
+                grown.append(c)
                 continue
             gone = 0  # the bits whose extensions of c contain an old cover
             for r, bit in rests:
                 if not r & ~c:
                     gone |= bit
-            bits = s
-            while bits:
-                bit = bits & -bits
-                grown.add(c | bit)
-                if gone & bit:
-                    dead.add(c | bit)
-                bits &= bits - 1
-        covers = [m for m in sorted(set(grown), key=int.bit_count) if m not in dead]
-    return covers
+            grown += [c | bit for bit in bits if not gone & bit]
+        covers = grown
+    return sorted(covers)
 
 
 def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
@@ -325,14 +319,6 @@ def _count(**work: int) -> None:
 # homotopy type, so reduced homology is read off a much smaller core.
 # Swapping points and sets preserves it too, but gains nothing there:
 # the transpose of a core is a core, with the two counts swapped.
-
-
-def _maximal_masks(masks: Sequence[int]) -> list[int]:
-    out = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if not any(m | o == o for o in out):
-            out.append(m)
-    return out
 
 
 def _collapse_points(masks: list[int]) -> list[int]:
@@ -507,17 +493,14 @@ def _homology_from_ranks(by_size: dict[int, list[int]], ranks: dict[int, int]) -
 
 
 def _homology_of_union(masks: Sequence[int], limit: int) -> dict[int, int]:
-    """Reduced rational homology ranks {degree: rank} of a simplex union.
+    """Reduced rational homology ranks {degree: rank} of a simplex union,
+    given by a nonempty antichain of masks (its maximal simplices).
 
     Ranks are taken over GF(2) first.  Rational Betti numbers are at most
     the GF(2) ones in every degree and share their Euler characteristic,
     so GF(2) homology in at most one degree is the rational homology;
     otherwise the ranks are recomputed over the rationals.
     """
-    masks = _maximal_masks(masks)
-    if not masks:
-        _count(complexes=1)
-        return {}
     masks = _collapse_points(masks)
     if len(masks) == 1:
         _count(complexes=1)

@@ -61,7 +61,8 @@ library answers faster by another route, and exists to cross-check it:
 
 The rest are small readers that only the tests need: `longest_element`,
 `is_reduced`, `cross_monomial` (the weight x^D of a pipe dream),
-`reduced_homology_ranks` (the homology kernel on a simplicial complex),
+`maximal_masks` (the maximal sets of a family, which the homology kernel
+takes), `reduced_homology_ranks` (the homology kernel on a simplicial complex),
 `pdim_quotient` (read off a full Betti table), and `betti_to_text` and
 `betti_to_json`.
 """
@@ -84,7 +85,6 @@ from asmschub.monomial import (
     SimplicialComplex,
     _count,
     _homology_of_union,
-    _maximal_masks,
     _minimal_sets,
     _require_squarefree,
     _vd_search,
@@ -193,7 +193,7 @@ def reisner_is_cm(K: SimplicialComplex) -> bool:
     memo: dict[frozenset, bool] = {}
 
     def check(family: tuple[int, ...], npoints: int) -> bool:
-        family = tuple(_maximal_masks(family))
+        family = tuple(maximal_masks(family))
         key = frozenset(family)
         if key in memo:
             return memo[key]
@@ -265,7 +265,8 @@ def anti_diag_init_by_tuples(A: Schubertable) -> MonomialIdeal:
 
 def cover_masks_all_pairs(supports: Iterable[int]) -> list[int]:
     """Berge multiplication that compares each extension with every cover
-    that already hits the new support, in `_cover_masks`' order."""
+    that already hits the new support; each round's covers are sorted by
+    size through a set copy, so callers compare them sorted."""
     covers = [0]
     for s in _minimal_sets(supports):
         grown, old = set(), []
@@ -281,6 +282,15 @@ def cover_masks_all_pairs(supports: Iterable[int]) -> list[int]:
                     bits &= bits - 1
         covers = [m for m in sorted(set(grown), key=int.bit_count) if m in old or not any(m & o == o for o in old)]
     return covers
+
+
+def maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The distinct masks of the family that lie in no other, largest first."""
+    out = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(m | o == o for o in out):
+            out.append(m)
+    return out
 
 
 def collapse_points_by_rescan(masks: list[int], npoints: int) -> tuple[list[int], int]:
@@ -314,16 +324,16 @@ def collapse_points_by_rescan(masks: list[int], npoints: int) -> tuple[list[int]
                     if m >> u & 1:
                         nm |= 1 << remap[u]
                 out.append(nm)
-            return _maximal_masks(out), len(points)
+            return maximal_masks(out), len(points)
         keep = ~(1 << victim)
-        masks = _maximal_masks([m & keep for m in masks])
+        masks = maximal_masks([m & keep for m in masks])
 
 
 def transpose(masks: list[int], npoints: int) -> tuple[list[int], int]:
     """The maximal sets of the family with points and sets swapped: set k
     of the result holds the masks that contain point k."""
     flipped = [sum(1 << i for i, m in enumerate(masks) if m >> u & 1) for u in range(npoints)]
-    return _maximal_masks(flipped), len(masks)
+    return maximal_masks(flipped), len(masks)
 
 
 def plain_gf2_ranks(by_size: dict[int, list[int]]) -> dict[int, int]:
@@ -612,7 +622,7 @@ def reduced_homology_ranks(K: SimplicialComplex) -> tuple[int, ...]:
         return ()
     pos = {v: i for i, v in enumerate(K.vertices)}
     masks = [sum(1 << pos[v] for v in f) for f in K.facets]
-    hom = _homology_of_union(masks, DEFAULT_FACE_LIMIT)
+    hom = _homology_of_union(maximal_masks(masks), DEFAULT_FACE_LIMIT)
     top = K.dim
     return tuple(hom.get(d, 0) for d in range(-1, top + 1))
 

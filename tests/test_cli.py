@@ -21,15 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asmschub import groebner
 from asmschub.asm import (
     asm_from_json,
+    asm_to_json,
     complete_asm,
     make_partial_asm,
     rank_table,
     rank_table_from_json,
 )
-from asmschub.cli import dispatch
-from asmschub.decomp import perm_set_of_asm
+from asmschub.cli import _box, _schubertable_from_arg, dispatch
+from asmschub.decomp import get_asm, is_asm_ideal, perm_set_of_asm, schubert_intersect
 from asmschub.ideal import anti_diag_init
 from asmschub.monomial import monomial_ideal_from_text
 from asmschub.perm import Permutation, perm_from_json, rothe_diagram
@@ -262,6 +264,35 @@ class TestExitCodes:
     def test_unrecognized_intersection(self):
         rc, _, err = run(["decomp", "get-asm", "1,2,4,3", "1,3,2,4"])
         assert rc == 1 and "no ASM attached" in err
+
+    # is-asm and get-asm answer by the union test: the same output as the
+    # elimination route, computed first, with every Buchberger run refused
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            ["3,4,1,2", "3,2,4,1"],
+            ["1,2,4,3", "1,3,2,4"],
+            [SPLIT, "2,1"],
+            ["0 0 0;0 1 0;0 0 0", "3,1,2"],
+            ["0 1 0;1 -1 0", "2,3,1"],
+            ["0 1 0 0;1 -1 0 1;0 1 0 0"],
+        ],
+    )
+    def test_union_verbs_run_no_buchberger(self, inputs, monkeypatch):
+        I = schubert_intersect([_schubertable_from_arg(t) for t in inputs])
+        A = get_asm(I) if is_asm_ideal(I) else None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Buchberger run")
+
+        monkeypatch.setattr(groebner, "buchberger", refuse)
+        want = "true\n" if A else "false\n"
+        assert run(["decomp", "is-asm", *inputs, "--budget", "0"]) == (0, want, "")
+        assert json.loads(run(["decomp", "is-asm", *inputs, "--json"])[1]) == {"schema_version": 1, "is_asm": A is not None}
+        got = run(["decomp", "get-asm", *inputs, "--budget", "0"])
+        assert got == ((0, _box(A.rows) + "\n", "") if A else (1, "", "no ASM attached\n"))
+        if A:
+            assert json.loads(run(["decomp", "get-asm", *inputs, "--json"])[1])["asm"] == asm_to_json(A)
 
     # a tripped lattice or face guard is a domain error that names the guard
     @pytest.mark.parametrize("verb", [["poly", "regularity"], ["decomp", "is-cm"]])

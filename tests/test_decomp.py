@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from asmschub import decomp
 from asmschub.asm import (
     enumerate_asms,
     make_partial_asm,
@@ -31,6 +32,7 @@ from asmschub.decomp import (
     schubert_add,
     schubert_decompose,
     schubert_intersect,
+    union_asm,
 )
 from asmschub.groebner import (
     DEFAULT_BUDGET,
@@ -42,7 +44,7 @@ from asmschub.groebner import (
 )
 from asmschub.ideal import anti_diag_init, schubert_determinantal_ideal
 from asmschub.monomial import mono_to_text
-from asmschub.perm import Permutation, all_permutations, bruhat_leq, identity
+from asmschub.perm import Permutation, all_permutations, bruhat_leq, identity, pad
 from oracles import components_by_primes, minimal_generators_by_rebuild, perm_set_brute_force
 
 # 3x3 ASM whose variety splits into the 312 and 231 components
@@ -207,6 +209,110 @@ class TestASMUnion:
                 continue
             expected = is_asm_ideal(schubert_intersect([u, w]))
             assert is_asm_union([u, w]) == expected, (u, w)
+
+
+def union_by_elimination(xs):
+    """The Groebner route: the matrix `is_asm_ideal` recognizes in the
+    intersection of the ideals, or None."""
+    I = schubert_intersect(xs)
+    return get_asm(I) if is_asm_ideal(I) else None
+
+
+def nw_corners(asms, nrows, ncols, keep=lambda C: True):
+    """Distinct northwest corners of the given ASMs, in first-seen order."""
+    out = {make_partial_asm([r[:ncols] for r in A.rows[:nrows]]): None for A in asms}
+    return [C for C in out if keep(C)]
+
+
+# square partial ASMs that are not ASMs, so each alone needs labels longer
+# than its size; the first 3x3 lies inside X_312, so with 312 it is 312
+SMALL_PARTIALS = [
+    make_partial_asm(m)
+    for m in (
+        [[0, 0], [0, 0]],
+        [[0, 1], [0, 0]],
+        [[0, 0], [1, 0]],
+        [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[0, 1, 0], [1, -1, 0], [0, 0, 0]],
+    )
+]
+
+
+class TestUnionDifferential:
+    """`union_asm` (rank tables and permutation sets) against the Groebner
+    route, `is_asm_ideal` on `schubert_intersect`: the same answer and
+    the same matrix on every family of inputs."""
+
+    def check(self, cases) -> int:
+        """Compare both routes on each case; return how many are ASM unions."""
+        found = 0
+        for xs in cases:
+            got = union_asm(xs)
+            assert got == union_by_elimination(xs), xs
+            assert is_asm_union(xs) == (got is not None)
+            found += got is not None
+        return found
+
+    def test_pairs_of_3x3_asms(self):
+        assert self.check(list(itertools.combinations(enumerate_asms(3), 2))) == 20
+
+    def test_seeded_pairs_and_triples_of_4x4_asms(self):
+        rng = random.Random(22)
+        asms = enumerate_asms(4)
+        assert self.check([rng.sample(asms, 2) for _ in range(60)]) == 47
+        assert self.check([rng.sample(asms, 3) for _ in range(25)]) == 20
+
+    def test_mixed_sizes(self):
+        rng = random.Random(23)
+        cases = [[A, rng.choice(enumerate_asms(4))] for A in enumerate_asms(3) for _ in range(3)]
+        cases += [[(2, 1), B] for B in enumerate_asms(4)]
+        assert self.check(cases) == 53
+
+    def test_square_partial_non_asms(self):
+        rng = random.Random(24)
+        corners = rng.sample(nw_corners(enumerate_asms(5), 4, 4, lambda C: not C.is_asm), 20)
+        cases = [[C] for C in corners + SMALL_PARTIALS]
+        cases += [rng.sample(corners, 2) for _ in range(15)]
+        cases += [list(p) for p in itertools.combinations(SMALL_PARTIALS, 2)]
+        cases += [[C, rng.choice(enumerate_asms(4))] for C in corners]
+        cases += [[C, A] for C in SMALL_PARTIALS for A in enumerate_asms(3)]
+        assert self.check(cases) == 46
+        assert union_asm([SMALL_PARTIALS[3], (3, 1, 2)]) == permutation_matrix(Permutation((3, 1, 2)))
+
+    def test_rectangular_corners_are_never_asm_unions(self):
+        rng = random.Random(25)
+        corners = nw_corners(enumerate_asms(5), 3, 4)
+        cases = [[C] for C in rng.sample(corners, 10)] + [rng.sample(corners, 2) for _ in range(10)]
+        assert self.check(cases) == 0
+
+    def test_permutations_of_different_lengths(self):
+        rng = random.Random(26)
+        perms = [w for n in (2, 3, 4) for w in all_permutations(n)]
+        cases = [rng.sample(perms, 2) for _ in range(40)] + [rng.sample(perms, 3) for _ in range(10)]
+        assert self.check(cases) == 43
+
+    def test_labels_compared_without_trailing_fixed_points(self, monkeypatch):
+        # labels that differ only by trailing fixed points name one
+        # component: give each call's labels 0, 1 or 2 more of them.  The
+        # labels of inputs of one square shape carry none today, so no
+        # differential case above needs the trim; this pins it
+        cases = [list(p) for p in itertools.combinations(enumerate_asms(3), 2)]
+        want = [union_asm(xs) for xs in cases]
+        calls = itertools.count()
+
+        def longer(A):
+            k = next(calls) % 3
+            return tuple(pad(w, len(w) + k) for w in perm_set_of_asm(A))
+
+        monkeypatch.setattr(decomp, "perm_set_of_asm", longer)
+        assert [union_asm(xs) for xs in cases] == want
+
+    def test_completed_partial_with_permutation(self):
+        # the 2x3 matrix completes to 4x4, larger than the 3x3 of 231 or 213
+        M = make_partial_asm([[0, 1, 0], [1, -1, 0]])
+        assert schubert_intersect([M, (2, 3, 1)]).ambient == (4, 4)
+        assert self.check([[M, (2, 3, 1)], [M, (2, 1, 3)]]) == 1
+        assert union_asm([M, (2, 1, 3)]) == permutation_matrix(Permutation((2, 1, 3, 4)))
 
 
 class TestAddIntersect:
