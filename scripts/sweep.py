@@ -30,12 +30,15 @@ two agree.  Four families so far:
   polynomial against the transition recursion, the divided-difference
   Grothendieck polynomial against the signed pipe-dream sum (only up to
   n = ``PIPE_DREAM_LIMIT``), and the y-free part of the double Schubert
-  polynomial against the Schubert polynomial (only up to n =
-  ``DOUBLE_LIMIT``).  The corpus holds, per item (the one-line
-  notation), each of the three checks as a pair: whether the routes
-  agree, then the term count of the divided-difference polynomial
-  (Schubert, Grothendieck, double Schubert); null where a route is past
-  its limit.  Each check is timed over the whole population.
+  polynomial against the Schubert polynomial and the whole double
+  Schubert polynomial, y terms included, against the sum over reduced
+  pipe dreams of `double_schuberts_by_reduced_dreams` from
+  ``tests/oracles.py`` (both only up to n = ``DOUBLE_LIMIT``).  The
+  corpus holds, per item (the one-line notation), each of the four
+  checks as a pair: whether the routes agree, then the term count of the
+  divided-difference polynomial (Schubert, Grothendieck, double
+  Schubert) or, for the last, of the pipe-dream sum; null where a route
+  is past its limit.  Each check is timed over the whole population.
 
 - ``decomp``: every n x n ASM.  `perm_set_of_asm`, which reads the
   components off the minimal-prime masks of the antidiagonal
@@ -63,8 +66,9 @@ or that only one side has.
 
 ``diag-cdg`` at size 6 (2,160 items) takes about 7 s on a 2-vCPU x86-64
 machine with Python 3.11 (25 s before Buchberger packed its monomials),
-most of it in the Buchberger runs.  ``flag`` takes about 12 s at size 6,
-most of it in the double Schubert divided differences, and about 27 s at
+most of it in the Buchberger runs.  ``flag`` takes about 18 s at size 6,
+most of it in the double Schubert divided differences and the reduced
+pipe-dream sum they are checked against, and about 27 s at
 size 7 (44 s before the pipe-dream sum compared plain sorted prefixes),
 where the double Schubert check is past its limit and nearly all the time
 goes to the two Grothendieck routes.  ``homology`` takes about 100 s at
@@ -119,7 +123,7 @@ DOUBLE_LIMIT = 6
 BRUTE_LIMIT = 6
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 sys.path.insert(0, str(CORPUS_DIR.parent.parent / "tests"))
-from oracles import perm_set_brute_force  # noqa: E402  (the slow route of `decomp`)
+from oracles import double_schuberts_by_reduced_dreams, perm_set_brute_force  # noqa: E402  (slow routes)
 
 
 @dataclass(frozen=True)
@@ -249,16 +253,30 @@ def _double_check(w) -> tuple[int | None, int | None]:
     return int(y_free == schubert_polynomial(w)), len(d.terms)
 
 
+@lru_cache(maxsize=None)
+def _dream_doubles(n: int) -> dict:
+    return double_schuberts_by_reduced_dreams(n)
+
+
+def _whole_double_check(w) -> tuple[int | None, int | None]:
+    if len(w) > DOUBLE_LIMIT:
+        return None, None
+    want = _dream_doubles(len(w))[w.one_line]
+    return int(double_schubert_polynomial(w) == want), len(want.terms)
+
+
 FLAG_CHECKS = {
     "schubert_vs_transition": _schubert_check,
     "grothendieck_vs_pipe_dream": _grothendieck_check,
     "y_free_double_vs_schubert": _double_check,
+    "double_vs_reduced_dreams": _whole_double_check,
 }
 
 
 def flag_item(w) -> list[int | None]:
-    """[Schubert agrees, its terms, Grothendieck agrees, its terms, double
-    Schubert agrees, its terms] for one item."""
+    """[Schubert agrees, its terms, Grothendieck agrees, its terms, y-free
+    double Schubert agrees, its terms, whole double Schubert agrees, the
+    pipe-dream sum's terms] for one item."""
     return [x for check in FLAG_CHECKS.values() for x in check(w)]
 
 
@@ -281,6 +299,8 @@ def flag(cfg: Config) -> dict:
         "grothendieck_agree": sum(r[2] or 0 for r in rows),
         "double_checked": sum(r[4] is not None for r in rows),
         "double_agree": sum(r[4] or 0 for r in rows),
+        "whole_double_checked": sum(r[6] is not None for r in rows),
+        "whole_double_agree": sum(r[6] or 0 for r in rows),
     }
     return {"family": "flag", "size": cfg.size, "summary": summary, "items": items}
 
@@ -328,6 +348,7 @@ def run(cfg: Config) -> dict:
         print(f"  Schubert agrees with Transition:         {s['schubert_agree']} of {s['items']}")
         print(f"  Grothendieck agrees with PipeDream:      {s['grothendieck_agree']} of {s['grothendieck_checked']}")
         print(f"  y-free double Schubert agrees:           {s['double_agree']} of {s['double_checked']}")
+        print(f"  double Schubert agrees with pipe dreams: {s['whole_double_agree']} of {s['whole_double_checked']}")
     else:
         corpus = diag_cdg(cfg)
         s = corpus["summary"]
