@@ -66,7 +66,7 @@ or that only one side has.
 
 ``diag-cdg`` at size 6 (2,160 items) takes about 7 s on a 2-vCPU x86-64
 machine with Python 3.11 (25 s before Buchberger packed its monomials),
-most of it in the Buchberger runs.  ``flag`` takes about 18 s at size 6,
+most of it in the Buchberger runs.  ``flag`` takes about 14 s at size 6,
 most of it in the double Schubert divided differences and the reduced
 pipe-dream sum they are checked against, and about 27 s at
 size 7 (44 s before the pipe-dream sum compared plain sorted prefixes),

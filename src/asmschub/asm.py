@@ -140,7 +140,10 @@ def rank_table(A: PartialASM) -> RankTable:
             acc += col_acc[j]
             line.append(acc)
         out.append(tuple(line))
-    return RankTable(tuple(out))
+    # valid by construction: A has checked these row and column prefix sums
+    T = object.__new__(RankTable)
+    object.__setattr__(T, "values", tuple(out))
+    return T
 
 
 def rank_table_to_asm(T: RankTable) -> PartialASM:

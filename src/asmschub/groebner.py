@@ -25,7 +25,9 @@ of monic entries ``(lead, tail)``, the tail holding the other
 ``(monomial, coefficient)`` pairs, with coefficients kept as ints while
 their denominator is 1.  One kernel, `_reduce`, reduces S-polynomials,
 basis tails and, through `normal_form`, outside polynomials; only a
-returned basis is unpacked into `Polynomial`s.
+returned basis is unpacked into `Polynomial`s.  Packing and unpacking
+move fields between a `Polynomial`'s packed ints and the ring's through
+`poly._fields` and `poly._from_fields`, so no monomial is decoded.
 
 The budget bounds both the S-pairs a computation pops and its reduction
 work.  A reduction step costs one unit per term of the reducer, times
@@ -42,14 +44,13 @@ from fractions import Fraction
 
 from .monomial import MonomialIdeal, _count, monomial_ideal
 from .poly import (
-    Monomial,
     Polynomial,
     TermOrder,
-    _collect,
+    _fields,
+    _from_fields,
     _plain,
     antidiagonal_order,
     lead_monomial,
-    mono_degree,
     var_to_text,
     z_,
 )
@@ -127,28 +128,20 @@ class _Ring:
             raise ValueError(f"variable {var_to_text(v)} not covered by the term order")
         n, s, lex = len(used), width + 1, order.kind == "lex"
         shifts = [s * (n - k) if lex else s * k for k in range(n)]  # by priority
-        self.shift = dict(zip(sorted(used, key=rank.get), shifts))
-        self.fields = sorted(self.shift.items())  # in variable order
+        self.shift = dict(sorted(zip(sorted(used, key=rank.get), shifts)))  # in variable order
         self.width, self.field, self.deg = width, (1 << width) - 1, 0 if lex else s * n
         self.guard = sum(1 << (sh + width) for sh in shifts + [self.deg])
         self.varmask = sum(self.field << sh for sh in shifts)
         self.flip = 0 if lex else self.varmask  # the key of m is m ^ flip
         self.ones, self.top = sum(1 << (s * k) for k in range(n)), max(shifts, default=0)
 
-    def pack_mono(self, m: Monomial) -> int:
-        d = mono_degree(m)  # no exponent exceeds it
-        if d > self.field:
-            raise _Overflow
-        return sum(e << self.shift[v] for v, e in m) | d << self.deg
-
-    def unpack_mono(self, p: int) -> Monomial:
-        return tuple((v, e) for v, sh in self.fields if (e := p >> sh & self.field))
-
     def pack(self, f: Polynomial) -> dict:
-        return {self.pack_mono(m): c for m, c in f.coeffs.items()}
+        if f.degree() > self.field:  # no exponent exceeds it
+            raise _Overflow
+        return _fields(f, self.shift, self.deg)
 
     def unpack(self, terms) -> Polynomial:
-        return _collect({self.unpack_mono(p): c for p, c in terms})
+        return _from_fields(terms, self.shift, self.deg, self.width)
 
     def lcm(self, a: int, b: int) -> int:
         """Field-wise max, where the guard bits of (a | G) - b mark a >= b.
@@ -385,7 +378,6 @@ def minimal_generators(I: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[Polynomi
             basis = buchberger(kept, order, budget)
         g = normal_form(g, basis, order, meter)
         if not g.is_zero:
-            lc = g.coeffs[lead_monomial(g, order)]
-            kept.append(Polynomial.from_dict({m: Fraction(c, lc) for m, c in g.coeffs.items()}))
+            kept.append(g * (1 / g.coefficient(lead_monomial(g, order))))
             basis = None
     return tuple(kept)

@@ -1,21 +1,22 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-Variables come in three families: a generic matrix z[i,j] and two
-alphabets x[i], y[i], written as tuples ("x", i), ("y", i) and
-("z", i, j).  The canonical order is Python's tuple order on those
-tuples, so x < y < z and each family runs ascending by index.  A
-monomial lists its variables in that order.  A polynomial stores a
-read-only map from monomial to nonzero coefficient, an `int` when its
-denominator is 1 and a `Fraction` otherwise, so kernels add plain ints;
-its `terms` list the pairs, with `Fraction` coefficients, in a canonical
-descending order (degree first, then reverse-lex in tuple order), sorted
-once, on first read.  Term orders for Groebner work are separate values
-so the same polynomial can be read under several orders.
-
-A product monomial is one merge of two sorted pair tuples.  As x_i and
-x_{i+1} are adjacent in variable order, a divided difference splices
-new x_i, x_{i+1} pairs, made once per exponent, into the input monomial
-between its pairs before x_i and after x_{i+1}, with no sort.
+Variables come in three families, z[i,j], x[i] and y[i], written as
+tuples ("z", i, j), ("x", i), ("y", i) and ordered as tuples.  The
+interface's monomials are tuples of (variable, exponent) pairs in that
+order.  Inside, a monomial is one int (Bachmann and Schoenemann, ISSAC
+1998): over the polynomial's alphabet, the sorted variables it uses, the
+k-th variable has bits k*w up to (k+1)*w, where the width w is the bit
+length of the total degree.  No exponent or partial sum of exponents
+exceeds the degree, so a product of monomials is a sum of ints and
+m * (1 + 2^w + 2^2w + ...) holds deg(m) in its top field, with no carry.
+Alphabet and width depend on the polynomial alone, so equal polynomials
+store equal maps; kernels work in a layout wide enough for the result
+and `_collect` narrows it.  Coefficients are ints when whole, so kernels
+add plain ints.  An int compares by its top field first, so within one
+degree ascending ints are reverse-lex, and `terms`, the (monomial,
+Fraction) pairs in display order, is one sort of the ints.  `terms` and
+the read-only map `coeffs` are decoded on first read and kept; `groebner`
+moves monomials to its own layout and back by `_fields` and `_from_fields`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations
-from operator import itemgetter
+from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -60,28 +61,6 @@ def monomial(pairs: Iterable[tuple[Var, int]]) -> Monomial:
     return tuple(sorted(acc.items()))
 
 
-MONE: Monomial = ()
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Product of two monomials by one merge of their sorted pairs."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        (va, ea), (vb, eb) = a[i], b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    return (*out, *a[i:], *b[j:])
-
-
 def mono_degree(a: Monomial) -> int:
     return sum(map(itemgetter(1), a))
 
@@ -90,94 +69,194 @@ def mono_support(a: Monomial) -> tuple[Var, ...]:
     return tuple(v for v, _ in a)
 
 
-def _display_sort(coeffs: Mapping[Monomial, int | Fraction]):
-    # Degree descending, then reverse-lex: the reversed monomials first
-    # differ exactly where dense exponent vectors read from the top
-    # variable down would, and neither is a prefix of the other when the
-    # degrees agree.  Two stable sorts on keys computed in C beat one
-    # sort on a pair of keys.  Equal coefficients share one Fraction.
-    monos = sorted(coeffs, key=itemgetter(slice(None, None, -1)))
-    monos.sort(key=mono_degree, reverse=True)
-    fracs = {c: Fraction(c) for c in set(coeffs.values())}
-    return tuple(zip(monos, map(fracs.__getitem__, map(coeffs.__getitem__, monos))))
-
-
 def _plain(c: Fraction) -> int | Fraction:
     """c as an int when its denominator is 1."""
     return c.numerator if c.denominator == 1 else c
 
 
-def _collect(acc: dict[Monomial, int | Fraction]) -> "Polynomial":
-    """The polynomial of the nonzero coefficients of acc, which it takes
-    over: zeros go, and whole Fractions become ints, in place."""
+def _mover(moves: Iterable[tuple[int, int]], width: int):
+    """The map on packed ints that moves the `width`-bit field at bit a to
+    bit b, for each (a, b) in moves, and drops the rest.  Fields side by
+    side at both ends move as one run."""
+    runs: list[list[int]] = []
+    for a, b in sorted(moves):
+        if runs and a - runs[-1][0] == b - runs[-1][1] == runs[-1][2]:
+            runs[-1][2] += width
+        else:
+            runs.append([a, b, width])
+    owner, keep = [None] * (runs[-1][0] + runs[-1][2] if runs else 0), 0  # bit -> its run
+    for a, b, n in runs:
+        owner[a:a + n] = [(a, (1 << n) - 1, b)] * n
+        keep |= (1 << n) - 1 << a
+
+    def move(m: int) -> int:  # visits only the runs that hold a set bit
+        m &= keep
+        out = 0
+        while m:
+            a, k, b = owner[(m & -m).bit_length() - 1]
+            bits = m >> a & k
+            out |= bits << b
+            m ^= bits << a
+        return out
+
+    return move
+
+
+def _degree_field(n: int, w: int) -> tuple[int, int, int]:
+    """(ones, field, top) of n fields of w bits: m * ones & field is the
+    degree of m, shifted up by top."""
+    top = max(n - 1, 0) * w
+    return ((1 << n * w) - 1) // ((1 << w) - 1) if w else 0, (1 << w) - 1 << top, top
+
+
+def _collect(acc: dict, alphabet: tuple, w: int) -> "Polynomial":
+    """The polynomial of acc, packed over alphabet with w-bit fields, at
+    least as wide as its degree needs.  It takes acc over: zeros go and
+    whole Fractions become ints, in place; unused fields and spare width go."""
     for m in [m for m, c in acc.items() if not c or type(c) is not int]:
         c = acc.pop(m)
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
         if c:
             acc[m] = _plain(c)
-    return Polynomial(acc)
+    if not acc:
+        return ZERO
+    used, (ones, dfield, top) = reduce(or_, acc), _degree_field(len(alphabet), w)
+    width = (max(map(dfield.__and__, map(ones.__mul__, acc))) >> top).bit_length()
+    kept = [k for k in range(len(alphabet)) if used >> k * w & (1 << w) - 1]
+    if len(kept) < len(alphabet) or width != w:
+        move = _mover([(k * w, j * width) for j, k in enumerate(kept)], w)
+        acc = {move(m): c for m, c in acc.items()}
+        alphabet = tuple(alphabet[k] for k in kept)
+    return Polynomial(alphabet, width, acc)
 
 
-@dataclass(frozen=True, repr=False)
+def _fields(f: "Polynomial", shift: Mapping[Var, int], degree_at: int | None = None) -> dict:
+    """f's coefficient map with each variable v's exponent moved to the
+    field at bit shift[v], and the monomial's degree to bit degree_at."""
+    w = f._width
+    move = _mover([(k * w, shift[v]) for k, v in enumerate(f._alphabet)], w)
+    if degree_at is None:
+        return {move(m): c for m, c in f._packed.items()}
+    ones, dfield, top = _degree_field(len(f._alphabet), w)
+    return {move(m) | (m * ones & dfield) >> top << degree_at: c for m, c in f._packed.items()}
+
+
+def _aligned(f: "Polynomial", g: "Polynomial", w: int) -> tuple[tuple, dict, dict]:
+    """The alphabet of f and g together, and both packed maps over it with
+    w-bit fields."""
+    alphabet = f._alphabet if f._alphabet == g._alphabet else tuple(sorted({*f._alphabet, *g._alphabet}))
+    pos = {v: k * w for k, v in enumerate(alphabet)}
+    f, g = ((h._packed if (h._alphabet, h._width) == (alphabet, w) else _fields(h, pos)) for h in (f, g))
+    return alphabet, f, g
+
+
+def _decoder(f: "Polynomial"):
+    """The map from f's packed ints to pair tuples.  The fields fall into
+    four runs, and each run's bits are looked up in a table of pair tuples
+    filled as its values are met (and dropped with the map)."""
+    w = f._width
+    fields = [(k * w, v) for k, v in enumerate(f._alphabet)]
+    q = -(-len(fields) // 4)
+    parts = []
+    for run in (fields[g * q:(g + 1) * q] for g in range(4)):
+        start = run[0][0] if run else 0
+        piece = lambda bits, run=run, start=start: tuple(  # noqa: E731
+            (v, e) for a, v in run if (e := bits >> a - start & (1 << w) - 1))
+        parts.append((start, (1 << len(run) * w) - 1, lru_cache(maxsize=None)(piece)))
+    (s0, k0, t0), (s1, k1, t1), (s2, k2, t2), (s3, k3, t3) = parts
+    return lambda m: t0(m >> s0 & k0) + t1(m >> s1 & k1) + t2(m >> s2 & k2) + t3(m >> s3 & k3)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Polynomial:
     """Immutable polynomial with exact rational coefficients.
 
-    `coeffs` maps monomials to nonzero int or Fraction coefficients;
-    `terms`, sorted on first read, has them in display order as Fractions.
+    `_packed` maps the packed ints of its monomials over `_alphabet`, with
+    `_width`-bit fields, to nonzero int or Fraction coefficients (see the
+    module docstring).  `coeffs` maps pair-tuple monomials to them, and
+    `terms` has them in display order as Fractions; both are decoded on
+    first read and kept.
 
     >>> f = variable(x_(1)) + variable(x_(2))
     >>> poly_to_text(f * f)
     'x[1]^2 + 2*x[1]*x[2] + x[2]^2'
     """
 
-    coeffs: Mapping[Monomial, int | Fraction]
+    _alphabet: tuple
+    _width: int
+    _packed: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", MappingProxyType(self.coeffs))
+    @cached_property
+    def coeffs(self) -> Mapping[Monomial, int | Fraction]:
+        decode = _decoder(self)
+        return MappingProxyType({decode(m): c for m, c in self._packed.items()})
 
     @cached_property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
-        return _display_sort(self.coeffs)
+        # degree descending, then ascending ints: one sort on m - deg(m) * 2^(n*w)
+        packed, w = self._packed, self._width
+        ones, dfield, _ = _degree_field(len(self._alphabet), w)
+        order = sorted(packed, key=lambda m: m - ((m * ones & dfield) << w))
+        fracs = {c: Fraction(c) for c in set(packed.values())}
+        return tuple(zip(map(_decoder(self), order), map(fracs.__getitem__, map(packed.__getitem__, order))))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return (self._alphabet, self._width, self._packed) == (other._alphabet, other._width, other._packed)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self._alphabet, frozenset(self._packed.items())))
 
     def __repr__(self) -> str:
         return f"Polynomial(terms={self.terms!r})"
 
     def __reduce__(self):
-        return Polynomial, (dict(self.coeffs),)
+        return Polynomial, (self._alphabet, self._width, dict(self._packed))
 
     @staticmethod
     def from_dict(d: Mapping[Monomial, Fraction | int]) -> "Polynomial":
-        return _collect(dict(d))
+        alphabet = tuple(sorted({v for m in d for v, _ in m}))
+        w = max(map(mono_degree, d), default=0).bit_length()
+        pos, acc = {v: k * w for k, v in enumerate(alphabet)}, {}
+        for m, c in d.items():
+            p = sum(e << pos[v] for v, e in m)
+            acc[p] = acc[p] + c if p in acc else c
+        return _collect(acc, alphabet, w)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._packed
 
     def coefficient(self, m: Monomial) -> Fraction:
         return Fraction(self.coeffs.get(m, 0))
 
     def degree(self) -> int:
         """Total degree; the zero polynomial gets -1."""
-        return max(map(mono_degree, self.coeffs), default=-1)
+        if not self._packed:
+            return -1
+        ones, dfield, top = _degree_field(len(self._alphabet), self._width)
+        return max(map(dfield.__and__, map(ones.__mul__, self._packed))) >> top
 
     def variables(self) -> set:
-        return {v for m in self.coeffs for v, _ in m}
+        return set(self._alphabet)
 
     def __add__(self, other) -> "Polynomial":
-        acc = self.coeffs.copy()
-        for m, c in as_polynomial(other).coeffs.items():
-            acc[m] = acc.get(m, 0) + c
-        return _collect(acc)
+        other = as_polynomial(other)
+        w = max(self._width, other._width)
+        alphabet, left, right = _aligned(self, other, w)
+        acc = dict(left)
+        get = acc.get
+        for m, c in right.items():
+            acc[m] = get(m, 0) + c
+        return _collect(acc, alphabet, w)
 
     def __radd__(self, other) -> "Polynomial":
         return self.__add__(other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.coeffs.items()})
+        return Polynomial(self._alphabet, self._width, {m: -c for m, c in self._packed.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-as_polynomial(other))
@@ -186,14 +265,18 @@ class Polynomial:
         return as_polynomial(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        right = as_polynomial(other).coeffs.items()
-        acc: dict[Monomial, int | Fraction] = {}
+        other = as_polynomial(other)
+        if self.is_zero or other.is_zero:
+            return ZERO
+        w = (self.degree() + other.degree()).bit_length()  # bounds every field of the product
+        alphabet, left, right = _aligned(self, other, w)
+        acc: dict[int, int | Fraction] = {}
         get = acc.get
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in right:
-                m = mono_mul(m1, m2)
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
+                m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
-        return _collect(acc)
+        return _collect(acc, alphabet, w)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
@@ -210,8 +293,8 @@ class Polynomial:
         return poly_to_text(self)
 
 
-ZERO = Polynomial({})
-ONE = Polynomial({MONE: 1})
+ZERO = Polynomial((), 0, {})
+ONE = Polynomial((), 0, {0: 1})
 
 
 def as_polynomial(value) -> Polynomial:
@@ -227,11 +310,23 @@ def constant(c) -> Polynomial:
 
 
 def variable(v: Var) -> Polynomial:
-    return Polynomial({monomial([(v, 1)]): 1})
+    return Polynomial((v,), 1, {1: 1})
 
 
 def term(c, pairs: Iterable[tuple[Var, int]]) -> Polynomial:
-    return _collect({monomial(pairs): Fraction(c)})
+    return Polynomial.from_dict({monomial(pairs): Fraction(c)})
+
+
+def _from_fields(items, shift: Mapping[Var, int], degree_at: int, width: int) -> Polynomial:
+    """The polynomial of (int, coefficient) pairs whose ints hold each
+    variable v's exponent in the `width`-bit field at bit shift[v] and the
+    degree in the one at bit degree_at; shift lists the variables in order."""
+    items, mask = list(items), (1 << width) - 1
+    used = reduce(or_, (m for m, _ in items), 0)
+    alphabet = tuple(v for v, at in shift.items() if used >> at & mask)
+    w = max((m >> degree_at & mask for m, _ in items), default=0).bit_length()
+    move = _mover([(shift[v], k * w) for k, v in enumerate(alphabet)], width)
+    return _collect({move(m): c for m, c in items}, alphabet, w)
 
 
 @dataclass(frozen=True)
@@ -284,9 +379,29 @@ def antidiagonal_order(m: int, n: int) -> TermOrder:
 
 
 def lead_monomial(f: Polynomial, order: TermOrder) -> Monomial:
+    """The largest monomial of f, decoded alone.  Lex keeps the ints with
+    the largest exponent of each variable in turn, highest priority first;
+    grevlex keeps those of largest degree, then the smallest exponent of
+    each variable, lowest priority first, until one int is left."""
     if f.is_zero:
         raise ValueError("zero polynomial has no lead term")
-    return max(f.coeffs, key=order.key)
+    for v in f._alphabet:
+        if v not in order._pos:
+            raise ValueError(f"variable {var_to_text(v)} not covered by the term order")
+    w, monos = f._width, list(f._packed)
+    pos, mask = {v: k * w for k, v in enumerate(f._alphabet)}, (1 << w) - 1
+    ranked, pick = sorted(f._alphabet, key=order._pos.get), max
+    if order.kind == "grevlex":
+        ones, dfield, _ = _degree_field(len(f._alphabet), w)
+        top = max(map(dfield.__and__, map(ones.__mul__, monos)))
+        monos = [m for m in monos if m * ones & dfield == top]
+        ranked, pick = ranked[::-1], min
+    for v in ranked:
+        if len(monos) == 1:
+            break
+        best = pick(m >> pos[v] & mask for m in monos)
+        monos = [m for m in monos if m >> pos[v] & mask == best]
+    return tuple((v, e) for v, s in pos.items() if (e := monos[0] >> s & mask))
 
 
 def generic_minor(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
@@ -301,54 +416,62 @@ def generic_minor(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
         raise ValueError("row and column sets must be nonempty and of equal size")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("row and column indices must be distinct")
-    # the Leibniz sum: with rows ascending each product is already a
-    # monomial in variable order, and no two products share a monomial
+    # the Leibniz sum over the k^2 variables of the submatrix, row-major,
+    # each product of degree k; no two products share a monomial
+    k = len(rows)
+    w = k.bit_length()
     acc = {}
-    for perm in permutations(cols):
+    for perm in permutations(range(k)):
         inversions = sum(a > b for a, b in combinations(perm, 2))
-        acc[tuple((z_(r, c), 1) for r, c in zip(rows, perm))] = -1 if inversions & 1 else 1
-    return _collect(acc)
+        acc[sum(1 << (r * k + c) * w for r, c in enumerate(perm))] = -1 if inversions & 1 else 1
+    return Polynomial(tuple(z_(r, c) for r in rows for c in cols), w, acc)
 
 
 def _difference(f: Polynomial, i: int, shifts) -> Polynomial:
     """Sum over (k, sign) in shifts of sign * partial_i(x_{i+1}^k f).
 
-    One bisection splits each monomial into (head, x_i^a, x_{i+1}^b,
-    tail).  partial_i(x_i^a x_{i+1}^b) is the sum of x_i^p
-    x_{i+1}^(a+b-1-p) over min(a, b) <= p < max(a, b), negated when
-    a < b, and each of its monomials is spliced between head and tail.
+    Each monomial splits into x_i^a x_{i+1}^b and a base with both fields
+    clear.  partial_i(x_i^a x_{i+1}^b) is the sum of x_i^p x_{i+1}^(a+b-1-p)
+    over min(a, b) <= p < max(a, b), negated when a < b.  As the x_{i+1}
+    field sits just above the x_i field, those monomials are one
+    arithmetic progression of ints.  No new exponent exceeds max(a, b),
+    and no new degree the input's, so the input's width holds the result.
     """
     if i < 1:
         raise ValueError("index must be positive")
     u, v = x_(i), x_(i + 1)
-    U, V = [()], [()]  # U[p] is ((x_i, p),), made once; () for p = 0
-    acc: dict[Monomial, int | Fraction] = {}
+    alphabet, w = f._alphabet, max(f._width, 1)  # a constant's ints are all 0
+    k = bisect_left(alphabet, u)
+    has_u = k < len(alphabet) and alphabet[k] == u
+    has_v = k + has_u < len(alphabet) and alphabet[k + has_u] == v
+    # fields above x_{i+1} move up to make room for any of the two it lacks
+    high = (k + has_u + has_v) * w
+    alphabet = alphabet[:k] + (u, v) + alphabet[high // w:]
+    su, sv, mask = k * w, (k + 1) * w, (1 << w) - 1
+    amask, bmask, bat = mask * has_u, mask * has_v, su + w * has_u
+    low, step = (1 << su) - 1, (1 << su) - (1 << sv)
+    acc: dict[int, int | Fraction] = {}
     get = acc.get
-    for m, c in f.coeffs.items():
-        k = bisect_left(m, (u,))
-        a = m[k][1] if k < len(m) and m[k][0] == u else 0
-        j = k + (a > 0)
-        b = m[j][1] if j < len(m) and m[j][0] == v else 0
-        head, tail = m[:k], m[j + (b > 0) :]
-        while len(U) <= a + b:  # no new exponent exceeds max(a - 1, b)
-            U.append(((u, len(U)),))
-            V.append(((v, len(V)),))
-        for shift, sign in shifts:
-            bk = b + shift
-            if a == bk:
+    for shift, sign in shifts:
+        for m, c in f._packed.items():
+            a, b = m >> su & amask, (m >> bat & bmask) + shift
+            if a == b:
                 continue
-            lo, hi, s = (bk, a, sign * c) if a > bk else (a, bk, -sign * c)
-            for p in range(lo, hi):
-                nm = head + U[p] + V[a + bk - 1 - p] + tail
-                acc[nm] = get(nm, 0) + s
-    return _collect(acc)
+            if a < b:
+                a, b, c = b, a, -c
+            if sign < 0:
+                c = -c
+            first = (m & low | m >> high << sv + w) + (b << su) + (a - 1 << sv)
+            for nm in range(first, first + (a - b) * step, step):
+                acc[nm] = get(nm, 0) + c
+    return _collect(acc, alphabet, w)
 
 
 def divided_difference(f: Polynomial, i: int) -> Polynomial:
     """Newton divided difference (f - swap_i f) / (x_i - x_{i+1}).
 
-    Computed term by term with no division: each output monomial is
-    spliced around the new x_i and x_{i+1} exponents and integer
+    Computed term by term with no division: the output monomials of each
+    term are one arithmetic progression of packed ints, and integer
     coefficients are summed as ints (see `_difference`).
 
     >>> poly_to_text(divided_difference(variable(x_(1)) ** 2, 1))

@@ -41,8 +41,16 @@ library answers faster by another route, and exists to cross-check it:
   `minimal_primes` reads the radical off support masks, and ideals are
   intersected through Groebner bases by `intersect_ideals`;
 - `sorted_product` multiplies term by term through `monomial`'s
-  sort-and-merge, against the merging `mono_mul` and the integer sums
-  of `Polynomial.__mul__`;
+  sort-and-merge, against the sums of packed ints in
+  `Polynomial.__mul__`;
+- `mono_mul`, `pair_difference` and `pair_display_sort` are the kernels
+  of pair-tuple monomials that `Polynomial` used before it packed its
+  monomials into ints: a product monomial is one merge of two sorted
+  pair tuples, a divided difference splices new x_i, x_{i+1} pairs into
+  each monomial after one bisection, and the display order sorts by the
+  reversed pair tuples, then stably by degree.  They are checked against
+  `*`, `+`, `-`, `divided_difference`, `isobaric_divided_difference` and
+  `terms`;
 - `mono_divides`, `mono_div` and `mono_lcm` work on monomials as
   tuples of pairs, against the packed-int divisibility, quotient and
   lcm inside `groebner`;
@@ -69,6 +77,7 @@ takes), `reduced_homology_ranks` (the homology kernel on a simplicial complex),
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -499,6 +508,75 @@ def sorted_product(f: Polynomial, g: Polynomial) -> Polynomial:
             m = monomial(m1 + m2)
             acc[m] = acc.get(m, Fraction(0)) + c1 * c2
     return Polynomial.from_dict(acc)
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two monomials by one merge of their sorted pairs."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (va, ea), (vb, eb) = a[i], b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
+
+
+def plain_map(acc: Mapping[Monomial, int | Fraction]) -> dict[Monomial, int | Fraction]:
+    """acc without zeros, whole Fractions as ints."""
+    return {m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for m, c in acc.items() if c}
+
+
+def pair_difference(coeffs: Mapping[Monomial, int | Fraction], i: int, shifts) -> dict:
+    """Sum over (k, sign) in shifts of sign * partial_i(x_{i+1}^k f), on a
+    map of pair-tuple monomials.  One bisection splits each monomial into
+    (head, x_i^a, x_{i+1}^b, tail); each monomial of partial_i(x_i^a
+    x_{i+1}^b) is spliced between head and tail."""
+    u, v = x_(i), x_(i + 1)
+    acc: dict[Monomial, int | Fraction] = {}
+    for m, c in coeffs.items():
+        k = bisect_left(m, (u,))
+        a = m[k][1] if k < len(m) and m[k][0] == u else 0
+        j = k + (a > 0)
+        b = m[j][1] if j < len(m) and m[j][0] == v else 0
+        head, tail = m[:k], m[j + (b > 0):]
+        for shift, sign in shifts:
+            bk = b + shift
+            if a == bk:
+                continue
+            lo, hi, s = (bk, a, sign * c) if a > bk else (a, bk, -sign * c)
+            for p in range(lo, hi):
+                q = a + bk - 1 - p
+                nm = head + (((u, p),) if p else ()) + (((v, q),) if q else ()) + tail
+                acc[nm] = acc.get(nm, 0) + s
+    return plain_map(acc)
+
+
+def pair_product(f: Mapping[Monomial, int | Fraction], g: Mapping[Monomial, int | Fraction]) -> dict:
+    """f * g on maps of pair-tuple monomials, through `mono_mul`."""
+    acc: dict[Monomial, int | Fraction] = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return plain_map(acc)
+
+
+def pair_display_sort(coeffs: Mapping[Monomial, int | Fraction]) -> tuple[tuple[Monomial, Fraction], ...]:
+    """Terms by degree descending, then reverse-lex: ascending reversed
+    pair tuples, which first differ where dense exponent vectors read
+    from the top variable down would."""
+    monos = sorted(coeffs, key=lambda m: m[::-1])
+    monos.sort(key=mono_degree, reverse=True)
+    return tuple((m, Fraction(coeffs[m])) for m in monos)
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:

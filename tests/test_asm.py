@@ -122,6 +122,13 @@ class TestRankTable:
         for A in brute_partial_asms(2, 3):
             assert asm.rank_table(A).values == brute_rank_table(A)
 
+    def test_built_tables_pass_validation(self):
+        # rank_table skips RankTable's increment check; every table it
+        # builds from an ASM or a partial ASM must pass that check
+        for A in [*asm.enumerate_asms(5), *brute_partial_asms(2, 3), *brute_partial_asms(3, 2)]:
+            T = asm.rank_table(A)
+            assert RankTable(T.values) == T
+
     def test_invalid_increment_rejected(self):
         with pytest.raises(ValueError, match="increment"):
             RankTable(((0, 2),))

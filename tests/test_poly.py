@@ -36,6 +36,7 @@ from asmschub.poly import (
     y_,
     z_,
 )
+from asmschub.ideal import _minor_indices, asm_essential_boxes, fulton_generators
 from asmschub.monomial import monomial_ideal
 from oracles import (
     dense_display_sort,
@@ -44,7 +45,12 @@ from oracles import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
     nested_term_key,
+    pair_difference,
+    pair_display_sort,
+    pair_product,
+    plain_map,
     sorted_product,
     substitute,
     swap_variables,
@@ -369,7 +375,7 @@ class TestMonomialHelpers:
         l = mono_lcm(a, b)
         assert l == monomial([(x_(1), 2), (x_(2), 3), (x_(3), 1)])
         assert mono_divides(a, l) and mono_divides(b, l)
-        assert poly.mono_mul(mono_div(l, a), a) == l
+        assert mono_mul(mono_div(l, a), a) == l
 
     def test_inexact_division_rejected(self):
         a = monomial([(x_(1), 1)])
@@ -476,13 +482,170 @@ class TestCoefficientMap:
         # differences each sorted their result when terms were stored
         calls = []
 
-        def counting(coeffs):
-            calls.append(len(coeffs))
-            return display_sort(coeffs)
+        def counting(h):
+            calls.append(h)
+            return decoder(h)
 
-        display_sort = poly._display_sort
-        monkeypatch.setattr(poly, "_display_sort", counting)
+        decoder = poly._decoder
+        monkeypatch.setattr(poly, "_decoder", counting)
         schubpoly._descend.cache_clear()
         f = schubpoly.double_schubert_polynomial(Permutation((1, 4, 3, 2, 6, 5)))
         poly_to_text(f)
-        assert calls == [len(f.coeffs)]
+        assert calls == [f]
+
+
+# every family, the auxiliary ("t", 0) of intersect_ideals among them, and
+# exponents up to 9, so layouts of several alphabets and widths meet
+MIXED = VARIABLES + [("t", 0), y_(4), z_(2, 3), z_(3, 1)]
+mixed_polys = st.builds(
+    Polynomial.from_dict,
+    st.dictionaries(
+        st.builds(monomial, st.lists(st.tuples(st.sampled_from(MIXED), st.integers(1, 9)), max_size=4)),
+        coefficients,
+        max_size=6,
+    ),
+)
+
+
+def typed(coeffs):
+    return {m: (type(c), c) for m, c in coeffs.items()}
+
+
+def assert_matches(h, want):
+    """h's coefficient map, with its coefficient types, and its display
+    order are the pair-tuple kernels'."""
+    assert typed(h.coeffs) == typed(want)
+    assert h.terms == pair_display_sort(want)
+
+
+class TestPackedAgainstPairKernels:
+    """The packed-int kernels against the pair-tuple kernels they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_polys, st.integers(1, 5))
+    def test_divided_differences(self, f, i):
+        coeffs = dict(f.coeffs)
+        assert_matches(divided_difference(f, i), pair_difference(coeffs, i, ((0, 1),)))
+        assert_matches(isobaric_divided_difference(f, i), pair_difference(coeffs, i, ((0, 1), (1, -1))))
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_polys, mixed_polys)
+    def test_ring_operations(self, f, g):
+        a, b = dict(f.coeffs), dict(g.coeffs)
+        total = dict(a)
+        for m, c in b.items():
+            total[m] = total.get(m, 0) + c
+        difference = dict(a)
+        for m, c in b.items():
+            difference[m] = difference.get(m, 0) - c
+        assert_matches(f * g, pair_product(a, b))
+        assert_matches(f + g, plain_map(total))
+        assert_matches(f - g, plain_map(difference))
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_polys, st.sampled_from(["lex", "grevlex"]), st.randoms())
+    def test_lead_monomial(self, f, kind, rng):
+        if f.is_zero:
+            return
+        order = poly.TermOrder(kind, tuple(rng.sample(MIXED, len(MIXED))))
+        assert lead_monomial(f, order) == max(f.coeffs, key=order.key)
+
+    def test_descent_from_the_staircase(self):
+        # a whole double Schubert chain of S_4, every step checked
+        f = schubpoly._double_staircase(4)
+        for i in (3, 2, 1, 3, 2, 3):
+            want = pair_difference(dict(f.coeffs), i, ((0, 1),))
+            f = divided_difference(f, i)
+            assert_matches(f, want)
+        assert f == ONE
+
+
+class TestLayout:
+    """Equal polynomials are equal and hash alike whatever built them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_polys, st.integers(1, 5))
+    def test_routes_agree(self, f, i):
+        x = variable(x_(i))
+        for h in (f, divided_difference(f, i), isobaric_divided_difference(f, i)):
+            routes = [
+                poly_from_json(poly_to_json(h)),
+                h * ONE,
+                ONE * h,
+                (h + x) - x,
+                -(-h),
+                h + ZERO,
+                Polynomial.from_dict(dict(h.coeffs)),
+                pickle.loads(pickle.dumps(h)),
+            ]
+            if ("t", 0) not in h.variables():  # the text codec reads x, y and z only
+                routes.append(poly_from_text(poly_to_text(h)))
+            for g in routes:
+                assert g == h and hash(g) == hash(h)
+                assert g.terms == h.terms
+
+    def test_cancellation_narrows_the_layout(self):
+        x1, x2 = variable(x_(1)), variable(x_(2))
+        h = divided_difference(x1**2 * x2**6, 1) + divided_difference(x1**6 * x2**2, 1)
+        assert h == ZERO and hash(h) == hash(ZERO)
+        # x2 drops out, and the degree falls from 7 to 1
+        k = (x1**6 * x2 + x1) - x1**6 * x2
+        assert k == x1 and hash(k) == hash(x1) and k.variables() == {x_(1)}
+
+    def test_dedupe_in_fulton_generators(self):
+        # the essential boxes of 4321 share minors: 10 listed, 6 distinct,
+        # and dict.fromkeys keeps one of each by equality and hash
+        w = Permutation((4, 3, 2, 1))
+        listed = [generic_minor(r, c) for box in asm_essential_boxes(w) for r, c in _minor_indices(box)]
+        gens = fulton_generators(w)
+        assert (len(listed), len(gens)) == (10, 6)
+        assert list(dict.fromkeys(listed)) == list(gens)
+        rebuilt = [poly_from_text(poly_to_text(g)) for g in reversed(listed)]
+        assert set(rebuilt) == set(gens) and len(dict.fromkeys(rebuilt + listed)) == 6
+
+    def test_exponents_past_the_first_width(self):
+        x1, x2, y1 = variable(x_(1)), variable(x_(2)), variable(y_(1))
+        f = x1**300 * x2
+        assert poly_to_text(f) == "x[1]^300*x[2]"
+        assert f.degree() == 301 and f.coefficient(monomial([(x_(1), 300), (x_(2), 1)])) == 1
+        assert f == poly_from_text("x[1]^300*x[2]") and hash(f) == hash(poly_from_text("x[1]^300*x[2]"))
+        # x1 * x2 is symmetric, so it passes through the divided difference
+        assert divided_difference(f, 1) == x1 * x2 * divided_difference(x1**299, 1)
+        assert_matches(divided_difference(f, 1), pair_difference(dict(f.coeffs), 1, ((0, 1),)))
+        g = (x1 + y1) ** 40
+        assert len(g.terms) == 41 and g.degree() == 40
+        assert g.coefficient(monomial([(x_(1), 20), (y_(1), 20)])) == 137846528820
+        assert g == sorted_product((x1 + y1) ** 20, (x1 + y1) ** 20)
+        assert g.terms == pair_display_sort(g.coeffs)
+        assert_matches(divided_difference(g, 1), pair_difference(dict(g.coeffs), 1, ((0, 1),)))
+
+    def test_mixed_families(self):
+        t, z = ("t", 0), z_(2, 3)
+        f = Polynomial.from_dict({((t, 1),): 1, ((x_(2), 1), (z, 2)): -3, (): Fraction(1, 2)})
+        assert f.variables() == {t, x_(2), z}
+        assert poly_to_text(f * f) == poly_to_text(sorted_product(f, f))
+        assert [m for m, _ in f.terms] == [((x_(2), 1), (z, 2)), ((t, 1),), ()]
+        assert lead_monomial(f, lex_order([t, x_(2), z])) == ((t, 1),)
+        assert f.coefficient(((t, 1),)) == 1 and f.coefficient(((t, 2),)) == 0
+        assert f.coefficient(((y_(1), 1),)) == 0
+        # dropping t leaves the z and x terms in a smaller alphabet
+        assert f - variable(t) == Polynomial.from_dict({((x_(2), 1), (z, 2)): -3, (): Fraction(1, 2)})
+
+    def test_pickle_keeps_the_layout(self):
+        f = poly_from_text("x[1]^5*y[2] - 1/3*z[1,2] + 7")
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and hash(g) == hash(f) and g.terms == f.terms
+        assert g.coeffs == f.coeffs and g.degree() == 6
+        assert pickle.loads(pickle.dumps(ZERO)) == ZERO
+
+    def test_views_are_read_only(self):
+        f = poly_from_text("x[1]^2 - y[1]")
+        with pytest.raises(TypeError):
+            f.coeffs[()] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.coeffs = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.terms = ()
+        assert isinstance(f.terms, tuple)
+        # the views are decoded once and kept
+        assert f.coeffs is f.coeffs and f.terms is f.terms
