@@ -137,7 +137,7 @@ def diag_cdg_item(w, variant: str) -> list[int]:
     """[avoids the CDG patterns, diag_init agrees, CDG leads agree] for one item."""
     order = diag_order(variant, len(w), len(w))
     want = initial_ideal(schubert_determinantal_ideal(w), order)
-    leads = _cdg_init(as_partial_asm(w), order)
+    leads = _cdg_init(as_partial_asm(w), variant)
     return [int(class_membership(w, "cdg")), int(diag_init(w, variant) == want), int(leads == want)]
 
 

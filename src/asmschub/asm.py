@@ -287,10 +287,10 @@ def asm_sum(asms: Sequence[PartialASM]) -> PartialASM:
 
 
 def permutation_matrix(w: Permutation) -> PartialASM:
-    n = len(w)
-    return PartialASM(
-        tuple(tuple(1 if w(i) == j else 0 for j in range(1, n + 1)) for i in range(1, n + 1))
-    )
+    A = object.__new__(PartialASM)  # valid by construction, so not checked again
+    cols = range(1, len(w) + 1)
+    object.__setattr__(A, "rows", tuple(tuple(int(j == v) for j in cols) for v in w.one_line))
+    return A
 
 
 def as_permutation(A: PartialASM) -> Permutation | None:

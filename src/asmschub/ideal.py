@@ -6,21 +6,23 @@ cell (i, j) of the diagram with rank bound r, all (r+1)-minors of the
 northwest i x j submatrix of the generic matrix.  The antidiagonal
 initial ideal is read off combinatorially (the generators form a
 Groebner basis under any antidiagonal order).  The three diagonal
-initial ideals are read off the same way for permutations that avoid
-the CDG patterns, where Klein's theorem gives a Groebner basis, and go
-through the Buchberger engine otherwise.
+initial ideals are read off too for permutations that avoid the CDG
+patterns (Klein's theorem), each minor's lead memoized by the order, its
+size and its zero count per row, as rank-0 cells form a northwest shape.
+Both build J on grid masks.  All else goes through the Buchberger engine.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
 from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matrix, rank_table
 from .groebner import DEFAULT_BUDGET, Ideal, initial_ideal
-from .monomial import MonomialIdeal, _count, _mask_ideal, codim as monomial_codim, monomial_ideal
+from .monomial import MonomialIdeal, _count, _mask_ideal, codim as monomial_codim
 from .perm import Permutation, is_cdg
 from .poly import Polynomial, TermOrder, generic_minor, monomial, z_
 
@@ -198,19 +200,36 @@ def _matching_lead(rows, cols, zero, order: TermOrder):
     return monomial((z_(r, c), 1) for r, c in live)
 
 
-def _cdg_init(M: PartialASM, order: TermOrder) -> MonomialIdeal:
-    """Lead terms of the CDG generators of a permutation matrix: the
-    variables at rank-0 cells, and the Fulton minors with those set to 0."""
-    T = rank_table(M)
-    cells = [(i, j) for i in range(1, M.nrows + 1) for j in range(1, M.ncols + 1)]
-    zero = {cell for cell in cells if T(*cell) == 0}
-    leads = [
-        _matching_lead(rows, cols, zero, order)
-        for box in asm_essential_boxes(M)
-        for rows, cols in _minor_indices(box)
-    ]
-    gens = [((z_(*cell), 1),) for cell in zero] + [m for m in leads if m is not None]
-    return monomial_ideal(gens, [z_(*cell) for cell in cells])
+LOCAL_LEAD_CACHE = 1024  # (variant, k, mu) keys; all of S_7 under the three orders makes 546
+
+
+@lru_cache(maxsize=LOCAL_LEAD_CACHE)
+def _local_lead(variant: str, k: int, mu: tuple[int, ...]) -> tuple[tuple[int, int], ...] | None:
+    """0-based cells of the lead, or None, of a k x k minor under `variant`
+    with the first mu[a] cells of each row a set to 0.  Exact for a minor on
+    rows R and columns C: rank-0 cells form a northwest shape lambda, so its
+    zero cells are the first mu_a = #{c in C : c <= lambda_R[a]} of each
+    local row a, and each diagonal order ranks cells monotonically by row
+    and by column, so on R x C it is the k x k order on local indices."""
+    zero = {(a, b) for a, m in enumerate(mu, 1) for b in range(1, m + 1)}
+    lead = _matching_lead(range(1, k + 1), range(1, k + 1), zero, diag_order(variant, k, k))
+    return None if lead is None else tuple((v[1] - 1, v[2] - 1) for v, _ in lead)
+
+
+def _cdg_init(M: PartialASM, variant: str) -> MonomialIdeal:
+    """Lead terms of the CDG generators of a permutation matrix on grid masks,
+    as in `anti_diag_init`: a bit per rank-0 cell (row i has the first
+    min(w(1), ..., w(i)) - 1), and per Fulton minor its `_local_lead`."""
+    n = M.ncols
+    shape = list(itertools.accumulate((row.index(1) for row in M.rows), min))
+    masks = [1 << i * n + j for i, width in enumerate(shape) for j in range(width)]
+    for box in asm_essential_boxes(M):
+        for rows, cols in _minor_indices(box) if box.rank_bound else ():  # rank 0: zero cells
+            lead = _local_lead(variant, len(rows), tuple(bisect_right(cols, shape[r - 1]) for r in rows))
+            if lead is not None:
+                masks.append(sum(1 << (rows[a] - 1) * n + cols[b] - 1 for a, b in lead))
+    grid = tuple(z_(i, j) for i in range(1, M.nrows + 1) for j in range(1, n + 1))
+    return _mask_ideal(masks, grid, grid)
 
 
 def diag_init(
@@ -226,9 +245,10 @@ def diag_init(
     partial ASMs) runs Buchberger through `initial_ideal` under `budget`.
     """
     M = as_partial_asm(A)
-    order = diag_order(variant, M.nrows, M.ncols)
-    w = as_permutation(M)
+    if variant not in DIAG_VARIANTS:
+        raise ValueError(f"unknown diagonal variant {variant!r}")
+    w = A if isinstance(A, Permutation) else as_permutation(M)
     if w is not None and is_cdg(w):
         _count(route_cdg=1)
-        return _cdg_init(M, order)
-    return initial_ideal(schubert_determinantal_ideal(M), order, budget)
+        return _cdg_init(M, variant)
+    return initial_ideal(schubert_determinantal_ideal(M), diag_order(variant, M.nrows, M.ncols), budget)

@@ -509,7 +509,7 @@ def poly_to_text(f: Polynomial) -> str:
     return " ".join(chunks)
 
 
-_VAR_RE = re.compile(r"^([xyz])\[(\d+(?:,\d+)*)\](?:\^(\d+))?$")
+_VAR_RE = re.compile(r"^([xyzt])\[(\d+(?:,\d+)*)\](?:\^(\d+))?$")
 _COEFF_RE = re.compile(r"^\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 

@@ -36,6 +36,9 @@ library answers faster by another route, and exists to cross-check it:
   ideal, against `anti_diag_init` and `monomial_ideal` on grid and
   support bitmasks; `cover_masks_all_pairs` compares each extension
   with every old cover, against the single-bit test of `_cover_masks`;
+- `cdg_init_by_matchings` runs `_matching_lead` on every Fulton minor
+  with its own rows, columns and the rank-0 cells of the rank table,
+  against `_cdg_init`, which reads each lead off the `_local_lead` memo;
 - `radical` and `intersect_monomial_ideals` build those monomial
   ideals from generators, which the library never needs:
   `minimal_primes` reads the radical off support masks, and ideals are
@@ -87,7 +90,7 @@ from typing import Iterable, Iterator, Mapping
 
 from asmschub.asm import PartialASM, complete_asm, permutation_matrix, rank_table
 from asmschub.groebner import DEFAULT_BUDGET, Ideal, _Meter, buchberger, canonical_order, normal_form
-from asmschub.ideal import EssentialBox, Schubertable, _minor_indices, as_partial_asm, asm_essential_boxes
+from asmschub.ideal import EssentialBox, Schubertable, _matching_lead, _minor_indices, as_partial_asm, asm_essential_boxes
 from asmschub.monomial import (
     DEFAULT_FACE_LIMIT,
     MonomialIdeal,
@@ -270,6 +273,17 @@ def anti_diag_init_by_tuples(A: Schubertable) -> MonomialIdeal:
     A = as_partial_asm(A)
     monos = [antidiagonal_monomial(rows, cols) for box in asm_essential_boxes(A) for rows, cols in _minor_indices(box)]
     return monomial_ideal_by_exponents(monos, [z_(i, j) for i in range(1, A.nrows + 1) for j in range(1, A.ncols + 1)])
+
+
+def cdg_init_by_matchings(M: PartialASM, order: TermOrder) -> MonomialIdeal:
+    """The variables at rank-0 cells, and the lead of every Fulton minor
+    with those cells set to 0, each through `_matching_lead` afresh."""
+    T = rank_table(M)
+    cells = [(i, j) for i in range(1, M.nrows + 1) for j in range(1, M.ncols + 1)]
+    zero = {cell for cell in cells if T(*cell) == 0}
+    leads = [_matching_lead(rows, cols, zero, order) for box in asm_essential_boxes(M) for rows, cols in _minor_indices(box)]
+    gens = [((z_(*cell), 1),) for cell in zero] + [m for m in leads if m is not None]
+    return monomial_ideal_by_exponents(gens, [z_(*cell) for cell in cells])
 
 
 def cover_masks_all_pairs(supports: Iterable[int]) -> list[int]:

@@ -16,8 +16,11 @@ import pytest
 from asmschub.groebner import GroebnerBudgetError, ideal_equals, initial_ideal
 from asmschub.ideal import (
     DIAG_VARIANTS,
+    LOCAL_LEAD_CACHE,
     _cdg_init,
+    _local_lead,
     _matching_lead,
+    _minor_indices,
     anti_diag_init,
     as_partial_asm,
     asm_diagram,
@@ -28,8 +31,8 @@ from asmschub.ideal import (
     schubert_codim,
     schubert_determinantal_ideal,
 )
-from asmschub.asm import enumerate_asms, make_partial_asm, permutation_matrix
-from asmschub.monomial import codim as monomial_codim, collect_stats, mono_to_text
+from asmschub.asm import enumerate_asms, make_partial_asm, permutation_matrix, rank_table
+from asmschub.monomial import MonomialIdeal, codim as monomial_codim, collect_stats, mono_to_text
 from asmschub.perm import (
     Permutation,
     all_permutations,
@@ -45,10 +48,16 @@ from asmschub.poly import (
     antidiagonal_order,
     generic_minor,
     lead_monomial,
+    monomial,
     poly_from_text,
     z_,
 )
-from oracles import anti_diag_init_by_tuples, cover_masks_all_pairs, determinantal_ideal_from_cells
+from oracles import (
+    anti_diag_init_by_tuples,
+    cdg_init_by_matchings,
+    cover_masks_all_pairs,
+    determinantal_ideal_from_cells,
+)
 
 FULCRUM = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
 
@@ -346,7 +355,7 @@ class TestCdgShortcut:
         assert not class_membership(w, "cdg")
         for variant in DIAG_VARIANTS:
             want = buchberger_diag(w, variant)
-            assert _cdg_init(as_partial_asm(w), diag_order(variant, 5, 5)) != want
+            assert _cdg_init(as_partial_asm(w), variant) != want
             with collect_stats() as s:
                 assert diag_init(w, variant) == want
             assert s["route_cdg"] == 0 and s["pairs"] > 0
@@ -389,6 +398,60 @@ class TestCdgShortcut:
         for variant in DIAG_VARIANTS:
             assert diag_init(w, variant, budget=0) == buchberger_diag(w, variant)
             assert diag_init(permutation_matrix(w), variant, budget=0) == buchberger_diag(w, variant)
+
+
+def memo_population():
+    """All of S_5, CDG or not, and seeded slices of S_6 and S_7."""
+    s6 = random.Random(24).sample(list(all_permutations(6)), 60)
+    s7 = [Permutation(tuple(random.Random(24 + k).sample(range(1, 8), 7))) for k in range(12)]
+    return list(all_permutations(5)) + s6 + s7
+
+
+class TestLocalLeadMemo:
+    """`_cdg_init` reads each minor's lead off `_local_lead`, keyed by the
+    variant, the size and the zero counts of the minor's rows."""
+
+    POPULATION = memo_population()
+
+    def test_population_mixes_cdg_and_not(self):
+        cdg = sum(class_membership(w, "cdg") for w in self.POPULATION)
+        assert 0 < cdg < len(self.POPULATION) == 192
+
+    @pytest.mark.parametrize("variant", DIAG_VARIANTS)
+    def test_every_minor_against_its_own_matching_lead(self, variant):
+        for w in self.POPULATION:
+            n = len(w)
+            T = rank_table(permutation_matrix(w))
+            zero = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if T(i, j) == 0}
+            order = diag_order(variant, n, n)
+            for box in asm_essential_boxes(w):
+                for rows, cols in _minor_indices(box):
+                    local = {(a, b) for a, r in enumerate(rows) for b, c in enumerate(cols) if (r, c) in zero}
+                    mu = tuple(sum((a, b) in local for b in range(len(cols))) for a in range(len(rows)))
+                    # the zero cells of the minor are a prefix of each of its rows
+                    assert local == {(a, b) for a, m in enumerate(mu) for b in range(m)}
+                    lead = _local_lead(variant, len(rows), mu)
+                    got = None if lead is None else monomial((z_(rows[a], cols[b]), 1) for a, b in lead)
+                    assert got == _matching_lead(rows, cols, zero, order), (w, rows, cols)
+
+    @pytest.mark.parametrize("variant", DIAG_VARIANTS)
+    def test_whole_ideal_against_matchings(self, variant):
+        for w in self.POPULATION:
+            M = as_partial_asm(w)
+            J = _cdg_init(M, variant)
+            assert J == cdg_init_by_matchings(M, diag_order(variant, len(w), len(w))), w
+            assert J._supports == MonomialIdeal(J.generators, J.variables)._supports
+
+    def test_memo_is_bounded_and_keyed_by_variant(self):
+        assert _local_lead.cache_info().maxsize == LOCAL_LEAD_CACHE
+        # The three orders give equal leads on every key the population
+        # meets, but the exactness argument is made per order, so one key
+        # must not serve two variants.
+        _local_lead.cache_clear()
+        leads = {_local_lead(v, 3, (2, 1, 0)) for v in DIAG_VARIANTS}
+        assert leads == {((0, 2), (1, 1), (2, 0))}
+        assert _local_lead.cache_info().currsize == len(DIAG_VARIANTS)
+        assert _local_lead("LexSE", 2, (2, 0)) is None
 
 
 class TestCoercion:
