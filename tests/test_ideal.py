@@ -402,8 +402,9 @@ class TestCdgShortcut:
 
 def memo_population():
     """All of S_5, CDG or not, and seeded slices of S_6 and S_7."""
-    s6 = random.Random(24).sample(list(all_permutations(6)), 60)
-    s7 = [Permutation(tuple(random.Random(24 + k).sample(range(1, 8), 7))) for k in range(12)]
+    rng = random.Random(24)
+    s6 = rng.sample(list(all_permutations(6)), 60)
+    s7 = [Permutation(tuple(rng.sample(range(1, 8), 7))) for _ in range(12)]
     return list(all_permutations(5)) + s6 + s7
 
 
