@@ -32,6 +32,7 @@ from .asm import (
 from .groebner import (
     DEFAULT_BUDGET,
     Ideal,
+    buchberger,
     canonical_order,
     ideal_equals,
     initial_ideal,
@@ -86,6 +87,7 @@ def _asm_from_permutations(perms, n: int) -> PartialASM:
 
 def is_asm_ideal(I: Ideal, budget: int = DEFAULT_BUDGET) -> bool:
     """Recognize I as the ideal of an ASM; caches the matrix on success."""
+    buchberger(I, canonical_order(I.ambient), budget)  # cached for schubert_decompose and ideal_equals
     perms = schubert_decompose(I, budget)
     A = _asm_from_permutations(perms, len(perms[0]))
     if (A.nrows, A.ncols) != I.ambient or not ideal_equals(I, schubert_determinantal_ideal(A), budget):

@@ -24,10 +24,10 @@ never changes a basis, a counter or a budget trip.  A basis is a list
 of monic entries ``(lead, tail)``, the tail holding the other
 ``(monomial, coefficient)`` pairs, with coefficients kept as ints while
 their denominator is 1.  One kernel, `_reduce`, reduces S-polynomials,
-basis tails and, through `normal_form`, outside polynomials; only a
-returned basis is unpacked into `Polynomial`s.  Packing and unpacking
-move fields between a `Polynomial`'s packed ints and the ring's through
-`poly._fields` and `poly._from_fields`, so no monomial is decoded.
+basis tails and, through `normal_form`, outside polynomials.  Packing
+and unpacking move fields by `poly._fields` and `poly._from_fields`; only
+a returned basis is tail-reduced and unpacked, and an initial ideal reads
+its leads off the packed minimal basis (tail reduction keeps every lead).
 
 The budget bounds both the S-pairs a computation pops and its reduction
 work.  A reduction step costs one unit per term of the reducer, times
@@ -143,6 +143,10 @@ class _Ring:
     def unpack(self, terms) -> Polynomial:
         return _from_fields(terms, self.shift, self.deg, self.width)
 
+    def decode(self, m: int) -> tuple:
+        """The monomial of m as (variable, exponent) pairs in variable order."""
+        return tuple((v, e) for v, at in self.shift.items() if (e := m >> at & self.field))
+
     def lcm(self, a: int, b: int) -> int:
         """Field-wise max, where the guard bits of (a | G) - b mark a >= b.
         Each partial sum of its fields is below 2^(width+1), so one field
@@ -223,8 +227,8 @@ def normal_form(f: Polynomial, basis: tuple[Polynomial, ...], order: TermOrder, 
     return _packed(order, [f, *basis], run)
 
 
-def _buchberger(ring: _Ring, gens: list[Polynomial], budget: int):
-    """The reduced basis and its counters."""
+def _buchberger(ring: _Ring, gens: list[Polynomial], budget: int, finish):
+    """finish(ring, minimal, meter) of the minimal packed basis; a finished run is counted."""
     G = list(dict.fromkeys(ring.monic(ring.pack(g)) for g in gens))
     deg, top, flip, guard = ring.deg, ring.field, ring.flip, ring.guard
     pending: dict[tuple[int, int], int] = {}  # pair -> lcm of its leads
@@ -279,42 +283,50 @@ def _buchberger(ring: _Ring, gens: list[Polynomial], budget: int):
             for k, (other, _) in enumerate(G)
         )
     ]
-    # tail-reduce each member against the others; no other lead divides
-    # its lead, so the lead and its coefficient 1 stay
+    result = finish(ring, minimal, meter)
+    _count(pairs=meter.pairs, pairs_coprime=coprime, pairs_chain=chain, zero_reductions=zeros,
+           basis_size=len(minimal), reduction_units=meter.work)
+    return result
+
+
+def _groebner(order: TermOrder, gens, budget: int, finish):
+    """`_buchberger` on the nonzero gens, with fields widened after each overflow."""
+    gens = [g for g in gens if not g.is_zero]
+    return _packed(order, gens, lambda ring: _buchberger(ring, gens, budget, finish))
+
+
+def _reduced(ring: _Ring, minimal: list, meter: _Meter) -> tuple[Polynomial, ...]:
+    """The minimal basis tail-reduced, sorted by lead and unpacked.  No other
+    lead divides a member's lead, so the lead and its coefficient 1 stay."""
     reduced = [
         (lead, _reduce(ring, {lead: 1, **dict(tail)}, minimal[:idx] + minimal[idx + 1 :], meter))
         for idx, (lead, tail) in enumerate(minimal)
     ]
-    reduced.sort(key=lambda e: e[0] ^ flip)
-    counts = dict(pairs=meter.pairs, pairs_coprime=coprime, pairs_chain=chain, zero_reductions=zeros,
-                  basis_size=len(reduced), reduction_units=meter.work)
-    return tuple(ring.unpack(r.items()) for _, r in reduced), counts
+    reduced.sort(key=lambda e: e[0] ^ ring.flip)
+    return tuple(ring.unpack(r.items()) for _, r in reduced)
 
 
 def buchberger(I: Ideal | list[Polynomial] | tuple[Polynomial, ...], order: TermOrder,
                budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, ...]:
-    """The unique reduced Groebner basis, sorted by increasing lead term."""
-    if isinstance(I, Ideal):
-        cached = I.cache.get(("gb", order))
-        if cached is not None:
-            return cached
-        gens = I.generators
-    else:
-        gens = tuple(I)
-    gens = [g for g in gens if not g.is_zero]
-    result, counts = _packed(order, gens, lambda ring: _buchberger(ring, gens, budget))
-    _count(**counts)
-    if isinstance(I, Ideal):
-        I.cache[("gb", order)] = result
-    return result
+    """The unique reduced Groebner basis, sorted by increasing lead term,
+    kept in an `Ideal`'s cache under ("gb", order)."""
+    if not isinstance(I, Ideal):
+        return _groebner(order, I, budget, _reduced)
+    if ("gb", order) not in I.cache:
+        I.cache["gb", order] = _groebner(order, I.generators, budget, _reduced)
+    return I.cache["gb", order]
 
 
 def initial_ideal(I: Ideal, order: TermOrder, budget: int = DEFAULT_BUDGET) -> MonomialIdeal:
-    """Minimal monomial generators of the lead terms of the reduced basis."""
-    basis = buchberger(I, order, budget)
+    """Minimal monomial generators of the lead terms of a Groebner basis:
+    the reduced basis in I's cache, or else the packed minimal basis, whose
+    leads are decoded alone (tail reduction keeps every lead)."""
+    if ("gb", order) in I.cache:
+        leads = [lead_monomial(g, order) for g in I.cache["gb", order]]
+    else:
+        leads = _groebner(order, I.generators, budget, lambda ring, G, meter: [ring.decode(m) for m, _ in G])
     m, n = I.ambient
-    ambient_vars = [z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    return monomial_ideal((lead_monomial(g, order) for g in basis), ambient_vars)
+    return monomial_ideal(leads, [z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1)])
 
 
 def canonical_order(ambient: tuple[int, int]) -> TermOrder:

@@ -284,7 +284,7 @@ class collect_stats:
     `route_cdg` counts diagonal initial ideals read off CDG generators.
     Each Buchberger run adds the S-pairs it popped, those pruned as
     coprime or by the chain criterion, its reductions to zero, its
-    reduced basis size and the reduction units charged to its budget.
+    minimal basis size and the reduction units charged to its budget.
     `route_*`, `vd_handovers`, `memo_hits` and `dream_hits` count per
     call; the rest count work done, which a kept J or search does not
     repeat.

@@ -141,8 +141,7 @@ def contains_pattern(w: Permutation, pattern: Permutation) -> bool:
     >>> contains_pattern(Permutation((2, 1, 5, 4, 3)), Permutation((2, 1, 4, 3)))
     True
     """
-    line = w.one_line
-    pat = pattern.one_line
+    line, pat = w.one_line, pattern.one_line
     n, k = len(line), len(pat)
     if k > n:
         return False
@@ -153,12 +152,8 @@ def contains_pattern(w: Permutation, pattern: Permutation) -> bool:
             return True
         for pos in range(start, n - (k - depth) + 1):
             v = line[pos]
-            ok = True
-            for prev, u in enumerate(chosen):
-                if (u < v) != (pat[prev] < pat[depth]):
-                    ok = False
-                    break
-            if ok and extend(pos + 1, chosen + (v,)):
+            fits = all((u < v) == (pat[prev] < pat[depth]) for prev, u in enumerate(chosen))
+            if fits and extend(pos + 1, chosen + (v,)):
                 return True
         return False
 
@@ -166,8 +161,15 @@ def contains_pattern(w: Permutation, pattern: Permutation) -> bool:
 
 
 def avoids_all_patterns(w: Permutation, patterns: Iterable[Permutation]) -> bool:
-    """True when w contains none of the given patterns (vacuously true for none)."""
-    return not any(contains_pattern(w, p) for p in patterns)
+    """True when w contains none of the given patterns (vacuously true for none).
+    Each k-subsequence of w, for each pattern length k, is standardized and
+    looked up among the patterns: one pass for all patterns of a length."""
+    lines = {p.one_line for p in patterns}
+    for k in {len(p) for p in lines}:
+        for sub in itertools.combinations(w.one_line, k):
+            if tuple(map(sorted((0,) + sub).index, sub)) in lines:  # ranks from 1
+                return False
+    return True
 
 
 VEXILLARY_PATTERNS = (Permutation((2, 1, 4, 3)),)

@@ -404,27 +404,31 @@ def lead_monomial(f: Polynomial, order: TermOrder) -> Monomial:
     return tuple((v, e) for v, s in pos.items() if (e := monos[0] >> s & mask))
 
 
+LEIBNIZ_CACHE = 8  # minor sizes whose Leibniz map `generic_minor` keeps
+
+
+@lru_cache(maxsize=LEIBNIZ_CACHE)
+def _leibniz(k: int) -> dict:
+    """The packed Leibniz sum of a k x k determinant over its k^2 entries,
+    row-major: no two products share a monomial.  Every minor of size k
+    shares the map, which no `Polynomial` mutates."""
+    w = k.bit_length()
+    return {sum(1 << (r * k + c) * w for r, c in enumerate(p)): (-1) ** sum(a > b for a, b in combinations(p, 2))
+            for p in permutations(range(k))}
+
+
 def generic_minor(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
     """Determinant of the z-submatrix on the given rows and columns.
 
     >>> poly_to_text(generic_minor([1, 2], [1, 2]))
     '-z[1,2]*z[2,1] + z[1,1]*z[2,2]'
     """
-    rows = sorted(rows)
-    cols = sorted(cols)
+    rows, cols = sorted(rows), sorted(cols)
     if len(rows) != len(cols) or not rows:
         raise ValueError("row and column sets must be nonempty and of equal size")
     if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
         raise ValueError("row and column indices must be distinct")
-    # the Leibniz sum over the k^2 variables of the submatrix, row-major,
-    # each product of degree k; no two products share a monomial
-    k = len(rows)
-    w = k.bit_length()
-    acc = {}
-    for perm in permutations(range(k)):
-        inversions = sum(a > b for a, b in combinations(perm, 2))
-        acc[sum(1 << (r * k + c) * w for r, c in enumerate(perm))] = -1 if inversions & 1 else 1
-    return Polynomial(tuple(z_(r, c) for r in rows for c in cols), w, acc)
+    return Polynomial(tuple(z_(r, c) for r in rows for c in cols), len(rows).bit_length(), _leibniz(len(rows)))
 
 
 def _difference(f: Polynomial, i: int, shifts) -> Polynomial:

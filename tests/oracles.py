@@ -36,6 +36,10 @@ library answers faster by another route, and exists to cross-check it:
   ideal, against `anti_diag_init` and `monomial_ideal` on grid and
   support bitmasks; `cover_masks_all_pairs` compares each extension
   with every old cover, against the single-bit test of `_cover_masks`;
+- `initial_ideal_by_reduced_basis` computes the reduced basis, without
+  touching the ideal's cache, and decodes the lead of each member with
+  `lead_monomial`, against `initial_ideal`, which decodes the packed leads
+  of the minimal basis alone;
 - `cdg_init_by_matchings` runs `_matching_lead` on every Fulton minor
   with its own rows, columns and the rank-0 cells of the rank table,
   against `_cdg_init`, which reads each lead off the `_local_lead` memo;
@@ -273,6 +277,14 @@ def anti_diag_init_by_tuples(A: Schubertable) -> MonomialIdeal:
     A = as_partial_asm(A)
     monos = [antidiagonal_monomial(rows, cols) for box in asm_essential_boxes(A) for rows, cols in _minor_indices(box)]
     return monomial_ideal_by_exponents(monos, [z_(i, j) for i in range(1, A.nrows + 1) for j in range(1, A.ncols + 1)])
+
+
+def initial_ideal_by_reduced_basis(I: Ideal, order: TermOrder, budget: int = DEFAULT_BUDGET) -> MonomialIdeal:
+    """The leads of the reduced basis of I's generators, as a monomial ideal
+    in I's ambient grid; I's cache is neither read nor filled."""
+    m, n = I.ambient
+    basis = buchberger(list(I.generators), order, budget)
+    return monomial_ideal((lead_monomial(g, order) for g in basis), [z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1)])
 
 
 def cdg_init_by_matchings(M: PartialASM, order: TermOrder) -> MonomialIdeal:

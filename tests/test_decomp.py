@@ -43,7 +43,7 @@ from asmschub.groebner import (
     minimal_generators,
 )
 from asmschub.ideal import anti_diag_init, schubert_determinantal_ideal
-from asmschub.monomial import mono_to_text
+from asmschub.monomial import collect_stats, mono_to_text
 from asmschub.perm import Permutation, all_permutations, bruhat_leq, identity, pad
 from oracles import components_by_primes, minimal_generators_by_rebuild, perm_set_brute_force
 
@@ -180,6 +180,25 @@ class TestRecognizeASM:
             I = schubert_intersect([w])
             assert is_asm_ideal(I)
             assert get_asm(I) == permutation_matrix(w)
+
+    @pytest.mark.parametrize(
+        "case, counters",
+        [("meet", (21, 3)), ("pair 4", (30, 19)), ("pair 48", (21, 10)), ("pair 53", (25, 3)), ("triple 2", (31, 11))],
+    )
+    def test_one_buchberger_run_per_ideal(self, case, counters):
+        # `is_asm_ideal` builds the canonical basis first, so the initial
+        # ideal of `schubert_decompose` reads its leads and Buchberger runs
+        # once on I.  The pairs and reduction units are those of a run of
+        # each: the meet of 3412 and 3241, and the seeded 4x4 pairs and
+        # triples of TestUnionDifferential
+        rng, asms = random.Random(22), enumerate_asms(4)
+        cases = {f"pair {k}": rng.sample(asms, 2) for k in range(60)}
+        cases |= {f"triple {k}": rng.sample(asms, 3) for k in range(25)}
+        cases["meet"] = [(3, 4, 1, 2), (3, 2, 4, 1)]
+        I = schubert_intersect(cases[case])
+        with collect_stats() as s:
+            is_asm_ideal(I)
+        assert (s["pairs"], s["reduction_units"]) == counters
 
     def test_non_asm_intersection(self):
         I = schubert_intersect([(1, 2, 4, 3), (1, 3, 2, 4)])

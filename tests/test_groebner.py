@@ -33,7 +33,7 @@ from asmschub.groebner import (
     minimal_generators,
     normal_form,
 )
-from asmschub.monomial import mono_to_text
+from asmschub.monomial import collect_stats, mono_to_text
 from asmschub.poly import (
     Polynomial,
     TermOrder,
@@ -46,7 +46,7 @@ from asmschub.poly import (
     variable,
     z_,
 )
-from oracles import mono_div, mono_divides, mono_lcm, mono_mul
+from oracles import initial_ideal_by_reduced_basis, mono_div, mono_divides, mono_lcm, mono_mul
 
 X, Y, Z = z_(1, 1), z_(1, 2), z_(1, 3)
 LEX = lex_order([X, Y, Z])
@@ -458,6 +458,27 @@ def test_random_bases_are_reduced_groebner(gens, order, rng):
     shuffled = gens[:]
     rng.shuffle(shuffled)
     assert buchberger(shuffled, order, budget=20_000) == basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_polys, min_size=1, max_size=3), orders)
+def test_random_initial_ideals_read_the_minimal_leads(gens, order):
+    # inhomogeneous inputs under lex and grevlex: the leads of the packed
+    # minimal basis against those of the reduced basis, after the same
+    # pair loop.  Tail reduction may outrun a budget the leads keep to.
+    gens = tuple(g for g in gens if not g.is_zero)
+    assume(gens)
+    I = Ideal(gens, (2, 2))
+    names = ("pairs", "pairs_coprime", "pairs_chain", "zero_reductions", "basis_size")
+    try:
+        with collect_stats() as leads:
+            got = initial_ideal(I, order, budget=20_000)
+        with collect_stats() as reduced:
+            want = initial_ideal_by_reduced_basis(I, order, budget=20_000)
+    except GroebnerBudgetError:
+        return
+    assert got == want
+    assert [leads[k] for k in names] == [reduced[k] for k in names]
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from asmschub.groebner import GroebnerBudgetError, ideal_equals, initial_ideal
+from asmschub.groebner import GroebnerBudgetError, buchberger, ideal_equals, initial_ideal
 from asmschub.ideal import (
     DIAG_VARIANTS,
     LOCAL_LEAD_CACHE,
@@ -31,7 +31,7 @@ from asmschub.ideal import (
     schubert_codim,
     schubert_determinantal_ideal,
 )
-from asmschub.asm import enumerate_asms, make_partial_asm, permutation_matrix, rank_table
+from asmschub.asm import as_permutation, enumerate_asms, make_partial_asm, permutation_matrix, rank_table
 from asmschub.monomial import MonomialIdeal, codim as monomial_codim, collect_stats, mono_to_text
 from asmschub.perm import (
     Permutation,
@@ -57,6 +57,7 @@ from oracles import (
     cdg_init_by_matchings,
     cover_masks_all_pairs,
     determinantal_ideal_from_cells,
+    initial_ideal_by_reduced_basis,
 )
 
 FULCRUM = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
@@ -453,6 +454,53 @@ class TestLocalLeadMemo:
         assert leads == {((0, 2), (1, 1), (2, 0))}
         assert _local_lead.cache_info().currsize == len(DIAG_VARIANTS)
         assert _local_lead("LexSE", 2, (2, 0)) is None
+
+
+COUNTERS = ("pairs", "pairs_coprime", "pairs_chain", "zero_reductions", "basis_size")
+
+
+class TestLeadsOffMinimalBasis:
+    """`initial_ideal` decodes the leads of the packed minimal basis alone,
+    against `initial_ideal_by_reduced_basis`, which decodes the lead of each
+    member of the reduced basis; both spend the same pair loop."""
+
+    def check(self, A, variant):
+        M = as_partial_asm(A)
+        I, order = schubert_determinantal_ideal(M), diag_order(variant, M.nrows, M.ncols)
+        with collect_stats() as leads:
+            got = initial_ideal(I, order)
+        with collect_stats() as reduced:
+            want = initial_ideal_by_reduced_basis(I, order)
+        assert got == want and got._supports == want._supports, (M, variant)
+        assert [leads[k] for k in COUNTERS] == [reduced[k] for k in COUNTERS], (M, variant)
+        assert ("gb", order) not in I.cache  # no basis was reduced for I
+
+    @pytest.mark.parametrize("variant", DIAG_VARIANTS)
+    def test_all_of_s5(self, variant):
+        for w in all_permutations(5):
+            self.check(w, variant)
+
+    @pytest.mark.parametrize("variant", DIAG_VARIANTS)
+    def test_seeded_non_cdg_slice_of_s6(self, variant):
+        rest = [w for w in all_permutations(6) if not class_membership(w, "cdg")]
+        for w in random.Random(25).sample(rest, 12):
+            self.check(w, variant)
+
+    @pytest.mark.parametrize("variant", DIAG_VARIANTS)
+    def test_4x4_asms_off_permutations(self, variant):
+        asms = [A for A in enumerate_asms(4) if as_permutation(A) is None]
+        assert len(asms) == 18
+        for A in asms:
+            self.check(A, variant)
+
+    def test_a_cached_basis_is_read(self):
+        I = schubert_determinantal_ideal(Permutation((1, 3, 2, 5, 4)))
+        order = diag_order("RevLex", 5, 5)
+        buchberger(I, order)
+        with collect_stats() as s:
+            got = initial_ideal(I, order)
+        assert s["pairs"] == s["basis_size"] == 0
+        assert got == initial_ideal_by_reduced_basis(I, order)
 
 
 class TestCoercion:

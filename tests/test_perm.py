@@ -174,6 +174,15 @@ class TestPatterns:
             for p in patterns:
                 assert perm.contains_pattern(w, p) == brute_contains(w, p)
 
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_classes_against_the_search(self, n):
+        # the subsequence lookup of every class on all of S_n (S_4: patterns
+        # longer than w) against the depth-first search, once per pattern
+        for w in perm.all_permutations(n):
+            for cls, patterns in perm.PERMUTATION_CLASSES.items():
+                searched = not any(perm.contains_pattern(w, p) for p in patterns)
+                assert perm.class_membership(w, cls) == searched, (w, cls)
+
     def test_vexillary_pinned_values(self):
         assert not perm.class_membership(Permutation((7, 2, 5, 8, 1, 3, 6, 4)), "vexillary")
         assert perm.class_membership(Permutation((1, 6, 9, 2, 4, 7, 3, 5, 8)), "vexillary")

@@ -213,6 +213,23 @@ class TestMinors:
             cols = tuple(range(2, k + 2))
             assert generic_minor(rows, cols) == perm_sum_det(rows, cols)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_minors_of_one_size_share_one_map(self, k):
+        # the packed Leibniz map is built once per size and shared; no
+        # arithmetic, pickling or decoding of one minor may touch another's
+        f = generic_minor(range(1, k + 1), range(1, k + 1))
+        g = generic_minor(range(2, k + 2), range(3, k + 3))
+        assert f._packed is g._packed and poly._leibniz.cache_info().maxsize == poly.LEIBNIZ_CACHE
+        before = dict(g._packed), hash(g), g.terms
+        for h in (f, g):
+            assert pickle.loads(pickle.dumps(h)) == h == -(-h) == (h + h) - h == (h + 1) - 1
+            assert h * h == h ** 2 and 3 * h - h * 2 == h == h * Fraction(1, 2) + h * Fraction(1, 2)
+            assert dict(h.coeffs) == dict(h.terms) and (f + g) - g == f and (f * g).degree() == 2 * k
+            assert lead_monomial(h, lex_order(sorted(h.variables()))) in h.coeffs
+        fresh = generic_minor(range(2, k + 2), range(3, k + 3))
+        assert (dict(g._packed), hash(g), g.terms) == before == (dict(fresh._packed), hash(fresh), fresh.terms)
+        assert fresh == perm_sum_det(tuple(range(2, k + 2)), tuple(range(3, k + 3)))
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError, match="equal size"):
             generic_minor([1, 2], [1])
