@@ -2,7 +2,7 @@
 
 A family compares a fast route of the library with an independent
 slower one over a whole population, and records per item whether the
-two agree.  Four families so far:
+two agree.  Five families so far:
 
 - ``diag-cdg``: the diagonal initial ideals of every permutation of S_n
   under LexSE, LexNW and RevLex.  `diag_init`, which reads a CDG
@@ -51,12 +51,20 @@ two agree.  Four families so far:
   separated), whether they agree with the brute force as a set, the
   number of pipe dreams over the components, and whether those agree
   with the primes.
+- ``union``: every unordered pair of distinct permutations of S_n.
+  `union_asm`, which reads whether the union of the two matrix Schubert
+  varieties is an ASM variety off rank tables and permutation sets,
+  against `is_asm_ideal` on `schubert_intersect`, which intersects the
+  two ideals by elimination and compares reduced Groebner bases.  The
+  corpus holds, per item (the two one-line notations, space separated),
+  whether the union is an ASM variety and whether the routes agree.
 
     python3 scripts/sweep.py --size 5
     python3 scripts/sweep.py --size 6 --out scripts/corpus/diag-cdg-6.json
     python3 scripts/sweep.py --family homology --out scripts/corpus/homology-5.json
     python3 scripts/sweep.py --family flag --out scripts/corpus/flag-5.json
     python3 scripts/sweep.py --family decomp --out scripts/corpus/decomp-5.json
+    python3 scripts/sweep.py --family union --size 4 --out scripts/corpus/union-4.json
     python3 scripts/sweep.py --family diag-cdg --size 6 --check
 
 ``--check`` reruns a family and compares it with its committed corpus,
@@ -92,7 +100,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from asmschub.asm import as_permutation, enumerate_asms
-from asmschub.decomp import is_schubert_cm, perm_set_of_asm
+from asmschub.decomp import is_asm_ideal, is_schubert_cm, perm_set_of_asm, schubert_intersect, union_asm
 from asmschub.groebner import initial_ideal
 from asmschub.ideal import (
     DIAG_VARIANTS,
@@ -233,6 +241,26 @@ def decomp(cfg: Config) -> dict:
     return {"family": "decomp", "size": cfg.size, "summary": summary, "items": items}
 
 
+def union_item(u, w) -> list[int]:
+    """[the union is an ASM variety, the two routes agree] for one pair."""
+    union = union_asm([u, w]) is not None
+    return [int(union), int(union == is_asm_ideal(schubert_intersect([u, w])))]
+
+
+def union(cfg: Config) -> dict:
+    perms = list(all_permutations(cfg.size))
+    t0 = time.perf_counter()
+    items = {
+        " ".join("".join(map(str, x.one_line)) for x in (u, w)): union_item(u, w)
+        for i, u in enumerate(perms)
+        for w in perms[i + 1 :]
+    }
+    print(f"union S_{cfg.size}: {len(items)} pairs in {time.perf_counter() - t0:.1f}s")
+    rows = list(items.values())
+    summary = {"items": len(rows), "unions": sum(r[0] for r in rows), "agree": sum(r[1] for r in rows)}
+    return {"family": "union", "size": cfg.size, "summary": summary, "items": items}
+
+
 def _schubert_check(w) -> tuple[int, int]:
     f = schubert_polynomial(w)
     return int(f == schubert_polynomial(w, "Transition")), len(f.terms)
@@ -342,6 +370,11 @@ def run(cfg: Config) -> dict:
         print(f"  components agree with the brute force:   {s['perm_set_agree']} of {s['items']}")
         print(f"  pipe dreams agree with minimal primes:   {s['dreams_agree']} of {s['items']}")
         print(f"  components, distinct components, dreams: {s['components']}, {s['distinct_components']}, {s['dreams']}")
+    elif cfg.family == "union":
+        corpus = union(cfg)
+        s = corpus["summary"]
+        print(f"  union_asm agrees with is_asm_ideal:      {s['agree']} of {s['items']}")
+        print(f"  unions that are ASM varieties:           {s['unions']} of {s['items']}")
     elif cfg.family == "flag":
         corpus = flag(cfg)
         s = corpus["summary"]
@@ -362,7 +395,7 @@ def run(cfg: Config) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--family", choices=("diag-cdg", "homology", "flag", "decomp"), default="diag-cdg")
+    ap.add_argument("--family", choices=("diag-cdg", "homology", "flag", "decomp", "union"), default="diag-cdg")
     ap.add_argument("--size", type=int, default=5)
     ap.add_argument("--out", help="write the corpus to this JSON file")
     ap.add_argument("--check", nargs="?", const="", metavar="CORPUS",

@@ -67,7 +67,7 @@ def schubert_decompose(
         return (Permutation(tuple(range(1, grid + 1))),)
     if J.is_unit:
         raise ValueError("unit ideal has no minimal primes")
-    letters = [(1 << k, a) for k, a in reading_order([v[1:] for v in J._supports[0]])]
+    letters = [(1 << k, a) for k, a in reading_order([v[1:] for v in J._alphabet])]
     primes = sorted(J._primes, key=lambda p: [k for k in range(p.bit_length()) if p >> k & 1])
     words = [[a for b, a in letters if p & b] for p in primes]
     line = tuple(range(1, max(grid, max(map(max, words)) + 1) + 1))

@@ -26,8 +26,9 @@ of monic entries ``(lead, tail)``, the tail holding the other
 their denominator is 1.  One kernel, `_reduce`, reduces S-polynomials,
 basis tails and, through `normal_form`, outside polynomials.  Packing
 and unpacking move fields by `poly._fields` and `poly._from_fields`; only
-a returned basis is tail-reduced and unpacked, and an initial ideal reads
-its leads off the packed minimal basis (tail reduction keeps every lead).
+a returned basis is tail-reduced and unpacked.  An initial ideal takes the
+leads of the packed minimal basis undecoded (tail reduction keeps every
+lead), their fields moved by `poly._mover` to `MonomialIdeal`'s layout.
 
 The budget bounds both the S-pairs a computation pops and its reduction
 work.  A reduction step costs one unit per term of the reducer, times
@@ -42,12 +43,13 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .monomial import MonomialIdeal, _count, monomial_ideal
+from .monomial import MonomialIdeal, _count, _packed_ideal, monomial_ideal
 from .poly import (
     Polynomial,
     TermOrder,
     _fields,
     _from_fields,
+    _mover,
     _plain,
     antidiagonal_order,
     lead_monomial,
@@ -142,10 +144,6 @@ class _Ring:
 
     def unpack(self, terms) -> Polynomial:
         return _from_fields(terms, self.shift, self.deg, self.width)
-
-    def decode(self, m: int) -> tuple:
-        """The monomial of m as (variable, exponent) pairs in variable order."""
-        return tuple((v, e) for v, at in self.shift.items() if (e := m >> at & self.field))
 
     def lcm(self, a: int, b: int) -> int:
         """Field-wise max, where the guard bits of (a | G) - b mark a >= b.
@@ -318,15 +316,19 @@ def buchberger(I: Ideal | list[Polynomial] | tuple[Polynomial, ...], order: Term
 
 
 def initial_ideal(I: Ideal, order: TermOrder, budget: int = DEFAULT_BUDGET) -> MonomialIdeal:
-    """Minimal monomial generators of the lead terms of a Groebner basis:
-    the reduced basis in I's cache, or else the packed minimal basis, whose
-    leads are decoded alone (tail reduction keeps every lead)."""
-    if ("gb", order) in I.cache:
-        leads = [lead_monomial(g, order) for g in I.cache["gb", order]]
-    else:
-        leads = _groebner(order, I.generators, budget, lambda ring, G, meter: [ring.decode(m) for m, _ in G])
+    """Minimal monomial generators of the lead terms of a Groebner basis: the
+    reduced basis in I's cache, or else the packed minimal basis, whose leads
+    pass over undecoded (tail reduction keeps every lead)."""
     m, n = I.ambient
-    return monomial_ideal(leads, [z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1)])
+    grid = [z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    if ("gb", order) in I.cache:
+        return monomial_ideal((lead_monomial(g, order) for g in I.cache["gb", order]), grid)
+
+    def leads(ring: _Ring, minimal: list, meter: _Meter) -> MonomialIdeal:
+        move = _mover([(at, k * (ring.width + 1)) for k, at in enumerate(ring.shift.values())], ring.width)
+        return _packed_ideal(tuple(ring.shift), ring.width, [move(lead) for lead, _ in minimal], grid)
+
+    return _groebner(order, I.generators, budget, leads)
 
 
 def canonical_order(ambient: tuple[int, int]) -> TermOrder:

@@ -22,7 +22,7 @@ from typing import Iterable, Union
 
 from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matrix, rank_table
 from .groebner import DEFAULT_BUDGET, Ideal, initial_ideal
-from .monomial import MonomialIdeal, _count, _mask_ideal, codim as monomial_codim
+from .monomial import MonomialIdeal, _count, _packed_ideal, codim as monomial_codim
 from .perm import Permutation, is_cdg
 from .poly import Polynomial, TermOrder, generic_minor, monomial, z_
 
@@ -123,7 +123,7 @@ def anti_diag_init(A: Schubertable) -> MonomialIdeal:
                     mask |= 1 << r + c
                 masks.append(mask)
     grid = tuple(z_(i, j) for i in range(1, A.nrows + 1) for j in range(1, n + 1))
-    return _mask_ideal(masks, grid, grid)
+    return _packed_ideal(grid, 1, masks, grid)
 
 
 DEGENERATION_CACHE = 16  # ASMs whose J the Schubert homology calls share
@@ -229,7 +229,7 @@ def _cdg_init(M: PartialASM, variant: str) -> MonomialIdeal:
             if lead is not None:
                 masks.append(sum(1 << (rows[a] - 1) * n + cols[b] - 1 for a, b in lead))
     grid = tuple(z_(i, j) for i in range(1, M.nrows + 1) for j in range(1, n + 1))
-    return _mask_ideal(masks, grid, grid)
+    return _packed_ideal(grid, 1, masks, grid)
 
 
 def diag_init(

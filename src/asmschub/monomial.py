@@ -1,5 +1,8 @@
 """Squarefree monomial ideals and Stanley-Reisner combinatorics.
 
+A `MonomialIdeal` holds one packed int per minimal generator, a support
+mask when squarefree; generator tuples are decoded only when read.
+
 Minimal primes are minimal vertex covers of the generator supports,
 Stanley-Reisner facets are their complements, and graded Betti numbers
 of the quotient come from Hochster's formula.  Rather than restricting
@@ -53,115 +56,110 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .poly import (
-    Monomial,
-    Var,
-    mono_degree,
-    mono_support,
-    mono_to_text,
-    poly_from_text,
-    var_to_text,
-)
+from .poly import Monomial, Var, _mover, mono_to_text, poly_from_text, var_to_text
 
 DEFAULT_LATTICE_LIMIT = 50_000
 DEFAULT_FACE_LIMIT = 1 << 20
 
 
-def _minimalize(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    # input with a power: a proper divisor of m has lower degree, so is kept first
-    kept: list[Monomial] = []
-    for m in sorted(set(monos), key=mono_degree):
-        exps = dict(m)
-        if not any(all(exps.get(v, 0) >= e for v, e in k) for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal with minimalized, canonically sorted generators."""
+    """Monomial ideal in the ambient `variables`: one packed int per minimal
+    generator, ascending, over `_alphabet`, the sorted variables they use.
+    `_width` is the bit length of the largest exponent.  Up to 1, the ints
+    are support masks, bit k for `_alphabet[k]`; else each variable has a
+    `_width`-bit field topped by a guard bit, so that a divides b when
+    ``((b | G) - a) & G == G`` for the guard mask G.  Equal ideals hold
+    equal fields.  `generators`, the (variable, exponent) tuples in tuple
+    order, is decoded on first read and kept."""
 
-    generators: tuple[Monomial, ...]
     variables: tuple[Var, ...]
+    _alphabet: tuple[Var, ...]
+    _width: int
+    _packed: tuple[int, ...]
 
     @cached_property
-    def _supports(self) -> tuple[tuple[Var, ...], tuple[int, ...]]:
-        """Sorted variables of the generators and their supports as masks over them."""
-        used = tuple(sorted({v for m in self.generators for v in mono_support(m)}))
-        pos = {v: i for i, v in enumerate(used)}
-        return used, tuple(sum(1 << pos[v] for v in mono_support(m)) for m in self.generators)
+    def generators(self) -> tuple[Monomial, ...]:
+        step, field = _layout(self._width)
+        return tuple(sorted(tuple((v, e) for k, v in enumerate(self._alphabet) if (e := m >> k * step & field))
+                            for m in self._packed))
+
+    @cached_property
+    def _supports(self) -> tuple[int, ...]:
+        """The support of each generator as a mask over `_alphabet`."""
+        if self.is_squarefree:
+            return self._packed
+        step, field = _layout(self._width)
+        return tuple(sum(1 << k for k in range(len(self._alphabet)) if m >> k * step & field) for m in self._packed)
 
     @cached_property
     def _primes(self) -> tuple[int, ...]:
-        """Minimal primes as masks over the variables of `_supports`, ascending."""
-        return tuple(_cover_masks(self._supports[1]))
+        """Minimal primes as masks over `_alphabet`, ascending."""
+        return tuple(_cover_masks(self._supports))
 
     # the search `vertex_decomposition_reg` reads, made once per ideal
     _shelling = cached_property(lambda self: _vd_search(self))
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self._packed
 
     @property
     def is_unit(self) -> bool:
-        return any(m == () for m in self.generators)
+        return self._packed == (0,)  # the monomial 1, which divides all others
 
     @property
     def is_squarefree(self) -> bool:
-        return all(e == 1 for m in self.generators for _, e in m)
+        return self._width < 2
+
+
+def _layout(width: int) -> tuple[int, int]:  # (bits per variable, field mask)
+    return (width + 1, (1 << width) - 1) if width > 1 else (1, 1)
 
 
 def monomial_ideal(
     monos: Iterable[Monomial], variables: Iterable[Var] | None = None
 ) -> MonomialIdeal:
     monos = set(monos)
-    if any(e != 1 for m in monos for _, e in m):
-        gens = _minimalize(monos)
-        return MonomialIdeal(gens, _ambient({v for m in gens for v in mono_support(m)}, variables))
-    names = tuple(sorted({v for m in monos for v, _ in m}))
-    bit = {v: 1 << i for i, v in enumerate(names)}
-    return _mask_ideal([sum(bit[v] for v, _ in m) for m in monos], names, variables)
-
-
-def _ambient(support: Iterable[Var], variables: Iterable[Var] | None) -> tuple[Var, ...]:
-    ambient = tuple(sorted(set(support if variables is None else variables)))
-    if missing := set(support) - set(ambient):
-        names = ", ".join(sorted(var_to_text(v) for v in missing))
-        raise ValueError(f"generators use variables outside the ambient set: {names}")
-    return ambient
+    alphabet = tuple(sorted({v for m in monos for v, _ in m}))
+    width = max((e for m in monos for _, e in m), default=0).bit_length()
+    at = {v: k * _layout(width)[0] for k, v in enumerate(alphabet)}
+    return _packed_ideal(alphabet, width, [sum(e << at[v] for v, e in m) for m in monos], variables)
 
 
 def _minimal_sets(masks: Iterable[int]) -> list[int]:
     out: list[int] = []
     for m in sorted(set(masks), key=int.bit_count):
-        if not any(m & o == o for o in out):
+        if all(map((~m).__and__, out)):  # each kept mask has a bit outside m
             out.append(m)
     return out
 
 
-def _mask_ideal(masks: Iterable[int], names: Sequence[Var], variables: Iterable[Var] | None) -> MonomialIdeal:
-    """The ideal of squarefree monomials given as masks, bit k for the sorted
-    names[k], in the ambient `variables` (by default those used).  Generator
-    tuples are made once, for the masks `_minimal_sets` keeps, and
-    `_supports` is set from those, compressed to the variables they use."""
-    kept = _minimal_sets(masks)
+def _packed_ideal(alphabet: Sequence[Var], width: int, packed: Iterable[int], variables: Iterable[Var] | None) -> MonomialIdeal:
+    """The ideal of ints packed over the sorted `alphabet` with `width` as in
+    `MonomialIdeal`, in the ambient `variables` (by default those used): the
+    minimal ones, ascending, moved to the fields and width they need."""
+    step, field = _layout(width)
+    if width > 1:
+        guard = sum(1 << k * step + width for k in range(len(alphabet)))
+        kept: list[int] = []
+        for m in sorted(set(packed)):  # a proper divisor is a smaller int
+            if not any(((m | guard) - o) & guard == guard for o in kept):
+                kept.append(m)
+    else:
+        kept = sorted(_minimal_sets(packed))
     used = reduce(or_, kept, 0)
-    place = {k: 1 << i for i, k in enumerate(k for k in range(used.bit_length()) if used >> k & 1)}
-    rows = []
-    for m in kept:
-        mono, packed = [], 0
-        while m:
-            k = (m & -m).bit_length() - 1
-            mono.append((names[k], 1))
-            packed |= place[k]
-            m &= m - 1
-        rows.append((tuple(mono), packed))
-    rows.sort()
-    support = tuple(names[k] for k in place)
-    J = MonomialIdeal(tuple(m for m, _ in rows), _ambient(support, variables))
-    J.__dict__["_supports"] = support, tuple(p for _, p in rows)  # as a first read would
-    return J
+    fields = [k for k in range(len(alphabet)) if used >> k * step & field]
+    top = max((used >> k * step & field for k in fields), default=0).bit_length()
+    if len(fields) < len(alphabet) or _layout(top) != (step, field):
+        # fields keep their order, and so the ints keep theirs
+        move = _mover([(k * step, j * _layout(top)[0]) for j, k in enumerate(fields)], top)
+        kept, alphabet = list(map(move, kept)), [alphabet[k] for k in fields]
+    ambient = tuple(sorted(set(alphabet if variables is None else variables)))
+    if missing := set(alphabet) - set(ambient):
+        names = ", ".join(sorted(var_to_text(v) for v in missing))
+        raise ValueError(f"generators use variables outside the ambient set: {names}")
+    return MonomialIdeal(ambient, tuple(alphabet), top, tuple(kept))
 
 
 def _cover_masks(supports: Iterable[int]) -> list[int]:
@@ -199,8 +197,7 @@ def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
     """
     if J.is_unit:
         raise ValueError("unit ideal has no minimal primes")
-    variables = J._supports[0]
-    return tuple(sorted(tuple(v for i, v in enumerate(variables) if c >> i & 1) for c in J._primes))
+    return tuple(sorted(tuple(v for i, v in enumerate(J._alphabet) if c >> i & 1) for c in J._primes))
 
 
 def codim(J: MonomialIdeal) -> int:
@@ -603,7 +600,7 @@ def betti_numbers(
     Keys are (homological degree, sorted multidegree support).
     """
     _require_squarefree(J)
-    variables, gens = J._supports
+    variables, gens = J._alphabet, J._supports
     betti = {(0, ()): 1}
     lcms = _lcms(gens, max_lattice)
     if lcms is None:
@@ -653,7 +650,7 @@ def reg_quotient(
     max{|sigma| - i} over the Betti numbers of R/J.
     """
     _require_squarefree(J)
-    gens, primes = J._supports[1], J._primes  # the minimal primes generate the dual
+    gens, primes = J._supports, J._primes  # the minimal primes generate the dual
     dual, lattice = _smaller_lattice(gens, primes, max_lattice)
     # beta_{1,g} = 1 for every generator g, so reg(R/J) >= deg g - 1
     top = max((g.bit_count() for g in gens), default=1)
@@ -677,7 +674,7 @@ def is_cm_quotient(
     on J's side, exactly when pdim(R/J) = c.
     """
     _require_squarefree(J)
-    gens, primes = J._supports[1], J._primes  # the minimal primes generate the dual
+    gens, primes = J._supports, J._primes  # the minimal primes generate the dual
     heights = {p.bit_count() for p in primes}
     if len(heights) > 1:
         _count(route_gate=1)
@@ -720,7 +717,7 @@ def _vd_h(facets: frozenset[int], memo: dict) -> tuple[int, ...] | None:
 def _vd_search(J: MonomialIdeal) -> tuple[int, ...] | None:
     """`_vd_h` of the Stanley-Reisner complex of J, its nodes counted."""
     memo: dict = {}
-    h = _vd_h(frozenset(((1 << len(J._supports[0])) - 1) ^ p for p in J._primes), memo)
+    h = _vd_h(frozenset(((1 << len(J._alphabet)) - 1) ^ p for p in J._primes), memo)
     _count(vd_nodes=len(memo))
     return h
 

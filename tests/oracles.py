@@ -32,14 +32,14 @@ library answers faster by another route, and exists to cross-check it:
   y-free parts of double Schubert polynomials;
 - `anti_diag_init_by_tuples` builds one monomial tuple per minor and
   passes them to `monomial_ideal_by_exponents`, which minimalizes by
-  pairwise exponent divisibility and leaves the support masks to the
-  ideal, against `anti_diag_init` and `monomial_ideal` on grid and
-  support bitmasks; `cover_masks_all_pairs` compares each extension
+  pairwise exponent divisibility and builds the support masks from the
+  kept tuples, against `anti_diag_init` and `monomial_ideal` on grid
+  masks and packed ints; `cover_masks_all_pairs` compares each extension
   with every old cover, against the single-bit test of `_cover_masks`;
 - `initial_ideal_by_reduced_basis` computes the reduced basis, without
   touching the ideal's cache, and decodes the lead of each member with
-  `lead_monomial`, against `initial_ideal`, which decodes the packed leads
-  of the minimal basis alone;
+  `lead_monomial`, against `initial_ideal`, which hands the packed leads
+  of the minimal basis over undecoded;
 - `cdg_init_by_matchings` runs `_matching_lead` on every Fulton minor
   with its own rows, columns and the rank-0 cells of the rank table,
   against `_cdg_init`, which reads each lead off the `_local_lead` memo;
@@ -256,15 +256,21 @@ def minimalize_by_exponents(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(m for m in monos if not any(o != m and mono_divides(o, m) for o in monos)))
 
 
-def monomial_ideal_by_exponents(monos: Iterable[Monomial], variables: Iterable[Var] | None = None) -> MonomialIdeal:
-    """`monomial_ideal` through exponents alone: squarefree input included,
-    whose support masks the ideal then builds from the generator tuples."""
+def monomial_ideal_by_exponents(
+    monos: Iterable[Monomial], variables: Iterable[Var] | None = None
+) -> tuple[tuple[Monomial, ...], tuple[Var, ...], tuple[Var, ...], tuple[int, ...]]:
+    """What `monomial_ideal` holds, through exponent tuples alone: the minimal
+    monomials by pairwise divisibility, sorted; the ambient variables; the
+    sorted variables used; and the support masks over those, bit k for the
+    k-th, in the order of the exponent vectors read from the last variable
+    down, which is the order of the packed ints."""
     gens = minimalize_by_exponents(monos)
-    support = {v for m in gens for v in mono_support(m)}
-    ambient = tuple(sorted(support if variables is None else set(variables)))
-    if not support <= set(ambient):
+    used = tuple(sorted({v for m in gens for v in mono_support(m)}))
+    ambient = tuple(sorted(set(used) if variables is None else set(variables)))
+    if not set(used) <= set(ambient):
         raise ValueError("generators use variables outside the ambient set")
-    return MonomialIdeal(gens, ambient)
+    by_int = sorted(gens, key=lambda m: [dict(m).get(v, 0) for v in reversed(used)])
+    return gens, ambient, used, tuple(sum(1 << used.index(v) for v in mono_support(m)) for m in by_int)
 
 
 def antidiagonal_monomial(rows: tuple[int, ...], cols: tuple[int, ...]) -> Monomial:
@@ -272,7 +278,7 @@ def antidiagonal_monomial(rows: tuple[int, ...], cols: tuple[int, ...]) -> Monom
     return tuple((z_(r, c), 1) for r, c in zip(rows, reversed(cols)))
 
 
-def anti_diag_init_by_tuples(A: Schubertable) -> MonomialIdeal:
+def anti_diag_init_by_tuples(A: Schubertable) -> tuple:
     """The antidiagonal initial ideal from one monomial tuple per minor."""
     A = as_partial_asm(A)
     monos = [antidiagonal_monomial(rows, cols) for box in asm_essential_boxes(A) for rows, cols in _minor_indices(box)]
@@ -287,7 +293,7 @@ def initial_ideal_by_reduced_basis(I: Ideal, order: TermOrder, budget: int = DEF
     return monomial_ideal((lead_monomial(g, order) for g in basis), [z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1)])
 
 
-def cdg_init_by_matchings(M: PartialASM, order: TermOrder) -> MonomialIdeal:
+def cdg_init_by_matchings(M: PartialASM, order: TermOrder) -> tuple:
     """The variables at rank-0 cells, and the lead of every Fulton minor
     with those cells set to 0, each through `_matching_lead` afresh."""
     T = rank_table(M)

@@ -32,7 +32,7 @@ from asmschub.ideal import (
     schubert_determinantal_ideal,
 )
 from asmschub.asm import as_permutation, enumerate_asms, make_partial_asm, permutation_matrix, rank_table
-from asmschub.monomial import MonomialIdeal, codim as monomial_codim, collect_stats, mono_to_text
+from asmschub.monomial import codim as monomial_codim, collect_stats, mono_to_text
 from asmschub.perm import (
     Permutation,
     all_permutations,
@@ -193,9 +193,9 @@ class TestAntiDiagInit:
 
 def assert_same_as_tuple_route(A):
     J, want = anti_diag_init(A), anti_diag_init_by_tuples(A)
-    assert "_supports" in J.__dict__  # set from the grid masks, not read off tuples
-    assert (J.generators, J.variables, J._supports) == (want.generators, want.variables, want._supports), A
-    assert J._primes == tuple(sorted(cover_masks_all_pairs(want._supports[1]))), A
+    assert "generators" not in J.__dict__  # built on grid masks, no tuple decoded
+    assert (J.generators, J.variables, J._alphabet, J._supports) == want, A
+    assert J._primes == tuple(sorted(cover_masks_all_pairs(want[3]))), A
 
 
 class TestAntiDiagInitOnMasks:
@@ -441,8 +441,8 @@ class TestLocalLeadMemo:
         for w in self.POPULATION:
             M = as_partial_asm(w)
             J = _cdg_init(M, variant)
-            assert J == cdg_init_by_matchings(M, diag_order(variant, len(w), len(w))), w
-            assert J._supports == MonomialIdeal(J.generators, J.variables)._supports
+            want = cdg_init_by_matchings(M, diag_order(variant, len(w), len(w)))
+            assert (J.generators, J.variables, J._alphabet, J._supports) == want, w
 
     def test_memo_is_bounded_and_keyed_by_variant(self):
         assert _local_lead.cache_info().maxsize == LOCAL_LEAD_CACHE
@@ -471,7 +471,7 @@ class TestLeadsOffMinimalBasis:
             got = initial_ideal(I, order)
         with collect_stats() as reduced:
             want = initial_ideal_by_reduced_basis(I, order)
-        assert got == want and got._supports == want._supports, (M, variant)
+        assert got == want and hash(got) == hash(want), (M, variant)
         assert [leads[k] for k in COUNTERS] == [reduced[k] for k in COUNTERS], (M, variant)
         assert ("gb", order) not in I.cache  # no basis was reduced for I
 
@@ -494,13 +494,21 @@ class TestLeadsOffMinimalBasis:
             self.check(A, variant)
 
     def test_a_cached_basis_is_read(self):
-        I = schubert_determinantal_ideal(Permutation((1, 3, 2, 5, 4)))
-        order = diag_order("RevLex", 5, 5)
-        buchberger(I, order)
-        with collect_stats() as s:
-            got = initial_ideal(I, order)
-        assert s["pairs"] == s["basis_size"] == 0
-        assert got == initial_ideal_by_reduced_basis(I, order)
+        # all of S_4, the six non-squarefree diagonal ideals of S_6 and one
+        # more: the packed leads, then the leads of the cached reduced basis
+        # as tuples, must give one packed form, equal and equally hashed
+        cases = [(w, v) for w in all_permutations(4) for v in DIAG_VARIANTS]
+        cases += [(Permutation(w), v) for w in [(2, 1, 4, 3, 6, 5), (3, 2, 1, 6, 5, 4)] for v in DIAG_VARIANTS]
+        cases.append((Permutation((1, 3, 2, 5, 4)), "RevLex"))
+        for w, variant in cases:
+            I, order = schubert_determinantal_ideal(w), diag_order(variant, len(w), len(w))
+            packed = initial_ideal(I, order)
+            buchberger(I, order)
+            with collect_stats() as s:
+                got = initial_ideal(I, order)
+            assert s["pairs"] == s["basis_size"] == 0
+            assert got == packed == initial_ideal_by_reduced_basis(I, order), (w, variant)
+            assert hash(got) == hash(packed) and got.is_squarefree == (len(w) < 6), (w, variant)
 
 
 class TestCoercion:

@@ -176,8 +176,16 @@ class TestMonomialIdeal:
     def test_mask_route_against_exponents(self, monos, ambient):
         variables = X[:6] if ambient else None
         got, want = mi.monomial_ideal(monos, variables), monomial_ideal_by_exponents(monos, variables)
-        assert (got.generators, got.variables, got._supports) == (want.generators, want.variables, want._supports)
-        assert got._primes == tuple(sorted(cover_masks_all_pairs(want._supports[1])))
+        assert (got.generators, got.variables, got._alphabet, got._supports) == want
+        assert got._primes == tuple(sorted(cover_masks_all_pairs(want[3])))
+        # the same ideal through wider exponent fields (each m^2 is redundant),
+        # and through both codecs: one packed form, so equal and equally hashed
+        for same in (
+            mi.monomial_ideal(monos + [monomial(m + m) for m in monos], variables),
+            mi.monomial_ideal_from_json(mi.monomial_ideal_to_json(got), variables),
+            mi.monomial_ideal_from_text(mi.monomial_ideal_to_text(got), variables),
+        ):
+            assert same == got and hash(same) == hash(got)
 
     def test_flags(self):
         assert mi.monomial_ideal([]).is_zero
@@ -578,7 +586,7 @@ BULGE = make_partial_asm(
 
 
 def uses_dual_route(J: mi.MonomialIdeal) -> bool:
-    (variables, gens), primes = J._supports, J._primes
+    variables, gens, primes = J._alphabet, J._supports, J._primes
     assert sorted(tuple(v for u, v in enumerate(variables) if p >> u & 1) for p in primes) == list(
         mi.minimal_primes(J)
     )

@@ -82,3 +82,16 @@ def test_decomp_corpus_replays_every_tenth_item():
     assert set(pool) == set(items)
     for key in sorted(items)[::10]:
         assert sweep.decomp_item(pool[key]) == items[key], key
+
+
+def test_union_corpus_replays_every_tenth_item():
+    corpus = json.loads((ROOT / "scripts" / "corpus" / "union-4.json").read_text())
+    items = corpus["items"]
+    assert corpus["summary"]["items"] == len(items) == 276
+    # union_asm agrees with is_asm_ideal on every pair of S_4
+    assert all(agree for _, agree in items.values())
+    slice_ = sorted(items)[::10]
+    assert (len(slice_), sum(items[key][0] for key in slice_)) == (28, 21)
+    for key in slice_:
+        u, w = (Permutation(tuple(int(c) for c in x)) for x in key.split())
+        assert sweep.union_item(u, w) == items[key], key
