@@ -80,7 +80,7 @@ class PartialASM:
 
 
 def make_partial_asm(matrix: Iterable[Iterable[int]]) -> PartialASM:
-    return PartialASM(_as_grid(matrix))
+    return PartialASM(matrix)
 
 
 @dataclass(frozen=True)
@@ -429,7 +429,7 @@ def asm_to_json(A: PartialASM) -> list[list[int]]:
 
 
 def asm_from_json(data: Sequence[Sequence[int]]) -> PartialASM:
-    return PartialASM(_as_grid(data))
+    return PartialASM(data)
 
 
 def rank_table_to_json(T: RankTable) -> list[list[int]]:
@@ -437,4 +437,4 @@ def rank_table_to_json(T: RankTable) -> list[list[int]]:
 
 
 def rank_table_from_json(data: Sequence[Sequence[int]]) -> RankTable:
-    return RankTable(_as_grid(data))
+    return RankTable(data)

@@ -56,7 +56,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .poly import Monomial, Var, _mover, mono_to_text, poly_from_text, var_to_text
+from .poly import Monomial, Var, _mover, monomial, mono_to_text, poly_from_text, var_to_text
 
 DEFAULT_LATTICE_LIMIT = 50_000
 DEFAULT_FACE_LIMIT = 1 << 20
@@ -120,7 +120,7 @@ def _layout(width: int) -> tuple[int, int]:  # (bits per variable, field mask)
 def monomial_ideal(
     monos: Iterable[Monomial], variables: Iterable[Var] | None = None
 ) -> MonomialIdeal:
-    monos = set(monos)
+    monos = set(map(monomial, monos))  # canonical, no negative exponent
     alphabet = tuple(sorted({v for m in monos for v, _ in m}))
     width = max((e for m in monos for _, e in m), default=0).bit_length()
     at = {v: k * _layout(width)[0] for k, v in enumerate(alphabet)}
@@ -319,72 +319,45 @@ def _count(**work: int) -> None:
 
 
 def _collapse_points(masks: list[int]) -> list[int]:
-    """Strong collapses of a family of distinct maximal masks.
+    """Strong collapses of a family of distinct maximal masks, by a scan.
 
-    Deletes the first point whose incident masks all contain some other
-    point, again and again, and returns the live masks, still on the
-    input's points.  Incidences are built once.  A deletion updates only
-    the masks that held the point and drops those now inside another
-    mask, so the live masks stay distinct and maximal; only a point that
-    lost a mask can newly become deletable.
+    The live points are scanned upward, and the first whose holding masks
+    meet in more than that point is deleted: each mask holding it drops
+    it, and a shrunk mask that lies inside a mask without the point goes
+    (it cannot lie in another shrunk one), so the live masks stay
+    distinct and maximal.  The live masks are returned in input order, on
+    the input's points.  Below the deleted point a meet is unchanged or
+    loses that point, unless a mask holding it went, so the scan resumes
+    at the lowest point of a mask that went, or just past the deletion.
     """
-    cur = list(masks)
-    held: dict[int, int] = {}  # point -> bitmask of the live masks holding it
-    for i, m in enumerate(cur):
-        while m:
-            bit = m & -m
-            u = bit.bit_length() - 1
-            held[u] = held.get(u, 0) | 1 << i
-            m ^= bit
-    live = (1 << len(cur)) - 1
-    points = sorted(held)
-    unchecked = set(points)
+    cur, bit = list(masks), 1
     while True:
-        victim = None
-        for u in points:
-            if u not in unchecked:
-                continue
+        rest = reduce(or_, cur, 0) & -bit  # the live points from bit up
+        while rest:
+            bit = rest & -rest
             meet = -1
-            h = held[u]
-            while h:
-                b = h & -h
-                meet &= cur[b.bit_length() - 1]
-                h ^= b
-            if meet & ~(1 << u):
-                victim = u
+            for m in cur:
+                if m & bit:
+                    meet &= m
+            if meet != bit:
                 break
-            unchecked.discard(u)
-        if victim is None:
-            break
-        points.remove(victim)
-        unchecked.discard(victim)
-        gone = 1 << victim
-        touched = []
-        h = held.pop(victim)
-        while h:
-            b = h & -h
-            i = b.bit_length() - 1
-            cur[i] ^= gone
-            touched.append(i)
-            h ^= b
-        for i in touched:
-            m = cur[i]
-            inside = live  # live masks holding every point of m
-            rest = m
-            while rest:
-                bit = rest & -rest
-                inside &= held[bit.bit_length() - 1]
-                rest ^= bit
-            if inside & ~(1 << i):
-                live ^= 1 << i
-                rest = m
-                while rest:
-                    bit = rest & -rest
-                    u = bit.bit_length() - 1
-                    held[u] ^= 1 << i
-                    unchecked.add(u)
-                    rest ^= bit
-    return [m for i, m in enumerate(cur) if live >> i & 1]
+            rest ^= bit
+        else:
+            return cur
+        without = [o for o in cur if not o & bit]
+        kept, resume = [], bit << 1
+        for m in cur:
+            if m & bit:
+                m ^= bit
+                for o in without:
+                    if m & o == m:  # m goes
+                        resume = min(resume, m & -m)
+                        break
+                else:
+                    kept.append(m)
+                continue
+            kept.append(m)
+        cur, bit = kept, resume
 
 
 def _enumerate_faces(masks: Sequence[int], limit: int) -> dict[int, list[int]]:

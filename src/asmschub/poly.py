@@ -218,7 +218,8 @@ class Polynomial:
     @staticmethod
     def from_dict(d: Mapping[Monomial, Fraction | int]) -> "Polynomial":
         alphabet = tuple(sorted({v for m in d for v, _ in m}))
-        w = max(map(mono_degree, d), default=0).bit_length()
+        # monomial() refuses a negative exponent and keeps the degree
+        w = max(map(mono_degree, map(monomial, d)), default=0).bit_length()
         pos, acc = {v: k * w for k, v in enumerate(alphabet)}, {}
         for m, c in d.items():
             p = sum(e << pos[v] for v, e in m)

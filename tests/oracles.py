@@ -16,8 +16,10 @@ library answers faster by another route, and exists to cross-check it:
 - `reisner_is_cm` recurses over vertex links, against the Betti-table
   test `is_cm_quotient`;
 - `collapse_points_by_rescan` recomputes every incidence after each
-  deletion, against the incremental `_collapse_points`, and `transpose`
-  swaps points and sets to give it families of another shape;
+  deletion and rescans from the first point, against the scan of
+  `_collapse_points`, which resumes at the lowest point of a mask that
+  went, and `transpose` swaps points and sets to give it families of
+  another shape;
 - `plain_gf2_ranks` reduces every row of every boundary map, against
   the cleared GF(2) ranks of `_boundary_ranks`;
 - `int_rank` is integer elimination on unit pivots, and

@@ -501,6 +501,10 @@ class TestCoefficientMap:
     def test_rejects_inexact_coefficients(self):
         with pytest.raises(TypeError, match="0.5"):
             Polynomial.from_dict({(): 0.5})
+        # and negative exponents, as monomial() does
+        for d in ({((x_(1), -1), (x_(2), 1)): 1}, {((x_(1), 1),): 1, ((x_(1), -1),): 1}):
+            with pytest.raises(ValueError, match=re.escape("negative exponent -1 on x[1]")):
+                Polynomial.from_dict(d)
 
     def test_double_schubert_sorts_once(self, monkeypatch):
         # the 15 staircase products, 15 x_i - y_j and 11 divided
