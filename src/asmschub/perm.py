@@ -162,9 +162,12 @@ def contains_pattern(w: Permutation, pattern: Permutation) -> bool:
 
 def avoids_all_patterns(w: Permutation, patterns: Iterable[Permutation]) -> bool:
     """True when w contains none of the given patterns (vacuously true for none).
-    Each k-subsequence of w, for each pattern length k, is standardized and
-    looked up among the patterns: one pass for all patterns of a length."""
-    lines = {p.one_line for p in patterns}
+    A single pattern goes to the pruned search of `contains_pattern`.  For
+    several, each k-subsequence of w, for each pattern length k, is
+    standardized and looked up among them: one pass for all of a length."""
+    lines = {p.one_line: p for p in patterns}
+    if len(lines) == 1:
+        return not contains_pattern(w, *lines.values())
     for k in {len(p) for p in lines}:
         for sub in itertools.combinations(w.one_line, k):
             if tuple(map(sorted((0,) + sub).index, sub)) in lines:  # ranks from 1

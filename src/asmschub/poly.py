@@ -10,19 +10,21 @@ length of the total degree.  No exponent or partial sum of exponents
 exceeds the degree, so a product of monomials is a sum of ints and
 m * (1 + 2^w + 2^2w + ...) holds deg(m) in its top field, with no carry.
 Alphabet and width depend on the polynomial alone, so equal polynomials
-store equal maps; kernels work in a layout wide enough for the result
-and `_collect` narrows it.  Coefficients are ints when whole, so kernels
-add plain ints.  An int compares by its top field first, so within one
-degree ascending ints are reverse-lex, and `terms`, the (monomial,
-Fraction) pairs in display order, is one sort of the ints.  `terms` and
-the read-only map `coeffs` are decoded on first read and kept; `groebner`
-moves monomials to its own layout and back by `_fields` and `_from_fields`.
+store equal maps; kernels work in a layout wide enough for the result,
+with a field for a new variable on top, and `_collect` narrows it and
+sorts the fields, leaving the ints alone when the fields it keeps are
+already a prefix in order at the same width.  Coefficients are ints
+when whole, so kernels add plain ints.  An int compares by its top field
+first, so within one degree ascending ints are reverse-lex, and `terms`,
+the (monomial, Fraction) pairs in display order, is one sort of the
+ints.  `terms` and the read-only map `coeffs` are decoded on first read
+and kept; `groebner` moves monomials to its own layout and back by
+`_fields` and `_from_fields`.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -77,13 +79,18 @@ def _plain(c: Fraction) -> int | Fraction:
 def _mover(moves: Iterable[tuple[int, int]], width: int):
     """The map on packed ints that moves the `width`-bit field at bit a to
     bit b, for each (a, b) in moves, and drops the rest.  Fields side by
-    side at both ends move as one run."""
+    side at both ends move as one run, and up to three runs move in one
+    expression."""
     runs: list[list[int]] = []
     for a, b in sorted(moves):
         if runs and a - runs[-1][0] == b - runs[-1][1] == runs[-1][2]:
             runs[-1][2] += width
         else:
             runs.append([a, b, width])
+    if len(runs) <= 3:
+        (a, b, n), (c, d, p), (e, g, q) = runs + [[0, 0, 0]] * (3 - len(runs))
+        ka, kc, ke = (1 << n) - 1, (1 << p) - 1, (1 << q) - 1
+        return lambda m: (m >> a & ka) << b | (m >> c & kc) << d | (m >> e & ke) << g
     owner, keep = [None] * (runs[-1][0] + runs[-1][2] if runs else 0), 0  # bit -> its run
     for a, b, n in runs:
         owner[a:a + n] = [(a, (1 << n) - 1, b)] * n
@@ -112,7 +119,9 @@ def _degree_field(n: int, w: int) -> tuple[int, int, int]:
 def _collect(acc: dict, alphabet: tuple, w: int) -> "Polynomial":
     """The polynomial of acc, packed over alphabet with w-bit fields, at
     least as wide as its degree needs.  It takes acc over: zeros go and
-    whole Fractions become ints, in place; unused fields and spare width go."""
+    whole Fractions become ints, in place; unused fields and spare width
+    go, and the kept fields are ordered by variable.  When they are a
+    prefix of alphabet in that order at the same width, the ints stand."""
     for m in [m for m, c in acc.items() if not c or type(c) is not int]:
         c = acc.pop(m)
         if not isinstance(c, (int, Fraction)):
@@ -123,12 +132,11 @@ def _collect(acc: dict, alphabet: tuple, w: int) -> "Polynomial":
         return ZERO
     used, (ones, dfield, top) = reduce(or_, acc), _degree_field(len(alphabet), w)
     width = (max(map(dfield.__and__, map(ones.__mul__, acc))) >> top).bit_length()
-    kept = [k for k in range(len(alphabet)) if used >> k * w & (1 << w) - 1]
-    if len(kept) < len(alphabet) or width != w:
+    kept = sorted((k for k in range(len(alphabet)) if used >> k * w & (1 << w) - 1), key=alphabet.__getitem__)
+    if kept != list(range(len(kept))) or width != w:
         move = _mover([(k * w, j * width) for j, k in enumerate(kept)], w)
         acc = {move(m): c for m, c in acc.items()}
-        alphabet = tuple(alphabet[k] for k in kept)
-    return Polynomial(alphabet, width, acc)
+    return Polynomial(tuple(alphabet[k] for k in kept), width, acc)
 
 
 def _fields(f: "Polynomial", shift: Mapping[Var, int], degree_at: int | None = None) -> dict:
@@ -435,40 +443,41 @@ def generic_minor(rows: Iterable[int], cols: Iterable[int]) -> Polynomial:
 def _difference(f: Polynomial, i: int, shifts) -> Polynomial:
     """Sum over (k, sign) in shifts of sign * partial_i(x_{i+1}^k f).
 
-    Each monomial splits into x_i^a x_{i+1}^b and a base with both fields
-    clear.  partial_i(x_i^a x_{i+1}^b) is the sum of x_i^p x_{i+1}^(a+b-1-p)
-    over min(a, b) <= p < max(a, b), negated when a < b.  As the x_{i+1}
-    field sits just above the x_i field, those monomials are one
-    arithmetic progression of ints.  No new exponent exceeds max(a, b),
-    and no new degree the input's, so the input's width holds the result.
+    x_i and x_{i+1} keep their fields, at bits su and sv; one that f lacks
+    gets a field on top of f's layout.  With U = 2^su, V = 2^sv and a, b
+    the two exponents of a term m, let d = a - b - k.  partial_i(x_i^a
+    x_{i+1}^(b+k)) is the d monomials m + kV - U - t(U - V), 0 <= t < d,
+    or if d < 0 minus the -d monomials m + kV - V + t(U - V): one
+    arithmetic progression of ints, wherever the two fields lie.  No new
+    exponent exceeds max(a, b), and no new degree the input's, so the
+    input's width holds the result; `_collect` sorts in a field it opened.
     """
     if i < 1:
         raise ValueError("index must be positive")
     u, v = x_(i), x_(i + 1)
-    alphabet, w = f._alphabet, max(f._width, 1)  # a constant's ints are all 0
-    k = bisect_left(alphabet, u)
-    has_u = k < len(alphabet) and alphabet[k] == u
-    has_v = k + has_u < len(alphabet) and alphabet[k + has_u] == v
-    # fields above x_{i+1} move up to make room for any of the two it lacks
-    high = (k + has_u + has_v) * w
-    alphabet = alphabet[:k] + (u, v) + alphabet[high // w:]
-    su, sv, mask = k * w, (k + 1) * w, (1 << w) - 1
-    amask, bmask, bat = mask * has_u, mask * has_v, su + w * has_u
-    low, step = (1 << su) - 1, (1 << su) - (1 << sv)
+    w = max(f._width, 1)  # a constant's ints are all 0
+    alphabet = f._alphabet + tuple(x for x in (u, v) if x not in f._alphabet)
+    su, sv, mask = alphabet.index(u) * w, alphabet.index(v) * w, (1 << w) - 1
+    step = (1 << sv) - (1 << su)
     acc: dict[int, int | Fraction] = {}
     get = acc.get
     for shift, sign in shifts:
+        up, down = (shift << sv) - (1 << su), shift - 1 << sv
         for m, c in f._packed.items():
-            a, b = m >> su & amask, (m >> bat & bmask) + shift
-            if a == b:
+            d = (m >> su & mask) - (m >> sv & mask) - shift
+            if d > 0:
+                nm, s = m + up, step
+            elif d:
+                nm, s, d, c = m + down, -step, -d, -c
+            else:
                 continue
-            if a < b:
-                a, b, c = b, a, -c
             if sign < 0:
                 c = -c
-            first = (m & low | m >> high << sv + w) + (b << su) + (a - 1 << sv)
-            for nm in range(first, first + (a - b) * step, step):
+            if d == 1:
                 acc[nm] = get(nm, 0) + c
+            else:
+                for nm in range(nm, nm + d * s, s):
+                    acc[nm] = get(nm, 0) + c
     return _collect(acc, alphabet, w)
 
 

@@ -524,8 +524,9 @@ class TestCoefficientMap:
 
 
 # every family, the auxiliary ("t", 0) of intersect_ideals among them, and
-# exponents up to 9, so layouts of several alphabets and widths meet
-MIXED = VARIABLES + [("t", 0), y_(4), z_(2, 3), z_(3, 1)]
+# exponents up to 9, so layouts of several alphabets and widths meet; with
+# x[6], a divided difference opens x[5] or x[6] on top and sorts it below y
+MIXED = VARIABLES + [x_(6), ("t", 0), y_(4), z_(2, 3), z_(3, 1)]
 mixed_polys = st.builds(
     Polynomial.from_dict,
     st.dictionaries(
@@ -580,13 +581,20 @@ class TestPackedAgainstPairKernels:
         assert lead_monomial(f, order) == max(f.coeffs, key=order.key)
 
     def test_descent_from_the_staircase(self):
-        # a whole double Schubert chain of S_4, every step checked
-        f = schubpoly._double_staircase(4)
-        for i in (3, 2, 1, 3, 2, 3):
-            want = pair_difference(dict(f.coeffs), i, ((0, 1),))
-            f = divided_difference(f, i)
-            assert_matches(f, want)
-        assert f == ONE
+        # whole double Schubert and Grothendieck chains of S_5, every step
+        # checked; some steps open x_{i+1} and keep it, some drop x_i
+        opened = vanished = 0
+        for f, op, shifts in ((schubpoly._double_staircase(5), divided_difference, ((0, 1),)),
+                              (schubpoly._staircase(5), isobaric_divided_difference, ((0, 1), (1, -1)))):
+            for i in (4, 3, 2, 1, 4, 3, 2, 4, 3, 4):
+                want = pair_difference(dict(f.coeffs), i, shifts)
+                g = op(f, i)
+                assert_matches(g, want)
+                opened += x_(i + 1) not in f.variables() and x_(i + 1) in g.variables()
+                vanished += x_(i) in f.variables() and x_(i) not in g.variables()
+                f = g
+            assert f == ONE
+        assert opened and vanished
 
 
 class TestLayout:
@@ -640,6 +648,11 @@ class TestLayout:
         # x1 * x2 is symmetric, so it passes through the divided difference
         assert divided_difference(f, 1) == x1 * x2 * divided_difference(x1**299, 1)
         assert_matches(divided_difference(f, 1), pair_difference(dict(f.coeffs), 1, ((0, 1),)))
+        # x[2]^7 fills its 3-bit field below y[1], and the isobaric shift
+        # lifts it to 8; without x[1], x[1] opens on top of y[1]
+        for h in (poly_from_text("x[2]^7 + x[1]*y[1]"), poly_from_text("x[2]^7 - y[1]")):
+            assert h._width == 3
+            assert_matches(isobaric_divided_difference(h, 1), pair_difference(dict(h.coeffs), 1, ((0, 1), (1, -1))))
         g = (x1 + y1) ** 40
         assert len(g.terms) == 41 and g.degree() == 40
         assert g.coefficient(monomial([(x_(1), 20), (y_(1), 20)])) == 137846528820
