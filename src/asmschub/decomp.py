@@ -16,7 +16,8 @@ of the matrix Schubert varieties of its permutation set (Weigandt,
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cmp_to_key, reduce
+from operator import or_
 
 from .asm import (
     PartialASM,
@@ -54,7 +55,8 @@ def schubert_decompose(
     Each minimal prime mask of J is read as a word, its cells in
     `reading_order`, and its 0-Hecke product is taken on one-line tuples.
     Components follow the canonical minimal-prime order: by their least
-    prime, compared as ascending bit lists.
+    prime, compared as ascending bit lists: the smaller of two primes holds
+    their lowest differing bit.
     """
     if isinstance(I, MonomialIdeal):
         J = I
@@ -67,8 +69,10 @@ def schubert_decompose(
         return (Permutation(tuple(range(1, grid + 1))),)
     if J.is_unit:
         raise ValueError("unit ideal has no minimal primes")
-    letters = [(1 << k, a) for k, a in reading_order([v[1:] for v in J._alphabet])]
-    primes = sorted(J._primes, key=lambda p: [k for k in range(p.bit_length()) if p >> k & 1])
+    held = reduce(or_, J._primes)  # the cells that some prime holds
+    bits, cells = zip(*((1 << k, v[1:]) for k, v in enumerate(J.variables) if held >> k & 1))
+    letters = [(bits[k], a) for k, a in reading_order(cells)]
+    primes = sorted(J._primes, key=cmp_to_key(lambda p, q: -1 if p & (p ^ q) & -(p ^ q) else 1))
     words = [[a for b, a in letters if p & b] for p in primes]
     line = tuple(range(1, max(grid, max(map(max, words)) + 1) + 1))
     return tuple(map(Permutation, dict.fromkeys(_hecke(line, word) for word in words)))

@@ -28,7 +28,7 @@ basis tails and, through `normal_form`, outside polynomials.  Packing
 and unpacking move fields by `poly._fields` and `poly._from_fields`; only
 a returned basis is tail-reduced and unpacked.  An initial ideal takes the
 leads of the packed minimal basis undecoded (tail reduction keeps every
-lead), their fields moved by `poly._mover` to `MonomialIdeal`'s layout.
+lead), their fields moved by `poly._mover` straight to their grid fields.
 
 The budget bounds both the S-pairs a computation pops and its reduction
 work.  A reduction step costs one unit per term of the reducer, times
@@ -54,7 +54,7 @@ from .poly import (
     antidiagonal_order,
     lead_monomial,
     var_to_text,
-    z_,
+    z_grid,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -319,14 +319,13 @@ def initial_ideal(I: Ideal, order: TermOrder, budget: int = DEFAULT_BUDGET) -> M
     """Minimal monomial generators of the lead terms of a Groebner basis: the
     reduced basis in I's cache, or else the packed minimal basis, whose leads
     pass over undecoded (tail reduction keeps every lead)."""
-    m, n = I.ambient
-    grid = [z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    grid = z_grid(*I.ambient)
     if ("gb", order) in I.cache:
         return monomial_ideal((lead_monomial(g, order) for g in I.cache["gb", order]), grid)
 
     def leads(ring: _Ring, minimal: list, meter: _Meter) -> MonomialIdeal:
-        move = _mover([(at, k * (ring.width + 1)) for k, at in enumerate(ring.shift.values())], ring.width)
-        return _packed_ideal(tuple(ring.shift), ring.width, [move(lead) for lead, _ in minimal], grid)
+        move = _mover([(at, grid.index(v) * (ring.width + 1)) for v, at in ring.shift.items()], ring.width)
+        return _packed_ideal(grid, ring.width, [move(lead) for lead, _ in minimal])
 
     return _groebner(order, I.generators, budget, leads)
 

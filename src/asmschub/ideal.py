@@ -24,7 +24,7 @@ from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matri
 from .groebner import DEFAULT_BUDGET, Ideal, initial_ideal
 from .monomial import MonomialIdeal, _count, _packed_ideal, codim as monomial_codim
 from .perm import Permutation, is_cdg
-from .poly import Polynomial, TermOrder, generic_minor, monomial, z_
+from .poly import Polynomial, TermOrder, generic_minor, monomial, z_, z_grid
 
 Schubertable = Union[PartialASM, Permutation]
 
@@ -108,7 +108,8 @@ def anti_diag_init(A: Schubertable) -> MonomialIdeal:
     No Groebner computation: the generators are already a basis for
     any antidiagonal order, so their lead terms generate the initial
     ideal.  J is built on grid masks: cell (r, c) is bit (r - 1) * ncols
-    + c - 1, the place of z[r,c] among the sorted variables.
+    + c - 1, the place of z[r,c] in `z_grid`, which is J's bit for z[r,c];
+    the masks pass to J as they are.
     """
     A = as_partial_asm(A)
     n = A.ncols
@@ -122,8 +123,7 @@ def anti_diag_init(A: Schubertable) -> MonomialIdeal:
                 for r, c in zip(rows, cols):
                     mask |= 1 << r + c
                 masks.append(mask)
-    grid = tuple(z_(i, j) for i in range(1, A.nrows + 1) for j in range(1, n + 1))
-    return _packed_ideal(grid, 1, masks, grid)
+    return _packed_ideal(z_grid(A.nrows, n), 1, masks)
 
 
 DEGENERATION_CACHE = 16  # ASMs whose J the Schubert homology calls share
@@ -157,20 +157,13 @@ DIAG_VARIANTS = ("LexSE", "LexNW", "RevLex")
 def diag_order(variant: str, m: int, n: int) -> TermOrder:
     """Term orders whose lead term on every minor is its diagonal."""
     if variant == "LexSE":
-        priority = [
-            z_(i, j) for i in range(m, 0, -1) for j in range(n, 0, -1)
-        ]
-        return TermOrder("lex", tuple(priority))
+        return TermOrder("lex", z_grid(m, n)[::-1])
     if variant == "LexNW":
-        priority = [z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-        return TermOrder("lex", tuple(priority))
+        return TermOrder("lex", z_grid(m, n))
     if variant == "RevLex":
         # most-penalized variable z[m,1]; within each row the western
         # entries are cheaper, rows from the top are dearer
-        priority = [
-            z_(i, j) for i in range(1, m + 1) for j in range(n, 0, -1)
-        ]
-        return TermOrder("grevlex", tuple(priority))
+        return TermOrder("grevlex", [z_(i, j) for i in range(1, m + 1) for j in range(n, 0, -1)])
     raise ValueError(f"unknown diagonal variant {variant!r}")
 
 
@@ -228,8 +221,7 @@ def _cdg_init(M: PartialASM, variant: str) -> MonomialIdeal:
             lead = _local_lead(variant, len(rows), tuple(bisect_right(cols, shape[r - 1]) for r in rows))
             if lead is not None:
                 masks.append(sum(1 << (rows[a] - 1) * n + cols[b] - 1 for a, b in lead))
-    grid = tuple(z_(i, j) for i in range(1, M.nrows + 1) for j in range(1, n + 1))
-    return _packed_ideal(grid, 1, masks, grid)
+    return _packed_ideal(z_grid(M.nrows, n), 1, masks)
 
 
 def diag_init(

@@ -1,7 +1,7 @@
 """Squarefree monomial ideals and Stanley-Reisner combinatorics.
 
-A `MonomialIdeal` holds one packed int per minimal generator, a support
-mask when squarefree; generator tuples are decoded only when read.
+A `MonomialIdeal` holds one packed int per minimal generator over its
+ambient variables, a support mask when squarefree; tuples decode on read.
 
 Minimal primes are minimal vertex covers of the generator supports,
 Stanley-Reisner facets are their complements, and graded Betti numbers
@@ -53,7 +53,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .poly import Monomial, Var, _mover, monomial, mono_to_text, poly_from_text, var_to_text
@@ -64,37 +64,36 @@ DEFAULT_FACE_LIMIT = 1 << 20
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal in the ambient `variables`: one packed int per minimal
-    generator, ascending, over `_alphabet`, the sorted variables they use.
-    `_width` is the bit length of the largest exponent.  Up to 1, the ints
-    are support masks, bit k for `_alphabet[k]`; else each variable has a
-    `_width`-bit field topped by a guard bit, so that a divides b when
-    ``((b | G) - a) & G == G`` for the guard mask G.  Equal ideals hold
-    equal fields.  `generators`, the (variable, exponent) tuples in tuple
-    order, is decoded on first read and kept."""
+    """Monomial ideal in the sorted ambient `variables`: one packed int per
+    minimal generator, ascending, over all of them, whether a generator uses
+    them or not.  `_width` is the bit length of the largest exponent.  Up
+    to 1, the ints are support masks, bit k for `variables[k]`; else each
+    variable has a `_width`-bit field topped by a guard bit, so that a
+    divides b when ``((b | G) - a) & G == G`` for the guard mask G.  Equal
+    ideals hold equal fields.  `generators`, the (variable, exponent)
+    tuples in tuple order, is decoded on first read and kept."""
 
     variables: tuple[Var, ...]
-    _alphabet: tuple[Var, ...]
     _width: int
     _packed: tuple[int, ...]
 
     @cached_property
     def generators(self) -> tuple[Monomial, ...]:
         step, field = _layout(self._width)
-        return tuple(sorted(tuple((v, e) for k, v in enumerate(self._alphabet) if (e := m >> k * step & field))
+        return tuple(sorted(tuple((v, e) for k, v in enumerate(self.variables) if (e := m >> k * step & field))
                             for m in self._packed))
 
     @cached_property
     def _supports(self) -> tuple[int, ...]:
-        """The support of each generator as a mask over `_alphabet`."""
+        """The support of each generator as a mask over `variables`."""
         if self.is_squarefree:
             return self._packed
         step, field = _layout(self._width)
-        return tuple(sum(1 << k for k in range(len(self._alphabet)) if m >> k * step & field) for m in self._packed)
+        return tuple(sum(1 << k for k in range(len(self.variables)) if m >> k * step & field) for m in self._packed)
 
     @cached_property
     def _primes(self) -> tuple[int, ...]:
-        """Minimal primes as masks over `_alphabet`, ascending."""
+        """Minimal primes as masks over `variables`, ascending."""
         return tuple(_cover_masks(self._supports))
 
     # the search `vertex_decomposition_reg` reads, made once per ideal
@@ -120,11 +119,18 @@ def _layout(width: int) -> tuple[int, int]:  # (bits per variable, field mask)
 def monomial_ideal(
     monos: Iterable[Monomial], variables: Iterable[Var] | None = None
 ) -> MonomialIdeal:
+    """The ideal of `monos` in `variables`, by default those its minimal generators use."""
     monos = set(map(monomial, monos))  # canonical, no negative exponent
-    alphabet = tuple(sorted({v for m in monos for v, _ in m}))
+    used = {v for m in monos for v, _ in m}
+    ambient = tuple(sorted(used if variables is None else set(variables)))
+    if missing := used.difference(ambient):
+        raise ValueError("generators use variables outside the ambient set: " + ", ".join(sorted(map(var_to_text, missing))))
     width = max((e for m in monos for _, e in m), default=0).bit_length()
-    at = {v: k * _layout(width)[0] for k, v in enumerate(alphabet)}
-    return _packed_ideal(alphabet, width, [sum(e << at[v] for v, e in m) for m in monos], variables)
+    at = {v: k * _layout(width)[0] for k, v in enumerate(ambient)}
+    J = _packed_ideal(ambient, width, [sum(e << at[v] for v, e in m) for m in monos])
+    if variables is None and reduce(or_, J._supports, 0).bit_count() < len(ambient):
+        return monomial_ideal(J.generators)  # a dropped generator used more variables
+    return J
 
 
 def _minimal_sets(masks: Iterable[int]) -> list[int]:
@@ -135,31 +141,24 @@ def _minimal_sets(masks: Iterable[int]) -> list[int]:
     return out
 
 
-def _packed_ideal(alphabet: Sequence[Var], width: int, packed: Iterable[int], variables: Iterable[Var] | None) -> MonomialIdeal:
-    """The ideal of ints packed over the sorted `alphabet` with `width` as in
-    `MonomialIdeal`, in the ambient `variables` (by default those used): the
-    minimal ones, ascending, moved to the fields and width they need."""
-    step, field = _layout(width)
-    if width > 1:
-        guard = sum(1 << k * step + width for k in range(len(alphabet)))
-        kept: list[int] = []
-        for m in sorted(set(packed)):  # a proper divisor is a smaller int
-            if not any(((m | guard) - o) & guard == guard for o in kept):
-                kept.append(m)
-    else:
+def _packed_ideal(variables: tuple[Var, ...], width: int, packed: Iterable[int]) -> MonomialIdeal:
+    """The ideal in the sorted ambient `variables` of the ints packed over
+    them with `width` as in `MonomialIdeal`: the minimal ones, ascending,
+    narrowed to the width they need.  Field k stays `variables[k]`."""
+    if width < 2:
         kept = sorted(_minimal_sets(packed))
-    used = reduce(or_, kept, 0)
-    fields = [k for k in range(len(alphabet)) if used >> k * step & field]
+        return MonomialIdeal(variables, int(any(kept)), tuple(kept))
+    step, field = _layout(width)
+    guard = sum(1 << k * step + width for k in range(len(variables)))
+    kept = []
+    for m in sorted(set(packed)):  # a proper divisor is a smaller int
+        if not any(((m | guard) - o) & guard == guard for o in kept):
+            kept.append(m)
+    used, fields = reduce(or_, kept, 0), range(len(variables))
     top = max((used >> k * step & field for k in fields), default=0).bit_length()
-    if len(fields) < len(alphabet) or _layout(top) != (step, field):
-        # fields keep their order, and so the ints keep theirs
-        move = _mover([(k * step, j * _layout(top)[0]) for j, k in enumerate(fields)], top)
-        kept, alphabet = list(map(move, kept)), [alphabet[k] for k in fields]
-    ambient = tuple(sorted(set(alphabet if variables is None else variables)))
-    if missing := set(alphabet) - set(ambient):
-        names = ", ".join(sorted(var_to_text(v) for v in missing))
-        raise ValueError(f"generators use variables outside the ambient set: {names}")
-    return MonomialIdeal(ambient, tuple(alphabet), top, tuple(kept))
+    if top < width:  # fields keep their order, and so the ints keep theirs
+        kept = list(map(_mover([(k * step, k * _layout(top)[0]) for k in fields], top), kept))
+    return MonomialIdeal(variables, top, tuple(kept))
 
 
 def _cover_masks(supports: Iterable[int]) -> list[int]:
@@ -197,7 +196,7 @@ def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
     """
     if J.is_unit:
         raise ValueError("unit ideal has no minimal primes")
-    return tuple(sorted(tuple(v for i, v in enumerate(J._alphabet) if c >> i & 1) for c in J._primes))
+    return tuple(sorted(tuple(J.variables[i] for i in range(c.bit_length()) if c >> i & 1) for c in J._primes))
 
 
 def codim(J: MonomialIdeal) -> int:
@@ -232,11 +231,8 @@ def stanley_reisner_complex(J: MonomialIdeal) -> SimplicialComplex:
     """Facets are complements of the minimal primes in the ambient set."""
     if J.is_unit:
         raise ValueError("unit ideal has no Stanley-Reisner complex")
-    if J.is_zero:
-        return SimplicialComplex(J.variables, (J.variables,))
-    ambient = set(J.variables)
-    facets = [tuple(sorted(ambient - set(p))) for p in minimal_primes(J)]
-    return SimplicialComplex(J.variables, tuple(facets))
+    facets = tuple(tuple(v for v in J.variables if v not in p) for p in minimal_primes(J))
+    return SimplicialComplex(J.variables, facets)
 
 
 # -- work counters ----------------------------------------------------------
@@ -573,13 +569,13 @@ def betti_numbers(
     Keys are (homological degree, sorted multidegree support).
     """
     _require_squarefree(J)
-    variables, gens = J._alphabet, J._supports
+    variables, gens = J.variables, J._supports
     betti = {(0, ()): 1}
     lcms = _lcms(gens, max_lattice)
     if lcms is None:
         raise _lattice_guard(max_lattice)
     for sigma in _walk(lcms, False):
-        verts = tuple(v for u, v in enumerate(variables) if sigma >> u & 1)
+        verts = tuple(variables[u] for u in range(sigma.bit_length()) if sigma >> u & 1)
         for i, r in _betti_at(sigma, _divisors(sigma, gens), max_faces).items():
             betti[(i, verts)] = r
     return betti
@@ -665,19 +661,21 @@ VD_NODE_LIMIT = 10_000
 def _vd_h(facets: frozenset[int], memo: dict) -> tuple[int, ...] | None:
     """Restriction counts (h_0, h_1, ...) of the shelling from a vertex
     decomposition of the complex on the facet masks, pure or not (then the
-    h-vector), or None.  A shedding vertex v, tried highest first and never a
-    cone point, has each F - v in a facet without v; then h = h_del + t *
-    h_link, for its deletion {F : v not in F} and link {F - v : v in F}
-    decomposed in turn.  Past VD_NODE_LIMIT complexes in `memo` none is opened."""
+    h-vector), or None.  A shedding vertex v, tried highest first, has each
+    F - v in a facet without v; then h = h_del + t * h_link, for its nonempty
+    deletion {F : v not in F} and link {F - v : v in F} decomposed in turn,
+    so only a v in some facet and not all is tried: no unused bit or cone
+    point.  Past VD_NODE_LIMIT complexes in `memo` none is opened."""
     if len(facets) == 1:
         return (1,)
     if facets in memo or len(memo) >= VD_NODE_LIMIT:
         return memo.get(facets)
     memo[facets] = None
-    for u in reversed(range(max(facets).bit_length())):
+    free = reduce(or_, facets) & ~reduce(and_, facets)
+    for u in reversed([u for u in range(free.bit_length()) if free >> u & 1]):
         link = frozenset(F ^ 1 << u for F in facets if F >> u & 1)
         rest = frozenset(F for F in facets if not F >> u & 1)
-        if link and rest and all(any(G & ~H == 0 for H in rest) for G in link):
+        if all(any(G & ~H == 0 for H in rest) for G in link):
             h_link = _vd_h(link, memo)
             h_del = h_link and _vd_h(rest, memo)
             if h_del:
@@ -688,9 +686,9 @@ def _vd_h(facets: frozenset[int], memo: dict) -> tuple[int, ...] | None:
 
 
 def _vd_search(J: MonomialIdeal) -> tuple[int, ...] | None:
-    """`_vd_h` of the Stanley-Reisner complex of J, its nodes counted."""
+    """`_vd_h` of J's Stanley-Reisner complex, its primes' complements in the ambient, nodes counted."""
     memo: dict = {}
-    h = _vd_h(frozenset(((1 << len(J._alphabet)) - 1) ^ p for p in J._primes), memo)
+    h = _vd_h(frozenset(((1 << len(J.variables)) - 1) ^ p for p in J._primes), memo)
     _count(vd_nodes=len(memo))
     return h
 

@@ -49,6 +49,12 @@ def z_(i: int, j: int) -> Var:
     return ("z", i, j)
 
 
+def z_grid(m: int, n: int) -> tuple[Var, ...]:
+    """The z[i,j] of an m x n grid row-major, which is sorted: z[i,j] is the
+    ((i - 1) * n + j - 1)-th, its bit in a grid mask and a `MonomialIdeal`."""
+    return tuple(z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1))
+
+
 def var_to_text(v: Var) -> str:
     return f"{v[0]}[{','.join(str(k) for k in v[1:])}]"
 

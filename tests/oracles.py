@@ -260,19 +260,20 @@ def minimalize_by_exponents(monos: Iterable[Monomial]) -> tuple[Monomial, ...]:
 
 def monomial_ideal_by_exponents(
     monos: Iterable[Monomial], variables: Iterable[Var] | None = None
-) -> tuple[tuple[Monomial, ...], tuple[Var, ...], tuple[Var, ...], tuple[int, ...]]:
+) -> tuple[tuple[Monomial, ...], tuple[Var, ...], tuple[int, ...]]:
     """What `monomial_ideal` holds, through exponent tuples alone: the minimal
-    monomials by pairwise divisibility, sorted; the ambient variables; the
-    sorted variables used; and the support masks over those, bit k for the
-    k-th, in the order of the exponent vectors read from the last variable
-    down, which is the order of the packed ints."""
+    monomials by pairwise divisibility, sorted; the sorted ambient variables,
+    by default those the minimal ones use; and the support masks over the
+    ambient, bit k for the k-th, in the order of the exponent vectors read
+    from the last variable down, which is the order of the packed ints."""
+    monos = list(monos)
     gens = minimalize_by_exponents(monos)
-    used = tuple(sorted({v for m in gens for v in mono_support(m)}))
-    ambient = tuple(sorted(set(used) if variables is None else set(variables)))
-    if not set(used) <= set(ambient):
+    used = {v for m in (gens if variables is None else monos) for v in mono_support(m)}
+    ambient = tuple(sorted(used if variables is None else set(variables)))
+    if not used <= set(ambient):
         raise ValueError("generators use variables outside the ambient set")
-    by_int = sorted(gens, key=lambda m: [dict(m).get(v, 0) for v in reversed(used)])
-    return gens, ambient, used, tuple(sum(1 << used.index(v) for v in mono_support(m)) for m in by_int)
+    by_int = sorted(gens, key=lambda m: [dict(m).get(v, 0) for v in reversed(ambient)])
+    return gens, ambient, tuple(sum(1 << ambient.index(v) for v in mono_support(m)) for m in by_int)
 
 
 def antidiagonal_monomial(rows: tuple[int, ...], cols: tuple[int, ...]) -> Monomial:

@@ -32,7 +32,7 @@ from asmschub.ideal import (
     schubert_determinantal_ideal,
 )
 from asmschub.asm import as_permutation, enumerate_asms, make_partial_asm, permutation_matrix, rank_table
-from asmschub.monomial import codim as monomial_codim, collect_stats, mono_to_text
+from asmschub.monomial import codim as monomial_codim, collect_stats, mono_to_text, monomial_ideal
 from asmschub.perm import (
     Permutation,
     all_permutations,
@@ -51,6 +51,7 @@ from asmschub.poly import (
     monomial,
     poly_from_text,
     z_,
+    z_grid,
 )
 from oracles import (
     anti_diag_init_by_tuples,
@@ -194,8 +195,11 @@ class TestAntiDiagInit:
 def assert_same_as_tuple_route(A):
     J, want = anti_diag_init(A), anti_diag_init_by_tuples(A)
     assert "generators" not in J.__dict__  # built on grid masks, no tuple decoded
-    assert (J.generators, J.variables, J._alphabet, J._supports) == want, A
-    assert J._primes == tuple(sorted(cover_masks_all_pairs(want[3]))), A
+    assert (J.generators, J.variables, J._supports) == want, A
+    # J holds the grid masks themselves, z[r,c] at bit (r - 1) * ncols + c - 1
+    n = as_partial_asm(A).ncols
+    assert J._packed == tuple(sorted(sum(1 << (v[1] - 1) * n + v[2] - 1 for v, _ in m) for m in want[0])), A
+    assert J._primes == tuple(sorted(cover_masks_all_pairs(want[2]))), A
 
 
 class TestAntiDiagInitOnMasks:
@@ -222,6 +226,18 @@ class TestAntiDiagInitOnMasks:
         assert len(corners) > 200
         for rows in sorted(corners):
             assert_same_as_tuple_route(make_partial_asm(rows))
+
+    def test_three_constructors_agree(self):
+        # grid masks, generator tuples and the packed leads of a Buchberger
+        # run give one packed form over the grid, equal and equally hashed
+        asms = enumerate_asms(4) + random.Random(29).sample(enumerate_asms(5), 30)
+        corners = [make_partial_asm([row[:n] for row in A.rows[:m]]) for A in asms[-6:] for m, n in ((3, 5), (5, 2))]
+        for A in asms + corners:
+            M = as_partial_asm(A)
+            masks = anti_diag_init(M)
+            tuples = monomial_ideal(anti_diag_init_by_tuples(M)[0], z_grid(M.nrows, M.ncols))
+            leads = initial_ideal(schubert_determinantal_ideal(M), antidiagonal_order(M.nrows, M.ncols))
+            assert masks == tuples == leads and hash(masks) == hash(tuples) == hash(leads), M
 
 
 class TestCodim:
@@ -442,7 +458,7 @@ class TestLocalLeadMemo:
             M = as_partial_asm(w)
             J = _cdg_init(M, variant)
             want = cdg_init_by_matchings(M, diag_order(variant, len(w), len(w)))
-            assert (J.generators, J.variables, J._alphabet, J._supports) == want, w
+            assert (J.generators, J.variables, J._supports) == want, w
 
     def test_memo_is_bounded_and_keyed_by_variant(self):
         assert _local_lead.cache_info().maxsize == LOCAL_LEAD_CACHE

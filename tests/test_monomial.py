@@ -176,8 +176,8 @@ class TestMonomialIdeal:
     def test_mask_route_against_exponents(self, monos, ambient):
         variables = X[:6] if ambient else None
         got, want = mi.monomial_ideal(monos, variables), monomial_ideal_by_exponents(monos, variables)
-        assert (got.generators, got.variables, got._alphabet, got._supports) == want
-        assert got._primes == tuple(sorted(cover_masks_all_pairs(want[3])))
+        assert (got.generators, got.variables, got._supports) == want
+        assert got._primes == tuple(sorted(cover_masks_all_pairs(want[2])))
         # the same ideal through wider exponent fields (each m^2 is redundant),
         # and through both codecs: one packed form, so equal and equally hashed
         for same in (
@@ -186,6 +186,12 @@ class TestMonomialIdeal:
             mi.monomial_ideal_from_text(mi.monomial_ideal_to_text(got), variables),
         ):
             assert same == got and hash(same) == hash(got)
+        # ambient variables that no generator uses change no invariant
+        if got.is_squarefree and not got.is_unit:
+            wide, used = mi.monomial_ideal(monos, X[:6]), mi.monomial_ideal(monos)
+            for invariant in (mi.minimal_primes, mi.codim, lambda J: set(mi.betti_numbers(J)),
+                              mi.reg_quotient, mi.is_cm_quotient, mi.vertex_decomposition_reg):
+                assert invariant(wide) == invariant(used)
 
     def test_flags(self):
         assert mi.monomial_ideal([]).is_zero
@@ -196,6 +202,10 @@ class TestMonomialIdeal:
     def test_ambient_validation(self):
         with pytest.raises(ValueError, match="outside the ambient"):
             mi.monomial_ideal([sqfree(X[0])], [X[1]])
+        # every generator is checked, and the default ambient is that of the minimal ones
+        with pytest.raises(ValueError, match=r"outside the ambient set: x\[2\]$"):
+            mi.monomial_ideal([sqfree(X[0]), sqfree(X[0], X[1])], [X[0]])
+        assert mi.monomial_ideal([sqfree(X[0]), sqfree(X[0], X[1])]).variables == (X[0],)
         with pytest.raises(ValueError, match=r"negative exponent -1 on x\[1\]"):
             mi.monomial_ideal([((X[0], -1),)])
         # generator tuples are read as monomial() reads them
@@ -618,7 +628,7 @@ BULGE = make_partial_asm(
 
 
 def uses_dual_route(J: mi.MonomialIdeal) -> bool:
-    variables, gens, primes = J._alphabet, J._supports, J._primes
+    variables, gens, primes = J.variables, J._supports, J._primes
     assert sorted(tuple(v for u, v in enumerate(variables) if p >> u & 1) for p in primes) == list(
         mi.minimal_primes(J)
     )
