@@ -79,6 +79,13 @@ class PartialASM:
         return self.rows[i - 1][j - 1]
 
 
+def _unchecked(cls, name: str, value):
+    """A frozen dataclass with its one field set to a value valid by construction, not checked again."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, name, value)
+    return obj
+
+
 def make_partial_asm(matrix: Iterable[Iterable[int]]) -> PartialASM:
     return PartialASM(matrix)
 
@@ -140,10 +147,7 @@ def rank_table(A: PartialASM) -> RankTable:
             acc += col_acc[j]
             line.append(acc)
         out.append(tuple(line))
-    # valid by construction: A has checked these row and column prefix sums
-    T = object.__new__(RankTable)
-    object.__setattr__(T, "values", tuple(out))
-    return T
+    return _unchecked(RankTable, "values", tuple(out))  # A has checked these row and column prefix sums
 
 
 def rank_table_to_asm(T: RankTable) -> PartialASM:
@@ -287,10 +291,8 @@ def asm_sum(asms: Sequence[PartialASM]) -> PartialASM:
 
 
 def permutation_matrix(w: Permutation) -> PartialASM:
-    A = object.__new__(PartialASM)  # valid by construction, so not checked again
     cols = range(1, len(w) + 1)
-    object.__setattr__(A, "rows", tuple(tuple(int(j == v) for j in cols) for v in w.one_line))
-    return A
+    return _unchecked(PartialASM, "rows", tuple(tuple(int(j == v) for j in cols) for v in w.one_line))
 
 
 def as_permutation(A: PartialASM) -> Permutation | None:
@@ -302,57 +304,36 @@ def as_permutation(A: PartialASM) -> Permutation | None:
     return Permutation(tuple(row.index(1) + 1 for row in A.rows))
 
 
-def _row_candidates(n: int) -> list[tuple[int, ...]]:
-    # all ASM rows: prefix sums in {0,1}, total 1
-    rows = []
-
-    def build(prefix: list[int], s: int):
-        if len(prefix) == n:
-            if s == 1:
-                rows.append(tuple(prefix))
-            return
-        for e in (-1, 0, 1):
-            if s + e in (0, 1):
-                prefix.append(e)
-                build(prefix, s + e)
-                prefix.pop()
-
-    build([], 0)
-    return rows
-
-
 def _transitions(n: int) -> dict[tuple[int, ...], list]:
     """Column-sum state -> [(row, next state)], rows in lexicographic order.
 
-    A state is the tuple of running column sums, each 0 or 1.
+    A state is the tuple of running column sums, each 0 or 1; a row grows
+    an entry at a time, keeping its prefix sums and the column sums in {0, 1}.
     """
-    rows = _row_candidates(n)
     table: dict[tuple[int, ...], list] = {}
     todo = [(0,) * n]
     while todo:
         state = todo.pop()
         if state in table:
             continue
-        moves = []
-        for row in rows:
-            nxt = tuple(s + e for s, e in zip(state, row))
-            if all(v in (0, 1) for v in nxt):
-                moves.append((row, nxt))
-        table[state] = moves
-        todo.extend(nxt for _, nxt in moves)
+        moves = [((), 0)]
+        for c in state:
+            moves = [(row + (e,), s + e) for row, s in moves for e in (-1, 0, 1) if s + e in (0, 1) and c + e in (0, 1)]
+        table[state] = [(row, tuple(c + e for c, e in zip(state, row))) for row, s in moves if s == 1]
+        todo.extend(nxt for _, nxt in table[state])
     return table
 
 
 @lru_cache(maxsize=1)
 def _enumerate(n: int) -> tuple[PartialASM, ...]:
     # every row sums to 1, so after n rows the n column sums are all 1:
-    # each path of length n through the table is an ASM, none dead-ends
+    # each path of length n through the table is an ASM, none dead-ends: none is validated again
     table = _transitions(n)
     out: list[PartialASM] = []
 
     def place(chosen: tuple, state: tuple[int, ...]):
         if len(chosen) == n:
-            out.append(PartialASM(chosen))
+            out.append(_unchecked(PartialASM, "rows", chosen))
             return
         for row, nxt in table[state]:
             place(chosen + (row,), nxt)

@@ -16,11 +16,12 @@ of the matrix Schubert varieties of its permutation set (Weigandt,
 
 from __future__ import annotations
 
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key, lru_cache, reduce
 from operator import or_
 
 from .asm import (
     PartialASM,
+    _unchecked,
     as_permutation,
     asm_sum,
     complete_asm,
@@ -41,10 +42,21 @@ from .groebner import (
 )
 from .ideal import Schubertable, _degeneration, anti_diag_init, as_partial_asm, schubert_determinantal_ideal
 from .monomial import MonomialIdeal, is_cm_quotient, vertex_decomposition_reg
-from .perm import Permutation, _hecke, bruhat_leq, pad
-from .pipedream import reading_order
+from .perm import Permutation, bruhat_leq, pad
 
 Decomposable = MonomialIdeal | Ideal | Schubertable
+
+
+ROW_SCAN_CACHE = 16  # variable tuples whose row masks and letters `schubert_decompose` keeps
+
+
+@lru_cache(maxsize=ROW_SCAN_CACHE)
+def _row_scan(variables: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Grid size, row masks top down and letter i + j - 1 of each bit of sorted z-variables."""
+    rows: dict[int, int] = {}
+    for k, (_, i, _) in enumerate(variables):
+        rows[i] = rows.get(i, 0) | 1 << k
+    return max((max(v[1:]) for v in variables), default=1), tuple(rows.values()), tuple(i + j - 1 for _, i, j in variables)
 
 
 def schubert_decompose(
@@ -52,11 +64,11 @@ def schubert_decompose(
 ) -> tuple[Permutation, ...]:
     """Permutations labeling the components of the initial ideal.
 
-    Each minimal prime mask of J is read as a word, its cells in
-    `reading_order`, and its 0-Hecke product is taken on one-line tuples.
-    Components follow the canonical minimal-prime order: by their least
-    prime, compared as ascending bit lists: the smaller of two primes holds
-    their lowest differing bit.
+    Each minimal prime mask of J is read in one row scan, row masks top
+    down and each from its highest bit, which is reading order, folding the
+    0-Hecke swap of each cell's letter into a one-line list.  Components
+    follow their least prime in the canonical minimal-prime order, ascending
+    bit lists: the smaller of two primes holds their lowest differing bit.
     """
     if isinstance(I, MonomialIdeal):
         J = I
@@ -64,18 +76,27 @@ def schubert_decompose(
         J = initial_ideal(I, canonical_order(I.ambient), budget)
     else:
         J = anti_diag_init(as_partial_asm(I))
-    grid = max((max(v[1], v[2]) for v in J.variables), default=1)
+    grid, rows, letters = _row_scan(J.variables)
     if J.is_zero:
         return (Permutation(tuple(range(1, grid + 1))),)
     if J.is_unit:
         raise ValueError("unit ideal has no minimal primes")
     held = reduce(or_, J._primes)  # the cells that some prime holds
-    bits, cells = zip(*((1 << k, v[1:]) for k, v in enumerate(J.variables) if held >> k & 1))
-    letters = [(bits[k], a) for k, a in reading_order(cells)]
-    primes = sorted(J._primes, key=cmp_to_key(lambda p, q: -1 if p & (p ^ q) & -(p ^ q) else 1))
-    words = [[a for b, a in letters if p & b] for p in primes]
-    line = tuple(range(1, max(grid, max(map(max, words)) + 1) + 1))
-    return tuple(map(Permutation, dict.fromkeys(_hecke(line, word) for word in words)))
+    line = range(1, max(grid, max(letters[(held & r).bit_length() - 1] for r in rows if held & r) + 1) + 1)
+    least: dict[tuple[int, ...], int] = {}
+    for p in J._primes:
+        out = list(line)
+        for r in rows:
+            q = p & r
+            while q:
+                a = letters[k := q.bit_length() - 1]
+                if out[a - 1] < out[a]:
+                    out[a - 1], out[a] = out[a], out[a - 1]
+                q ^= 1 << k
+        if (o := least.get(w := tuple(out))) is None or p & (d := p ^ o) & -d:
+            least[w] = p
+    ranked = sorted(least, key=cmp_to_key(lambda u, v: -1 if least[u] & (d := least[u] ^ least[v]) & -d else 1))
+    return tuple(_unchecked(Permutation, "one_line", w) for w in ranked)  # Hecke products of the identity
 
 
 def perm_set_of_asm(A: Schubertable) -> tuple[Permutation, ...]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matrix, rank_table
+from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matrix
 from .groebner import DEFAULT_BUDGET, Ideal, initial_ideal
 from .monomial import MonomialIdeal, _count, _packed_ideal, codim as monomial_codim
 from .perm import Permutation, is_cdg
@@ -63,15 +63,22 @@ def asm_diagram(A: Schubertable) -> tuple[tuple[int, int], ...]:
 
 
 def asm_essential_boxes(A: Schubertable) -> tuple[EssentialBox, ...]:
-    """Maximally-southeast diagram cells with their rank bounds."""
+    """Maximally-southeast diagram cells with their rank bounds, row-major, in one pass
+    over the rows: a row's diagram flags and corner sums wait for the flags below."""
     A = as_partial_asm(A)
-    cells = set(asm_diagram(A))
-    T = rank_table(A)
-    return tuple(
-        EssentialBox((i, j), T(i, j))
-        for (i, j) in sorted(cells)
-        if (i + 1, j) not in cells and (i, j + 1) not in cells
-    )
+    n = A.ncols
+    cols, ranks, above, boxes = [0] * n, [0] * n, [False] * (n + 1), []
+    for i, row in enumerate((*A.rows, (1,) * n)):  # below the last row, one whose prefix sums are not 0
+        s, flags = 0, [False] * (n + 1)
+        for j, a in enumerate(row):
+            s += a
+            cols[j] += a
+            flags[j] = s == cols[j] == 0
+            if above[j] and not flags[j] and not above[j + 1]:
+                boxes.append(EssentialBox((i, j + 1), ranks[j]))
+            ranks[j] += s
+        above = flags
+    return tuple(boxes)
 
 
 def _minor_indices(box: EssentialBox) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:

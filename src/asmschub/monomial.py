@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .poly import Monomial, Var, _mover, monomial, mono_to_text, poly_from_text, var_to_text
 
@@ -79,17 +79,14 @@ class MonomialIdeal:
 
     @cached_property
     def generators(self) -> tuple[Monomial, ...]:
-        step, field = _layout(self._width)
-        return tuple(sorted(tuple((v, e) for k, v in enumerate(self.variables) if (e := m >> k * step & field))
-                            for m in self._packed))
+        return tuple(sorted(tuple((self.variables[k], e) for k, e in _fields(m, self._width)) for m in self._packed))
 
     @cached_property
     def _supports(self) -> tuple[int, ...]:
         """The support of each generator as a mask over `variables`."""
         if self.is_squarefree:
             return self._packed
-        step, field = _layout(self._width)
-        return tuple(sum(1 << k for k in range(len(self.variables)) if m >> k * step & field) for m in self._packed)
+        return tuple(sum(1 << k for k, _ in _fields(m, self._width)) for m in self._packed)
 
     @cached_property
     def _primes(self) -> tuple[int, ...]:
@@ -114,6 +111,15 @@ class MonomialIdeal:
 
 def _layout(width: int) -> tuple[int, int]:  # (bits per variable, field mask)
     return (width + 1, (1 << width) - 1) if width > 1 else (1, 1)
+
+
+def _fields(m: int, width: int) -> Iterator[tuple[int, int]]:
+    """(k, exponent) of each nonzero field of a packed int, lowest first, each cleared once read."""
+    step, field = _layout(width)
+    while m:
+        k = ((m & -m).bit_length() - 1) // step
+        yield k, m >> k * step & field
+        m &= ~(field << k * step)
 
 
 def monomial_ideal(
@@ -164,28 +170,29 @@ def _packed_ideal(variables: tuple[Var, ...], width: int, packed: Iterable[int])
 def _cover_masks(supports: Iterable[int]) -> list[int]:
     """Minimal vertex covers of a family of support masks, ascending as ints.
 
-    Computed by Berge multiplication: fold the supports in one at a time,
-    extending each partial cover c that misses the new support s by each
-    bit of s and discarding non-minimal results.  The covers that hit s
-    stay minimal, and c | bit contains one of them, o, exactly when o & s
-    is that single bit and the rest o ^ bit lies inside c; only those
-    rests are tested.  No two kept extensions coincide.
+    Berge multiplication folds the supports s in one at a time.  One partition
+    pass splits the covers into those that hit s, which stay minimal, and those
+    that miss it, and collects the rest o ^ bit of each o that meets s in a single
+    bit.  Only a c that misses s is extended, by each bit of s: c | bit contains
+    an old cover o exactly when o & s is that bit and its rest lies inside c, so
+    only those rests are tested.  No two kept extensions coincide.
     """
     covers = [0]
     for s in _minimal_sets(supports):
-        rests = [(o ^ hit, hit) for o in covers if (hit := o & s) and not hit & (hit - 1)]
-        bits = [1 << k for k in range(s.bit_length()) if s >> k & 1]
-        grown = []
-        for c in covers:
-            if c & s:
-                grown.append(c)
-                continue
-            gone = 0  # the bits whose extensions of c contain an old cover
+        hit, miss, rests = [], [], []
+        for o in covers:
+            (hit if (meet := o & s) else miss).append(o)
+            if meet and not meet & (meet - 1):
+                rests.append((o ^ meet, meet))
+        for c in miss:  # none when every cover hits s, which is then skipped
+            free = s  # the bits whose extensions of c contain no old cover
             for r, bit in rests:
                 if not r & ~c:
-                    gone |= bit
-            grown += [c | bit for bit in bits if not gone & bit]
-        covers = grown
+                    free &= ~bit
+            while free:
+                hit.append(c | free & -free)
+                free &= free - 1
+        covers = hit
     return sorted(covers)
 
 

@@ -49,9 +49,13 @@ def z_(i: int, j: int) -> Var:
     return ("z", i, j)
 
 
+Z_GRID_CACHE = 16  # grid shapes whose variables `z_grid` keeps
+
+
+@lru_cache(maxsize=Z_GRID_CACHE)
 def z_grid(m: int, n: int) -> tuple[Var, ...]:
-    """The z[i,j] of an m x n grid row-major, which is sorted: z[i,j] is the
-    ((i - 1) * n + j - 1)-th, its bit in a grid mask and a `MonomialIdeal`."""
+    """The z[i,j] of an m x n grid row-major, which is sorted: z[i,j] is the ((i - 1) * n + j - 1)-th,
+    its bit in a grid mask and a `MonomialIdeal`.  One tuple per shape, kept."""
     return tuple(z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1))
 
 

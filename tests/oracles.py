@@ -13,6 +13,9 @@ library answers faster by another route, and exists to cross-check it:
   keeps for `vertex_decomposition_reg`;
 - `determinantal_ideal_from_cells` takes the minors at every given
   cell, against the essential-box generators;
+- `essential_boxes_by_definition` reads the maximally southeast cells
+  off the whole diagram and the rank table, against the one row pass of
+  `asm_essential_boxes`;
 - `reisner_is_cm` recurses over vertex links, against the Betti-table
   test `is_cm_quotient`;
 - `collapse_points_by_rescan` recomputes every incidence after each
@@ -96,7 +99,15 @@ from typing import Iterable, Iterator, Mapping
 
 from asmschub.asm import PartialASM, complete_asm, permutation_matrix, rank_table
 from asmschub.groebner import DEFAULT_BUDGET, Ideal, _Meter, buchberger, canonical_order, normal_form
-from asmschub.ideal import EssentialBox, Schubertable, _matching_lead, _minor_indices, as_partial_asm, asm_essential_boxes
+from asmschub.ideal import (
+    EssentialBox,
+    Schubertable,
+    _matching_lead,
+    _minor_indices,
+    as_partial_asm,
+    asm_diagram,
+    asm_essential_boxes,
+)
 from asmschub.monomial import (
     DEFAULT_FACE_LIMIT,
     MonomialIdeal,
@@ -197,6 +208,19 @@ def determinantal_ideal_from_cells(
         for rows, cols in _minor_indices(EssentialBox((i, j), T(i, j)))
     ]
     return Ideal(tuple(dict.fromkeys(gens)), (A.nrows, A.ncols))
+
+
+def essential_boxes_by_definition(A: Schubertable) -> tuple[EssentialBox, ...]:
+    """The diagram cells with no diagram cell just south or just east,
+    row-major, each with its entry of the rank table."""
+    A = as_partial_asm(A)
+    cells = set(asm_diagram(A))
+    T = rank_table(A)
+    return tuple(
+        EssentialBox((i, j), T(i, j))
+        for (i, j) in sorted(cells)
+        if (i + 1, j) not in cells and (i, j + 1) not in cells
+    )
 
 
 def reisner_is_cm(K: SimplicialComplex) -> bool:

@@ -286,6 +286,14 @@ class TestEnumeration:
             out = asm.enumerate_asms(n)
             assert out == sorted(out, key=lambda A: A.rows)
 
+    def test_enumerated_matrices_pass_validation(self):
+        # `enumerate_asms` skips the checks, so each matrix must equal the
+        # one the validating constructor builds from its rows
+        for n in range(1, 6):
+            for A in asm.enumerate_asms(n):
+                B = PartialASM(A.rows)
+                assert A == B and hash(A) == hash(B) and A.rows == B.rows and A.is_asm
+
     def test_permutation_matrix_count(self):
         for n in (1, 2, 3, 4):
             perms = [A for A in asm.enumerate_asms(n) if asm.as_permutation(A)]

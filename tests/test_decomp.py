@@ -17,6 +17,7 @@ import pytest
 
 from asmschub import decomp
 from asmschub.asm import (
+    _transitions,
     enumerate_asms,
     make_partial_asm,
     permutation_matrix,
@@ -24,6 +25,8 @@ from asmschub.asm import (
     rank_table,
 )
 from asmschub.decomp import (
+    ROW_SCAN_CACHE,
+    _row_scan,
     get_asm,
     is_asm_ideal,
     is_asm_union,
@@ -43,8 +46,9 @@ from asmschub.groebner import (
     minimal_generators,
 )
 from asmschub.ideal import anti_diag_init, schubert_determinantal_ideal
-from asmschub.monomial import collect_stats, mono_to_text
-from asmschub.perm import Permutation, all_permutations, bruhat_leq, identity, pad
+from asmschub.monomial import collect_stats, minimal_primes, mono_to_text, monomial_ideal
+from asmschub.perm import Permutation, all_permutations, bruhat_leq, demazure_product, identity, pad
+from asmschub.poly import z_grid
 from oracles import components_by_primes, minimal_generators_by_rebuild, perm_set_brute_force
 
 # 3x3 ASM whose variety splits into the 312 and 231 components
@@ -52,6 +56,18 @@ SPLIT = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
 
 # recognized intersection I(3412) cap I(3241); see test_recognize_intersection
 MEET = make_partial_asm([[0, 0, 1, 0], [0, 1, 0, 0], [1, -1, 0, 1], [0, 1, 0, 0]])
+
+# 5x5 ASM whose two components interleave in the canonical prime order:
+# their primes read 32541, 34512, 32541, 32541
+WEAVE = make_partial_asm(
+    [
+        [0, 0, 1, 0, 0],
+        [0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 1],
+        [1, -1, 0, 1, 0],
+        [0, 1, 0, 0, 0],
+    ]
+)
 
 # 5x5 ASM with a non-Cohen-Macaulay coordinate ring
 BULGE = make_partial_asm(
@@ -120,6 +136,57 @@ class TestDecomposeDifferential:
             want = components_by_primes(initial_ideal(I, canonical_order(I.ambient)))
             assert schubert_decompose(I) == want
         assert schubert_decompose(anti_diag_init(SPLIT)) == components_by_primes(anti_diag_init(SPLIT))
+
+    def test_monomial_ideals_on_part_of_a_grid(self):
+        # the row scan must not assume a full grid: J cut down to a grid
+        # missing a row, missing a column, or not square
+        parts = [
+            lambda i, j: i != 2,
+            lambda i, j: j != 3,
+            lambda i, j: i <= 3,
+            lambda i, j: j <= 4 and i != 1,
+        ]
+        for A in random.Random(30).sample(enumerate_asms(5), 60):
+            J = anti_diag_init(A)
+            for keep in parts:
+                S = [v for v in z_grid(5, 5) if keep(*v[1:])]
+                K = monomial_ideal([g for g in J.generators if all(keep(*v[1:]) for v, _ in g)], S)
+                assert K.variables == tuple(S)
+                assert schubert_decompose(K) == components_by_primes(K), (A.rows, S)
+
+    def test_random_ideals_on_scattered_cells(self):
+        rng = random.Random(30)
+        for _ in range(300):
+            S = rng.sample(z_grid(4, 5), rng.randint(1, 20))
+            gens = [[(v, 1) for v in rng.sample(S, rng.randint(1, min(3, len(S))))] for _ in range(rng.randint(1, 5))]
+            K = monomial_ideal(gens, S)
+            assert schubert_decompose(K) == components_by_primes(K), (S, gens)
+
+    def test_seeded_7x7_walks(self):
+        # each walk of 7 rows through the transition table is a 7x7 ASM
+        rng, table = random.Random(30), _transitions(7)
+        for _ in range(25):
+            rows, state = [], (0,) * 7
+            for _ in range(7):
+                row, state = rng.choice(table[state])
+                rows.append(row)
+            A = make_partial_asm(rows)
+            assert A.is_asm
+            assert schubert_decompose(A) == components_by_primes(anti_diag_init(A)), A.rows
+
+    def test_interleaved_components_keep_their_least_prime(self):
+        J = anti_diag_init(WEAVE)
+        by_prime = [demazure_product(tuple(i + j - 1 for _, i, j in sorted(P, key=lambda v: (v[1], -v[2]))), 5)
+                    for P in minimal_primes(J)]
+        u, w = Permutation((3, 2, 5, 4, 1)), Permutation((3, 4, 5, 1, 2))
+        assert by_prime == [u, w, u, u]  # the last prime of u follows the first of w
+        assert schubert_decompose(J) == components_by_primes(J) == (u, w)
+
+    def test_row_scan_memo_is_bounded(self):
+        assert _row_scan.cache_info().maxsize == ROW_SCAN_CACHE
+        grid, rows, letters = _row_scan(tuple(v for v in z_grid(3, 4) if v[2] != 2))
+        assert grid == 4 and rows == (0b111, 0b111000, 0b111000000)
+        assert letters == (1, 3, 4, 2, 4, 5, 3, 5, 6)
 
 
 class TestPermSet:

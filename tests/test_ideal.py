@@ -58,6 +58,7 @@ from oracles import (
     cdg_init_by_matchings,
     cover_masks_all_pairs,
     determinantal_ideal_from_cells,
+    essential_boxes_by_definition,
     initial_ideal_by_reduced_basis,
 )
 
@@ -89,6 +90,51 @@ class TestDiagram:
     def test_identity_has_empty_diagram(self):
         assert asm_diagram(identity(4)) == ()
         assert asm_essential_boxes(identity(4)) == ()
+
+
+def random_partial_asm(rng: random.Random, m: int, n: int):
+    """A partial ASM filled cell by cell, each entry drawn among those that
+    keep its row and column prefix sums in {0, 1}, then widened by an
+    all-zero row and an all-zero column at random places half the time
+    each, which keeps every prefix sum in {0, 1}."""
+    rows, cols = [], [0] * n
+    for _ in range(m):
+        row, s = [], 0
+        for j in range(n):
+            e = rng.choice([e for e in (-1, 0, 1) if s + e in (0, 1) and cols[j] + e in (0, 1)])
+            row.append(e)
+            s, cols[j] = s + e, cols[j] + e
+        rows.append(row)
+    if rng.random() < 0.5:
+        rows.insert(rng.randint(0, m), [0] * n)
+    if rng.random() < 0.5:
+        k = rng.randint(0, n)
+        rows = [row[:k] + [0] + row[k:] for row in rows]
+    return make_partial_asm(rows)
+
+
+class TestEssentialBoxesByDefinition:
+    """`asm_essential_boxes` reads the boxes in one pass over the rows; the
+    oracle reads them off the whole diagram and the rank table."""
+
+    def test_every_asm_through_size_five(self):
+        for n in range(1, 6):
+            for A in enumerate_asms(n):
+                assert asm_essential_boxes(A) == essential_boxes_by_definition(A), A.rows
+
+    def test_seeded_6x6_sample(self):
+        for A in random.Random(30).sample(enumerate_asms(6), 300):
+            assert asm_essential_boxes(A) == essential_boxes_by_definition(A), A.rows
+
+    def test_seeded_rectangular_partial_asms(self):
+        rng = random.Random(30)
+        matrices = [random_partial_asm(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(300)]
+        zero_row = [A for A in matrices if not all(map(any, A.rows))]
+        zero_col = [A for A in matrices if not all(map(any, zip(*A.rows)))]
+        assert len(zero_row) > 50 and len(zero_col) > 50
+        assert any(A.nrows != A.ncols for A in matrices)
+        for A in matrices:
+            assert asm_essential_boxes(A) == essential_boxes_by_definition(A), A.rows
 
 
 class TestFultonGenerators:

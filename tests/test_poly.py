@@ -157,6 +157,11 @@ class TestOrdersAndLead:
         assert lead == monomial([(x_(1), 1)])
         assert f.coefficient(lead) == 1
 
+    def test_z_grid_is_one_kept_tuple_per_shape(self):
+        assert poly.z_grid.cache_info().maxsize == poly.Z_GRID_CACHE
+        assert poly.z_grid(2, 3) is poly.z_grid(2, 3) != poly.z_grid(3, 2)
+        assert poly.z_grid(2, 3) == tuple(sorted(z_(i, j) for i in (1, 2) for j in (1, 2, 3)))
+
     def test_lead_of_minor_antidiagonal(self):
         f = generic_minor([1, 2], [1, 2])
         lead = lead_monomial(f, antidiagonal_order(2, 2))
