@@ -110,7 +110,7 @@ from .pipedream import (
     render_pipe_dream,
     subword_complex_facets,
 )
-from .poly import poly_to_json, poly_to_text
+from .poly import poly_to_json, poly_to_text, var_to_text
 from .schubpoly import (
     GROTHENDIECK_ALGORITHMS,
     double_schubert_polynomial,
@@ -331,9 +331,7 @@ def _pipedream_facets(a):
     facets = subword_complex_facets(perm_from_text(a.perm))
     if a.count:
         return str(len(facets)), {"count": len(facets)}
-    text = "\n".join(
-        "{" + ",".join(f"{v[0]}[{v[1]},{v[2]}]" for v in F) + "}" for F in facets
-    )
+    text = "\n".join("{" + ",".join(map(var_to_text, F)) + "}" for F in facets)
     return text, {"facets": [[[v[1], v[2]] for v in F] for F in facets]}
 
 

@@ -43,6 +43,7 @@ from .groebner import (
 from .ideal import Schubertable, _degeneration, anti_diag_init, as_partial_asm, schubert_determinantal_ideal
 from .monomial import MonomialIdeal, is_cm_quotient, vertex_decomposition_reg
 from .perm import Permutation, bruhat_leq, pad
+from .poly import var_to_text
 
 Decomposable = MonomialIdeal | Ideal | Schubertable
 
@@ -72,6 +73,9 @@ def schubert_decompose(
     """
     if isinstance(I, MonomialIdeal):
         J = I
+        for v in J.variables:
+            if v[0] != "z" or len(v) != 3:
+                raise ValueError(f"variable {var_to_text(v)} is not a z[i,j]")
     elif isinstance(I, Ideal):
         J = initial_ideal(I, canonical_order(I.ambient), budget)
     else:

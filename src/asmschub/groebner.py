@@ -7,28 +7,22 @@ a hard work budget makes a runaway computation fail loudly instead of
 hanging.  Built for determinantal ideals on modest grids, not for
 general-purpose computation.
 
-Monomials are packed into ints (Bachmann and Schoenemann, "Monomial
-representations for Groebner bases computations", ISSAC 1998).  Each
-variable of a computation gets a field of w bits, as does the degree,
-and each field is topped by a guard bit that stays clear.  Under lex the
-variable fields run from the top in priority order and the degree field
-is lowest, so a monomial is its own key; under grevlex the degree field
-is on top with the variable fields below it in reversed priority, and
-the key complements the variable fields.  A product is a sum, a quotient
-a difference, ``a`` divides ``b`` when ``((b | G) - a) & G == G`` for
-the guard mask G, and the same guard bits pick the field-wise max of an
-lcm.  Every packed input, product and lcm is checked against the
-guards (a quotient cannot overflow); an overflow restarts the
-computation with fields twice as wide, from `MIN_WIDTH`, so the width
-never changes a basis, a counter or a budget trip.  A basis is a list
-of monic entries ``(lead, tail)``, the tail holding the other
-``(monomial, coefficient)`` pairs, with coefficients kept as ints while
-their denominator is 1.  One kernel, `_reduce`, reduces S-polynomials,
-basis tails and, through `normal_form`, outside polynomials.  Packing
-and unpacking move fields by `poly._fields` and `poly._from_fields`; only
-a returned basis is tail-reduced and unpacked.  An initial ideal takes the
-leads of the packed minimal basis undecoded (tail reduction keeps every
-lead), their fields moved by `poly._mover` straight to their grid fields.
+Monomials are the ints of a `poly._Ring`, which packs them with one
+guarded field per variable and one for the degree, so that an int's key
+is the term order.  A product is a sum, a quotient a difference, ``a``
+divides ``b`` when ``((b | G) - a) & G == G`` for the guard mask G, and
+the same guard bits pick the field-wise max of an lcm.  Every packed
+input, product and lcm is checked against the guards (a quotient cannot
+overflow); an overflow restarts the computation with fields twice as
+wide, from `MIN_WIDTH`, so the width never changes a basis, a counter
+or a budget trip.  A basis is a list of monic entries ``(lead, tail)``,
+the tail holding the other ``(monomial, coefficient)`` pairs, with
+coefficients kept as ints while their denominator is 1.  One kernel,
+`_reduce`, reduces S-polynomials, basis tails and, through
+`normal_form`, outside polynomials.  Only a returned basis is
+tail-reduced and unpacked.  An initial ideal takes the leads of the
+packed minimal basis undecoded (tail reduction keeps every lead), their
+fields moved by `poly._mover` straight to their grid fields.
 
 The budget bounds both the S-pairs a computation pops and its reduction
 work.  A reduction step costs one unit per term of the reducer, times
@@ -47,13 +41,11 @@ from .monomial import MonomialIdeal, _count, _packed_ideal, monomial_ideal
 from .poly import (
     Polynomial,
     TermOrder,
-    _fields,
-    _from_fields,
+    _Overflow,
+    _Ring,
     _mover,
-    _plain,
     antidiagonal_order,
     lead_monomial,
-    var_to_text,
     z_grid,
 )
 
@@ -114,55 +106,6 @@ class Ideal:
             for v in g.variables():
                 if v[0] != "z" or not (1 <= v[1] <= m and 1 <= v[2] <= n):
                     raise ValueError(f"variable outside the {m}x{n} ambient grid")
-
-
-class _Overflow(Exception):
-    """A packed exponent or degree outgrew its field."""
-
-
-class _Ring:
-    """The monomials of one computation packed with `width`-bit fields."""
-
-    def __init__(self, order: TermOrder, polys, width: int):
-        rank = {v: k for k, v in enumerate(order.priority)}
-        used = set().union(*(g.variables() for g in polys))
-        for v in sorted(used - rank.keys()):
-            raise ValueError(f"variable {var_to_text(v)} not covered by the term order")
-        n, s, lex = len(used), width + 1, order.kind == "lex"
-        shifts = [s * (n - k) if lex else s * k for k in range(n)]  # by priority
-        self.shift = dict(sorted(zip(sorted(used, key=rank.get), shifts)))  # in variable order
-        self.width, self.field, self.deg = width, (1 << width) - 1, 0 if lex else s * n
-        self.guard = sum(1 << (sh + width) for sh in shifts + [self.deg])
-        self.varmask = sum(self.field << sh for sh in shifts)
-        self.flip = 0 if lex else self.varmask  # the key of m is m ^ flip
-        self.ones, self.top = sum(1 << (s * k) for k in range(n)), max(shifts, default=0)
-
-    def pack(self, f: Polynomial) -> dict:
-        if f.degree() > self.field:  # no exponent exceeds it
-            raise _Overflow
-        return _fields(f, self.shift, self.deg)
-
-    def unpack(self, terms) -> Polynomial:
-        return _from_fields(terms, self.shift, self.deg, self.width)
-
-    def lcm(self, a: int, b: int) -> int:
-        """Field-wise max, where the guard bits of (a | G) - b mark a >= b.
-        Each partial sum of its fields is below 2^(width+1), so one field
-        of v * ones, the top one, holds the degree without carries."""
-        t = ((a | self.guard) - b) & self.guard
-        keep = t - (t >> self.width)
-        v = ((a & keep) | (b & ~keep)) & self.varmask
-        d = (v * self.ones) >> self.top & (2 * self.field + 1)
-        if d > self.field:
-            raise _Overflow
-        return v | d << self.deg
-
-    def monic(self, coeffs: dict) -> tuple[int, tuple]:
-        """The entry (lead, tail) of coeffs divided by its lead coefficient."""
-        lead = max(coeffs, key=lambda m: m ^ self.flip)
-        lc = coeffs[lead]
-        return lead, tuple((m, c if lc == 1 else _plain(Fraction(c, lc)))
-                           for m, c in coeffs.items() if m != lead)
 
 
 def _reduce(ring: _Ring, coeffs: dict, basis: list, meter: _Meter) -> dict:
@@ -380,13 +323,12 @@ def minimal_generators(I: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[Polynomi
     budgets of the bases they reduce against.
     """
     order = canonical_order(I.ambient)
+    gens = list(dict.fromkeys(I.generators))
+    ring = _Ring(order, gens, max([1, *map(Polynomial.degree, gens)]).bit_length())
     meter = _Meter(budget)
     kept: list[Polynomial] = []
     basis: tuple[Polynomial, ...] | None = ()  # None once kept has outgrown it
-    for g in sorted(
-        dict.fromkeys(I.generators),
-        key=lambda f: (f.degree(), order.key(lead_monomial(f, order))),
-    ):
+    for g in sorted(gens, key=lambda f: (f.degree(), max(m ^ ring.flip for m in ring.pack(f)))):
         if basis is None:
             basis = buchberger(kept, order, budget)
         g = normal_form(g, basis, order, meter)

@@ -24,7 +24,7 @@ from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matri
 from .groebner import DEFAULT_BUDGET, Ideal, initial_ideal
 from .monomial import MonomialIdeal, _count, _packed_ideal, codim as monomial_codim
 from .perm import Permutation, is_cdg
-from .poly import Polynomial, TermOrder, generic_minor, monomial, z_, z_grid
+from .poly import Polynomial, TermOrder, _collect, _leibniz, generic_minor, lead_monomial, z_, z_grid
 
 Schubertable = Union[PartialASM, Permutation]
 
@@ -174,32 +174,6 @@ def diag_order(variant: str, m: int, n: int) -> TermOrder:
     raise ValueError(f"unknown diagonal variant {variant!r}")
 
 
-def _has_matching(rows, cells) -> bool:
-    """Whether the cells match every row to a distinct column."""
-    reach = {0}
-    for r in rows:
-        reach = {used | 1 << c for used in reach for i, c in cells if i == r and not used >> c & 1}
-    return bool(reach)
-
-
-def _matching_lead(rows, cols, zero, order: TermOrder):
-    """Lead monomial of a minor with the `zero` cells set to 0, or None.
-    Its monomials, with no cancellation, are the row-column matchings off
-    the zero cells: lex keeps each cell, highest first, that a matching
-    still uses; grevlex drops each, lowest first, that a matching avoids."""
-    live = {(r, c) for r in rows for c in cols} - zero
-    if not _has_matching(rows, live):
-        return None
-    lex = order.kind == "lex"
-    for _, r, c in order.priority if lex else reversed(order.priority):
-        if (r, c) in live and lex:
-            trial = {(i, j) for i, j in live if (i == r) == (j == c)}
-            live = trial if _has_matching(rows, trial) else live - {(r, c)}
-        elif (r, c) in live and _has_matching(rows, live - {(r, c)}):
-            live = live - {(r, c)}
-    return monomial((z_(r, c), 1) for r, c in live)
-
-
 LOCAL_LEAD_CACHE = 1024  # (variant, k, mu) keys; all of S_7 under the three orders makes 546
 
 
@@ -210,10 +184,13 @@ def _local_lead(variant: str, k: int, mu: tuple[int, ...]) -> tuple[tuple[int, i
     rows R and columns C: rank-0 cells form a northwest shape lambda, so its
     zero cells are the first mu_a = #{c in C : c <= lambda_R[a]} of each
     local row a, and each diagonal order ranks cells monotonically by row
-    and by column, so on R x C it is the k x k order on local indices."""
-    zero = {(a, b) for a, m in enumerate(mu, 1) for b in range(1, m + 1)}
-    lead = _matching_lead(range(1, k + 1), range(1, k + 1), zero, diag_order(variant, k, k))
-    return None if lead is None else tuple((v[1] - 1, v[2] - 1) for v, _ in lead)
+    and by column, so on R x C it is the k x k order on local indices.  The
+    minor is the shared Leibniz map less its products through a zero cell,
+    as a determinant's products never cancel."""
+    w = k.bit_length()
+    zero = sum(1 << (a * k + b) * w for a, m in enumerate(mu) for b in range(m))
+    f = _collect({m: c for m, c in _leibniz(k).items() if not m & zero}, z_grid(k, k), w)
+    return None if f.is_zero else tuple((v[1] - 1, v[2] - 1) for v, _ in lead_monomial(f, diag_order(variant, k, k)))
 
 
 def _cdg_init(M: PartialASM, variant: str) -> MonomialIdeal:

@@ -207,7 +207,9 @@ def minimal_primes(J: MonomialIdeal) -> tuple[tuple[Var, ...], ...]:
 
 
 def codim(J: MonomialIdeal) -> int:
-    return min(len(p) for p in minimal_primes(J))
+    if J.is_unit:
+        raise ValueError("unit ideal has no minimal primes")
+    return min(p.bit_count() for p in J._primes)
 
 
 @dataclass(frozen=True)

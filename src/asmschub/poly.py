@@ -18,8 +18,12 @@ when whole, so kernels add plain ints.  An int compares by its top field
 first, so within one degree ascending ints are reverse-lex, and `terms`,
 the (monomial, Fraction) pairs in display order, is one sort of the
 ints.  `terms` and the read-only map `coeffs` are decoded on first read
-and kept; `groebner` moves monomials to its own layout and back by
-`_fields` and `_from_fields`.
+and kept.
+
+A term order ranks monomials in one place, the key of a `_Ring`, which
+moves a polynomial's ints to a layout in the order's priority and back
+by `_fields` and `_from_fields`.  The Groebner engine computes in a ring,
+and `lead_monomial` is the key's max in a ring as wide as the degree.
 """
 
 from __future__ import annotations
@@ -368,18 +372,6 @@ class TermOrder:
             self, "_pos", {v: k for k, v in enumerate(self.priority)}
         )
 
-    def key(self, m: Monomial) -> tuple[int, ...]:
-        """Flat tuple of ints: larger key means larger monomial."""
-        vec = [0] * len(self.priority)
-        for v, e in m:
-            k = self._pos.get(v)
-            if k is None:
-                raise ValueError(f"variable {var_to_text(v)} not covered by the term order")
-            vec[k] = e
-        if self.kind == "lex":
-            return tuple(vec)
-        return (sum(vec),) + tuple(-e for e in reversed(vec))
-
 
 def lex_order(priority: Sequence[Var]) -> TermOrder:
     return TermOrder("lex", tuple(priority))
@@ -397,30 +389,70 @@ def antidiagonal_order(m: int, n: int) -> TermOrder:
     return lex_order(priority)
 
 
+class _Overflow(Exception):
+    """A packed exponent or degree outgrew its field."""
+
+
+class _Ring:
+    """The monomials of one computation packed with `width`-bit fields
+    (Bachmann and Schoenemann, "Monomial representations for Groebner
+    bases computations", ISSAC 1998).  Each variable gets a field, as does
+    the degree, and each field is topped by a guard bit that stays clear.
+    Under lex the variable fields run from the top in priority order and
+    the degree field is lowest, so a monomial is its own key; under
+    grevlex the degree field is on top with the variable fields below it
+    in reversed priority, and the key m ^ flip complements the variable
+    fields."""
+
+    def __init__(self, order: TermOrder, polys, width: int):
+        used = set().union(*(g.variables() for g in polys))
+        for v in sorted(used - order._pos.keys()):
+            raise ValueError(f"variable {var_to_text(v)} not covered by the term order")
+        n, s, lex = len(used), width + 1, order.kind == "lex"
+        shifts = [s * (n - k) if lex else s * k for k in range(n)]  # by priority
+        self.shift = dict(sorted(zip(sorted(used, key=order._pos.get), shifts)))  # in variable order
+        self.width, self.field, self.deg = width, (1 << width) - 1, 0 if lex else s * n
+        self.guard = sum(1 << (sh + width) for sh in shifts + [self.deg])
+        self.varmask = sum(self.field << sh for sh in shifts)
+        self.flip = 0 if lex else self.varmask  # the key of m is m ^ flip
+        self.ones, self.top = sum(1 << (s * k) for k in range(n)), max(shifts, default=0)
+
+    def pack(self, f: Polynomial) -> dict:
+        if f.degree() > self.field:  # no exponent exceeds it
+            raise _Overflow
+        return _fields(f, self.shift, self.deg)
+
+    def unpack(self, terms) -> Polynomial:
+        return _from_fields(terms, self.shift, self.deg, self.width)
+
+    def lcm(self, a: int, b: int) -> int:
+        """Field-wise max, where the guard bits of (a | G) - b mark a >= b.
+        Each partial sum of its fields is below 2^(width+1), so one field
+        of v * ones, the top one, holds the degree without carries."""
+        t = ((a | self.guard) - b) & self.guard
+        keep = t - (t >> self.width)
+        v = ((a & keep) | (b & ~keep)) & self.varmask
+        d = (v * self.ones) >> self.top & (2 * self.field + 1)
+        if d > self.field:
+            raise _Overflow
+        return v | d << self.deg
+
+    def monic(self, coeffs: dict) -> tuple[int, tuple]:
+        """The entry (lead, tail) of coeffs divided by its lead coefficient."""
+        lead = max(coeffs, key=lambda m: m ^ self.flip)
+        lc = coeffs[lead]
+        return lead, tuple((m, c if lc == 1 else _plain(Fraction(c, lc)))
+                           for m, c in coeffs.items() if m != lead)
+
+
 def lead_monomial(f: Polynomial, order: TermOrder) -> Monomial:
-    """The largest monomial of f, decoded alone.  Lex keeps the ints with
-    the largest exponent of each variable in turn, highest priority first;
-    grevlex keeps those of largest degree, then the smallest exponent of
-    each variable, lowest priority first, until one int is left."""
+    """The largest monomial of f: the ring key's max over f's ints, in a
+    ring wide enough for f's degree, decoded alone."""
     if f.is_zero:
         raise ValueError("zero polynomial has no lead term")
-    for v in f._alphabet:
-        if v not in order._pos:
-            raise ValueError(f"variable {var_to_text(v)} not covered by the term order")
-    w, monos = f._width, list(f._packed)
-    pos, mask = {v: k * w for k, v in enumerate(f._alphabet)}, (1 << w) - 1
-    ranked, pick = sorted(f._alphabet, key=order._pos.get), max
-    if order.kind == "grevlex":
-        ones, dfield, _ = _degree_field(len(f._alphabet), w)
-        top = max(map(dfield.__and__, map(ones.__mul__, monos)))
-        monos = [m for m in monos if m * ones & dfield == top]
-        ranked, pick = ranked[::-1], min
-    for v in ranked:
-        if len(monos) == 1:
-            break
-        best = pick(m >> pos[v] & mask for m in monos)
-        monos = [m for m in monos if m >> pos[v] & mask == best]
-    return tuple((v, e) for v, s in pos.items() if (e := monos[0] >> s & mask))
+    ring = _Ring(order, [f], max(f.degree(), 1).bit_length())
+    lead = max(ring.pack(f), key=lambda m: m ^ ring.flip)
+    return tuple((v, e) for v, at in ring.shift.items() if (e := lead >> at & ring.field))
 
 
 LEIBNIZ_CACHE = 8  # minor sizes whose Leibniz map `generic_minor` keeps

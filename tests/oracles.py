@@ -31,7 +31,7 @@ library answers faster by another route, and exists to cross-check it:
   clearing of `_pivots` and `_boundary_ranks`;
 - `family_rank_key`, `dense_display_sort` and `nested_term_key` spell
   out the variable, term and term-order comparisons that plain tuple
-  order now gives the library;
+  order and the packed ring key now give the library;
 - `substitute`, `map_variables` and `swap_variables` evaluate a
   polynomial term by term, against the divided differences and the
   y-free parts of double Schubert polynomials;
@@ -45,9 +45,13 @@ library answers faster by another route, and exists to cross-check it:
   touching the ideal's cache, and decodes the lead of each member with
   `lead_monomial`, against `initial_ideal`, which hands the packed leads
   of the minimal basis over undecoded;
-- `cdg_init_by_matchings` runs `_matching_lead` on every Fulton minor
-  with its own rows, columns and the rank-0 cells of the rank table,
-  against `_cdg_init`, which reads each lead off the `_local_lead` memo;
+- `minor_lead_by_expansion` expands a minor with some cells set to 0
+  term by term and takes the largest monomial by `nested_term_key`,
+  and `cdg_init_by_matchings` runs it on every Fulton minor with its own
+  rows, columns and the rank-0 cells of the rank table (the minor's
+  monomials are the row-column matchings off those cells), against
+  `_cdg_init`, which reads each lead off the `_local_lead` memo, whose
+  leads come off the masked Leibniz map and the ring key;
 - `radical` and `intersect_monomial_ideals` build those monomial
   ideals from generators, which the library never needs:
   `minimal_primes` reads the radical off support masks, and ideals are
@@ -102,7 +106,6 @@ from asmschub.groebner import DEFAULT_BUDGET, Ideal, _Meter, buchberger, canonic
 from asmschub.ideal import (
     EssentialBox,
     Schubertable,
-    _matching_lead,
     _minor_indices,
     as_partial_asm,
     asm_diagram,
@@ -320,13 +323,20 @@ def initial_ideal_by_reduced_basis(I: Ideal, order: TermOrder, budget: int = DEF
     return monomial_ideal((lead_monomial(g, order) for g in basis), [z_(i, j) for i in range(1, m + 1) for j in range(1, n + 1)])
 
 
+def minor_lead_by_expansion(rows, cols, zero, order: TermOrder) -> Monomial | None:
+    """The largest monomial, by `nested_term_key`, of the minor on rows and
+    cols with the `zero` cells set to 0, or None when no term is left."""
+    monos = [m for m, _ in generic_minor(rows, cols).terms if not any(v[1:] in zero for v, _ in m)]
+    return max(monos, key=lambda m: nested_term_key(order, m), default=None)
+
+
 def cdg_init_by_matchings(M: PartialASM, order: TermOrder) -> tuple:
     """The variables at rank-0 cells, and the lead of every Fulton minor
-    with those cells set to 0, each through `_matching_lead` afresh."""
+    with those cells set to 0, each through `minor_lead_by_expansion` afresh."""
     T = rank_table(M)
     cells = [(i, j) for i in range(1, M.nrows + 1) for j in range(1, M.ncols + 1)]
     zero = {cell for cell in cells if T(*cell) == 0}
-    leads = [_matching_lead(rows, cols, zero, order) for box in asm_essential_boxes(M) for rows, cols in _minor_indices(box)]
+    leads = [minor_lead_by_expansion(rows, cols, zero, order) for box in asm_essential_boxes(M) for rows, cols in _minor_indices(box)]
     gens = [((z_(*cell), 1),) for cell in zero] + [m for m in leads if m is not None]
     return monomial_ideal_by_exponents(gens, [z_(*cell) for cell in cells])
 
@@ -673,7 +683,7 @@ def minimal_generators_by_rebuild(I: Ideal, budget: int = DEFAULT_BUDGET) -> tup
     chosen: list[Polynomial] = []
     for g in sorted(
         dict.fromkeys(I.generators),
-        key=lambda f: (f.degree(), order.key(lead_monomial(f, order))),
+        key=lambda f: (f.degree(), nested_term_key(order, lead_monomial(f, order))),
     ):
         if chosen:
             g = normal_form(g, buchberger(chosen, order, budget), order, meter)

@@ -101,6 +101,12 @@ class TestDecompose:
             I = schubert_determinantal_ideal(permutation_matrix(w))
             assert schubert_decompose(I) == (w,)
 
+    def test_variable_off_the_grid_is_named(self):
+        with pytest.raises(ValueError, match=r"^variable x\[1\] is not a z\[i,j\]$"):
+            schubert_decompose(monomial_ideal([((("x", 1), 1),)]))
+        with pytest.raises(ValueError, match=r"^variable z\[1\] is not a z\[i,j\]$"):
+            schubert_decompose(monomial_ideal([((("z", 1, 1), 1), (("z", 1), 1))]))
+
     def test_zero_ideal_decomposes_to_identity(self):
         I = schubert_determinantal_ideal(permutation_matrix(identity(3)))
         assert I.generators == ()

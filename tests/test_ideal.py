@@ -19,7 +19,6 @@ from asmschub.ideal import (
     LOCAL_LEAD_CACHE,
     _cdg_init,
     _local_lead,
-    _matching_lead,
     _minor_indices,
     anti_diag_init,
     as_partial_asm,
@@ -43,8 +42,6 @@ from asmschub.perm import (
     rothe_diagram,
 )
 from asmschub.poly import (
-    Polynomial,
-    TermOrder,
     antidiagonal_order,
     generic_minor,
     lead_monomial,
@@ -60,6 +57,7 @@ from oracles import (
     determinantal_ideal_from_cells,
     essential_boxes_by_definition,
     initial_ideal_by_reduced_basis,
+    minor_lead_by_expansion,
 )
 
 FULCRUM = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
@@ -435,24 +433,6 @@ class TestCdgShortcut:
                 diag_init(Permutation(entries), variant)
             assert tuple(s[k] for k in names) == counters, variant
 
-    def test_greedy_lead_matches_the_expanded_minor(self):
-        rng = random.Random(8)
-        grid = [z_(i, j) for i in range(1, 6) for j in range(1, 6)]
-        for _ in range(150):
-            k = rng.randint(1, 4)
-            rows = sorted(rng.sample(range(1, 6), k))
-            cols = sorted(rng.sample(range(1, 6), k))
-            zero = {(r, c) for r in rows for c in cols if rng.random() < 0.35}
-            f = Polynomial.from_dict({
-                m: c
-                for m, c in generic_minor(rows, cols).terms
-                if not any(v[1:] in zero for v, _ in m)
-            })
-            for kind in ("lex", "grevlex"):
-                order = TermOrder(kind, tuple(rng.sample(grid, len(grid))))
-                want = None if f.is_zero else lead_monomial(f, order)
-                assert _matching_lead(rows, cols, zero, order) == want
-
     def test_shortcut_spends_no_budget(self):
         asm = make_partial_asm([[0, 1, 0, 0], [1, -1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])
         with pytest.raises(GroebnerBudgetError, match="budget of 1"):
@@ -496,7 +476,22 @@ class TestLocalLeadMemo:
                     assert local == {(a, b) for a, m in enumerate(mu) for b in range(m)}
                     lead = _local_lead(variant, len(rows), mu)
                     got = None if lead is None else monomial((z_(rows[a], cols[b]), 1) for a, b in lead)
-                    assert got == _matching_lead(rows, cols, zero, order), (w, rows, cols)
+                    assert got == minor_lead_by_expansion(rows, cols, zero, order), (w, rows, cols)
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_large_minors_against_the_expansion(self, k):
+        # seeded northwest shapes, as a rank table gives, with mu[a] <= k - 1 - a
+        # so that a matching is left, and a mask that zeroes the wrong
+        # cells of a row shows
+        rng = random.Random(31 + k)
+        cells = range(1, k + 1)
+        for _ in range(6):
+            mu = tuple(sorted((rng.randint(0, k - a) for a in cells), reverse=True))
+            zero = {(a, b) for a, m in zip(cells, mu) for b in range(1, m + 1)}
+            for variant in DIAG_VARIANTS:
+                lead = _local_lead(variant, k, mu)
+                got = None if lead is None else monomial((z_(a + 1, b + 1), 1) for a, b in lead)
+                assert got == minor_lead_by_expansion(cells, cells, zero, diag_order(variant, k, k)), (variant, mu)
 
     @pytest.mark.parametrize("variant", DIAG_VARIANTS)
     def test_whole_ideal_against_matchings(self, variant):

@@ -279,6 +279,10 @@ class TestMinimalPrimes:
     def test_codim_zero_ideal(self):
         assert mi.codim(mi.monomial_ideal([])) == 0
 
+    def test_codim_unit_rejected(self):
+        with pytest.raises(ValueError, match="unit ideal"):
+            mi.codim(mi.monomial_ideal([()]))
+
     @given(ideals())
     @settings(max_examples=60, deadline=None)
     def test_against_cover_oracle(self, J):

@@ -193,6 +193,18 @@ class TestOrdersAndLead:
                     )
                     assert poly.lead_monomial(f, order) == anti
 
+    @pytest.mark.parametrize("kind", ["lex", "grevlex"])
+    def test_lead_of_wide_exponents(self, kind):
+        # exponents and degrees past 255 need fields wider than a byte
+        x1, x2, y1 = variable(x_(1)), variable(x_(2)), variable(y_(1))
+        wide = [x1 ** 300 + x1 ** 299 * x2, (x1 ** 130 + x2 ** 2 * y1) * (x1 * x2 ** 127 + y1 ** 130)]
+        assert wide[1].degree() == 260
+        for priority in ([x_(1), x_(2), y_(1)], [y_(1), x_(2), x_(1)]):
+            order = poly.TermOrder(kind, tuple(priority))
+            for f in wide:
+                assert lead_monomial(f, order) == max(f.coeffs, key=lambda m: nested_term_key(order, m))
+        assert lead_monomial(wide[0], lex_order([x_(2), x_(1)])) == ((x_(1), 299), (x_(2), 1))
+
     def test_grevlex_vs_lex_disagree(self):
         # x1^2 beats x1*x2*x3 in lex but loses on degree in grevlex
         order_l = lex_order([x_(1), x_(2), x_(3)])
@@ -445,9 +457,11 @@ class TestCanonicalOrder:
             )
             rng.shuffle(priority)
             for order in (lex_order(priority), poly.TermOrder("grevlex", tuple(priority))):
-                monos = [m for m, _ in f.terms]
-                assert sorted(monos, key=order.key) == sorted(
-                    monos, key=lambda m: nested_term_key(order, m)
+                # the ring key, the library's one comparison of monomials
+                ring = poly._Ring(order, [f], max(f.degree(), 1).bit_length())
+                ranked = sorted(ring.pack(f), key=lambda m: m ^ ring.flip)
+                assert [ring.unpack([(m, 1)]).terms[0][0] for m in ranked] == sorted(
+                    (m for m, _ in f.terms), key=lambda m: nested_term_key(order, m)
                 )
 
 
@@ -583,7 +597,7 @@ class TestPackedAgainstPairKernels:
         if f.is_zero:
             return
         order = poly.TermOrder(kind, tuple(rng.sample(MIXED, len(MIXED))))
-        assert lead_monomial(f, order) == max(f.coeffs, key=order.key)
+        assert lead_monomial(f, order) == max(f.coeffs, key=lambda m: nested_term_key(order, m))
 
     def test_descent_from_the_staircase(self):
         # whole double Schubert and Grothendieck chains of S_5, every step
