@@ -381,10 +381,6 @@ def random_asms(n: int, m: int, seed: int, replace: bool = True) -> list[Partial
     return rng.sample(pool, m)
 
 
-def matrix_to_text(rows: Sequence[Sequence[int]]) -> str:
-    return "\n".join(" ".join(str(e) for e in row) for row in rows)
-
-
 def matrix_from_text(text: str) -> tuple[tuple[int, ...], ...]:
     """Rows of space-separated integers, separated by newlines or by ';'.
 

@@ -1,7 +1,12 @@
 """Command-line front end for the library.
 
-Each verb is two words.  Some library functions have no verb, among
-them `betti_numbers`, `minimal_primes` and `ideal_contains`.  The verbs:
+Each verb is two words and one row of the table `VERBS`: its help, its
+positional arguments by name, its library call, the renderer of its
+result and the flags it takes.  Each positional name has one entry in
+`ARGS`, its argparse options and its reader, and each value type has
+one renderer, which returns the text and the JSON payload.  Some library
+functions have no verb, among them `betti_numbers`, `minimal_primes` and
+`ideal_contains`.  The verbs:
 
     perm      diagram | essential | length | descents | avoids | class
     asm       validate | ranktable | from-ranktable | normalize-ranktable
@@ -31,13 +36,15 @@ parse back through `poly_from_json`, monomial `generators` through
 `perm_from_json` and pipe dreams through `pipe_dream_from_json`.
 
 Every verb takes `--json`; `--budget`, `--seed`, `--force`, `--count`,
-`--max-lattice`, `--max-faces` and `--stats` are taken only by the verbs
-that read them (see each verb's `--help`); the three guards take a
-nonnegative integer.  `--stats` reports the
-homology and Groebner work counted by `collect_stats`: one `name: count`
-line each on stderr, or a `stats` object inside the `--json` document.
-Exit code 0 on success, 1 on domain errors (invalid matrices, budget
-exhaustion, unrecognized ideals), 2 on usage errors.
+`--algorithm`, `--max-lattice`, `--max-faces` and `--stats` are taken
+only by the verbs that read them (see each verb's `--help`); the three
+guards take a nonnegative integer.  `--count` prints only the length of
+the result, and `--stats` reports the homology and Groebner work counted
+by `collect_stats`: one `name: count` line each on stderr, or a `stats`
+object inside the `--json` document.  The other flags are keywords of
+the verb's library call.  Exit code 0 on success, 1 on domain errors
+(invalid matrices, budget exhaustion, unrecognized ideals, running out
+of memory), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -47,86 +54,13 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .asm import (
-    ENUM_LIMIT,
-    PartialASM,
-    RankTable,
-    asm_to_json,
-    complete_asm,
-    enumerate_asms,
-    make_partial_asm,
-    matrix_from_text,
-    random_asms,
-    rank_table,
-    rank_table_from_matrix,
-    rank_table_to_asm,
-    rank_table_to_json,
-)
-from .decomp import (
-    get_asm,
-    is_asm_union,
-    is_schubert_cm,
-    perm_set_of_asm,
-    schubert_add,
-    schubert_decompose,
-    schubert_intersect,
-    union_asm,
-)
-from .groebner import DEFAULT_BUDGET, GroebnerBudgetError, minimal_generators
-from .ideal import (
-    DIAG_VARIANTS,
-    anti_diag_init,
-    diag_init,
-    fulton_generators,
-    schubert_codim,
-    schubert_determinantal_ideal,
-)
-from .monomial import (
-    DEFAULT_FACE_LIMIT,
-    DEFAULT_LATTICE_LIMIT,
-    collect_stats,
-    monomial_ideal_to_json,
-    monomial_ideal_to_text,
-)
-from .perm import (
-    PERMUTATION_CLASSES,
-    Permutation,
-    cells_to_json,
-    cells_to_text,
-    class_membership,
-    contains_pattern,
-    coxeter_length,
-    descents,
-    essential_set,
-    perm_from_text,
-    perm_to_json,
-    rothe_diagram,
-)
-from .pipedream import (
-    pipe_dream_to_json,
-    pipe_dreams,
-    render_pipe_dream,
-    subword_complex_facets,
-)
-from .poly import poly_to_json, poly_to_text, var_to_text
-from .schubpoly import (
-    GROTHENDIECK_ALGORITHMS,
-    double_schubert_polynomial,
-    grothendieck_polynomial,
-    raj_index,
-    schubert_polynomial,
-    schubert_regularity,
-)
+from . import asm, decomp, groebner, ideal, monomial, perm, pipedream, poly, schubpoly
 
 SCHEMA_VERSION = 1
 
 SCHUBERT_ALGORITHMS = ("DividedDifference", "Transition")
-
-
-def _bool_text(b: bool) -> str:
-    return "true" if b else "false"
 
 
 def _box(rows) -> str:
@@ -137,22 +71,6 @@ def _box(rows) -> str:
         "| " + " ".join(e.ljust(w) for e, w in zip(row, widths)) + " |"
         for row in grid
     )
-
-
-def _ideal_text(gens) -> str:
-    return "ideal (" + ", ".join(poly_to_text(g) for g in gens) + ")"
-
-
-def _perm_list_text(perms) -> str:
-    inner = ", ".join("{" + ", ".join(str(v) for v in w.one_line) + "}" for w in perms)
-    return "{" + inner + "}"
-
-
-def _matrix_from_arg(text: str) -> tuple[tuple[int, ...], ...]:
-    if os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
-    return matrix_from_text(text)
 
 
 def _nonnegative(text: str) -> int:
@@ -166,312 +84,265 @@ def _nonnegative(text: str) -> int:
     return n
 
 
-def _schubertable_from_arg(text: str) -> Permutation | PartialASM:
+# ------------------------------------------------------------- readers
+
+def _matrix_from_arg(text: str) -> tuple[tuple[int, ...], ...]:
+    if os.path.exists(text):
+        with open(text) as fh:
+            text = fh.read()
+    return asm.matrix_from_text(text)
+
+
+def _asm_from_arg(text: str) -> asm.PartialASM:
+    return asm.make_partial_asm(_matrix_from_arg(text))
+
+
+def _schubertable_from_arg(text: str) -> perm.Permutation | asm.PartialASM:
     if os.path.exists(text) or ";" in text or " " in text.strip():
-        return make_partial_asm(_matrix_from_arg(text))
-    return perm_from_text(text)
+        return _asm_from_arg(text)
+    return perm.perm_from_text(text)
 
 
-# ---------------------------------------------------------------- perm
-
-def _perm_diagram(a):
-    cells = rothe_diagram(perm_from_text(a.perm))
-    return cells_to_text(cells), {"cells": cells_to_json(cells)}
+def _schubertables_from_args(texts: Sequence[str]) -> list[perm.Permutation | asm.PartialASM]:
+    return [_schubertable_from_arg(t) for t in texts]
 
 
-def _perm_essential(a):
-    cells = essential_set(perm_from_text(a.perm))
-    return cells_to_text(cells), {"cells": cells_to_json(cells)}
+# positional name -> (argparse options, reader of the parsed value); argparse
+# has already typed n, m, index, cls and variant, so `int` and `str` keep them
+ARGS = {
+    "perm": ({}, perm.perm_from_text),
+    "pattern": ({}, perm.perm_from_text),
+    "matrix": ({}, _asm_from_arg),
+    "grid": ({"metavar": "matrix"}, _matrix_from_arg),  # a rank table, or any grid
+    "input": ({}, _schubertable_from_arg),
+    "inputs": ({"nargs": "+"}, _schubertables_from_args),
+    "n": ({"type": int}, int),
+    "m": ({"type": int}, int),
+    "cls": ({"choices": sorted(perm.PERMUTATION_CLASSES)}, str),
+    "variant": ({"choices": ideal.DIAG_VARIANTS}, str),
+    "index": ({"type": int, "nargs": "?", "default": 0}, int),
+}
 
 
-def _perm_length(a):
-    n = coxeter_length(perm_from_text(a.perm))
-    return str(n), {"length": n}
+# ------------------------------------------------------- library calls
+
+def _avoids(w: perm.Permutation, pattern: perm.Permutation) -> bool:
+    return not perm.contains_pattern(w, pattern)
 
 
-def _perm_descents(a):
-    d = descents(perm_from_text(a.perm))
+def _asm_of_rank_table(grid) -> asm.PartialASM:
+    return asm.rank_table_to_asm(asm.RankTable(grid))
+
+
+def _trimmed_generators(x, budget: int):
+    return groebner.minimal_generators(ideal.schubert_determinantal_ideal(x), budget)
+
+
+def _pipe_dream_at(w: perm.Permutation, index: int):
+    ds = pipedream.pipe_dreams(w)
+    if not 0 <= index < len(ds):
+        raise ValueError(f"index {index} out of range: {len(ds)} pipe dreams")
+    return ds[index]
+
+
+# is-asm and get-asm take --budget but answer by the union test, no basis
+def _is_union(xs, budget: int) -> bool:
+    return decomp.is_asm_union(xs)
+
+
+def _union_asm(xs, budget: int) -> asm.PartialASM:
+    A = decomp.union_asm(xs)
+    if A is None:
+        raise ValueError("no ASM attached")
+    return A
+
+
+# ----------------------------------------------------------- renderers
+
+def _cells(cells, a):
+    return perm.cells_to_text(cells), {"cells": perm.cells_to_json(cells)}
+
+
+def _asm(A, a):
+    return _box(A.rows), {"asm": asm.asm_to_json(A)}
+
+
+def _rank_table(T, a):
+    return _box(T.values), {"rank_table": asm.rank_table_to_json(T)}
+
+
+def _generators(gens, a):
+    text = "ideal (" + ", ".join(poly.poly_to_text(g) for g in gens) + ")"
+    return text, {"generators": [poly.poly_to_json(g) for g in gens]}
+
+
+def _monomial_ideal(J, a):
+    return monomial.monomial_ideal_to_text(J), {"generators": monomial.monomial_ideal_to_json(J)}
+
+
+def _polynomial(f, a):
+    return poly.poly_to_text(f), {"polynomial": poly.poly_to_json(f)}
+
+
+def _permutations(perms, a):
+    inner = ", ".join("{" + ", ".join(str(v) for v in w.one_line) + "}" for w in perms)
+    return "{" + inner + "}", {"permutations": [perm.perm_to_json(w) for w in perms]}
+
+
+def _number(key: str):
+    def render(n, a):
+        return str(n), {key: n}
+    return render
+
+
+def _truth(key: str):
+    def render(b, a):
+        return ("true" if b else "false"), {key: b}
+    return render
+
+
+def _descents(d, a):
     return "{" + ",".join(str(i) for i in d) + "}", {"descents": list(d)}
 
 
-def _perm_avoids(a):
-    b = not contains_pattern(perm_from_text(a.perm), perm_from_text(a.pattern))
-    return _bool_text(b), {"avoids": b}
+def _membership(member, a):
+    return ("true" if member else "false"), {"class": a.cls, "member": member}
 
 
-def _perm_class(a):
-    member = class_membership(perm_from_text(a.perm), a.cls)
-    return _bool_text(member), {"class": a.cls, "member": member}
-
-
-# ----------------------------------------------------------------- asm
-
-def _asm_validate(a):
-    A = make_partial_asm(_matrix_from_arg(a.matrix))
+def _validity(A, a):
     kind = "asm" if A.is_asm else "partial asm"
     return kind, {"valid": True, "is_asm": A.is_asm, "shape": [A.nrows, A.ncols]}
 
 
-def _asm_ranktable(a):
-    T = rank_table(make_partial_asm(_matrix_from_arg(a.matrix)))
-    return _box(T.values), {"rank_table": rank_table_to_json(T)}
+def _asms(asms, a):
+    return "\n\n".join(_box(A.rows) for A in asms), {"asms": [asm.asm_to_json(A) for A in asms]}
 
 
-def _asm_from_ranktable(a):
-    A = rank_table_to_asm(RankTable(_matrix_from_arg(a.matrix)))
-    return _box(A.rows), {"asm": asm_to_json(A)}
+def _variant(J, a):
+    text, payload = _monomial_ideal(J, a)
+    return text, {"variant": a.variant, **payload}
 
 
-def _asm_normalize_ranktable(a):
-    T = rank_table_from_matrix(_matrix_from_arg(a.matrix))
-    return _box(T.values), {"rank_table": rank_table_to_json(T)}
+def _pipe_dream_list(ds, a):
+    text = "\n".join(perm.cells_to_text(D.crosses) for D in ds)
+    return text, {"pipe_dreams": [pipedream.pipe_dream_to_json(D) for D in ds]}
 
 
-def _asm_complete(a):
-    A = complete_asm(make_partial_asm(_matrix_from_arg(a.matrix)))
-    return _box(A.rows), {"asm": asm_to_json(A)}
+def _rendering(D, a):
+    text = pipedream.render_pipe_dream(D)
+    return text, {"pipe_dream": pipedream.pipe_dream_to_json(D), "rendering": text}
 
 
-def _render_asm_list(asms, count_only: bool):
-    if count_only:
-        return str(len(asms)), {"count": len(asms)}
-    text = "\n\n".join(_box(A.rows) for A in asms)
-    return text, {"asms": [asm_to_json(A) for A in asms]}
-
-
-def _asm_enumerate(a):
-    mats = enumerate_asms(a.n, force=a.force)
-    return _render_asm_list(mats, a.count)
-
-
-def _asm_random(a):
-    return _render_asm_list(random_asms(a.n, a.m, seed=a.seed), False)
-
-
-# --------------------------------------------------------------- ideal
-
-def _ideal_fulton(a):
-    gens = fulton_generators(_schubertable_from_arg(a.input))
-    return _ideal_text(gens), {"generators": [poly_to_json(g) for g in gens]}
-
-
-def _ideal_gens(a):
-    I = schubert_determinantal_ideal(_schubertable_from_arg(a.input))
-    gens = minimal_generators(I, a.budget)
-    return _ideal_text(gens), {"generators": [poly_to_json(g) for g in gens]}
-
-
-def _ideal_antidiag(a):
-    J = anti_diag_init(_schubertable_from_arg(a.input))
-    return monomial_ideal_to_text(J), {"generators": monomial_ideal_to_json(J)}
-
-
-def _ideal_diaginit(a):
-    J = diag_init(_schubertable_from_arg(a.input), a.variant, a.budget)
-    return monomial_ideal_to_text(J), {
-        "variant": a.variant,
-        "generators": monomial_ideal_to_json(J),
-    }
-
-
-def _ideal_codim(a):
-    c = schubert_codim(_schubertable_from_arg(a.input))
-    return str(c), {"codim": c}
-
-
-# ---------------------------------------------------------------- poly
-
-def _poly_schubert(a):
-    f = schubert_polynomial(perm_from_text(a.perm), algorithm=a.algorithm)
-    return poly_to_text(f), {"polynomial": poly_to_json(f)}
-
-
-def _poly_double_schubert(a):
-    f = double_schubert_polynomial(perm_from_text(a.perm))
-    return poly_to_text(f), {"polynomial": poly_to_json(f)}
-
-
-def _poly_grothendieck(a):
-    f = grothendieck_polynomial(perm_from_text(a.perm), algorithm=a.algorithm)
-    return poly_to_text(f), {"polynomial": poly_to_json(f)}
-
-
-def _poly_raj(a):
-    r = raj_index(perm_from_text(a.perm))
-    return str(r), {"raj": r}
-
-
-def _poly_regularity(a):
-    r = schubert_regularity(
-        _schubertable_from_arg(a.input), max_lattice=a.max_lattice, max_faces=a.max_faces
-    )
-    return str(r), {"regularity": r}
-
-
-# ----------------------------------------------------------- pipedream
-
-def _pipedream_list(a):
-    ds = pipe_dreams(perm_from_text(a.perm))
-    text = "\n".join(cells_to_text(D.crosses) for D in ds)
-    return text, {"pipe_dreams": [pipe_dream_to_json(D) for D in ds]}
-
-
-def _pipedream_render(a):
-    ds = pipe_dreams(perm_from_text(a.perm))
-    if not 0 <= a.index < len(ds):
-        raise ValueError(f"index {a.index} out of range: {len(ds)} pipe dreams")
-    D = ds[a.index]
-    return render_pipe_dream(D), {
-        "pipe_dream": pipe_dream_to_json(D),
-        "rendering": render_pipe_dream(D),
-    }
-
-
-def _pipedream_facets(a):
-    facets = subword_complex_facets(perm_from_text(a.perm))
-    if a.count:
-        return str(len(facets)), {"count": len(facets)}
-    text = "\n".join("{" + ",".join(map(var_to_text, F)) + "}" for F in facets)
+def _facets(facets, a):
+    text = "\n".join("{" + ",".join(map(poly.var_to_text, F)) + "}" for F in facets)
     return text, {"facets": [[[v[1], v[2]] for v in F] for F in facets]}
 
 
-# -------------------------------------------------------------- decomp
-
-def _decomp_decompose(a):
-    perms = schubert_decompose(_schubertable_from_arg(a.input))
-    return _perm_list_text(perms), {"permutations": [perm_to_json(w) for w in perms]}
+def _sum(I, a):
+    A = decomp.get_asm(I)
+    return _box(A.rows), {"asm": asm.asm_to_json(A), "rank_table": asm.rank_table_to_json(asm.rank_table(A))}
 
 
-def _decomp_permset(a):
-    perms = perm_set_of_asm(_schubertable_from_arg(a.input))
-    return _perm_list_text(perms), {"permutations": [perm_to_json(w) for w in perms]}
+def _intersection(I, a):
+    text, payload = _generators(I.generators, a)
+    return text, {**payload, "ambient": list(I.ambient)}
 
 
-# is-asm and get-asm take --budget but answer by the union test, no basis
-def _decomp_is_asm(a):
-    b = is_asm_union([_schubertable_from_arg(t) for t in a.inputs])
-    return _bool_text(b), {"is_asm": b}
+# --------------------------------------------------------------- verbs
+
+class Verb(NamedTuple):
+    help: str
+    args: tuple[str, ...]  # names in ARGS, read in order and passed to call
+    call: Callable
+    render: Callable  # (result, parsed arguments) -> (text, payload)
+    flags: tuple = ()  # (flag, argparse options) besides --json
 
 
-def _decomp_get_asm(a):
-    A = union_asm([_schubertable_from_arg(t) for t in a.inputs])
-    if A is None:
-        raise ValueError("no ASM attached")
-    return _box(A.rows), {"asm": asm_to_json(A)}
+BUDGET = ("--budget", {"type": _nonnegative, "default": groebner.DEFAULT_BUDGET,
+                       "help": "pair-reduction budget for basis computations"})
+STATS = ("--stats", {"action": "store_true",
+                     "help": "report the homology and Groebner work: on stderr, or as a stats field with --json"})
+GUARDS = (
+    ("--max-lattice", {"type": _nonnegative, "default": monomial.DEFAULT_LATTICE_LIMIT,
+                       "help": "largest lcm lattice walked for Betti numbers"}),
+    ("--max-faces", {"type": _nonnegative, "default": monomial.DEFAULT_FACE_LIMIT,
+                     "help": "most faces built for one homology computation"}),
+    STATS,
+)
 
+# group -> (help, verb -> Verb)
+VERBS = {
+    "perm": ("diagram combinatorics of permutations", {
+        "diagram": Verb("Rothe diagram cells", ("perm",), perm.rothe_diagram, _cells),
+        "essential": Verb("essential set cells", ("perm",), perm.essential_set, _cells),
+        "length": Verb("Coxeter length", ("perm",), perm.coxeter_length, _number("length")),
+        "descents": Verb("descent positions", ("perm",), perm.descents, _descents),
+        "avoids": Verb("pattern avoidance", ("perm", "pattern"), _avoids, _truth("avoids")),
+        "class": Verb("pattern-avoidance class membership", ("perm", "cls"), perm.class_membership, _membership),
+    }),
+    "asm": ("partial alternating sign matrices", {
+        "validate": Verb("check a matrix and classify it", ("grid",), asm.make_partial_asm, _validity),
+        "ranktable": Verb("rank table of a matrix", ("matrix",), asm.rank_table, _rank_table),
+        "from-ranktable": Verb("matrix of a valid rank table", ("grid",), _asm_of_rank_table, _asm),
+        "normalize-ranktable": Verb("greatest valid rank table below a grid", ("grid",), asm.rank_table_from_matrix, _rank_table),
+        "complete": Verb("smallest ASM extending a partial one", ("matrix",), asm.complete_asm, _asm),
+        "enumerate": Verb("all ASMs of a size", ("n",), asm.enumerate_asms, _asms, (
+            ("--count", {"action": "store_true", "help": "print only the count"}),
+            ("--force", {"action": "store_true", "help": f"enumerate sizes above the guard ({asm.ENUM_LIMIT}); may take a long time"}),
+        )),
+        "random": Verb("seeded uniform draws", ("n", "m"), asm.random_asms, _asms, (
+            ("--seed", {"type": int, "default": 0, "help": "seed for random draws"}),
+        )),
+    }),
+    "ideal": ("determinantal ideals and initial ideals", {
+        "fulton": Verb("defining minors from the essential boxes", ("input",), ideal.fulton_generators, _generators),
+        "gens": Verb("trimmed minimal generators", ("input",), _trimmed_generators, _generators, (BUDGET,)),
+        "antidiag": Verb("antidiagonal initial ideal", ("input",), ideal.anti_diag_init, _monomial_ideal),
+        "diaginit": Verb("diagonal initial ideal", ("input", "variant"), ideal.diag_init, _variant, (BUDGET, STATS)),
+        "codim": Verb("codimension", ("input",), ideal.schubert_codim, _number("codim")),
+    }),
+    "poly": ("Schubert and Grothendieck polynomials", {
+        "schubert": Verb("Schubert polynomial", ("perm",), schubpoly.schubert_polynomial, _polynomial, (
+            ("--algorithm", {"choices": SCHUBERT_ALGORITHMS, "default": "DividedDifference"}),
+        )),
+        "double-schubert": Verb("double Schubert polynomial", ("perm",), schubpoly.double_schubert_polynomial, _polynomial),
+        "grothendieck": Verb("Grothendieck polynomial", ("perm",), schubpoly.grothendieck_polynomial, _polynomial, (
+            ("--algorithm", {"choices": schubpoly.GROTHENDIECK_ALGORITHMS, "default": "DividedDifference"}),
+        )),
+        "raj": Verb("Rajchgot index", ("perm",), schubpoly.raj_index, _number("raj")),
+        "regularity": Verb("Castelnuovo-Mumford regularity of the quotient", ("input",), schubpoly.schubert_regularity, _number("regularity"), GUARDS),
+    }),
+    "pipedream": ("reduced pipe dreams and subword complexes", {
+        "list": Verb("cross sets of all reduced pipe dreams", ("perm",), pipedream.pipe_dreams, _pipe_dream_list),
+        "render": Verb("grid picture of one pipe dream", ("perm", "index"), _pipe_dream_at, _rendering),
+        "subword-facets": Verb("facets of the subword complex", ("perm",), pipedream.subword_complex_facets, _facets, (
+            ("--count", {"action": "store_true", "help": "print only the facet count"}),
+        )),
+    }),
+    "decomp": ("components, sums, intersections, recognition", {
+        "decompose": Verb("permutations labeling the components", ("input",), decomp.schubert_decompose, _permutations),
+        "permset": Verb("Bruhat-minimal permutations above an ASM", ("input",), decomp.perm_set_of_asm, _permutations),
+        "is-asm": Verb("is the intersection an ASM ideal", ("inputs",), _is_union, _truth("is_asm"), (BUDGET,)),
+        "get-asm": Verb("matrix recognized from an intersection", ("inputs",), _union_asm, _asm, (BUDGET,)),
+        "add": Verb("ASM of the ideal sum", ("inputs",), decomp.schubert_add, _sum),
+        "intersect": Verb("generators of the ideal intersection", ("inputs",), decomp.schubert_intersect, _intersection, (BUDGET,)),
+        "is-cm": Verb("Cohen-Macaulayness of the quotient", ("input",), decomp.is_schubert_cm, _truth("is_cm"), GUARDS),
+    }),
+}
 
-def _decomp_add(a):
-    I = schubert_add([_schubertable_from_arg(t) for t in a.inputs])
-    A = get_asm(I)
-    return _box(A.rows), {
-        "asm": asm_to_json(A),
-        "rank_table": rank_table_to_json(rank_table(A)),
-    }
-
-
-def _decomp_intersect(a):
-    I = schubert_intersect([_schubertable_from_arg(t) for t in a.inputs], a.budget)
-    return _ideal_text(I.generators), {
-        "generators": [poly_to_json(g) for g in I.generators],
-        "ambient": list(I.ambient),
-    }
-
-
-def _decomp_is_cm(a):
-    b = is_schubert_cm(
-        _schubertable_from_arg(a.input), max_lattice=a.max_lattice, max_faces=a.max_faces
-    )
-    return _bool_text(b), {"is_cm": b}
-
-
-# ------------------------------------------------------------- parser
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="asmschub", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True)
-
-    def leaf(sub, name: str, handler, help_: str, budget: bool = False, guards: bool = False, stats: bool = False):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", action="store_true", help="emit a schema_version 1 JSON document")
-        if budget:
-            p.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET, help="pair-reduction budget for basis computations")
-        if guards:
-            p.add_argument("--max-lattice", type=_nonnegative, default=DEFAULT_LATTICE_LIMIT, help="largest lcm lattice walked for Betti numbers")
-            p.add_argument("--max-faces", type=_nonnegative, default=DEFAULT_FACE_LIMIT, help="most faces built for one homology computation")
-        if guards or stats:
-            p.add_argument("--stats", action="store_true", help="report the homology and Groebner work: on stderr, or as a stats field with --json")
-        return p
-
-    perm = groups.add_parser("perm", help="diagram combinatorics of permutations").add_subparsers(dest="verb", required=True)
-    leaf(perm, "diagram", _perm_diagram, "Rothe diagram cells").add_argument("perm")
-    leaf(perm, "essential", _perm_essential, "essential set cells").add_argument("perm")
-    leaf(perm, "length", _perm_length, "Coxeter length").add_argument("perm")
-    leaf(perm, "descents", _perm_descents, "descent positions").add_argument("perm")
-    p = leaf(perm, "avoids", _perm_avoids, "pattern avoidance")
-    p.add_argument("perm")
-    p.add_argument("pattern")
-    p = leaf(perm, "class", _perm_class, "pattern-avoidance class membership")
-    p.add_argument("perm")
-    p.add_argument("cls", choices=sorted(PERMUTATION_CLASSES))
-
-    asm = groups.add_parser("asm", help="partial alternating sign matrices").add_subparsers(dest="verb", required=True)
-    leaf(asm, "validate", _asm_validate, "check a matrix and classify it").add_argument("matrix")
-    leaf(asm, "ranktable", _asm_ranktable, "rank table of a matrix").add_argument("matrix")
-    leaf(asm, "from-ranktable", _asm_from_ranktable, "matrix of a valid rank table").add_argument("matrix")
-    leaf(asm, "normalize-ranktable", _asm_normalize_ranktable, "greatest valid rank table below a grid").add_argument("matrix")
-    leaf(asm, "complete", _asm_complete, "smallest ASM extending a partial one").add_argument("matrix")
-    p = leaf(asm, "enumerate", _asm_enumerate, "all ASMs of a size")
-    p.add_argument("n", type=int)
-    p.add_argument("--count", action="store_true", help="print only the count")
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help=f"enumerate sizes above the guard ({ENUM_LIMIT}); may take a long time",
-    )
-    p = leaf(asm, "random", _asm_random, "seeded uniform draws")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--seed", type=int, default=0, help="seed for random draws")
-
-    ideal = groups.add_parser("ideal", help="determinantal ideals and initial ideals").add_subparsers(dest="verb", required=True)
-    leaf(ideal, "fulton", _ideal_fulton, "defining minors from the essential boxes").add_argument("input")
-    leaf(ideal, "gens", _ideal_gens, "trimmed minimal generators", budget=True).add_argument("input")
-    leaf(ideal, "antidiag", _ideal_antidiag, "antidiagonal initial ideal").add_argument("input")
-    p = leaf(ideal, "diaginit", _ideal_diaginit, "diagonal initial ideal", budget=True, stats=True)
-    p.add_argument("input")
-    p.add_argument("variant", choices=DIAG_VARIANTS)
-    leaf(ideal, "codim", _ideal_codim, "codimension").add_argument("input")
-
-    poly = groups.add_parser("poly", help="Schubert and Grothendieck polynomials").add_subparsers(dest="verb", required=True)
-    p = leaf(poly, "schubert", _poly_schubert, "Schubert polynomial")
-    p.add_argument("perm")
-    p.add_argument("--algorithm", choices=SCHUBERT_ALGORITHMS, default="DividedDifference")
-    leaf(poly, "double-schubert", _poly_double_schubert, "double Schubert polynomial").add_argument("perm")
-    p = leaf(poly, "grothendieck", _poly_grothendieck, "Grothendieck polynomial")
-    p.add_argument("perm")
-    p.add_argument("--algorithm", choices=GROTHENDIECK_ALGORITHMS, default="DividedDifference")
-    leaf(poly, "raj", _poly_raj, "Rajchgot index").add_argument("perm")
-    leaf(poly, "regularity", _poly_regularity, "Castelnuovo-Mumford regularity of the quotient", guards=True).add_argument("input")
-
-    pd = groups.add_parser("pipedream", help="reduced pipe dreams and subword complexes").add_subparsers(dest="verb", required=True)
-    leaf(pd, "list", _pipedream_list, "cross sets of all reduced pipe dreams").add_argument("perm")
-    p = leaf(pd, "render", _pipedream_render, "grid picture of one pipe dream")
-    p.add_argument("perm")
-    p.add_argument("index", type=int, nargs="?", default=0)
-    p = leaf(pd, "subword-facets", _pipedream_facets, "facets of the subword complex")
-    p.add_argument("perm")
-    p.add_argument("--count", action="store_true", help="print only the facet count")
-
-    dec = groups.add_parser("decomp", help="components, sums, intersections, recognition").add_subparsers(dest="verb", required=True)
-    leaf(dec, "decompose", _decomp_decompose, "permutations labeling the components").add_argument("input")
-    leaf(dec, "permset", _decomp_permset, "Bruhat-minimal permutations above an ASM").add_argument("input")
-    leaf(dec, "is-asm", _decomp_is_asm, "is the intersection an ASM ideal", budget=True).add_argument("inputs", nargs="+")
-    leaf(dec, "get-asm", _decomp_get_asm, "matrix recognized from an intersection", budget=True).add_argument("inputs", nargs="+")
-    leaf(dec, "add", _decomp_add, "ASM of the ideal sum").add_argument("inputs", nargs="+")
-    leaf(dec, "intersect", _decomp_intersect, "generators of the ideal intersection", budget=True).add_argument("inputs", nargs="+")
-    leaf(dec, "is-cm", _decomp_is_cm, "Cohen-Macaulayness of the quotient", guards=True).add_argument("input")
-
+    for group, (group_help, verbs) in VERBS.items():
+        sub = groups.add_parser(group, help=group_help).add_subparsers(dest="verb", required=True)
+        for name, verb in verbs.items():
+            p = sub.add_parser(name, help=verb.help)
+            p.add_argument("--json", action="store_true", help="emit a schema_version 1 JSON document")
+            for flag, options in verb.flags:
+                p.add_argument(flag, **options)
+            for arg in verb.args:
+                p.add_argument(arg, **ARGS[arg][0])
     return parser
 
 
@@ -481,12 +352,23 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    verb = VERBS[args.group][1][args.verb]
+    # dispatch reads --json, --stats and --count; the other flags go to the call
+    own = {"group", "verb", "json", "stats", "count", *verb.args}
+    options = {k: v for k, v in vars(args).items() if k not in own}
     want_stats = getattr(args, "stats", False)
     try:
-        with collect_stats() if want_stats else nullcontext() as stats:
-            text, payload = args.handler(args)
-    except (ValueError, GroebnerBudgetError) as exc:
+        with monomial.collect_stats() if want_stats else nullcontext() as stats:
+            result = verb.call(*(ARGS[arg][1](getattr(args, arg)) for arg in verb.args), **options)
+            if getattr(args, "count", False):
+                text, payload = str(len(result)), {"count": len(result)}
+            else:
+                text, payload = verb.render(result, args)
+    except (ValueError, groebner.GroebnerBudgetError) as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("out of memory (MemoryError)", file=sys.stderr)
         return 1
     if want_stats:
         if args.json:

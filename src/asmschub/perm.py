@@ -289,10 +289,6 @@ def cells_to_json(cells: Iterable[Cell]) -> list[list[int]]:
     return [list(c) for c in cells]
 
 
-def perm_to_text(w: Permutation) -> str:
-    return ",".join(str(v) for v in w.one_line)
-
-
 def perm_from_text(text: str) -> Permutation:
     try:
         entries = tuple(int(part) for part in text.split(","))

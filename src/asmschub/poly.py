@@ -447,11 +447,12 @@ class _Ring:
 
 def lead_monomial(f: Polynomial, order: TermOrder) -> Monomial:
     """The largest monomial of f: the ring key's max over f's ints, in a
-    ring wide enough for f's degree, decoded alone."""
+    ring wide enough for f's degree, so packing cannot overflow, decoded
+    alone."""
     if f.is_zero:
         raise ValueError("zero polynomial has no lead term")
     ring = _Ring(order, [f], max(f.degree(), 1).bit_length())
-    lead = max(ring.pack(f), key=lambda m: m ^ ring.flip)
+    lead = max(_fields(f, ring.shift, ring.deg), key=lambda m: m ^ ring.flip)
     return tuple((v, e) for v, at in ring.shift.items() if (e := lead >> at & ring.field))
 
 

@@ -87,8 +87,9 @@ The rest are small readers that only the tests need: `longest_element`,
 `is_reduced`, `cross_monomial` (the weight x^D of a pipe dream),
 `maximal_masks` (the maximal sets of a family, which the homology kernel
 takes), `reduced_homology_ranks` (the homology kernel on a simplicial complex),
-`pdim_quotient` (read off a full Betti table), and `betti_to_text` and
-`betti_to_json`.
+`pdim_quotient` (read off a full Betti table), `betti_to_text` and
+`betti_to_json`, and `matrix_to_text` and `perm_to_text`, which write
+what `matrix_from_text` and `perm_from_text` read back.
 """
 
 from __future__ import annotations
@@ -811,3 +812,11 @@ def betti_to_json(betti: dict[tuple[int, tuple[Var, ...]], int]) -> list[dict]:
         {"i": i, "multidegree": [list(v) for v in sigma], "rank": r}
         for (i, sigma), r in sorted(betti.items())
     ]
+
+
+def matrix_to_text(rows) -> str:
+    return "\n".join(" ".join(str(e) for e in row) for row in rows)
+
+
+def perm_to_text(w: Permutation) -> str:
+    return ",".join(str(v) for v in w.one_line)

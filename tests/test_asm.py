@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from asmschub import asm, perm
 from asmschub.asm import PartialASM, RankTable
 from asmschub.perm import Permutation
-from oracles import perm_set_brute_force
+from oracles import matrix_to_text, perm_set_brute_force
 
 
 def brute_rank_table(A: PartialASM):
@@ -97,7 +97,7 @@ class TestConstruction:
 
     def test_text_roundtrip(self):
         A = asm.make_partial_asm([[0, 1, 0], [1, -1, 0]])
-        text = asm.matrix_to_text(A.rows)
+        text = matrix_to_text(A.rows)
         assert text == "0 1 0\n1 -1 0"
         assert asm.matrix_from_text(text) == A.rows
 

@@ -6,14 +6,17 @@ compared byte-for-byte.  Regenerate after an intentional output change with
 
     python3 tests/test_cli.py --record
 
-The remaining tests cover the JSON schema round-trips and the exit-code
-contract (0 success, 1 domain error, 2 usage error).
+The remaining tests cover the JSON schema round-trips, the exit-code
+contract (0 success, 1 domain error, 2 usage error), and README's verb
+and flag tables against the parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
+import re
 import string
 import sys
 
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmschub import groebner
+from asmschub import cli, decomp, groebner
 from asmschub.asm import (
     asm_from_json,
     asm_to_json,
@@ -30,7 +33,7 @@ from asmschub.asm import (
     rank_table,
     rank_table_from_json,
 )
-from asmschub.cli import _box, _schubertable_from_arg, dispatch
+from asmschub.cli import _box, _build_parser, _schubertable_from_arg, dispatch
 from asmschub.decomp import get_asm, is_asm_ideal, perm_set_of_asm, schubert_intersect
 from asmschub.ideal import anti_diag_init
 from asmschub.monomial import monomial_ideal_from_text
@@ -39,6 +42,7 @@ from asmschub.poly import poly_from_json, poly_from_text
 from asmschub.schubpoly import schubert_polynomial
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 SPLIT = "0 1 0;1 -1 1;0 1 0"
 BULGE = "0 0 1 0 0;0 0 0 1 0;1 0 -1 0 1;0 1 0 0 0;0 0 1 0 0"
@@ -352,6 +356,13 @@ class TestExitCodes:
         without = json.loads(run(verb + ["1,3,2,5,4", "LexSE", "--json"])[1])
         assert {k: v for k, v in data.items() if k != "stats"} == without
 
+    def test_memory_error_is_a_domain_error(self, monkeypatch):
+        def exhaust(xs):
+            raise MemoryError
+
+        monkeypatch.setattr(decomp, "union_asm", exhaust)
+        assert run(["decomp", "is-asm", "2,1", "1,2"]) == (1, "", "out of memory (MemoryError)\n")
+
     def test_budget_exhaustion(self):
         rc, _, err = run(["decomp", "intersect", "3,4,1,2", "3,2,4,1", "--budget", "1"])
         assert rc == 1 and "budget" in err.lower()
@@ -404,6 +415,76 @@ class TestExitCodes:
             assert out.strip().isdigit()
         else:
             assert rc in (1, 2)
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+# (group, verb) -> its parser, read off the parser itself
+PARSER = _build_parser()
+PARSERS = {(g, v): p for g, sub in _subparsers(PARSER).items() for v, p in _subparsers(sub).items()}
+
+
+def _readme_table(after: str) -> list[list[list[str]]]:
+    """The body rows of README's first table below the line that starts
+    with `after`, each cell as the list of its backticked words."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(after))
+    rows = []
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            rows.append([re.findall(r"`([^`]*)`", cell) for cell in line.strip("|").split("|")])
+        elif rows:
+            break
+    return rows[2:]
+
+
+# README and the module docstring list what the parser takes; nothing is computed
+class TestDocumentedSurface:
+    SAMPLE = {"N": "1", "NAME": "DividedDifference"}  # a value for each README placeholder
+
+    def verbs(self) -> dict[str, list[str]]:
+        grouped = {}
+        for group, verb in PARSERS:
+            grouped.setdefault(group, []).append(verb)
+        return grouped
+
+    def parses(self, argv) -> bool:
+        try:
+            PARSER.parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return False
+        return True
+
+    def test_readme_verb_groups(self):
+        assert {cells[0][0]: cells[1] for cells in _readme_table("Verb groups:")} == self.verbs()
+
+    def test_docstring_verbs(self):
+        block = cli.__doc__.split("The verbs:\n\n")[1].split("\n\n")[0]
+        listed = {}
+        for line in block.splitlines():
+            words = line.split()
+            if words[0] != "|":
+                group = words.pop(0)
+            listed.setdefault(group, []).extend(w for w in words if w != "|")
+        assert listed == self.verbs()
+
+    # each flag parses on the verbs README lists for it and is a usage error elsewhere
+    def test_readme_flags(self):
+        readme = {}
+        for flag_cell, verb_cell in _readme_table("Flags, each only"):
+            flag, *value = flag_cell[0].split()
+            readers = {tuple(v.split()) for v in verb_cell} if verb_cell else set(PARSERS)  # "every verb"
+            readme[flag] = ([self.SAMPLE[v] for v in value], readers)
+        taken = {s for p in PARSERS.values() for a in p._actions for s in a.option_strings}
+        assert set(readme) == taken - {"-h", "--help"}
+        for (group, verb), p in PARSERS.items():
+            positionals = [next(iter(a.choices or ["1"])) for a in p._actions if not a.option_strings]
+            for flag, (value, readers) in readme.items():
+                argv = [group, verb, *positionals, flag, *value]
+                assert self.parses(argv) == ((group, verb) in readers), argv
 
 
 def _record():
