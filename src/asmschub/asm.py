@@ -167,8 +167,10 @@ def rank_table_from_matrix(matrix: Iterable[Iterable[int]]) -> RankTable:
     """Greatest valid rank table lying entrywise below the given grid.
 
     Valid tables below a fixed grid are closed under entrywise max, so
-    the greatest one exists; a decreasing fixpoint reaches it.  Acting
-    on a table that is already valid changes nothing.
+    the greatest one exists.  Two passes reach it: from the south-east,
+    each entry drops to the entries below and to its right; then from
+    the north-west, to 1 + the entries above and to its left.  Acting on
+    a table that is already valid changes nothing.
 
     >>> rank_table_from_matrix([[0, 1, 2], [0, 4, 1], [8, 2, 4]]).values
     ((0, 1, 1), (0, 1, 1), (1, 2, 2))
@@ -177,25 +179,15 @@ def rank_table_from_matrix(matrix: Iterable[Iterable[int]]) -> RankTable:
     m, n = len(grid), len(grid[0])
     if any(v < 0 for row in grid for v in row):
         raise ValueError("matrix entries must be nonnegative")
-    r = [[min(grid[i][j], i + 1, j + 1) for j in range(n)] for i in range(m)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m):
-            for j in range(n):
-                v = r[i][j]
-                if i > 0:
-                    v = min(v, r[i - 1][j] + 1)
-                if j > 0:
-                    v = min(v, r[i][j - 1] + 1)
-                if i + 1 < m:
-                    v = min(v, r[i + 1][j])
-                if j + 1 < n:
-                    v = min(v, r[i][j + 1])
-                if v < r[i][j]:
-                    r[i][j] = v
-                    changed = True
-    return RankTable(tuple(tuple(row) for row in r))
+    # a row and a column of m + n close both ends: index -1 reads them too
+    r = [[min(v, i + 1, j + 1) for j, v in enumerate(row)] + [m + n] for i, row in enumerate(grid)] + [[m + n] * (n + 1)]
+    for i in reversed(range(m)):
+        for j in reversed(range(n)):
+            r[i][j] = min(r[i][j], r[i + 1][j], r[i][j + 1])
+    for i in range(m):
+        for j in range(n):
+            r[i][j] = min(r[i][j], r[i - 1][j] + 1, r[i][j - 1] + 1)
+    return RankTable(tuple(tuple(row[:n]) for row in r[:m]))
 
 
 def entrywise_extreme_rank_table(

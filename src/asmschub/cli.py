@@ -370,6 +370,9 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except MemoryError:
         print("out of memory (MemoryError)", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("recursion too deep (RecursionError)", file=sys.stderr)
+        return 1
     if want_stats:
         if args.json:
             payload = {**payload, "stats": stats}

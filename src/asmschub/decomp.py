@@ -42,7 +42,7 @@ from .groebner import (
 )
 from .ideal import Schubertable, _degeneration, anti_diag_init, as_partial_asm, schubert_determinantal_ideal
 from .monomial import MonomialIdeal, is_cm_quotient, vertex_decomposition_reg
-from .perm import Permutation, bruhat_leq, pad
+from .perm import Permutation, _trim, bruhat_leq, pad
 from .poly import var_to_text
 
 Decomposable = MonomialIdeal | Ideal | Schubertable
@@ -140,12 +140,6 @@ def _shaped(xs) -> list[PartialASM]:
         size = max(A.nrows for A in matrices)
         matrices = [pad_asm(A, size) for A in matrices]
     return matrices
-
-
-def _trim(w: Permutation) -> Permutation:
-    """w without its trailing fixed points."""
-    n = max((i for i, v in enumerate(w, 1) if v != i), default=1)
-    return Permutation(w.one_line[:n])
 
 
 def union_asm(xs) -> PartialASM | None:

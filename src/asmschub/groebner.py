@@ -13,15 +13,17 @@ is the term order.  A product is a sum, a quotient a difference, ``a``
 divides ``b`` when ``((b | G) - a) & G == G`` for the guard mask G, and
 the same guard bits pick the field-wise max of an lcm.  Every packed
 input, product and lcm is checked against the guards (a quotient cannot
-overflow); an overflow restarts the computation with fields twice as
-wide, from `MIN_WIDTH`, so the width never changes a basis, a counter
-or a budget trip.  A basis is a list of monic entries ``(lead, tail)``,
-the tail holding the other ``(monomial, coefficient)`` pairs, with
-coefficients kept as ints while their denominator is 1.  One kernel,
-`_reduce`, reduces S-polynomials, basis tails and, through
-`normal_form`, outside polynomials.  Only a returned basis is
-tail-reduced and unpacked.  An initial ideal takes the leads of the
-packed minimal basis undecoded (tail reduction keeps every lead), their
+overflow); on an overflow `_packed` restarts the computation with fields twice as
+wide, from `MIN_WIDTH`, and with the meter and the `collect_stats`
+counters as they were at its start, so the width never changes a basis,
+a counter or a budget trip.  A basis is a list of monic entries
+``(lead, tail)``, the tail holding the other ``(monomial, coefficient)``
+pairs, with coefficients kept as ints while their denominator is 1.  One
+kernel, `_reduce`, reduces S-polynomials, basis tails, the candidates of
+`minimal_generators` and, through `normal_form`, outside polynomials.
+Each computation stays in one ring and unpacks only what it returns.
+An initial ideal takes packed leads undecoded, of the minimal basis
+(tail reduction keeps every lead) or of a cached reduced basis, their
 fields moved by `poly._mover` straight to their grid fields.
 
 The budget bounds both the S-pairs a computation pops and its reduction
@@ -37,17 +39,8 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .monomial import MonomialIdeal, _count, _packed_ideal, monomial_ideal
-from .poly import (
-    Polynomial,
-    TermOrder,
-    _Overflow,
-    _Ring,
-    _mover,
-    antidiagonal_order,
-    lead_monomial,
-    z_grid,
-)
+from .monomial import _STATS, MonomialIdeal, _count, _packed_ideal
+from .poly import Polynomial, TermOrder, _Overflow, _Ring, _mover, antidiagonal_order, z_grid
 
 DEFAULT_BUDGET = 200_000
 WORK_PER_PAIR = 50
@@ -143,34 +136,39 @@ def _reduce(ring: _Ring, coeffs: dict, basis: list, meter: _Meter) -> dict:
     return out
 
 
-def _packed(order: TermOrder, polys, run):
+def _packed(order: TermOrder, polys, run, meter: _Meter | None = None):
     """run(ring) over the variables of polys, with fields twice as wide
-    after each overflow."""
+    after each overflow.  A wider attempt starts from the meter's and the
+    `collect_stats` counters' values at entry, so an overflowed attempt
+    charges and counts nothing."""
+    stats = _STATS.get() or {}
+    counted, spent = dict(stats), meter and meter.work
     width = MIN_WIDTH
     while True:
         try:
             return run(_Ring(order, polys, width))
         except _Overflow:
             width *= 2
+            stats.update(counted)
+            if meter:
+                meter.work = spent
 
 
 def normal_form(f: Polynomial, basis: tuple[Polynomial, ...], order: TermOrder, meter: _Meter) -> Polynomial:
     """Fully reduce f modulo the basis polynomials, each made monic: no
     term of the result is divisible by the lead of any of them.  The meter
     is charged for every reduction step."""
-    spent = meter.work
 
     def run(ring: _Ring) -> Polynomial:
-        meter.work = spent  # an overflowed attempt charges nothing
-        entries = [ring.monic(ring.pack(g)) for g in basis]
-        return ring.unpack(_reduce(ring, ring.pack(f), entries, meter).items())
+        return ring.unpack(_reduce(ring, ring.pack(f), [ring.monic(ring.pack(g)) for g in basis], meter).items())
 
-    return _packed(order, [f, *basis], run)
+    return _packed(order, [f, *basis], run, meter)
 
 
-def _buchberger(ring: _Ring, gens: list[Polynomial], budget: int, finish):
-    """finish(ring, minimal, meter) of the minimal packed basis; a finished run is counted."""
-    G = list(dict.fromkeys(ring.monic(ring.pack(g)) for g in gens))
+def _buchberger(ring: _Ring, entries: list, budget: int, finish):
+    """finish(ring, minimal, meter) of the minimal basis of monic packed
+    entries; a finished run is counted."""
+    G = list(dict.fromkeys(entries))
     deg, top, flip, guard = ring.deg, ring.field, ring.flip, ring.guard
     pending: dict[tuple[int, int], int] = {}  # pair -> lcm of its leads
     heap: list = []
@@ -233,44 +231,44 @@ def _buchberger(ring: _Ring, gens: list[Polynomial], budget: int, finish):
 def _groebner(order: TermOrder, gens, budget: int, finish):
     """`_buchberger` on the nonzero gens, with fields widened after each overflow."""
     gens = [g for g in gens if not g.is_zero]
-    return _packed(order, gens, lambda ring: _buchberger(ring, gens, budget, finish))
+    return _packed(order, gens, lambda ring: _buchberger(ring, [ring.monic(ring.pack(g)) for g in gens], budget, finish))
 
 
-def _reduced(ring: _Ring, minimal: list, meter: _Meter) -> tuple[Polynomial, ...]:
-    """The minimal basis tail-reduced, sorted by lead and unpacked.  No other
+def _reduced(ring: _Ring, minimal: list, meter: _Meter) -> list:
+    """The minimal basis tail-reduced, monic and sorted by lead.  No other
     lead divides a member's lead, so the lead and its coefficient 1 stay."""
-    reduced = [
-        (lead, _reduce(ring, {lead: 1, **dict(tail)}, minimal[:idx] + minimal[idx + 1 :], meter))
-        for idx, (lead, tail) in enumerate(minimal)
-    ]
-    reduced.sort(key=lambda e: e[0] ^ ring.flip)
-    return tuple(ring.unpack(r.items()) for _, r in reduced)
+    return sorted((ring.monic(_reduce(ring, {lead: 1, **dict(tail)}, minimal[:idx] + minimal[idx + 1 :], meter))
+                   for idx, (lead, tail) in enumerate(minimal)), key=lambda e: e[0] ^ ring.flip)
+
+
+def _unpacked(ring: _Ring, entries) -> tuple[Polynomial, ...]:
+    return tuple(ring.unpack(((lead, 1), *tail)) for lead, tail in entries)
 
 
 def buchberger(I: Ideal | list[Polynomial] | tuple[Polynomial, ...], order: TermOrder,
                budget: int = DEFAULT_BUDGET) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis, sorted by increasing lead term,
     kept in an `Ideal`'s cache under ("gb", order)."""
-    if not isinstance(I, Ideal):
-        return _groebner(order, I, budget, _reduced)
-    if ("gb", order) not in I.cache:
-        I.cache["gb", order] = _groebner(order, I.generators, budget, _reduced)
-    return I.cache["gb", order]
+    gens, cache = (I.generators, I.cache) if isinstance(I, Ideal) else (I, {})
+    if ("gb", order) not in cache:
+        cache["gb", order] = _groebner(order, gens, budget, lambda ring, minimal, meter: _unpacked(ring, _reduced(ring, minimal, meter)))
+    return cache["gb", order]
 
 
 def initial_ideal(I: Ideal, order: TermOrder, budget: int = DEFAULT_BUDGET) -> MonomialIdeal:
     """Minimal monomial generators of the lead terms of a Groebner basis: the
-    reduced basis in I's cache, or else the packed minimal basis, whose leads
-    pass over undecoded (tail reduction keeps every lead)."""
+    reduced basis in I's cache, or else the packed minimal basis (tail
+    reduction keeps every lead).  Either way the packed leads move straight
+    to their grid fields, undecoded."""
     grid = z_grid(*I.ambient)
-    if ("gb", order) in I.cache:
-        return monomial_ideal((lead_monomial(g, order) for g in I.cache["gb", order]), grid)
 
-    def leads(ring: _Ring, minimal: list, meter: _Meter) -> MonomialIdeal:
+    def leads(ring: _Ring, packed) -> MonomialIdeal:
         move = _mover([(at, grid.index(v) * (ring.width + 1)) for v, at in ring.shift.items()], ring.width)
-        return _packed_ideal(grid, ring.width, [move(lead) for lead, _ in minimal])
+        return _packed_ideal(grid, ring.width, map(move, packed))
 
-    return _groebner(order, I.generators, budget, leads)
+    if (basis := I.cache.get(("gb", order))) is not None:
+        return _packed(order, basis, lambda ring: leads(ring, [ring.lead(ring.pack(g)) for g in basis]))
+    return _groebner(order, I.generators, budget, lambda ring, minimal, meter: leads(ring, [lead for lead, _ in minimal]))
 
 
 def canonical_order(ambient: tuple[int, int]) -> TermOrder:
@@ -322,17 +320,19 @@ def minimal_generators(I: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[Polynomi
     for instance).  Those reductions share one budget, apart from the
     budgets of the bases they reduce against.
     """
-    order = canonical_order(I.ambient)
     gens = list(dict.fromkeys(I.generators))
-    ring = _Ring(order, gens, max([1, *map(Polynomial.degree, gens)]).bit_length())
     meter = _Meter(budget)
-    kept: list[Polynomial] = []
-    basis: tuple[Polynomial, ...] | None = ()  # None once kept has outgrown it
-    for g in sorted(gens, key=lambda f: (f.degree(), max(m ^ ring.flip for m in ring.pack(f)))):
-        if basis is None:
-            basis = buchberger(kept, order, budget)
-        g = normal_form(g, basis, order, meter)
-        if not g.is_zero:
-            kept.append(g * (1 / g.coefficient(lead_monomial(g, order))))
-            basis = None
-    return tuple(kept)
+
+    def run(ring: _Ring) -> tuple[Polynomial, ...]:
+        kept: list = []
+        basis: list | None = []  # None once kept has outgrown it
+        for coeffs in sorted(map(ring.pack, gens), key=lambda c: (max(m >> ring.deg & ring.field for m in c), ring.lead(c) ^ ring.flip)):
+            if basis is None:
+                basis = _buchberger(ring, kept, budget, _reduced)
+            r = _reduce(ring, coeffs, basis, meter)
+            if r:
+                kept.append(ring.monic(r))
+                basis = None
+        return _unpacked(ring, kept)
+
+    return _packed(canonical_order(I.ambient), gens, run, meter)

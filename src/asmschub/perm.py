@@ -78,6 +78,12 @@ def pad(w: Permutation, n: int) -> Permutation:
     return Permutation(w.one_line + tuple(range(len(w) + 1, n + 1)))
 
 
+def _trim(w: Permutation) -> Permutation:
+    """w without its trailing fixed points."""
+    n = max((i for i, v in enumerate(w, 1) if v != i), default=1)
+    return Permutation(w.one_line[:n])
+
+
 def coxeter_length(w: Permutation) -> int:
     """Number of inversions of w.
 

@@ -437,9 +437,12 @@ class _Ring:
             raise _Overflow
         return v | d << self.deg
 
+    def lead(self, coeffs) -> int:  # the packed int of largest key
+        return max(coeffs, key=lambda m: m ^ self.flip)
+
     def monic(self, coeffs: dict) -> tuple[int, tuple]:
         """The entry (lead, tail) of coeffs divided by its lead coefficient."""
-        lead = max(coeffs, key=lambda m: m ^ self.flip)
+        lead = self.lead(coeffs)
         lc = coeffs[lead]
         return lead, tuple((m, c if lc == 1 else _plain(Fraction(c, lc)))
                            for m, c in coeffs.items() if m != lead)
@@ -452,7 +455,7 @@ def lead_monomial(f: Polynomial, order: TermOrder) -> Monomial:
     if f.is_zero:
         raise ValueError("zero polynomial has no lead term")
     ring = _Ring(order, [f], max(f.degree(), 1).bit_length())
-    lead = max(_fields(f, ring.shift, ring.deg), key=lambda m: m ^ ring.flip)
+    lead = ring.lead(_fields(f, ring.shift, ring.deg))
     return tuple((v, e) for v, at in ring.shift.items() if (e := lead >> at & ring.field))
 
 

@@ -1,7 +1,8 @@
 """Schubert, double Schubert, and Grothendieck polynomials.
 
 All three families start from the staircase monomial of the longest
-element and descend through (isobaric) divided differences; the
+element of the least S_n that holds w (each is stable under S_n in
+S_{n+1}) and descend through (isobaric) divided differences; the
 transition recursion and the signed pipe-dream sum provide independent
 routes to the same polynomials.  The pipe-dream sum runs over 0-Hecke
 (Demazure product) states and never lists the dreams themselves.  The
@@ -24,6 +25,7 @@ from .perm import (
     Permutation,
     _hecke,
     _tableau,
+    _trim,
     coxeter_length,
     descents,
     is_dominant,
@@ -71,7 +73,7 @@ def _descend(w: Permutation, base, step) -> Polynomial:
 
 def schubert_polynomial(w: Permutation, algorithm: str = "DividedDifference") -> Polynomial:
     if algorithm == "DividedDifference":
-        return _descend(w, _staircase, divided_difference)
+        return _descend(_trim(w), _staircase, divided_difference)
     if algorithm == "Transition":
         return _transition(w)
     raise ValueError(f"unknown Schubert algorithm {algorithm!r}")
@@ -87,7 +89,7 @@ def _double_staircase(n: int) -> Polynomial:
 
 def double_schubert_polynomial(w: Permutation) -> Polynomial:
     """Divided differences act on the x variables; y ride along."""
-    return _descend(w, _double_staircase, divided_difference)
+    return _descend(_trim(w), _double_staircase, divided_difference)
 
 
 GROTHENDIECK_ALGORITHMS = ("DividedDifference", "PipeDream")
@@ -95,7 +97,7 @@ GROTHENDIECK_ALGORITHMS = ("DividedDifference", "PipeDream")
 
 def grothendieck_polynomial(w: Permutation, algorithm: str = "DividedDifference") -> Polynomial:
     if algorithm == "DividedDifference":
-        return _descend(w, _staircase, isobaric_divided_difference)
+        return _descend(_trim(w), _staircase, isobaric_divided_difference)
     if algorithm == "PipeDream":
         if len(w) > PIPE_DREAM_LIMIT:
             raise ValueError(f"pipe dream formula is limited to n <= {PIPE_DREAM_LIMIT}")

@@ -5,6 +5,9 @@ library answers faster by another route, and exists to cross-check it:
 
 - `perm_set_brute_force` scans all of S_n in Bruhat order, against
   `perm_set_of_asm` (minimal primes of the antidiagonal initial ideal);
+- `rank_table_by_fixpoint` lowers every entry to its neighbours' bounds
+  until nothing changes, against the two passes of
+  `rank_table_from_matrix`;
 - `components_by_primes` lists the minimal primes as variable tuples and
   takes the Demazure product of each, against `schubert_decompose`,
   which reads prime masks and builds one `Permutation` per component;
@@ -43,8 +46,9 @@ library answers faster by another route, and exists to cross-check it:
   with every old cover, against the single-bit test of `_cover_masks`;
 - `initial_ideal_by_reduced_basis` computes the reduced basis, without
   touching the ideal's cache, and decodes the lead of each member with
-  `lead_monomial`, against `initial_ideal`, which hands the packed leads
-  of the minimal basis over undecoded;
+  `lead_monomial`, against `initial_ideal`, which moves the packed leads
+  of the minimal basis, or of a reduced basis in the ideal's cache, to
+  their grid fields undecoded;
 - `minor_lead_by_expansion` expands a minor with some cells set to 0
   term by term and takes the largest monomial by `nested_term_key`,
   and `cdg_init_by_matchings` runs it on every Fulton minor with its own
@@ -179,6 +183,31 @@ def perm_set_brute_force(A: PartialASM, max_size: int = 5) -> list[Permutation]:
     above = {w for w, t in _flat_rank_tables(n).items() if all(map(le, t, bound))}
     minimal = [w for w in above if not any(u in above for u in _lower_covers(w))]
     return [Permutation(w) for w in sorted(minimal)]
+
+
+def rank_table_by_fixpoint(grid: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The greatest valid rank table below a nonnegative grid, by lowering
+    entries to their neighbours' bounds until nothing changes."""
+    m, n = len(grid), len(grid[0])
+    r = [[min(grid[i][j], i + 1, j + 1) for j in range(n)] for i in range(m)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(m):
+            for j in range(n):
+                v = r[i][j]
+                if i > 0:
+                    v = min(v, r[i - 1][j] + 1)
+                if j > 0:
+                    v = min(v, r[i][j - 1] + 1)
+                if i + 1 < m:
+                    v = min(v, r[i + 1][j])
+                if j + 1 < n:
+                    v = min(v, r[i][j + 1])
+                if v < r[i][j]:
+                    r[i][j] = v
+                    changed = True
+    return tuple(map(tuple, r))
 
 
 def components_by_primes(J: MonomialIdeal) -> tuple[Permutation, ...]:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from asmschub import asm, perm
 from asmschub.asm import PartialASM, RankTable
 from asmschub.perm import Permutation
-from oracles import matrix_to_text, perm_set_brute_force
+from oracles import matrix_to_text, perm_set_brute_force, rank_table_by_fixpoint
 
 
 def brute_rank_table(A: PartialASM):
@@ -185,6 +185,16 @@ class TestRankTableFromMatrix:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             asm.rank_table_from_matrix([[-1]])
+
+    def test_two_passes_reach_the_fixpoint(self):
+        # every grid up to 3x3: both routes first lower the entry at (i, j)
+        # to min(i, j), 1-indexed (pinned by the staircase test above), so
+        # an entry past that bound acts as the bound
+        for m, n in itertools.product(range(1, 4), repeat=2):
+            bounds = [range(min(i, j) + 1) for i in range(1, m + 1) for j in range(1, n + 1)]
+            for entries in itertools.product(*bounds):
+                grid = [entries[i * n : (i + 1) * n] for i in range(m)]
+                assert asm.rank_table_from_matrix(grid).values == rank_table_by_fixpoint(grid), grid
 
     @settings(max_examples=60)
     @given(small_grids)

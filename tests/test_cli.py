@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmschub import cli, decomp, groebner
+from asmschub import cli, decomp, groebner, schubpoly
 from asmschub.asm import (
     asm_from_json,
     asm_to_json,
@@ -362,6 +362,25 @@ class TestExitCodes:
 
         monkeypatch.setattr(decomp, "union_asm", exhaust)
         assert run(["decomp", "is-asm", "2,1", "1,2"]) == (1, "", "out of memory (MemoryError)\n")
+
+    def test_recursion_error_is_a_domain_error(self):
+        # s_49 in S_50 has no fixed point to trim, and its climb from the
+        # longest element of S_50 recurses past Python's limit
+        s49 = ",".join(map(str, [*range(1, 49), 50, 49]))
+        for flags in ([], ["--json"]):
+            assert run(["poly", "schubert", s49, *flags]) == (1, "", "recursion too deep (RecursionError)\n")
+
+    def test_identity_climbs_from_s1(self, monkeypatch):
+        # untrimmed, each climb would start at the longest element of S_14
+        for name in ("_staircase", "_double_staircase"):
+            base = getattr(schubpoly, name)
+            monkeypatch.setattr(schubpoly, name, lambda n, base=base: base(n) if n <= 3 else pytest.fail(f"climb from S_{n}"))
+        identity, cycle = ",".join(map(str, range(1, 15))), ",".join(map(str, [3, 1, 2, *range(4, 15)]))
+        for verb in ("schubert", "double-schubert", "grothendieck"):
+            assert run(["poly", verb, identity]) == (0, "1\n", "")
+            rc, out, _ = run(["poly", verb, identity, "--json"])
+            assert rc == 0 and json.loads(out)["polynomial"] == [{"coefficient": "1", "exponents": []}]
+        assert run(["poly", "schubert", cycle]) == (0, "x[1]^2\n", "")
 
     def test_budget_exhaustion(self):
         rc, _, err = run(["decomp", "intersect", "3,4,1,2", "3,2,4,1", "--budget", "1"])

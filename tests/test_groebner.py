@@ -172,6 +172,69 @@ class TestPackedOverflow:
         assert meter.work == 4
 
 
+def width_draws() -> list[tuple[list[Polynomial], Polynomial]]:
+    """150 seeded ideals over z[1,1], z[1,2] and z[2,1], exponents up to 300,
+    each with one more polynomial to reduce."""
+    rng, variables = random.Random(7), (z_(1, 1), z_(1, 2), z_(2, 1))
+
+    def draw() -> Polynomial:
+        return Polynomial.from_dict({
+            tuple((v, e) for v in variables if (e := rng.choice((0, rng.randint(1, 300))))): rng.choice((1, -1, 2, 3))
+            for _ in range(rng.randint(1, 3))
+        })
+
+    return [([g for g in (draw() for _ in range(rng.randint(2, 3))) if not g.is_zero], draw()) for _ in range(150)]
+
+
+class TestFieldWidth:
+    """Fields of 8 bits, widened after each overflow, against fields of 64
+    bits, which these exponents never overflow: the same answers, budget
+    messages and `collect_stats` counters, and the same charges to a
+    caller's meter.  All 150 draws take about 50 s; the slice holds a
+    draw where a restart that kept the meter's charges shows (69), and one
+    where a restart that kept the counters of a finished basis shows (129)."""
+
+    BUDGET = 2_000
+    ORDER = canonical_order((2, 2))
+
+    def outcomes(self, gens: list[Polynomial], f: Polynomial) -> list:
+        budget, order = self.BUDGET, self.ORDER
+
+        def cached():
+            I = Ideal(tuple(gens), (2, 2))
+            buchberger(I, order, budget)
+            return initial_ideal(I, order)
+
+        def reduced():
+            meter = _Meter(budget)
+            return normal_form(f, buchberger(gens, order, budget), order, meter), meter.work
+
+        calls = (
+            lambda: minimal_generators(Ideal(tuple(gens), (2, 2)), budget),
+            lambda: buchberger(gens, order, budget),
+            lambda: initial_ideal(Ideal(tuple(gens), (2, 2)), order, budget),
+            cached,
+            reduced,
+        )
+        out = []
+        for call in calls:
+            with collect_stats() as stats:
+                try:
+                    got = call()
+                except GroebnerBudgetError as e:
+                    got = str(e)
+            out.append((got, stats))
+        return out
+
+    def test_width_changes_nothing(self, monkeypatch):
+        draws = width_draws()
+        draws = draws[67:75] + draws[122:130]
+        assert max(g.degree() for gens, _ in draws for g in gens) > 255  # past the first fields
+        narrow = [self.outcomes(*d) for d in draws]
+        monkeypatch.setattr("asmschub.groebner.MIN_WIDTH", 64)
+        assert [self.outcomes(*d) for d in draws] == narrow
+
+
 class TestNormalForm:
     def test_remainder_uses_no_lead_divisible_terms(self):
         basis = buchberger([P("z[1,1]^2 - z[1,2]"), P("z[1,1]*z[1,2] - z[1,3]")], GREVLEX)

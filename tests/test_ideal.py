@@ -552,8 +552,9 @@ class TestLeadsOffMinimalBasis:
 
     def test_a_cached_basis_is_read(self):
         # all of S_4, the six non-squarefree diagonal ideals of S_6 and one
-        # more: the packed leads, then the leads of the cached reduced basis
-        # as tuples, must give one packed form, equal and equally hashed
+        # more: the packed leads of the minimal basis, then those of the
+        # cached reduced basis, must give one packed form, equal and
+        # equally hashed
         cases = [(w, v) for w in all_permutations(4) for v in DIAG_VARIANTS]
         cases += [(Permutation(w), v) for w in [(2, 1, 4, 3, 6, 5), (3, 2, 1, 6, 5, 4)] for v in DIAG_VARIANTS]
         cases.append((Permutation((1, 3, 2, 5, 4)), "RevLex"))

@@ -24,7 +24,7 @@ from asmschub.perm import (
 )
 from asmschub.pipedream import pipe_dreams
 from asmschub import schubpoly
-from asmschub.poly import Polynomial, mono_degree, poly_to_text
+from asmschub.poly import Polynomial, divided_difference, isobaric_divided_difference, mono_degree, poly_to_text
 from oracles import (
     cross_monomial,
     double_schuberts_by_reduced_dreams,
@@ -87,6 +87,24 @@ class TestSchubertPolynomial:
         hits = schubpoly._descend.cache_info().hits
         assert schubert_polynomial(w) is first
         assert schubpoly._descend.cache_info().hits == hits + 1
+
+
+class TestTrimmedClimb:
+    """Each family climbs from the longest element of the least S_n that
+    holds w.  All three are stable under S_n in S_{n+1}, so the climb from
+    the longest element of S_6 gives the same polynomials."""
+
+    @pytest.mark.parametrize(
+        "family, base, step",
+        [
+            (schubert_polynomial, schubpoly._staircase, divided_difference),
+            (double_schubert_polynomial, schubpoly._double_staircase, divided_difference),
+            (grothendieck_polynomial, schubpoly._staircase, isobaric_divided_difference),
+        ],
+    )
+    def test_trimmed_against_untrimmed_on_s6(self, family, base, step):
+        for w in all_permutations(6):
+            assert family(w) == schubpoly._descend(w, base, step), w
 
 
 class TestDoubleSchubert:
