@@ -76,6 +76,8 @@ class PartialASM:
         return all(sum(row[j] for row in self.rows) == 1 for j in range(self.ncols))
 
     def __call__(self, i: int, j: int) -> int:
+        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
+            raise IndexError(f"position ({i},{j}) outside 1..{self.nrows} x 1..{self.ncols}")
         return self.rows[i - 1][j - 1]
 
 
@@ -125,7 +127,9 @@ class RankTable:
         return len(self.values[0])
 
     def __call__(self, i: int, j: int) -> int:
-        # zero outside the grid's northwest edge, handy for corner sums
+        # zero on row and column 0, the grid's northwest edge, handy for corner sums
+        if not (0 <= i <= self.nrows and 0 <= j <= self.ncols):
+            raise IndexError(f"position ({i},{j}) outside 0..{self.nrows} x 0..{self.ncols}")
         if i == 0 or j == 0:
             return 0
         return self.values[i - 1][j - 1]
@@ -213,72 +217,60 @@ def entrywise_extreme_rank_table(
     return RankTable(vals)
 
 
-def _try_complete(A: PartialASM, k: int) -> PartialASM | None:
+def _fill(A: PartialASM, k: int) -> PartialASM:
+    """A as the NW corner of a k x k ASM, for k >= ncols + the number z of
+    rows of A summing to 0: each such row takes a 1 in the next new column,
+    then each column summing to 0 (a 1 and a -1 may cancel) one in the next
+    new row.  A's rows sum to m - z and its columns to n - c0, so the
+    c0 + k - n - z zero columns meet the k - m new rows one to one."""
     m, n = A.nrows, A.ncols
-    grid = [[A(i + 1, j + 1) if i < m and j < n else 0 for j in range(k)] for i in range(k)]
-    # deficient original rows take a 1 in the first unused new column
-    next_col = n
-    for i in range(m):
-        if sum(grid[i]) == 0:
-            if next_col >= k:
-                return None
-            grid[i][next_col] = 1
-            next_col += 1
-    # columns still summing to zero take a 1 in the first unused new row
-    free_rows = [i for i in range(m, k) if sum(grid[i]) == 0]
+    rows = [list(row) + [0] * (k - n) for row in A.rows] + [[0] * k for _ in range(k - m)]
+    for j, row in enumerate((row for row in rows[:m] if sum(row) == 0), start=n):
+        row[j] = 1
+    new_rows = iter(rows[m:])
     for j in range(k):
-        if sum(grid[i][j] for i in range(k)) == 0:
-            if not free_rows:
-                return None
-            grid[free_rows.pop(0)][j] = 1
-    done = PartialASM(tuple(tuple(row) for row in grid))
-    return done if done.is_asm else None
+        if sum(row[j] for row in rows) == 0:
+            next(new_rows)[j] = 1
+    return PartialASM(tuple(map(tuple, rows)))
 
 
 def complete_asm(A: PartialASM) -> PartialASM:
-    """Extend a partial ASM to a full ASM containing it as the NW corner.
+    """The smallest ASM with A as its NW corner: `_fill` at ncols + z.
 
-    Greedy and deterministic; some square size at most nrows+ncols
-    always works, but no minimality of the output size is promised.
+    No completion is smaller: in a k x k one the new-column entries of A's
+    rows sum to z, and a new column holds at most 1 of that, as its prefix
+    sums lie in {0, 1}; so k >= ncols + z.
 
     >>> complete_asm(PartialASM(((0,),))).rows
     ((0, 1), (1, 0))
     """
     if A.is_asm:
         return A
-    for k in range(max(A.nrows, A.ncols), A.nrows + A.ncols + 1):
-        done = _try_complete(A, k)
-        if done is not None:
-            return done
-    raise RuntimeError("completion failed below the guaranteed bound")
+    return _fill(A, A.ncols + sum(sum(row) == 0 for row in A.rows))
 
 
 def pad_asm(A: PartialASM, n: int) -> PartialASM:
-    """Pad a full ASM to size n by extending with 1s on the new diagonal."""
+    """Pad a full ASM to size n: `_fill` puts the new 1s on the new diagonal."""
     if not A.is_asm:
         raise ValueError("can only pad a full ASM")
-    k = A.nrows
-    if n < k:
-        raise ValueError(f"target size {n} smaller than matrix size {k}")
-    if n == k:
-        return A
-    rows = [row + (0,) * (n - k) for row in A.rows]
-    for i in range(k, n):
-        rows.append(tuple(1 if j == i else 0 for j in range(n)))
-    return PartialASM(tuple(rows))
+    if n < A.nrows:
+        raise ValueError(f"target size {n} smaller than matrix size {A.nrows}")
+    return _fill(A, n)
+
+
+def _common_square(matrices: Sequence[PartialASM]) -> list[PartialASM]:
+    """Each matrix completed, then all padded to the largest completed size."""
+    completed = [complete_asm(A) for A in matrices]
+    size = max(A.nrows for A in completed)
+    return [pad_asm(A, size) for A in completed]
 
 
 def asm_sum(asms: Sequence[PartialASM]) -> PartialASM:
-    """ASM whose rank table is the entrywise min of the summands' tables.
-
-    Each summand is completed to a full ASM, all are padded to a common
-    size, and the minimum table is converted back to a matrix.
-    """
+    """ASM whose rank table is the entrywise min of the summands' tables,
+    taken over their `_common_square` shapes."""
     if not asms:
         raise ValueError("need at least one summand")
-    completed = [complete_asm(A) for A in asms]
-    size = max(A.nrows for A in completed)
-    tables = [rank_table(pad_asm(A, size)) for A in completed]
+    tables = [rank_table(A) for A in _common_square(asms)]
     return rank_table_to_asm(entrywise_extreme_rank_table(tables, "min"))
 
 

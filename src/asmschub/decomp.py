@@ -21,12 +21,11 @@ from operator import or_
 
 from .asm import (
     PartialASM,
+    _common_square,
     _unchecked,
     as_permutation,
     asm_sum,
-    complete_asm,
     entrywise_extreme_rank_table,
-    pad_asm,
     permutation_matrix,
     rank_table,
     rank_table_to_asm,
@@ -132,13 +131,11 @@ def get_asm(I: Ideal) -> PartialASM:
 
 
 def _shaped(xs) -> list[PartialASM]:
-    """The inputs as partial ASMs of one shape: when shapes differ, each is
-    completed and all are padded to the largest completed size."""
+    """The inputs as partial ASMs, brought to their `_common_square` shape
+    when their shapes differ."""
     matrices = [as_partial_asm(x) for x in xs]
     if len({(A.nrows, A.ncols) for A in matrices}) > 1:
-        matrices = [complete_asm(A) for A in matrices]
-        size = max(A.nrows for A in matrices)
-        matrices = [pad_asm(A, size) for A in matrices]
+        return _common_square(matrices)
     return matrices
 
 

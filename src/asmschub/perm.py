@@ -49,6 +49,8 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         """Value w(i) at a 1-based position."""
+        if not 1 <= i <= len(self.one_line):
+            raise IndexError(f"position {i} outside 1..{len(self.one_line)}")
         return self.one_line[i - 1]
 
     def __iter__(self) -> Iterator[int]:
@@ -270,6 +272,8 @@ def demazure_product(word: Sequence[int], n: int | None = None) -> Permutation:
     >>> demazure_product((1, 3, 5)).one_line
     (2, 1, 4, 3, 6, 5)
     """
+    if word and min(word) < 1:
+        raise ValueError(f"letter {min(word)} is below 1")
     if n is None:
         n = max(word) + 1 if word else 1
     if word and max(word) + 1 > n:

@@ -5,6 +5,10 @@ library answers faster by another route, and exists to cross-check it:
 
 - `perm_set_brute_force` scans all of S_n in Bruhat order, against
   `perm_set_of_asm` (minimal primes of the antidiagonal initial ideal);
+- `complete_asm_by_search` tries a greedy fill at each size from
+  max(m, n), or from a given size, up to m + n and keeps the first ASM
+  it gives, against the one size of `complete_asm` and the new diagonal
+  of `pad_asm`, both filled by `_fill`;
 - `rank_table_by_fixpoint` lowers every entry to its neighbours' bounds
   until nothing changes, against the two passes of
   `rank_table_from_matrix`;
@@ -183,6 +187,30 @@ def perm_set_brute_force(A: PartialASM, max_size: int = 5) -> list[Permutation]:
     above = {w for w, t in _flat_rank_tables(n).items() if all(map(le, t, bound))}
     minimal = [w for w in above if not any(u in above for u in _lower_covers(w))]
     return [Permutation(w) for w in sorted(minimal)]
+
+
+def complete_asm_by_search(A: PartialASM, start: int | None = None) -> PartialASM:
+    """The first k x k ASM, k from `start` (default max(m, n)) up, whose NW
+    corner is A, by a greedy fill: rows of A summing to 0 take a 1 in the
+    first unused new column, then columns summing to 0 in the first unused
+    new row, and a size where either runs out is skipped."""
+    m, n = A.nrows, A.ncols
+    start = max(m, n) if start is None else start
+    for k in range(start, max(start, m + n) + 1):
+        grid = [[A(i + 1, j + 1) if i < m and j < n else 0 for j in range(k)] for i in range(k)]
+        next_col = n
+        for i in range(m):
+            if sum(grid[i]) == 0 and next_col < k:
+                grid[i][next_col] = 1
+                next_col += 1
+        free_rows = [i for i in range(m, k) if sum(grid[i]) == 0]
+        for j in range(k):
+            if sum(grid[i][j] for i in range(k)) == 0 and free_rows:
+                grid[free_rows.pop(0)][j] = 1
+        done = PartialASM(tuple(tuple(row) for row in grid))
+        if done.is_asm:
+            return done
+    raise ValueError(f"no completion of size {start} to {max(start, m + n)}")
 
 
 def rank_table_by_fixpoint(grid: list[list[int]]) -> tuple[tuple[int, ...], ...]:

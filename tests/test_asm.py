@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from asmschub import asm, perm
 from asmschub.asm import PartialASM, RankTable
 from asmschub.perm import Permutation
-from oracles import matrix_to_text, perm_set_brute_force, rank_table_by_fixpoint
+from oracles import complete_asm_by_search, matrix_to_text, perm_set_brute_force, rank_table_by_fixpoint
 
 
 def brute_rank_table(A: PartialASM):
@@ -105,6 +105,13 @@ class TestConstruction:
         A = asm.make_partial_asm([[0, 1], [1, 0]])
         assert asm.asm_from_json(asm.asm_to_json(A)) == A
 
+    def test_call_is_one_based(self):
+        A = PartialASM(((0, 1, 0), (1, -1, 0)))
+        assert A(1, 2) == 1 and A(2, 3) == 0
+        for i, j in ((0, 1), (1, 0), (-1, 2), (3, 1), (1, 4)):
+            with pytest.raises(IndexError, match=rf"position \({i},{j}\) outside 1..2 x 1..3"):
+                A(i, j)
+
 
 class TestRankTable:
     def test_rectangular_rank_table(self):
@@ -134,6 +141,14 @@ class TestRankTable:
             RankTable(((0, 2),))
         with pytest.raises(ValueError, match="increment"):
             RankTable(((1, 1), (0, 1)))
+
+    def test_call_reads_zero_on_the_northwest_edge(self):
+        T = asm.rank_table(PartialASM(((0, 1, 0), (1, -1, 0))))
+        assert T(0, 0) == T(0, 3) == T(2, 0) == 0
+        assert T(2, 3) == 1
+        for i, j in ((-1, 1), (1, -1), (3, 1), (1, 4)):
+            with pytest.raises(IndexError, match=rf"position \({i},{j}\) outside 0..2 x 0..3"):
+                T(i, j)
 
     def test_pinned_to_asm(self):
         T = RankTable(((0, 1, 1), (0, 1, 1), (1, 2, 2)))
@@ -241,6 +256,35 @@ class TestCompletion:
                     for i in range(1, A.nrows + 1)
                     for j in range(1, A.ncols + 1)
                 )
+
+    def test_matches_search(self):
+        # the one fill against the size search, on every partial ASM of at
+        # most 9 cells and every NW corner of a 5x5 ASM; padding by 2 against
+        # the search started 2 sizes up
+        small = [A for m in range(1, 10) for n in range(1, 9 // m + 1) for A in brute_partial_asms(m, n)]
+        corners = {
+            PartialASM(tuple(row[:n] for row in B.rows[:m]))
+            for B in asm.enumerate_asms(5)
+            for m in range(1, 6)
+            for n in range(1, 6)
+        }
+        for A in [*small, *corners]:
+            done = asm.complete_asm(A)
+            assert done == complete_asm_by_search(A), A
+            assert asm.pad_asm(done, done.nrows + 2) == complete_asm_by_search(A, done.nrows + 2), A
+
+    def test_least_size(self):
+        # each NW corner with m + n <= 6 of the ASMs up to size 6 first
+        # occurs in an ASM of its completed size
+        least = {}
+        for size in range(1, 7):
+            for B in asm.enumerate_asms(size):
+                for m in range(1, min(size, 5) + 1):
+                    for n in range(1, min(size, 6 - m) + 1):
+                        least.setdefault(tuple(row[:n] for row in B.rows[:m]), size)
+        assert len(least) == 204
+        for rows, size in least.items():
+            assert asm.complete_asm(PartialASM(rows)).nrows == size, rows
 
     def test_pad(self):
         A = asm.permutation_matrix(Permutation((2, 1)))

@@ -82,6 +82,8 @@ CORPUS: list[tuple[str, list[str]]] = [
     ("ideal-diaginit-lexnw", ["ideal", "diaginit", "2,1,4,3,6,5", "LexNW"]),
     ("ideal-diaginit-revlex", ["ideal", "diaginit", "2,1,4,3,6,5", "RevLex"]),
     ("asm-count-5", ["asm", "enumerate", "5", "--count"]),
+    ("asm-complete-cancelling", ["asm", "complete", "0 1;1 -1"]),
+    ("decomp-get-asm-21-partial", ["decomp", "get-asm", "2,1", "0 1 0;1 -1 0"]),
 ]
 
 

@@ -88,6 +88,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             perm.Permutation(())
 
+    def test_call_is_one_based(self):
+        w = Permutation((2, 3, 1))
+        assert (w(1), w(3)) == (2, 1)
+        for i in (0, -1, 4):
+            with pytest.raises(IndexError, match=f"position {i} outside 1..3"):
+                w(i)
+
     def test_roundtrip_text(self):
         w = Permutation((2, 1, 5, 4, 3))
         assert perm.perm_from_text(perm_to_text(w)) == w
@@ -260,6 +267,12 @@ class TestDemazure:
 
     def test_staircase_word(self):
         assert perm.demazure_product((2, 1, 2)) == Permutation((3, 2, 1))
+
+    @pytest.mark.parametrize("word,n", [((-1,), 3), ((0,), None), ((-1,), None)])
+    def test_letters_below_one_rejected(self, word, n):
+        # -1 would index from the end and act as s_{n-1}
+        with pytest.raises(ValueError, match=f"letter {word[0]} is below 1"):
+            perm.demazure_product(word, n)
 
     def test_reduced_words_multiply_ordinarily(self):
         for w in perm.all_permutations(4):
