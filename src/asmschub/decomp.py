@@ -1,12 +1,14 @@
 """Decomposition of rank-condition ideals into permutation components.
 
 An ASM variety is a union of matrix Schubert varieties; the minimal
-primes of its squarefree antidiagonal initial ideal are coordinate
-subspaces whose variable indices spell reduced words, one permutation
-per prime, read straight off the prime masks the ideal keeps.  From the
-component list one can reconstitute the ASM (via entrywise-extreme rank
-tables), recognize whether an arbitrary ideal is an ASM ideal, form sums
-and intersections, and test Cohen-Macaulayness through the degeneration.
+primes of its squarefree antidiagonal initial ideal J are the reduced
+pipe dreams of its components (Knutson and Miller, Annals 2005), each
+reached by chute moves from its one top-justified dream (Bergeron and
+Billey, "RC-graphs and Schubert polynomials", 1993, transposed), off which
+`perm_set_of_asm` reads it.  An ideal's primes are each read as a word.
+From the component list one can reconstitute the ASM (via entrywise-extreme
+rank tables), recognize whether an arbitrary ideal is an ASM ideal, form
+sums and intersections, and test Cohen-Macaulayness through the degeneration.
 
 Unions are recognized by rank tables alone: an ASM variety is the union
 of the matrix Schubert varieties of its permutation set (Weigandt,
@@ -47,6 +49,8 @@ from .poly import var_to_text
 Decomposable = MonomialIdeal | Ideal | Schubertable
 
 
+_prime_order = cmp_to_key(lambda p, q: -1 if p & (d := p ^ q) & -d else 1)  # the canonical order of prime masks
+
 ROW_SCAN_CACHE = 16  # variable tuples whose row masks and letters `schubert_decompose` keeps
 
 
@@ -64,11 +68,12 @@ def schubert_decompose(
 ) -> tuple[Permutation, ...]:
     """Permutations labeling the components of the initial ideal.
 
-    Each minimal prime mask of J is read in one row scan, row masks top
-    down and each from its highest bit, which is reading order, folding the
-    0-Hecke swap of each cell's letter into a one-line list.  Components
-    follow their least prime in the canonical minimal-prime order, ascending
-    bit lists: the smaller of two primes holds their lowest differing bit.
+    An ASM or permutation goes to `perm_set_of_asm`.  Else each minimal
+    prime mask of J is read in one row scan, row masks top down and each
+    from its highest bit, which is reading order, folding the 0-Hecke swap
+    of each cell's letter into a one-line list.  Components follow their
+    least prime in the canonical minimal-prime order, ascending bit lists:
+    the smaller of two primes holds their lowest differing bit.
     """
     if isinstance(I, MonomialIdeal):
         J = I
@@ -78,7 +83,7 @@ def schubert_decompose(
     elif isinstance(I, Ideal):
         J = initial_ideal(I, canonical_order(I.ambient), budget)
     else:
-        J = anti_diag_init(as_partial_asm(I))
+        return perm_set_of_asm(I)
     grid, rows, letters = _row_scan(J.variables)
     if J.is_zero:
         return (Permutation(tuple(range(1, grid + 1))),)
@@ -98,13 +103,29 @@ def schubert_decompose(
                 q ^= 1 << k
         if (o := least.get(w := tuple(out))) is None or p & (d := p ^ o) & -d:
             least[w] = p
-    ranked = sorted(least, key=cmp_to_key(lambda u, v: -1 if least[u] & (d := least[u] ^ least[v]) & -d else 1))
+    ranked = sorted(least, key=lambda w: _prime_order(least[w]))
     return tuple(_unchecked(Permutation, "one_line", w) for w in ranked)  # Hecke products of the identity
 
 
 def perm_set_of_asm(A: Schubertable) -> tuple[Permutation, ...]:
-    """Bruhat-minimal permutations above the ASM in the rank order."""
-    return schubert_decompose(as_partial_asm(A))
+    """Bruhat-minimal permutations above the ASM in the rank order, each w
+    read off its top pipe dream p: ``not p >> n & ~p`` on J's grid masks (no
+    cross below a non-cross), and p's column counts are the Lehmer code of
+    w^-1.  A chute move takes a cross down a row, so p is w's least prime and
+    the components come in the order of `schubert_decompose`."""
+    M = as_partial_asm(A)
+    J, n = anti_diag_init(M), M.ncols
+    column = sum(1 << i * n for i in range(M.nrows))
+    tops = sorted((p for p in J._primes if not p >> n & ~p), key=_prime_order)  # J = 0 has the prime 0
+    codes = [[(p & column << j).bit_count() for j in range(n)] for p in tops]
+    N = max(M.nrows, n, *(j + c for code in codes for j, c in enumerate(code, 1)))  # 1 + the largest letter held
+    out = []
+    for code in codes:
+        free, w = list(range(1, N + 1)), [0] * N
+        for i, c in enumerate(code + [0] * (N - n), 1):
+            w[free.pop(c) - 1] = i  # w^-1(i) is the free value with c smaller free ones
+        out.append(_unchecked(Permutation, "one_line", tuple(w)))
+    return tuple(out)
 
 
 def _asm_from_permutations(perms, n: int) -> PartialASM:

@@ -22,7 +22,7 @@ from typing import Iterable, Union
 
 from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matrix
 from .groebner import DEFAULT_BUDGET, Ideal, initial_ideal
-from .monomial import MonomialIdeal, _count, _packed_ideal, codim as monomial_codim
+from .monomial import _STATS, MonomialIdeal, _count, _packed_ideal, codim as monomial_codim
 from .perm import Permutation, is_cdg
 from .poly import Polynomial, TermOrder, _collect, _leibniz, generic_minor, lead_monomial, z_, z_grid
 
@@ -109,6 +109,17 @@ def schubert_determinantal_ideal(A: Schubertable) -> Ideal:
     return I
 
 
+ANTI_DIAGONAL_CACHE = 256  # boxes (i, j, size, ncols) whose masks `anti_diag_init` keeps; a 6x6 grid has 91
+
+
+@lru_cache(maxsize=ANTI_DIAGONAL_CACHE)
+def _anti_diagonals(i: int, j: int, size: int, ncols: int) -> tuple[int, ...]:
+    """Grid masks, `ncols` columns wide, of the antidiagonals of the size-minors of the north-west i x j corner."""
+    right_to_left = list(itertools.combinations(range(j - 1, -1, -1), size))
+    rows = itertools.combinations(range(0, i * ncols, ncols), size)
+    return tuple(sum(1 << r + c for r, c in zip(R, C)) for R in rows for C in right_to_left)
+
+
 def anti_diag_init(A: Schubertable) -> MonomialIdeal:
     """Antidiagonal terms of the defining minors, minimalized.
 
@@ -116,20 +127,11 @@ def anti_diag_init(A: Schubertable) -> MonomialIdeal:
     any antidiagonal order, so their lead terms generate the initial
     ideal.  J is built on grid masks: cell (r, c) is bit (r - 1) * ncols
     + c - 1, the place of z[r,c] in `z_grid`, which is J's bit for z[r,c];
-    the masks pass to J as they are.
+    each box's masks, kept by `_anti_diagonals`, pass to J as they are.
     """
     A = as_partial_asm(A)
     n = A.ncols
-    masks = []
-    for box in asm_essential_boxes(A):
-        (i, j), size = box.cell, box.rank_bound + 1
-        right_to_left = list(itertools.combinations(range(j - 1, -1, -1), size))
-        for rows in itertools.combinations(range(0, i * n, n), size):
-            for cols in right_to_left:
-                mask = 0
-                for r, c in zip(rows, cols):
-                    mask |= 1 << r + c
-                masks.append(mask)
+    masks = [m for box in asm_essential_boxes(A) for m in _anti_diagonals(*box.cell, box.rank_bound + 1, n)]
     return _packed_ideal(z_grid(A.nrows, n), 1, masks)
 
 
@@ -143,6 +145,8 @@ def _degeneration_memo(M: PartialASM) -> MonomialIdeal:
 
 def _degeneration(M: PartialASM) -> MonomialIdeal:
     """`anti_diag_init(M)`, its primes and its certificate, built once per ASM."""
+    if _STATS.get() is None:  # nobody counts the hits
+        return _degeneration_memo(M)
     hits = _degeneration_memo.cache_info().hits
     J = _degeneration_memo(M)
     _count(memo_hits=_degeneration_memo.cache_info().hits - hits)

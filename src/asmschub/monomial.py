@@ -91,7 +91,8 @@ class MonomialIdeal:
     @cached_property
     def _primes(self) -> tuple[int, ...]:
         """Minimal primes as masks over `variables`, ascending."""
-        return tuple(_cover_masks(self._supports))
+        supports = sorted(self._packed, key=int.bit_count) if self.is_squarefree else _minimal_sets(self._supports)
+        return tuple(_cover_masks(supports))
 
     # the search `vertex_decomposition_reg` reads, made once per ideal
     _shelling = cached_property(lambda self: _vd_search(self))
@@ -168,7 +169,8 @@ def _packed_ideal(variables: tuple[Var, ...], width: int, packed: Iterable[int])
 
 
 def _cover_masks(supports: Iterable[int]) -> list[int]:
-    """Minimal vertex covers of a family of support masks, ascending as ints.
+    """Minimal vertex covers of an antichain of support masks (fewest bits
+    first, as `MonomialIdeal._primes` passes them), ascending as ints.
 
     Berge multiplication folds the supports s in one at a time.  One partition
     pass splits the covers into those that hit s, which stay minimal, and those
@@ -178,7 +180,7 @@ def _cover_masks(supports: Iterable[int]) -> list[int]:
     only those rests are tested.  No two kept extensions coincide.
     """
     covers = [0]
-    for s in _minimal_sets(supports):
+    for s in supports:
         hit, miss, rests = [], [], []
         for o in covers:
             (hit if (meet := o & s) else miss).append(o)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .monomial import _count
+from .monomial import _STATS, _count
 from .perm import Permutation, cells_to_json, demazure_product, lehmer_code
 from .poly import Var, z_
 
@@ -117,6 +117,8 @@ def pipe_dreams(w: Permutation) -> tuple[PipeDream, ...]:
         raise ValueError(
             f"pipe dream enumeration is limited to n <= {PIPE_DREAM_LIMIT}"
         )
+    if _STATS.get() is None:  # nobody counts the hits
+        return _pipe_dreams_memo(w)
     hits = _pipe_dreams_memo.cache_info().hits
     dreams = _pipe_dreams_memo(w)
     _count(dream_hits=_pipe_dreams_memo.cache_info().hits - hits)

@@ -119,13 +119,34 @@ class TestDecompose:
 
 
 class TestDecomposeDifferential:
-    """`schubert_decompose` reads prime masks; the oracle reads one minimal
-    prime at a time as variables.  Components and their order agree."""
+    """`schubert_decompose` reads an ASM's components off their top dreams
+    (`perm_set_of_asm`) and an ideal's by a row scan of every prime mask;
+    the oracle reads one minimal prime at a time as variables.  Components
+    and their order agree."""
 
     def test_every_asm_through_size_five(self):
         for n in range(1, 6):
             for A in enumerate_asms(n):
                 assert schubert_decompose(A) == components_by_primes(anti_diag_init(A)), A.rows
+
+    def test_top_dreams_against_the_row_scan(self):
+        # the two library routes: an ASM goes to its top dreams, its J to the row scan
+        for n in range(1, 6):
+            for A in enumerate_asms(n):
+                assert schubert_decompose(A) == schubert_decompose(anti_diag_init(A)), A.rows
+
+    def test_seeded_partial_asm_corners(self):
+        # north-west corners of ASMs are partial ASMs of every shape
+        corners = {
+            tuple(row[:n] for row in A.rows[:m])
+            for A in random.Random(35).sample(enumerate_asms(6), 120)
+            for m in range(1, 7)
+            for n in range(1, 7)
+        }
+        assert len(corners) > 1000
+        for rows in sorted(corners):
+            C = make_partial_asm(rows)
+            assert perm_set_of_asm(C) == components_by_primes(anti_diag_init(C)), rows
 
     def test_seeded_6x6_sample(self):
         for A in random.Random(18).sample(enumerate_asms(6), 300):
@@ -187,6 +208,14 @@ class TestDecomposeDifferential:
         u, w = Permutation((3, 2, 5, 4, 1)), Permutation((3, 4, 5, 1, 2))
         assert by_prime == [u, w, u, u]  # the last prime of u follows the first of w
         assert schubert_decompose(J) == components_by_primes(J) == (u, w)
+
+    def test_interleaved_components_of_an_asm_keep_their_least_prime(self):
+        # WEAVE itself: of the primes, read u, w, u, u above, the first two
+        # are the top-justified ones, each component's least prime
+        primes = [{v[1:] for v in P} for P in minimal_primes(anti_diag_init(WEAVE))]
+        assert [all((i - 1, j) in P for i, j in P if i > 1) for P in primes] == [True, True, False, False]
+        u, w = Permutation((3, 2, 5, 4, 1)), Permutation((3, 4, 5, 1, 2))
+        assert perm_set_of_asm(WEAVE) == schubert_decompose(WEAVE) == (u, w)
 
     def test_row_scan_memo_is_bounded(self):
         assert _row_scan.cache_info().maxsize == ROW_SCAN_CACHE

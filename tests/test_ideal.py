@@ -15,9 +15,14 @@ import pytest
 
 from asmschub.groebner import GroebnerBudgetError, buchberger, ideal_equals, initial_ideal
 from asmschub.ideal import (
+    ANTI_DIAGONAL_CACHE,
+    DEGENERATION_CACHE,
     DIAG_VARIANTS,
     LOCAL_LEAD_CACHE,
+    _anti_diagonals,
     _cdg_init,
+    _degeneration,
+    _degeneration_memo,
     _local_lead,
     _minor_indices,
     anti_diag_init,
@@ -282,6 +287,44 @@ class TestAntiDiagInitOnMasks:
             tuples = monomial_ideal(anti_diag_init_by_tuples(M)[0], z_grid(M.nrows, M.ncols))
             leads = initial_ideal(schubert_determinantal_ideal(M), antidiagonal_order(M.nrows, M.ncols))
             assert masks == tuples == leads and hash(masks) == hash(tuples) == hash(leads), M
+
+
+class TestAntiDiagonalMemo:
+    """`anti_diag_init` concatenates each box's masks from `_anti_diagonals`."""
+
+    def test_memo_is_bounded_and_shared(self):
+        assert _anti_diagonals.cache_info().maxsize == ANTI_DIAGONAL_CACHE
+        # FULCRUM's boxes: (1,1) with rank 0 and (2,2) with rank 1 of 3 columns
+        assert [(b.cell, b.rank_bound) for b in asm_essential_boxes(FULCRUM)] == [((1, 1), 0), ((2, 2), 1)]
+        masks = _anti_diagonals(2, 2, 2, 3)  # z[1,2] z[2,1]: bits 1 and 3
+        assert masks == (1 << 1 | 1 << 3,) and _anti_diagonals(2, 2, 2, 3) is masks
+        # 1342 has one box, (3,2) with rank 1: the 2-minors of the north-west
+        # 3 x 2 corner of a 4-column grid, read twice from one tuple
+        box = _anti_diagonals(3, 2, 2, 4)
+        kept = list(box)
+        assert anti_diag_init(Permutation((1, 3, 4, 2))) == anti_diag_init(Permutation((1, 3, 4, 2)))
+        assert _anti_diagonals(3, 2, 2, 4) is box and list(box) == kept and len(box) == 3
+
+    def test_boxes_of_a_6x6_grid(self):
+        # every box of every 6x6 ASM is one key: at most sum(min(i, j)) = 91 of them
+        _anti_diagonals.cache_clear()
+        for A in random.Random(35).sample(enumerate_asms(6), 300):
+            anti_diag_init(A)
+        assert _anti_diagonals.cache_info().currsize <= 91 == sum(min(i, j) for i in range(1, 7) for j in range(1, 7))
+
+
+class TestDegenerationMemo:
+    def test_hits_are_counted(self):
+        _degeneration_memo.cache_clear()
+        assert _degeneration_memo.cache_info().maxsize == DEGENERATION_CACHE
+        first = _degeneration(FULCRUM)
+        assert _degeneration(FULCRUM) is first  # a hit that nobody collects
+        with collect_stats() as s:
+            assert _degeneration(FULCRUM) is first
+            assert _degeneration(make_partial_asm([[0, 1], [1, 0]])) is not first
+            assert _degeneration(FULCRUM) is first
+        assert s["memo_hits"] == 2
+        assert _degeneration_memo.cache_info().hits == 3
 
 
 class TestCodim:

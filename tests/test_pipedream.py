@@ -7,6 +7,7 @@ staircase subset of the right size whose reading word multiplies to w.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from asmschub.perm import (
     all_permutations,
     coxeter_length,
     identity,
+    lehmer_code,
 )
 from asmschub.pipedream import (
     PIPE_DREAM_CACHE,
@@ -113,6 +115,32 @@ class TestBottomDream:
             D = bottom_pipe_dream(w)
             assert is_reduced(D)
             assert permutation_of(D) == w
+
+
+def top_justified(D: PipeDream) -> bool:
+    crosses = set(D.crosses)
+    return all((i - 1, j) in crosses for i, j in crosses if i > 1)
+
+
+class TestTopDream:
+    """The least dream of w by cross set is its one top-justified dream,
+    with the Lehmer code of w^-1 for column counts; `perm_set_of_asm`
+    reads each component of an ASM off it."""
+
+    def assert_top(self, w):
+        dreams = pipe_dreams(w)
+        assert [top_justified(D) for D in dreams].count(True) == 1 and top_justified(dreams[0]), w
+        columns = [j for _, j in dreams[0].crosses]
+        assert tuple(map(columns.count, range(1, len(w) + 1))) == lehmer_code(w.inverse()), w
+
+    def test_every_permutation_through_six(self):
+        for n in range(1, 7):
+            for w in all_permutations(n):
+                self.assert_top(w)
+
+    def test_seeded_seven_slice(self):
+        for w in random.Random(35).sample(list(all_permutations(7)), 300):
+            self.assert_top(w)
 
 
 class TestEnumeration:
