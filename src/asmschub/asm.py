@@ -81,10 +81,11 @@ class PartialASM:
         return self.rows[i - 1][j - 1]
 
 
-def _unchecked(cls, name: str, value):
-    """A frozen dataclass with its one field set to a value valid by construction, not checked again."""
+def _unchecked(cls, **fields):
+    """A frozen dataclass with its fields set to values valid by construction, not checked again."""
     obj = object.__new__(cls)
-    object.__setattr__(obj, name, value)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
     return obj
 
 
@@ -151,7 +152,7 @@ def rank_table(A: PartialASM) -> RankTable:
             acc += col_acc[j]
             line.append(acc)
         out.append(tuple(line))
-    return _unchecked(RankTable, "values", tuple(out))  # A has checked these row and column prefix sums
+    return _unchecked(RankTable, values=tuple(out))  # A has checked these row and column prefix sums
 
 
 def rank_table_to_asm(T: RankTable) -> PartialASM:
@@ -276,16 +277,21 @@ def asm_sum(asms: Sequence[PartialASM]) -> PartialASM:
 
 def permutation_matrix(w: Permutation) -> PartialASM:
     cols = range(1, len(w) + 1)
-    return _unchecked(PartialASM, "rows", tuple(tuple(int(j == v) for j in cols) for v in w.one_line))
+    return _unchecked(PartialASM, rows=tuple(tuple(int(j == v) for j in cols) for v in w.one_line))
 
 
 def as_permutation(A: PartialASM) -> Permutation | None:
-    """The permutation of a permutation matrix, else None."""
-    if not A.is_asm:
+    """The permutation of a permutation matrix, else None, in one pass: a partial
+    ASM is one when it is square and every row holds a 1 and no -1, as its
+    column prefix sums then allow at most one 1 per column."""
+    if A.nrows != A.ncols:
         return None
-    if any(e == -1 for row in A.rows for e in row):
-        return None
-    return Permutation(tuple(row.index(1) + 1 for row in A.rows))
+    line = []
+    for row in A.rows:
+        if -1 in row or 1 not in row:
+            return None
+        line.append(row.index(1) + 1)
+    return _unchecked(Permutation, one_line=tuple(line))
 
 
 def _transitions(n: int) -> dict[tuple[int, ...], list]:
@@ -317,7 +323,7 @@ def _enumerate(n: int) -> tuple[PartialASM, ...]:
 
     def place(chosen: tuple, state: tuple[int, ...]):
         if len(chosen) == n:
-            out.append(_unchecked(PartialASM, "rows", chosen))
+            out.append(_unchecked(PartialASM, rows=chosen))
             return
         for row, nxt in table[state]:
             place(chosen + (row,), nxt)

@@ -5,7 +5,8 @@ primes of its squarefree antidiagonal initial ideal J are the reduced
 pipe dreams of its components (Knutson and Miller, Annals 2005), each
 reached by chute moves from its one top-justified dream (Bergeron and
 Billey, "RC-graphs and Schubert polynomials", 1993, transposed), off which
-`perm_set_of_asm` reads it.  An ideal's primes are each read as a word.
+`perm_set_of_asm` reads it through a bounded memo.  An ideal's primes are
+each read as a word.
 From the component list one can reconstitute the ASM (via entrywise-extreme
 rank tables), recognize whether an arbitrary ideal is an ASM ideal, form
 sums and intersections, and test Cohen-Macaulayness through the degeneration.
@@ -19,7 +20,7 @@ of the matrix Schubert varieties of its permutation set (Weigandt,
 from __future__ import annotations
 
 from functools import cmp_to_key, lru_cache, reduce
-from operator import or_
+from operator import itemgetter, or_
 
 from .asm import (
     PartialASM,
@@ -104,28 +105,43 @@ def schubert_decompose(
         if (o := least.get(w := tuple(out))) is None or p & (d := p ^ o) & -d:
             least[w] = p
     ranked = sorted(least, key=lambda w: _prime_order(least[w]))
-    return tuple(_unchecked(Permutation, "one_line", w) for w in ranked)  # Hecke products of the identity
+    return tuple(_unchecked(Permutation, one_line=w) for w in ranked)  # Hecke products of the identity
+
+
+TOP_DREAM_CACHE = 1024  # (p, nrows, ncols) keys `perm_set_of_asm` keeps; 6x6 ASMs have 720 top dreams, S_7 5,040
+
+
+@lru_cache(maxsize=TOP_DREAM_CACHE)
+def _top_dream(p: int, nrows: int, ncols: int) -> tuple[Permutation, int, int]:
+    """The component w whose top dream is the grid mask p, at its least size
+    N_p (the grid's, or 1 + the largest letter p holds), that N_p, and p's
+    sort key: minus the reversal of p's nrows * ncols bits.  The lowest bit
+    where two masks differ is the highest where their reversals do, so
+    ascending keys give `_prime_order`."""
+    column = sum(1 << i * ncols for i in range(nrows))
+    code = [(p >> j & column).bit_count() for j in range(ncols)]
+    N = max(nrows, ncols, *(j + c for j, c in enumerate(code, 1)))
+    free, w = list(range(1, N + 1)), [0] * N
+    for i, c in enumerate(code + [0] * (N - ncols), 1):
+        w[free.pop(c) - 1] = i  # w^-1(i) is the free value with c smaller free ones
+    return _unchecked(Permutation, one_line=tuple(w)), N, -int(f"{p:0{nrows * ncols}b}"[::-1], 2)
 
 
 def perm_set_of_asm(A: Schubertable) -> tuple[Permutation, ...]:
-    """Bruhat-minimal permutations above the ASM in the rank order, each w
-    read off its top pipe dream p: ``not p >> n & ~p`` on J's grid masks (no
-    cross below a non-cross), and p's column counts are the Lehmer code of
-    w^-1.  A chute move takes a cross down a row, so p is w's least prime and
-    the components come in the order of `schubert_decompose`."""
+    """Bruhat-minimal permutations above the ASM in the rank order: (w,) for
+    a permutation matrix of w, as X_w is irreducible, else each w read off its
+    top pipe dream p by `_top_dream`: ``not p >> n & ~p`` on J's grid masks
+    (cell (i, j) at bit (i - 1) * n + j - 1; no cross below a non-cross), and
+    p's column counts are the Lehmer code of w^-1.  A chute move takes a
+    cross down a row, so p is w's least prime and the components come in
+    the order of `schubert_decompose`, padded to their largest size."""
     M = as_partial_asm(A)
-    J, n = anti_diag_init(M), M.ncols
-    column = sum(1 << i * n for i in range(M.nrows))
-    tops = sorted((p for p in J._primes if not p >> n & ~p), key=_prime_order)  # J = 0 has the prime 0
-    codes = [[(p & column << j).bit_count() for j in range(n)] for p in tops]
-    N = max(M.nrows, n, *(j + c for code in codes for j, c in enumerate(code, 1)))  # 1 + the largest letter held
-    out = []
-    for code in codes:
-        free, w = list(range(1, N + 1)), [0] * N
-        for i, c in enumerate(code + [0] * (N - n), 1):
-            w[free.pop(c) - 1] = i  # w^-1(i) is the free value with c smaller free ones
-        out.append(_unchecked(Permutation, "one_line", tuple(w)))
-    return tuple(out)
+    if (w := as_permutation(M)) is not None:
+        return (w,)
+    J, m, n = anti_diag_init(M), M.nrows, M.ncols
+    tops = sorted((_top_dream(p, m, n) for p in J._primes if not p >> n & ~p), key=itemgetter(2))  # J = 0 has the prime 0
+    N = max(size for _, size, _ in tops)
+    return tuple(w if size == N else pad(w, N) for w, size, _ in tops)
 
 
 def _asm_from_permutations(perms, n: int) -> PartialASM:

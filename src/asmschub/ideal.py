@@ -3,7 +3,9 @@
 The generators attached to a partial alternating sign matrix are the
 minors coming from its essential boxes: for each maximally-southeast
 cell (i, j) of the diagram with rank bound r, all (r+1)-minors of the
-northwest i x j submatrix of the generic matrix.  The antidiagonal
+northwest i x j submatrix of the generic matrix.  The boxes are read off
+row masks, bit j for column j + 1: a partial ASM's column prefix sums are
+0 or 1, so each row's nonzero mask flips them.  The antidiagonal
 initial ideal is read off combinatorially (the generators form a
 Groebner basis under any antidiagonal order).  The three diagonal
 initial ideals are read off too for permutations that avoid the CDG
@@ -62,22 +64,39 @@ def asm_diagram(A: Schubertable) -> tuple[tuple[int, int], ...]:
     return tuple(cells)
 
 
+ROW_MASK_CACHE = 512  # rows whose masks `asm_essential_boxes` keeps; every row of width 1 to 8 makes 510
+
+
+@lru_cache(maxsize=ROW_MASK_CACHE)
+def _row_masks(row: tuple[int, ...]) -> tuple[int, int]:
+    """Masks of a row's nonzero entries and of its nonzero prefix sums, bit j for column j + 1."""
+    nonzero = prefix = s = 0
+    for j, a in enumerate(row):
+        s += a
+        nonzero |= (a != 0) << j
+        prefix |= s << j
+    return nonzero, prefix
+
+
 def asm_essential_boxes(A: Schubertable) -> tuple[EssentialBox, ...]:
-    """Maximally-southeast diagram cells with their rank bounds, row-major, in one pass
-    over the rows: a row's diagram flags and corner sums wait for the flags below."""
+    """Maximally-southeast diagram cells with their rank bounds, row-major, off
+    `_row_masks`: column prefix sums are 0 or 1, so ``cols ^= nonzero`` steps
+    them and diagram row i is ``d_i = full & ~prefix & ~cols``; with 0 below
+    the last row, row i's boxes are ``d_i & ~d_{i+1} & ~(d_i >> 1)`` (no cell
+    south or east), and (i, j)'s rank counts the 1s of ``cols`` up to j."""
     A = as_partial_asm(A)
-    n = A.ncols
-    cols, ranks, above, boxes = [0] * n, [0] * n, [False] * (n + 1), []
-    for i, row in enumerate((*A.rows, (1,) * n)):  # below the last row, one whose prefix sums are not 0
-        s, flags = 0, [False] * (n + 1)
-        for j, a in enumerate(row):
-            s += a
-            cols[j] += a
-            flags[j] = s == cols[j] == 0
-            if above[j] and not flags[j] and not above[j + 1]:
-                boxes.append(EssentialBox((i, j + 1), ranks[j]))
-            ranks[j] += s
-        above = flags
+    full, cols, rows = (1 << A.ncols) - 1, 0, []
+    for row in A.rows:
+        nonzero, prefix = _row_masks(row)
+        cols ^= nonzero
+        rows.append((full & ~prefix & ~cols, cols))
+    boxes = []
+    for i, ((d, sums), (below, _)) in enumerate(zip(rows, [*rows[1:], (0, 0)]), start=1):
+        corners = d & ~below & ~(d >> 1)
+        while corners:
+            j = (corners & -corners).bit_length()
+            boxes.append(EssentialBox((i, j), (sums & (1 << j) - 1).bit_count()))
+            corners &= corners - 1
     return tuple(boxes)
 
 

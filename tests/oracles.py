@@ -21,7 +21,8 @@ library answers faster by another route, and exists to cross-check it:
 - `determinantal_ideal_from_cells` takes the minors at every given
   cell, against the essential-box generators;
 - `essential_boxes_by_definition` reads the maximally southeast cells
-  off the whole diagram and the rank table, against the one row pass of
+  off the whole diagram and the rank table, and `essential_boxes_by_scan`
+  scans the rows entry by entry, against the row masks of
   `asm_essential_boxes`;
 - `reisner_is_cm` recurses over vertex links, against the Betti-table
   test `is_cm_quotient`;
@@ -92,7 +93,8 @@ library answers faster by another route, and exists to cross-check it:
   `double_schubert_polynomial`, y terms included.
 
 The rest are small readers that only the tests need: `longest_element`,
-`is_reduced`, `cross_monomial` (the weight x^D of a pipe dream),
+`reading_word` and `permutation_of` (a dream's letters in reading order
+and their Demazure product), `is_reduced`, `cross_monomial` (the weight x^D of a pipe dream),
 `maximal_masks` (the maximal sets of a family, which the homology kernel
 takes), `reduced_homology_ranks` (the homology kernel on a simplicial complex),
 `pdim_quotient` (read off a full Betti table), `betti_to_text` and
@@ -134,7 +136,7 @@ from asmschub.monomial import (
     monomial_ideal,
 )
 from asmschub.perm import Permutation, all_permutations, coxeter_length, demazure_product, pad
-from asmschub.pipedream import PipeDream, permutation_of
+from asmschub.pipedream import PipeDream, reading_order
 from asmschub.poly import (
     ONE,
     ZERO,
@@ -282,6 +284,26 @@ def essential_boxes_by_definition(A: Schubertable) -> tuple[EssentialBox, ...]:
         for (i, j) in sorted(cells)
         if (i + 1, j) not in cells and (i, j + 1) not in cells
     )
+
+
+def essential_boxes_by_scan(A: Schubertable) -> tuple[EssentialBox, ...]:
+    """The boxes in one pass over the rows, entry by entry: a row's diagram
+    flags and corner sums wait for the flags below, and below the last row
+    comes one whose prefix sums are not 0."""
+    A = as_partial_asm(A)
+    n = A.ncols
+    cols, ranks, above, boxes = [0] * n, [0] * n, [False] * (n + 1), []
+    for i, row in enumerate((*A.rows, (1,) * n)):
+        s, flags = 0, [False] * (n + 1)
+        for j, a in enumerate(row):
+            s += a
+            cols[j] += a
+            flags[j] = s == cols[j] == 0
+            if above[j] and not flags[j] and not above[j + 1]:
+                boxes.append(EssentialBox((i, j + 1), ranks[j]))
+            ranks[j] += s
+        above = flags
+    return tuple(boxes)
 
 
 def reisner_is_cm(K: SimplicialComplex) -> bool:
@@ -815,6 +837,16 @@ def double_schuberts_by_reduced_dreams(n: int) -> dict[tuple[int, ...], Polynomi
 def longest_element(n: int) -> Permutation:
     """The order-reversing permutation n, n-1, ..., 1."""
     return Permutation(tuple(range(n, 0, -1)))
+
+
+def reading_word(D: PipeDream) -> tuple[int, ...]:
+    """The letters of the crosses in reading order."""
+    return tuple(a for _, a in reading_order(D.crosses))
+
+
+def permutation_of(D: PipeDream) -> Permutation:
+    """The Demazure product of the dream's reading word."""
+    return demazure_product(reading_word(D), D.size)
 
 
 def is_reduced(D: PipeDream) -> bool:

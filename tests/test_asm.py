@@ -400,10 +400,28 @@ class TestPermSet:
 
 class TestPermutationMatrices:
     def test_roundtrip(self):
-        for w in perm.all_permutations(4):
+        for w in perm.all_permutations(5):
             assert asm.as_permutation(asm.permutation_matrix(w)) == w
 
     def test_non_permutation(self):
         A = asm.make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
         assert asm.as_permutation(A) is None
         assert asm.as_permutation(asm.make_partial_asm([[0, 1], [1, 0], [0, 0]])) is None
+
+    def test_one_pass_cases(self):
+        # a square partial permutation matrix with an empty row
+        assert asm.as_permutation(asm.make_partial_asm([[0, 1, 0], [0, 0, 0], [1, 0, 0]])) is None
+        # a non-square partial permutation matrix with a 1 in every row
+        assert asm.as_permutation(asm.make_partial_asm([[0, 1, 0], [1, 0, 0]])) is None
+        # a -1, whether or not the matrix is square
+        assert asm.as_permutation(asm.make_partial_asm([[0, 1], [1, -1]])) is None
+        assert asm.as_permutation(asm.make_partial_asm([[0, 1, 0], [1, -1, 1]])) is None
+
+    def test_agrees_with_the_asm_test(self):
+        # a permutation matrix is an ASM with no -1
+        corners = {tuple(row[:n] for row in A.rows[:m]) for A in asm.enumerate_asms(4) for m in range(1, 5) for n in range(1, 5)}
+        for rows in corners:
+            A = asm.make_partial_asm(rows)
+            w = asm.as_permutation(A)
+            assert (w is not None) == (A.is_asm and all(-1 not in row for row in rows)), rows
+            assert w is None or asm.permutation_matrix(w) == A

@@ -19,6 +19,7 @@ import pathlib
 import re
 import string
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -383,6 +384,17 @@ class TestExitCodes:
             rc, out, _ = run(["poly", verb, identity, "--json"])
             assert rc == 0 and json.loads(out)["polynomial"] == [{"coefficient": "1", "exponents": []}]
         assert run(["poly", "schubert", cycle]) == (0, "x[1]^2\n", "")
+
+    def test_permutation_components_answer_at_once(self):
+        # the S_12 permutation of the CLI census: its J has a prime per
+        # reduced pipe dream, which the permutation-matrix check never builds
+        w, line = "12,4,8,9,1,3,10,2,7,11,6,5", [12, 4, 8, 9, 1, 3, 10, 2, 7, 11, 6, 5]
+        for verb in ("permset", "decompose"):
+            for flags, want in (([], "{{12, 4, 8, 9, 1, 3, 10, 2, 7, 11, 6, 5}}\n"), (["--json"], None)):
+                start = time.perf_counter()
+                rc, out, err = run(["decomp", verb, w, *flags])
+                assert time.perf_counter() - start < 2 and (rc, err) == (0, "")
+                assert out == want if want else json.loads(out) == {"schema_version": 1, "permutations": [line]}
 
     def test_budget_exhaustion(self):
         rc, _, err = run(["decomp", "intersect", "3,4,1,2", "3,2,4,1", "--budget", "1"])

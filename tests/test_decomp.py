@@ -26,7 +26,10 @@ from asmschub.asm import (
 )
 from asmschub.decomp import (
     ROW_SCAN_CACHE,
+    TOP_DREAM_CACHE,
+    _prime_order,
     _row_scan,
+    _top_dream,
     get_asm,
     is_asm_ideal,
     is_asm_union,
@@ -224,7 +227,40 @@ class TestDecomposeDifferential:
         assert letters == (1, 3, 4, 2, 4, 5, 3, 5, 6)
 
 
+class TestTopDreamMemo:
+    """`_top_dream` keeps each top dream's component, least size and sort key."""
+
+    def test_memo_is_bounded_and_unchanged(self):
+        assert _top_dream.cache_info().maxsize == TOP_DREAM_CACHE
+        asms = random.Random(36).sample(enumerate_asms(6), 200)
+        first = [perm_set_of_asm(A) for A in asms]
+        assert [perm_set_of_asm(A) for A in asms] == first
+        for A in asms:
+            for p in anti_diag_init(A)._primes:
+                if not p >> 6 & ~p:
+                    assert _top_dream(p, 6, 6) == _top_dream.__wrapped__(p, 6, 6)
+
+    def test_split_top_dreams(self):
+        # SPLIT's top dreams on a 3 x 3 grid: z[1,1] z[1,2] (312) and z[1,1] z[2,1] (231)
+        assert _top_dream(0b11, 3, 3)[:2] == (Permutation((3, 1, 2)), 3)
+        assert _top_dream(0b1001, 3, 3)[:2] == (Permutation((2, 3, 1)), 3)
+        # a cross in column 3 of a 1 x 3 grid holds letter 3, so w lives in S_4
+        assert _top_dream(0b100, 1, 3)[:2] == (Permutation((1, 2, 4, 3)), 4)
+
+    def test_sort_keys_give_the_prime_order(self):
+        rng = random.Random(36)
+        for m, n in [(1, 1), (1, 5), (4, 1), (3, 4), (6, 6)]:
+            masks = rng.sample(range(1 << m * n), min(40, 1 << m * n))
+            assert sorted(masks, key=lambda p: _top_dream.__wrapped__(p, m, n)[2]) == sorted(masks, key=_prime_order)
+
+
 class TestPermSet:
+    def test_permutation_matrices_answer_themselves(self):
+        # X_w is irreducible; trailing fixed points stay
+        for n in range(1, 7):
+            for w in all_permutations(n):
+                assert perm_set_of_asm(permutation_matrix(w)) == perm_set_of_asm(w) == (w,)
+
     def test_split_pin(self):
         assert perm_set_of_asm(SPLIT) == (
             Permutation((3, 1, 2)),

@@ -19,12 +19,14 @@ from asmschub.ideal import (
     DEGENERATION_CACHE,
     DIAG_VARIANTS,
     LOCAL_LEAD_CACHE,
+    ROW_MASK_CACHE,
     _anti_diagonals,
     _cdg_init,
     _degeneration,
     _degeneration_memo,
     _local_lead,
     _minor_indices,
+    _row_masks,
     anti_diag_init,
     as_partial_asm,
     asm_diagram,
@@ -61,6 +63,7 @@ from oracles import (
     cover_masks_all_pairs,
     determinantal_ideal_from_cells,
     essential_boxes_by_definition,
+    essential_boxes_by_scan,
     initial_ideal_by_reduced_basis,
     minor_lead_by_expansion,
 )
@@ -138,6 +141,40 @@ class TestEssentialBoxesByDefinition:
         assert any(A.nrows != A.ncols for A in matrices)
         for A in matrices:
             assert asm_essential_boxes(A) == essential_boxes_by_definition(A), A.rows
+
+
+class TestEssentialBoxesByScan:
+    """`asm_essential_boxes` reads the boxes off row masks; the oracle scans
+    the rows entry by entry."""
+
+    def test_every_asm_through_size_five(self):
+        for n in range(1, 6):
+            for A in enumerate_asms(n):
+                assert asm_essential_boxes(A) == essential_boxes_by_scan(A), A.rows
+
+    def test_seeded_corners_of_6x6_asms(self):
+        # north-west corners of every shape, 1 x n and n x 1 among them
+        rng = random.Random(36)
+        corners = {
+            tuple(row[:n] for row in A.rows[:m])
+            for A in rng.sample(enumerate_asms(6), 200)
+            for m, n in [(1, rng.randint(1, 6)), (rng.randint(1, 6), 1), (rng.randint(1, 6), rng.randint(1, 6))]
+        }
+        shapes = {(len(rows), len(rows[0])) for rows in corners}
+        assert {(1, 6), (6, 1)} <= shapes and len(corners) > 150
+        for rows in sorted(corners):
+            C = make_partial_asm(rows)
+            assert asm_essential_boxes(C) == essential_boxes_by_scan(C), rows
+
+    def test_row_memo_is_bounded_and_unchanged(self):
+        assert _row_masks.cache_info().maxsize == ROW_MASK_CACHE
+        # 1 -1 1 0: nonzero in columns 1 to 3, prefix sums 1 0 1 1
+        assert _row_masks((1, -1, 1, 0)) == (0b0111, 0b1101)
+        asms = random.Random(36).sample(enumerate_asms(6), 100)
+        first = [asm_essential_boxes(A) for A in asms]
+        rows = {row for A in asms for row in A.rows}
+        assert all(_row_masks(row) == _row_masks.__wrapped__(row) for row in rows)
+        assert [asm_essential_boxes(A) for A in asms] == first
 
 
 class TestFultonGenerators:

@@ -1,7 +1,8 @@
 """Tests for pipe dream enumeration, reading words, and rendering.
 
-The ladder-move closure is certified against brute force: every
-staircase subset of the right size whose reading word multiplies to w.
+The ladder-move closure on cross masks is certified against brute force
+(every staircase subset of the right size whose reading word multiplies
+to w) and against the minimal primes of the antidiagonal initial ideal.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asmschub.ideal import anti_diag_init
-from asmschub.monomial import collect_stats, stanley_reisner_complex
+from asmschub.monomial import collect_stats, minimal_primes, stanley_reisner_complex
 from asmschub.perm import (
     Permutation,
     all_permutations,
@@ -26,18 +27,16 @@ from asmschub.pipedream import (
     PipeDream,
     _pipe_dreams_memo,
     bottom_pipe_dream,
-    permutation_of,
     pipe_dream,
     pipe_dream_from_json,
     pipe_dream_from_text,
     pipe_dream_to_json,
     pipe_dreams,
-    reading_word,
     render_pipe_dream,
     subword_complex_facets,
 )
 from asmschub.poly import monomial, x_, z_
-from oracles import cross_monomial, is_reduced, longest_element, pipe_dreams_non_reduced
+from oracles import cross_monomial, is_reduced, longest_element, permutation_of, pipe_dreams_non_reduced, reading_word
 
 
 def brute_force_dreams(w):
@@ -170,6 +169,16 @@ class TestEnumeration:
         for D in pipe_dreams(w):
             assert is_reduced(D)
             assert permutation_of(D) == w
+
+    def test_cross_sets_are_the_minimal_primes(self):
+        # Knutson-Miller: the reduced pipe dreams of w are the minimal primes
+        # of its antidiagonal initial ideal, read as cross sets
+        def agree(w):
+            primes = {frozenset(v[1:] for v in P) for P in minimal_primes(anti_diag_init(w))}
+            return {frozenset(D.crosses) for D in pipe_dreams(w)} == primes
+
+        assert all(agree(w) for w in all_permutations(6))
+        assert all(agree(w) for w in random.Random(36).sample(list(all_permutations(7)), 300))
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="n <= 8"):
