@@ -40,8 +40,10 @@ Every verb takes `--json`; `--budget`, `--seed`, `--force`, `--count`,
 only by the verbs that read them (see each verb's `--help`); the three
 guards take a nonnegative integer.  `--count` prints only the length of
 the result, and `--stats` reports the homology and Groebner work counted
-by `collect_stats`: one `name: count` line each on stderr, or a `stats`
-object inside the `--json` document.  The other flags are keywords of
+by `collect_stats` (on `poly regularity`, `decomp is-cm` and the three
+verbs that take `--budget` and run Buchberger: `ideal gens`, `ideal
+diaginit` and `decomp intersect`): one `name: count` line each on
+stderr, or a `stats` object inside the `--json` document.  The other flags are keywords of
 the verb's library call.  Exit code 0 on success, 1 on domain errors
 (invalid matrices, budget exhaustion, unrecognized ideals, running out
 of memory), 2 on usage errors.
@@ -296,7 +298,7 @@ VERBS = {
     }),
     "ideal": ("determinantal ideals and initial ideals", {
         "fulton": Verb("defining minors from the essential boxes", ("input",), ideal.fulton_generators, _generators),
-        "gens": Verb("trimmed minimal generators", ("input",), _trimmed_generators, _generators, (BUDGET,)),
+        "gens": Verb("trimmed minimal generators", ("input",), _trimmed_generators, _generators, (BUDGET, STATS)),
         "antidiag": Verb("antidiagonal initial ideal", ("input",), ideal.anti_diag_init, _monomial_ideal),
         "diaginit": Verb("diagonal initial ideal", ("input", "variant"), ideal.diag_init, _variant, (BUDGET, STATS)),
         "codim": Verb("codimension", ("input",), ideal.schubert_codim, _number("codim")),
@@ -325,7 +327,7 @@ VERBS = {
         "is-asm": Verb("is the intersection an ASM ideal", ("inputs",), _is_union, _truth("is_asm"), (BUDGET,)),
         "get-asm": Verb("matrix recognized from an intersection", ("inputs",), _union_asm, _asm, (BUDGET,)),
         "add": Verb("ASM of the ideal sum", ("inputs",), decomp.schubert_add, _sum),
-        "intersect": Verb("generators of the ideal intersection", ("inputs",), decomp.schubert_intersect, _intersection, (BUDGET,)),
+        "intersect": Verb("generators of the ideal intersection", ("inputs",), decomp.schubert_intersect, _intersection, (BUDGET, STATS)),
         "is-cm": Verb("Cohen-Macaulayness of the quotient", ("input",), decomp.is_schubert_cm, _truth("is_cm"), GUARDS),
     }),
 }

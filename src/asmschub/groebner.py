@@ -1,11 +1,17 @@
 """Buchberger engine over exact rationals.
 
-Small and deliberate: S-pairs are taken by the total degree of their
-lcm, then by the term order, smallest first; the coprimality and chain
-criteria prune them; tail reduction gives the unique reduced basis; and
-a hard work budget makes a runaway computation fail loudly instead of
-hanging.  Built for determinantal ideals on modest grids, not for
-general-purpose computation.
+Small and deliberate: the variable generators (monic, with a lead of
+degree 1 and no tail) leave before any pair is formed, and every other
+generator drops its terms through them; S-pairs of the rest are taken by
+the total degree of their lcm, then by the term order, smallest first;
+the coprimality and chain criteria prune them; the variables rejoin the
+basis before it is minimalized; tail reduction gives the unique reduced
+basis; and a hard work budget makes a runaway computation fail loudly
+instead of hanging.  The split is exact: for the set Z of those
+variables, I = <Z> + <g with its Z-terms deleted>, and a variable's lead
+is coprime to every lead free of Z, so its pairs would all be pruned and
+it never reduces a Z-free term.  Built for determinantal ideals on
+modest grids, not for general-purpose computation.
 
 Monomials are the ints of a `poly._Ring`, which packs them with one
 guarded field per variable and one for the degree, so that an int's key
@@ -167,9 +173,23 @@ def normal_form(f: Polynomial, basis: tuple[Polynomial, ...], order: TermOrder, 
 
 def _buchberger(ring: _Ring, entries: list, budget: int, finish):
     """finish(ring, minimal, meter) of the minimal basis of monic packed
-    entries; a finished run is counted."""
-    G = list(dict.fromkeys(entries))
+    entries; a finished run is counted.
+
+    The variable generators (a lead of degree 1 and no tail) leave before
+    any pair is formed.  With Z the union of their whole exponent fields
+    (z^2 + 1 meets the field of z, and leaves 1),
+    I = <Z> + <g with its Z-terms deleted>, and a variable's lead is
+    coprime to every Z-free lead, so the pairs and reductions run among
+    the nonzero Z-free entries alone.  The variables rejoin them for the
+    minimalization, which drops them if a constant survived, and count
+    in the basis size that a pair budget error reports."""
     deg, top, flip, guard = ring.deg, ring.field, ring.flip, ring.guard
+    variables, rest = [], []
+    for lead, tail in dict.fromkeys(entries):
+        (rest if tail or lead >> deg & top != 1 else variables).append((lead, tail))
+    Z = sum(lead & ring.varmask for lead, _ in variables) * top  # distinct bits, each filling its field
+    G = list(dict.fromkeys(ring.monic(kept) for lead, tail in rest
+                           if (kept := {m: c for m, c in ((lead, 1), *tail) if not m & Z})))
     pending: dict[tuple[int, int], int] = {}  # pair -> lcm of its leads
     heap: list = []
 
@@ -186,7 +206,7 @@ def _buchberger(ring: _Ring, entries: list, budget: int, finish):
     while heap:
         _, _, i, j = heapq.heappop(heap)
         lcm = pending.pop((i, j))
-        meter.pair(len(G))
+        meter.pair(len(G) + len(variables))
         (li, ti), (lj, tj) = G[i], G[j]
         if lcm == li + lj:
             coprime += 1
@@ -214,6 +234,7 @@ def _buchberger(ring: _Ring, entries: list, budget: int, finish):
                 push_pair(k, len(G) - 1)
 
     # minimalize: drop members whose lead is divisible by another lead
+    G += variables
     minimal = [
         (lead, tail)
         for idx, (lead, tail) in enumerate(G)
@@ -224,7 +245,7 @@ def _buchberger(ring: _Ring, entries: list, budget: int, finish):
     ]
     result = finish(ring, minimal, meter)
     _count(pairs=meter.pairs, pairs_coprime=coprime, pairs_chain=chain, zero_reductions=zeros,
-           basis_size=len(minimal), reduction_units=meter.work)
+           basis_size=len(minimal), reduction_units=meter.work, split_variables=len(variables))
     return result
 
 

@@ -242,6 +242,9 @@ def diag_init(
     Conca-De Negri-Gorla conjecture that its CDG generators are a Groebner
     basis under every diagonal order.  All else (other permutations, ASMs,
     partial ASMs) runs Buchberger through `initial_ideal` under `budget`.
+    There the rank-0 cells, bare variables among the Fulton generators,
+    leave before any pair is formed, and the other minors lose their terms
+    through them (`groebner._buchberger`).
     """
     M = as_partial_asm(A)
     if variant not in DIAG_VARIANTS:

@@ -262,7 +262,7 @@ STAT_NAMES = (
     "route_vd", "route_vd_nonpure", "vd_nodes", "vd_handovers", "memo_hits", "dream_hits",
     "route_cdg",
     "pairs", "pairs_coprime", "pairs_chain",
-    "zero_reductions", "basis_size", "reduction_units",
+    "zero_reductions", "basis_size", "reduction_units", "split_variables",
 )
 
 _STATS: ContextVar[dict[str, int] | None] = ContextVar("work_stats", default=None)
@@ -288,7 +288,8 @@ class collect_stats:
     `route_cdg` counts diagonal initial ideals read off CDG generators.
     Each Buchberger run adds the S-pairs it popped, those pruned as
     coprime or by the chain criterion, its reductions to zero, its
-    minimal basis size and the reduction units charged to its budget.
+    minimal basis size, the reduction units charged to its budget and the
+    variable generators it split off before forming pairs.
     `route_*`, `vd_handovers`, `memo_hits` and `dream_hits` count per
     call; the rest count work done, which a kept J or search does not
     repeat.

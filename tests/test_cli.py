@@ -249,6 +249,8 @@ class TestExitCodes:
             (["--budget", "500"], [], ["decomp", "permset", "2,1,3"]),
             (["--max-lattice", "100"], ["poly", "regularity", "0 1 0;1 -1 1;0 1 0"], ["ideal", "codim", "2,1,3"]),
             (["--max-faces", "100"], ["decomp", "is-cm", "0 1 0;1 -1 1;0 1 0"], ["poly", "raj", "2,1,3"]),
+            (["--stats"], ["ideal", "gens", "2,1,3"], ["decomp", "permset", "2,1,3"]),
+            (["--stats"], ["decomp", "intersect", "2,1,3", "1,3,2"], ["decomp", "add", "2,1,3", "1,3,2"]),
         ],
     )
     def test_flags_per_verb(self, flag, reads, ignores):
@@ -358,6 +360,20 @@ class TestExitCodes:
         assert data["stats"]["route_cdg"] == 0 and data["stats"]["pairs"] > 0
         without = json.loads(run(verb + ["1,3,2,5,4", "LexSE", "--json"])[1])
         assert {k: v for k, v in data.items() if k != "stats"} == without
+
+    # the Groebner counters of a whole call: 2,1,5,4,3 splits off its seven
+    # rank-0 variables in each basis that `minimal_generators` builds
+    @pytest.mark.parametrize(
+        "argv, pairs, split",
+        [(["ideal", "gens", "2,1,5,4,3"], "64", "7"), (["decomp", "intersect", "3,4,1,2", "3,2,4,1"], "66", "0")],
+    )
+    def test_buchberger_verbs_stats(self, argv, pairs, split):
+        rc, out, err = run(argv + ["--stats"])
+        assert rc == 0 and out == run(argv)[1]
+        counts = dict(line.split(": ") for line in err.splitlines())
+        assert (counts["pairs"], counts["split_variables"]) == (pairs, split)
+        data = json.loads(run(argv + ["--stats", "--json"])[1])
+        assert data["stats"] == {k: int(v) for k, v in counts.items()}
 
     def test_memory_error_is_a_domain_error(self, monkeypatch):
         def exhaust(xs):

@@ -145,6 +145,47 @@ class TestBuchbergerPinned:
         assert buchberger([P("2"), P("3")], order) == (P("1"),)
 
 
+def split_run(gens, order):
+    """The reduced basis of gens and the counters of its one run."""
+    with collect_stats() as s:
+        basis = buchberger(gens, order)
+    return basis, s
+
+
+class TestVariableSplit:
+    """Variable generators leave the pair loop, and every other generator
+    loses its terms through them first."""
+
+    def test_a_constant_left_by_the_split_gives_the_unit_ideal(self):
+        # z[1,2]^2 meets the whole field of z[1,2], not just its lead bit
+        basis, s = split_run([P("z[1,2]"), P("z[1,2]^2 + 1")], LEX)
+        assert basis == (P("1"),)
+        assert (s["split_variables"], s["pairs"], s["basis_size"]) == (1, 0, 1)
+
+    def test_a_diagonal_lead_through_a_split_variable_changes(self):
+        minor = P("z[1,1]*z[2,2] - z[1,2]*z[2,1]")
+        order = lex_order([z_(1, 1), z_(1, 2), z_(2, 1), z_(2, 2)])
+        assert lead_monomial(minor, order) == monomial([(z_(1, 1), 1), (z_(2, 2), 1)])
+        basis, s = split_run([P("z[1,1]"), minor], order)
+        assert basis == (P("z[1,2]*z[2,1]"), P("z[1,1]"))
+        assert (s["split_variables"], s["pairs"], s["basis_size"]) == (1, 0, 2)
+
+    def test_a_generator_with_only_split_terms_is_dropped(self):
+        basis, s = split_run([P("z[1,1]"), P("z[1,1]*z[1,2] + z[1,1]^2")], LEX)
+        assert basis == (P("z[1,1]"),)
+        assert (s["split_variables"], s["pairs"], s["basis_size"]) == (1, 0, 1)
+
+    def test_a_repeated_variable_is_split_once(self):
+        basis, s = split_run([P("z[1,2]"), P("3*z[1,2]"), P("z[1,1]^2 - z[1,2]*z[1,3]")], LEX)
+        assert basis == (P("z[1,2]"), P("z[1,1]^2"))
+        assert (s["split_variables"], s["pairs"], s["basis_size"]) == (1, 0, 2)
+
+    def test_a_degree_one_binomial_stays_in_the_pair_loop(self):
+        basis, s = split_run([P("z[1,1] - z[1,2]"), P("z[1,2]^2")], LEX)
+        assert basis == (P("z[1,2]^2"), P("z[1,1] - z[1,2]"))
+        assert (s["split_variables"], s["pairs"], s["basis_size"]) == (0, 1, 2)
+
+
 class TestPackedOverflow:
     """Exponents past the first packed field width restart the computation
     with wider fields instead of wrapping into the next field."""
@@ -374,6 +415,10 @@ class TestBudget:
             r" against a budget of 2, basis size 5$",
         ):
             buchberger(gens, LEX, budget=2)
+        # a variable split off before the pairs still counts in the basis
+        order = lex_order([X, Y, Z, z_(2, 1)])
+        with pytest.raises(GroebnerBudgetError, match=r" against a budget of 2, basis size 6$"):
+            buchberger(gens + [P("z[2,1]")], order, budget=2)
 
     def test_reduction_work_is_budgeted(self):
         # A lex elimination whose coefficients swell to hundreds of
@@ -521,6 +566,25 @@ def test_random_bases_are_reduced_groebner(gens, order, rng):
     shuffled = gens[:]
     rng.shuffle(shuffled)
     assert buchberger(shuffled, order, budget=20_000) == basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_polys, max_size=3), st.sets(st.sampled_from(VARS), min_size=1), orders)
+def test_random_variable_splits(gens, split, order):
+    # I + <Z> is <Z> plus the gens with their Z-terms deleted
+    gens = [g for g in gens if not g.is_zero]
+    zs = [variable(v) for v in split]
+    deleted = [Polynomial.from_dict({m: c for m, c in g.terms if not any(v in split for v, _ in m)}) for g in gens]
+    try:
+        basis = buchberger(gens + zs, order, budget=20_000)
+        rest = buchberger([h for h in deleted if not h.is_zero], order, budget=20_000)
+    except GroebnerBudgetError:
+        return
+    assert_reduced_groebner(gens + zs, basis, order)
+    if rest == (P("1"),):
+        assert basis == rest
+    else:
+        assert basis == tuple(sorted(zs + list(rest), key=lambda g: nested_term_key(order, lead_monomial(g, order))))
 
 
 @settings(max_examples=60, deadline=None)
