@@ -11,9 +11,9 @@ exceeds the degree, so a product of monomials is a sum of ints and
 m * (1 + 2^w + 2^2w + ...) holds deg(m) in its top field, with no carry.
 Alphabet and width depend on the polynomial alone, so equal polynomials
 store equal maps; kernels work in a layout wide enough for the result,
-with a field for a new variable on top, and `_collect` narrows it and
-sorts the fields, leaving the ints alone when the fields it keeps are
-already a prefix in order at the same width.  Coefficients are ints
+with a field for a new variable on top.  `_collect` drops unused fields,
+sorts the rest and narrows the width unless one degree fills its top
+bit, and leaves the ints alone when nothing moves.  Coefficients are ints
 when whole, so kernels add plain ints.  An int compares by its top field
 first, so within one degree ascending ints are reverse-lex, and `terms`,
 the (monomial, Fraction) pairs in display order, is one sort of the
@@ -134,8 +134,11 @@ def _collect(acc: dict, alphabet: tuple, w: int) -> "Polynomial":
     """The polynomial of acc, packed over alphabet with w-bit fields, at
     least as wide as its degree needs.  It takes acc over: zeros go and
     whole Fractions become ints, in place; unused fields and spare width
-    go, and the kept fields are ordered by variable.  When they are a
-    prefix of alphabet in that order at the same width, the ints stand."""
+    go, and the kept fields are ordered by variable; when they are a prefix
+    of alphabet in that order at the same width, the ints stand.  The width
+    stays w at the first int whose degree has bit w - 1 set, as any term of
+    a homogeneous result of width w has; only if none has (the degree fell
+    past a power of two, or its top cancelled) is every degree read."""
     for m in [m for m, c in acc.items() if not c or type(c) is not int]:
         c = acc.pop(m)
         if not isinstance(c, (int, Fraction)):
@@ -145,7 +148,8 @@ def _collect(acc: dict, alphabet: tuple, w: int) -> "Polynomial":
     if not acc:
         return ZERO
     used, (ones, dfield, top) = reduce(or_, acc), _degree_field(len(alphabet), w)
-    width = (max(map(dfield.__and__, map(ones.__mul__, acc))) >> top).bit_length()
+    full = w and any((m * ones & dfield) >> top + w - 1 for m in acc)  # a degree has bit w - 1 set
+    width = w if full else (max(map(dfield.__and__, map(ones.__mul__, acc))) >> top).bit_length()
     kept = sorted((k for k in range(len(alphabet)) if used >> k * w & (1 << w) - 1), key=alphabet.__getitem__)
     if kept != list(range(len(kept))) or width != w:
         move = _mover([(k * w, j * width) for j, k in enumerate(kept)], w)
@@ -496,7 +500,8 @@ def _difference(f: Polynomial, i: int, shifts) -> Polynomial:
     or if d < 0 minus the -d monomials m + kV - V + t(U - V): one
     arithmetic progression of ints, wherever the two fields lie.  No new
     exponent exceeds max(a, b), and no new degree the input's, so the
-    input's width holds the result; `_collect` sorts in a field it opened.
+    input's width holds the result; `_collect` sorts in a field it opened,
+    and a homogeneous result that keeps the width shows so in its first int.
     """
     if i < 1:
         raise ValueError("index must be positive")

@@ -15,8 +15,8 @@ degeneration in general.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from operator import le
+from functools import lru_cache, reduce
+from operator import le, mul
 
 from .asm import as_permutation
 from .ideal import Schubertable, _degeneration, as_partial_asm
@@ -80,10 +80,11 @@ def schubert_polynomial(w: Permutation, algorithm: str = "DividedDifference") ->
 
 
 def _double_staircase(n: int) -> Polynomial:
+    """The product of (x_i - y_j) over i + j <= n, rows first: each row's
+    product over j, then the rows from the bottom up, i = n - 1 to 1."""
     out = ONE
-    for i in range(1, n + 1):
-        for j in range(1, n + 1 - i):
-            out = out * (variable(x_(i)) - variable(y_(j)))
+    for i in range(n - 1, 0, -1):
+        out = out * reduce(mul, (variable(x_(i)) - variable(y_(j)) for j in range(1, n + 1 - i)), ONE)
     return out
 
 

@@ -90,7 +90,10 @@ library answers faster by another route, and exists to cross-check it:
   `grothendieck_polynomial(w, "PipeDream")`;
 - `double_schuberts_by_reduced_dreams` sums x_i - y_j over the crosses of
   reduced pipe dreams, against the divided differences of
-  `double_schubert_polynomial`, y terms included.
+  `double_schubert_polynomial`, y terms included;
+- `double_staircase_by_factors` multiplies the product of (x_i - y_j)
+  over i + j <= n one factor at a time, top row first, against the row
+  products of `_double_staircase`, multiplied from the bottom row up.
 
 The rest are small readers that only the tests need: `longest_element`,
 `reading_word` and `permutation_of` (a dream's letters in reading order
@@ -832,6 +835,16 @@ def double_schuberts_by_reduced_dreams(n: int) -> dict[tuple[int, ...], Polynomi
                     nxt[v] = nxt.get(v, ZERO) + f * weight
             states = nxt
     return states
+
+
+def double_staircase_by_factors(n: int) -> Polynomial:
+    """The product of (x_i - y_j) over i + j <= n, one factor at a time,
+    rows top down and j ascending in each."""
+    out = ONE
+    for i in range(1, n + 1):
+        for j in range(1, n + 1 - i):
+            out = out * (variable(x_(i)) - variable(y_(j)))
+    return out
 
 
 def longest_element(n: int) -> Permutation:

@@ -526,8 +526,9 @@ class TestCoefficientMap:
                 Polynomial.from_dict(d)
 
     def test_double_schubert_sorts_once(self, monkeypatch):
-        # the 15 staircase products, 15 x_i - y_j and 11 divided
-        # differences each sorted their result when terms were stored
+        # the staircase's 20 products (15 into its rows, 5 of rows), its 15
+        # x_i - y_j and 11 divided differences would each sort their result
+        # if terms were stored
         calls = []
 
         def counting(h):
@@ -616,8 +617,59 @@ class TestPackedAgainstPairKernels:
         assert opened and vanished
 
 
+def assert_canonical(h):
+    """h is packed over the sorted variables it uses, with fields as wide
+    as the bit length of its degree, read off its decoded terms."""
+    degree = max((sum(e for _, e in m) for m in h.coeffs), default=0)
+    alphabet = tuple(sorted({v for m in h.coeffs for v, _ in m}))
+    assert (h._alphabet, h._width) == (alphabet, degree.bit_length())
+    pos = {v: k * h._width for k, v in enumerate(alphabet)}
+    assert h._packed == {sum(e << pos[v] for v, e in m): c for m, c in h.coeffs.items()}
+
+
 class TestLayout:
     """Equal polynomials are equal and hash alike whatever built them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_polys, mixed_polys, st.integers(1, 5), coefficients)
+    def test_every_kernel_keeps_the_layout_canonical(self, f, g, i, c):
+        # g * swap(g) is symmetric in x_i and x_{i+1}, so a divided
+        # difference cancels its terms, which may hold the top degree;
+        # adding g * g and taking it away again cancels the top degree too
+        s = g * swap_variables(g, i)
+        outputs = [
+            Polynomial.from_dict(dict(f.coeffs)),
+            f + g, f * g, constant(c) * constant(c), constant(c) + constant(c),
+            (f + g * g) - g * g, (f - constant(c)) + constant(c),
+        ]
+        for h in (f, f + s):
+            outputs += [divided_difference(h, i), isobaric_divided_difference(h, i)]
+        for h in outputs:
+            assert_canonical(h)
+        assert (f + s) - s == f
+        assert divided_difference(f + s, i) == divided_difference(f, i)
+
+    def test_a_difference_narrows_past_a_power_of_two(self):
+        # x1^8 packs 4-bit fields; its divided difference, of degree 7,
+        # needs 3, and no accumulated int has the 4th bit of its degree set
+        x1, x2 = variable(x_(1)), variable(x_(2))
+        assert (x1**8)._width == 4
+        h = divided_difference(x1**8, 1)
+        assert_canonical(h)
+        assert (h._width, h.degree(), len(h._packed)) == (3, 7, 8)
+        assert_matches(h, pair_difference(dict((x1**8).coeffs), 1, ((0, 1),)))
+        # pi_1(1) = 1 is collected from a 1-bit layout, and narrows to width 0
+        assert isobaric_divided_difference(ONE, 1)._width == 0 and isobaric_divided_difference(ONE, 1) == ONE
+
+    def test_an_inhomogeneous_isobaric_output(self):
+        # pi_1(x1^4) = partial_1(x1^4) - partial_1(x1^4 x2): the degree-3
+        # terms are accumulated first, and only the degree-4 terms set bit 2
+        x1, x2 = variable(x_(1)), variable(x_(2))
+        h = isobaric_divided_difference(x1**4, 1)
+        assert_canonical(h)
+        assert (h._width, h.degree(), len(h._packed)) == (3, 4, 7)
+        assert h == divided_difference(x1**4, 1) - x1 * x2 * divided_difference(x1**3, 1)
+        assert_matches(h, pair_difference(dict((x1**4).coeffs), 1, ((0, 1), (1, -1))))
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_polys, st.integers(1, 5))

@@ -28,6 +28,7 @@ from asmschub.poly import Polynomial, divided_difference, isobaric_divided_diffe
 from oracles import (
     cross_monomial,
     double_schuberts_by_reduced_dreams,
+    double_staircase_by_factors,
     grothendieck_by_brute_force,
     longest_element,
     substitute,
@@ -133,6 +134,13 @@ class TestDoubleSchubert:
             by_dreams = double_schuberts_by_reduced_dreams(n)
             for w in all_permutations(n):
                 assert by_dreams[w.one_line] == double_schubert_polynomial(w), w
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_staircase_rows_against_factors(self, n):
+        # the row products from the bottom up give the map that one factor
+        # at a time gives, layout and packed ints alike
+        f, want = schubpoly._double_staircase(n), double_staircase_by_factors(n)
+        assert (f._alphabet, f._width, f._packed) == (want._alphabet, want._width, want._packed)
 
 
 class TestGrothendieck:

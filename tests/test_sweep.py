@@ -52,6 +52,20 @@ def test_flag_corpus_replays_every_tenth_item():
         assert sweep.flag_item(w) == items[key], key
 
 
+def test_flag_corpus_replays_every_fortieth_item_of_s6():
+    # 8 of the 18 keys do not end in 6, so they climb from the longest element
+    # of S_6, as the flag_polys workload does
+    corpus = json.loads((ROOT / "scripts" / "corpus" / "flag-6.json").read_text())
+    items = corpus["items"]
+    assert corpus["summary"]["items"] == len(items) == 720
+    assert all(row[0] == row[2] == row[4] == row[6] == 1 for row in items.values())
+    slice_ = sorted(items)[::40]
+    assert (len(slice_), sum(key[-1] != "6" for key in slice_)) == (18, 8)
+    for key in slice_:
+        w = Permutation(tuple(int(c) for c in key))
+        assert sweep.flag_item(w) == items[key], key
+
+
 def test_check_names_the_first_differing_key(tmp_path, capsys):
     corpus = sweep.run(sweep.Config(family="diag-cdg", size=3))
     path = tmp_path / "diag-cdg-3.json"
