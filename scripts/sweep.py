@@ -40,9 +40,11 @@ two agree.  Five families so far:
   Schubert) or, for the last, of the pipe-dream sum; null where a route
   is past its limit.  Each check is timed over the whole population.
 
-- ``decomp``: every n x n ASM.  `perm_set_of_asm`, which reads the
-  components off the minimal-prime masks of the antidiagonal
-  degeneration, against `perm_set_brute_force` from ``tests/oracles.py``,
+- ``decomp``: every n x n ASM.  `perm_set_of_asm`, which searches the
+  rows for the Bruhat-minimal permutations under the essential boxes,
+  trying only the leftmost free column of each block between essential
+  columns and keeping each lower cover broken, and builds no ideal,
+  against `perm_set_brute_force` from ``tests/oracles.py``,
   a scan of S_n for the Bruhat-minimal permutations whose rank tables
   the ASM bounds.  For each component w, `pipe_dreams(w)` against the
   minimal primes of `anti_diag_init(w)` read as cross sets

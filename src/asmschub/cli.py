@@ -39,11 +39,12 @@ Every verb takes `--json`; `--budget`, `--seed`, `--force`, `--count`,
 `--algorithm`, `--max-lattice`, `--max-faces` and `--stats` are taken
 only by the verbs that read them (see each verb's `--help`); the three
 guards take a nonnegative integer.  `--count` prints only the length of
-the result, and `--stats` reports the homology and Groebner work counted
-by `collect_stats` (on `poly regularity`, `decomp is-cm` and the three
-verbs that take `--budget` and run Buchberger: `ideal gens`, `ideal
-diaginit` and `decomp intersect`): one `name: count` line each on
-stderr, or a `stats` object inside the `--json` document.  The other flags are keywords of
+the result, and `--stats` reports the work counted by `collect_stats`
+(on `poly regularity`, `decomp is-cm`, the three verbs that take
+`--budget` and run Buchberger: `ideal gens`, `ideal diaginit` and
+`decomp intersect`, and `decomp permset` and `decomp decompose`, whose
+row search counts its paths): one `name: count` line each on stderr, or
+a `stats` object inside the `--json` document.  The other flags are keywords of
 the verb's library call.  Exit code 0 on success, 1 on domain errors
 (invalid matrices, budget exhaustion, unrecognized ideals, running out
 of memory), 2 on usage errors.
@@ -263,7 +264,7 @@ class Verb(NamedTuple):
 BUDGET = ("--budget", {"type": _nonnegative, "default": groebner.DEFAULT_BUDGET,
                        "help": "pair-reduction budget for basis computations"})
 STATS = ("--stats", {"action": "store_true",
-                     "help": "report the homology and Groebner work: on stderr, or as a stats field with --json"})
+                     "help": "report the counted work: on stderr, or as a stats field with --json"})
 GUARDS = (
     ("--max-lattice", {"type": _nonnegative, "default": monomial.DEFAULT_LATTICE_LIMIT,
                        "help": "largest lcm lattice walked for Betti numbers"}),
@@ -322,8 +323,8 @@ VERBS = {
         )),
     }),
     "decomp": ("components, sums, intersections, recognition", {
-        "decompose": Verb("permutations labeling the components", ("input",), decomp.schubert_decompose, _permutations),
-        "permset": Verb("Bruhat-minimal permutations above an ASM", ("input",), decomp.perm_set_of_asm, _permutations),
+        "decompose": Verb("permutations labeling the components", ("input",), decomp.schubert_decompose, _permutations, (STATS,)),
+        "permset": Verb("Bruhat-minimal permutations above an ASM", ("input",), decomp.perm_set_of_asm, _permutations, (STATS,)),
         "is-asm": Verb("is the intersection an ASM ideal", ("inputs",), _is_union, _truth("is_asm"), (BUDGET,)),
         "get-asm": Verb("matrix recognized from an intersection", ("inputs",), _union_asm, _asm, (BUDGET,)),
         "add": Verb("ASM of the ideal sum", ("inputs",), decomp.schubert_add, _sum),

@@ -78,21 +78,27 @@ def _row_masks(row: tuple[int, ...]) -> tuple[int, int]:
     return nonzero, prefix
 
 
-def asm_essential_boxes(A: Schubertable) -> tuple[EssentialBox, ...]:
-    """Maximally-southeast diagram cells with their rank bounds, row-major, off
-    `_row_masks`: column prefix sums are 0 or 1, so ``cols ^= nonzero`` steps
-    them and diagram row i is ``d_i = full & ~prefix & ~cols``; with 0 below
-    the last row, row i's boxes are ``d_i & ~d_{i+1} & ~(d_i >> 1)`` (no cell
-    south or east), and (i, j)'s rank counts the 1s of ``cols`` up to j."""
-    A = as_partial_asm(A)
+def _essential_masks(A: PartialASM) -> list[tuple[int, int]]:
+    """Per row, top down, the mask of its essential boxes and the mask of its
+    column sums, off `_row_masks`: column prefix sums are 0 or 1, so ``cols ^=
+    nonzero`` steps them and diagram row i is ``d_i = full & ~prefix & ~cols``;
+    with 0 below the last row, row i's boxes are ``d_i & ~d_{i+1} & ~(d_i >>
+    1)`` (no cell south or east), and (i, j)'s rank counts the 1s of ``cols``
+    up to j."""
     full, cols, rows = (1 << A.ncols) - 1, 0, []
     for row in A.rows:
         nonzero, prefix = _row_masks(row)
         cols ^= nonzero
         rows.append((full & ~prefix & ~cols, cols))
+    rows.append((0, 0))
+    return [(d & ~below & ~(d >> 1), sums) for (d, sums), (below, _) in zip(rows, rows[1:])]
+
+
+def asm_essential_boxes(A: Schubertable) -> tuple[EssentialBox, ...]:
+    """Maximally-southeast diagram cells with their rank bounds, row-major, off
+    `_essential_masks`."""
     boxes = []
-    for i, ((d, sums), (below, _)) in enumerate(zip(rows, [*rows[1:], (0, 0)]), start=1):
-        corners = d & ~below & ~(d >> 1)
+    for i, (corners, sums) in enumerate(_essential_masks(as_partial_asm(A)), start=1):
         while corners:
             j = (corners & -corners).bit_length()
             boxes.append(EssentialBox((i, j), (sums & (1 << j) - 1).bit_count()))

@@ -263,6 +263,7 @@ STAT_NAMES = (
     "route_cdg",
     "pairs", "pairs_coprime", "pairs_chain",
     "zero_reductions", "basis_size", "reduction_units", "split_variables",
+    "dp_states", "dp_dropped",
 )
 
 _STATS: ContextVar[dict[str, int] | None] = ContextVar("work_stats", default=None)
@@ -290,6 +291,10 @@ class collect_stats:
     coprime or by the chain criterion, its reductions to zero, its
     minimal basis size, the reduction units charged to its budget and the
     variable generators it split off before forming pairs.
+    `dp_states` counts the partial paths the row search of `perm_set_of_asm`
+    kept, summed over its rows, and `dp_dropped` the leftmost free columns
+    of blocks it tried and cut: by a rank limit, by a lower cover that keeps
+    every bound, or as no box below could free a forbidden column.
     `route_*`, `vd_handovers`, `memo_hits` and `dream_hits` count per
     call; the rest count work done, which a kept J or search does not
     repeat.

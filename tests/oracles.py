@@ -4,7 +4,12 @@ The library does not call any of these.  Each answers a question the
 library answers faster by another route, and exists to cross-check it:
 
 - `perm_set_brute_force` scans all of S_n in Bruhat order, against
-  `perm_set_of_asm` (minimal primes of the antidiagonal initial ideal);
+  `perm_set_of_asm` (a search over rows that keeps each lower cover
+  broken);
+- `perm_set_by_top_primes` folds out every minimal prime of the
+  antidiagonal initial ideal J and reads each top-justified one through
+  `_top_dream`, the route `perm_set_of_asm` took before its row search,
+  against that search, order and sizes included;
 - `complete_asm_by_search` tries a greedy fill at each size from
   max(m, n), or from a given size, up to m + n and keeps the first ASM
   it gives, against the one size of `complete_asm` and the new diagonal
@@ -95,7 +100,10 @@ library answers faster by another route, and exists to cross-check it:
   over i + j <= n one factor at a time, top row first, against the row
   products of `_double_staircase`, multiplied from the bottom row up.
 
-The rest are small readers that only the tests need: `longest_element`,
+The rest are small readers that only the tests need: `walks` (seeded
+ASMs of any size, rows drawn through the transition table),
+`lower_covers` (the lower covers of a one-line word in Bruhat order),
+`longest_element`,
 `reading_word` and `permutation_of` (a dream's letters in reading order
 and their Demazure product), `is_reduced`, `cross_monomial` (the weight x^D of a pipe dream),
 `maximal_masks` (the maximal sets of a family, which the homology kernel
@@ -107,6 +115,7 @@ what `matrix_from_text` and `perm_from_text` read back.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -115,12 +124,22 @@ from math import gcd
 from operator import le
 from typing import Iterable, Iterator, Mapping
 
-from asmschub.asm import PartialASM, complete_asm, permutation_matrix, rank_table
+from asmschub.asm import (
+    PartialASM,
+    _transitions,
+    as_permutation,
+    complete_asm,
+    make_partial_asm,
+    permutation_matrix,
+    rank_table,
+)
+from asmschub.decomp import _top_dream
 from asmschub.groebner import DEFAULT_BUDGET, Ideal, _Meter, buchberger, canonical_order, normal_form
 from asmschub.ideal import (
     EssentialBox,
     Schubertable,
     _minor_indices,
+    anti_diag_init,
     as_partial_asm,
     asm_diagram,
     asm_essential_boxes,
@@ -168,12 +187,27 @@ def _flat_rank_tables(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     return {w.one_line: sum(rank_table(permutation_matrix(w)).values, ()) for w in all_permutations(n)}
 
 
-def _lower_covers(line: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def lower_covers(line: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """w t_ij for each inversion i < j of w with no value of w between
     w(j) and w(i) at the positions between them: one inversion fewer."""
     for i, j in combinations(range(len(line)), 2):
         if line[i] > line[j] and not any(line[j] < line[k] < line[i] for k in range(i + 1, j)):
             yield line[:i] + (line[j],) + line[i + 1 : j] + (line[i],) + line[j + 1 :]
+
+
+def walks(n: int, count: int, seed: int) -> list[PartialASM]:
+    """`count` n x n ASMs, each a walk of n rows through `_transitions(n)`
+    drawn by `random.Random(seed)`: every path of n rows is an ASM, though
+    the draw is not uniform.  They reach sizes `random_asms` refuses."""
+    rng, table = random.Random(seed), _transitions(n)
+    out = []
+    for _ in range(count):
+        rows, state = [], (0,) * n
+        for _ in range(n):
+            row, state = rng.choice(table[state])
+            rows.append(row)
+        out.append(make_partial_asm(rows))
+    return out
 
 
 def perm_set_brute_force(A: PartialASM, max_size: int = 5) -> list[Permutation]:
@@ -190,8 +224,22 @@ def perm_set_brute_force(A: PartialASM, max_size: int = 5) -> list[Permutation]:
         raise ValueError(f"brute force limited to n <= {max_size}, got {n}")
     bound = sum(rank_table(B).values, ())
     above = {w for w, t in _flat_rank_tables(n).items() if all(map(le, t, bound))}
-    minimal = [w for w in above if not any(u in above for u in _lower_covers(w))]
+    minimal = [w for w in above if not any(u in above for u in lower_covers(w))]
     return [Permutation(w) for w in sorted(minimal)]
+
+
+def perm_set_by_top_primes(A: Schubertable) -> tuple[Permutation, ...]:
+    """The components of an ASM read off J = `anti_diag_init`: a prime mask p
+    of J is top-justified when ``not p >> ncols & ~p`` (no cross below a
+    non-cross), each component has one such prime, its top pipe dream, and
+    `_top_dream` reads w, its least size and the prime's sort key off it."""
+    M = as_partial_asm(A)
+    if (w := as_permutation(M)) is not None:
+        return (w,)
+    J, m, n = anti_diag_init(M), M.nrows, M.ncols
+    tops = sorted((_top_dream(p, m, n) for p in J._primes if not p >> n & ~p), key=lambda top: top[2])
+    N = max(size for _, size, _ in tops)
+    return tuple(w if size == N else pad(w, N) for w, size, _ in tops)
 
 
 def complete_asm_by_search(A: PartialASM, start: int | None = None) -> PartialASM:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import re
 import string
+import subprocess
 import sys
 import time
 
@@ -41,6 +43,7 @@ from asmschub.monomial import monomial_ideal_from_text
 from asmschub.perm import Permutation, perm_from_json, rothe_diagram
 from asmschub.poly import poly_from_json, poly_from_text
 from asmschub.schubpoly import schubert_polynomial
+from oracles import walks
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -249,8 +252,10 @@ class TestExitCodes:
             (["--budget", "500"], [], ["decomp", "permset", "2,1,3"]),
             (["--max-lattice", "100"], ["poly", "regularity", "0 1 0;1 -1 1;0 1 0"], ["ideal", "codim", "2,1,3"]),
             (["--max-faces", "100"], ["decomp", "is-cm", "0 1 0;1 -1 1;0 1 0"], ["poly", "raj", "2,1,3"]),
-            (["--stats"], ["ideal", "gens", "2,1,3"], ["decomp", "permset", "2,1,3"]),
+            (["--stats"], ["ideal", "gens", "2,1,3"], ["ideal", "antidiag", "2,1,3"]),
             (["--stats"], ["decomp", "intersect", "2,1,3", "1,3,2"], ["decomp", "add", "2,1,3", "1,3,2"]),
+            (["--stats"], ["decomp", "permset", SPLIT], ["decomp", "is-asm", "2,1,3"]),
+            (["--stats"], ["decomp", "decompose", SPLIT], ["decomp", "get-asm", "2,1,3"]),
         ],
     )
     def test_flags_per_verb(self, flag, reads, ignores):
@@ -375,6 +380,20 @@ class TestExitCodes:
         data = json.loads(run(argv + ["--stats", "--json"])[1])
         assert data["stats"] == {k: int(v) for k, v in counts.items()}
 
+    # SPLIT's row search keeps two paths at each of its two rows and cuts
+    # four columns: column 1 and, below 2 and 3, columns 1 and 4 over a bound
+    # or a lower cover
+    @pytest.mark.parametrize("verb", ["permset", "decompose"])
+    def test_component_search_stats(self, verb):
+        argv = ["decomp", verb, SPLIT]
+        rc, out, err = run(argv + ["--stats"])
+        assert rc == 0 and out == run(argv)[1]
+        counts = dict(line.split(": ") for line in err.splitlines())
+        assert (counts["dp_states"], counts["dp_dropped"]) == ("4", "4")
+        data = json.loads(run(argv + ["--stats", "--json"])[1])
+        assert data["stats"] == {k: int(v) for k, v in counts.items()}
+        assert {k: v for k, v in data.items() if k != "stats"} == json.loads(run(argv + ["--json"])[1])
+
     def test_memory_error_is_a_domain_error(self, monkeypatch):
         def exhaust(xs):
             raise MemoryError
@@ -411,6 +430,20 @@ class TestExitCodes:
                 rc, out, err = run(["decomp", verb, w, *flags])
                 assert time.perf_counter() - start < 2 and (rc, err) == (0, "")
                 assert out == want if want else json.loads(out) == {"schema_version": 1, "permutations": [line]}
+        # a seeded 12x12 walk, whose minimal-prime fold ran past 60 s: each
+        # verb answers in a fresh process, where no memo is warm
+        A = walks(12, 1, seed=112)[0]
+        text = ";".join(" ".join(map(str, row)) for row in A.rows)
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parent.parent)}
+        want = perm_set_of_asm(A)
+        for verb in ("permset", "decompose"):
+            for flags in ([], ["--json"]):
+                argv = ["decomp", verb, text, *flags]
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, "-m", "asmschub.cli", *argv], env=env, capture_output=True, text=True, timeout=60)
+                assert time.perf_counter() - start < 2 and (proc.returncode, proc.stderr) == (0, "")
+                assert proc.stdout == run(argv)[1]
+        assert len(want) == len(json.loads(proc.stdout)["permutations"]) > 20
 
     def test_budget_exhaustion(self):
         rc, _, err = run(["decomp", "intersect", "3,4,1,2", "3,2,4,1", "--budget", "1"])

@@ -1,23 +1,26 @@
 """Tests for the component decomposition of rank-condition ideals.
 
 The decomposition is certified against a brute-force scan of the
-Bruhat order (perm_set_brute_force) on every ASM through size 4 and a
-seeded sample of size 5, and the reconstruction direction is certified
-by intersecting the component ideals and comparing with the ASM ideal
-itself.  Small perm sets and the recognized-ASM pins come from hand
-computations.
+Bruhat order (perm_set_brute_force) on every ASM through size 5 and
+every corner of the 5x5 ASMs, against the top-justified primes of the
+antidiagonal initial ideal (perm_set_by_top_primes) in order, and on
+10x10 and 12x12 walks by a certificate of minimality; the reconstruction
+direction is certified by intersecting the component ideals and
+comparing with the ASM ideal itself.  Small perm sets and the
+recognized-ASM pins come from hand computations.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
 from asmschub import decomp
 from asmschub.asm import (
-    _transitions,
+    complete_asm,
     enumerate_asms,
     make_partial_asm,
     permutation_matrix,
@@ -25,8 +28,11 @@ from asmschub.asm import (
     rank_table,
 )
 from asmschub.decomp import (
+    LAYOUT_CACHE,
     ROW_SCAN_CACHE,
     TOP_DREAM_CACHE,
+    _asm_from_permutations,
+    _layout,
     _prime_order,
     _row_scan,
     _top_dream,
@@ -48,11 +54,18 @@ from asmschub.groebner import (
     initial_ideal,
     minimal_generators,
 )
-from asmschub.ideal import anti_diag_init, schubert_determinantal_ideal
+from asmschub.ideal import anti_diag_init, asm_essential_boxes, schubert_determinantal_ideal
 from asmschub.monomial import collect_stats, minimal_primes, mono_to_text, monomial_ideal
-from asmschub.perm import Permutation, all_permutations, bruhat_leq, demazure_product, identity, pad
+from asmschub.perm import Permutation, _trim, all_permutations, bruhat_leq, demazure_product, identity, pad
 from asmschub.poly import z_grid
-from oracles import components_by_primes, minimal_generators_by_rebuild, perm_set_brute_force
+from oracles import (
+    components_by_primes,
+    lower_covers,
+    minimal_generators_by_rebuild,
+    perm_set_brute_force,
+    perm_set_by_top_primes,
+    walks,
+)
 
 # 3x3 ASM whose variety splits into the 312 and 231 components
 SPLIT = make_partial_asm([[0, 1, 0], [1, -1, 1], [0, 1, 0]])
@@ -193,14 +206,7 @@ class TestDecomposeDifferential:
             assert schubert_decompose(K) == components_by_primes(K), (S, gens)
 
     def test_seeded_7x7_walks(self):
-        # each walk of 7 rows through the transition table is a 7x7 ASM
-        rng, table = random.Random(30), _transitions(7)
-        for _ in range(25):
-            rows, state = [], (0,) * 7
-            for _ in range(7):
-                row, state = rng.choice(table[state])
-                rows.append(row)
-            A = make_partial_asm(rows)
+        for A in walks(7, 25, seed=30):
             assert A.is_asm
             assert schubert_decompose(A) == components_by_primes(anti_diag_init(A)), A.rows
 
@@ -301,6 +307,92 @@ class TestPermSet:
             assert initial_ideal(I, canonical_order(I.ambient)) == initial_ideal(
                 J, canonical_order(J.ambient)
             )
+
+
+class TestPermSetSearch:
+    """`perm_set_of_asm` searches rows for the Bruhat-minimal permutations
+    under the essential boxes; `perm_set_by_top_primes` folds out every
+    minimal prime of J and reads its top-justified ones.  Same components,
+    in the same order and at the same sizes; the brute force agrees as
+    sets wherever its scan of S_n reaches."""
+
+    def check(self, A):
+        got = perm_set_of_asm(A)
+        assert got == perm_set_by_top_primes(A), A.rows
+        if complete_asm(A).nrows <= 5:
+            assert {_trim(w) for w in got} == {_trim(w) for w in perm_set_brute_force(A)}, A.rows
+
+    def test_every_asm_through_size_five(self):
+        for n in range(1, 6):
+            for A in enumerate_asms(n):
+                self.check(A)
+
+    def test_every_corner_of_the_5x5_asms(self):
+        # the rows past a corner and the columns past it are unconstrained
+        corners = [C for m in range(1, 6) for n in range(1, 6) for C in nw_corners(enumerate_asms(5), m, n)]
+        assert len(corners) == 2571
+        for C in corners:
+            self.check(C)
+
+    def test_seeded_6x6_sample(self):
+        for A in random.Random(39).sample(enumerate_asms(6), 400):
+            self.check(A)
+
+    def test_seeded_7x7_walks(self):
+        for A in walks(7, 100, seed=39):
+            self.check(A)
+
+    def test_layout_memo_is_bounded(self):
+        assert _layout.cache_info().maxsize == LAYOUT_CACHE
+        f, ones, guard, top, stairs, dreams = _layout(2, 3)
+        assert (f, ones, guard, top) == (3, 0b001001001, 0b100100100, 0b011011011)
+        assert stairs == {0b1: 0b001001001, 0b10: 0b001001000, 0b100: 0b001000000, 0b1000: 0, 0b10000: 0}
+        assert dreams == (0, 0b1, 0b1001)
+
+    def test_split_stats_are_pinned(self):
+        # two paths kept at each of SPLIT's two rows; cut: column 1 in row 1
+        # (rank 0 at (1,1)), column 1 after 2 (rank 1 at (2,2)) and column 4
+        # after 3 (column 2 stays forbidden, and no box below can free it)
+        with collect_stats() as s:
+            assert perm_set_of_asm(SPLIT) == (Permutation((3, 1, 2)), Permutation((2, 3, 1)))
+        assert (s["dp_states"], s["dp_dropped"]) == (4, 4)
+
+
+def rank_at(line: tuple[int, ...], i: int, j: int) -> int:
+    return sum(v <= j for v in line[:i])
+
+
+class TestSearchScaling:
+    """Seeded 10x10 and 12x12 walks, where folding out the primes of J ran
+    past 20 s on 10 of the 15, answer within a second each.  Each answer is
+    checked by a certificate that uses no search: every component meets
+    the essential boxes, no two compare in Bruhat order, every lower cover
+    of each breaks a box, and the components give the ASM back."""
+
+    def certify(self, A, ws):
+        boxes = [(*b.cell, b.rank_bound) for b in asm_essential_boxes(A)]
+
+        def valid(line):
+            return all(rank_at(line, i, j) <= r for i, j, r in boxes)
+
+        lines = [w.one_line for w in ws]
+        for line in lines:
+            assert valid(line)
+            assert not any(valid(u) for u in lower_covers(line))
+        for u, w in itertools.combinations(ws, 2):
+            assert not bruhat_leq(u, w) and not bruhat_leq(w, u)
+        assert _asm_from_permutations(ws, A.nrows) == A
+
+    @pytest.mark.parametrize("n, count", [(10, 10), (12, 5)])
+    def test_seeded_walks(self, n, count):
+        found = []
+        for A in walks(n, count, seed=100 + n):
+            start = time.perf_counter()
+            ws = perm_set_of_asm(A)
+            assert time.perf_counter() - start < 1, A.rows
+            self.certify(A, ws)
+            found.append(len(ws))
+        assert max(found) > 20
 
 
 class TestRecognizeASM:
