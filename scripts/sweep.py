@@ -74,9 +74,10 @@ two agree.  Five families so far:
 exits 1 naming the first item key, in sorted order, whose row differs
 or that only one side has.
 
-``diag-cdg`` at size 6 (2,160 items) takes about 7 s on a 2-vCPU x86-64
-machine with Python 3.11 (25 s before Buchberger packed its monomials),
-most of it in the Buchberger runs.  ``flag`` takes about 14 s at size 6,
+``diag-cdg`` at size 6 (2,160 items) takes about 2.4 s on a 2-vCPU x86-64
+machine with Python 3.11 (25 s before Buchberger packed its monomials,
+2.6 s before `diag_init` drove its runs by the Hilbert function), most
+of it in the plain Buchberger runs it checks `diag_init` against.  ``flag`` takes about 14 s at size 6,
 most of it in the double Schubert divided differences and the reduced
 pipe-dream sum they are checked against, and about 27 s at
 size 7 (44 s before the pipe-dream sum compared plain sorted prefixes),

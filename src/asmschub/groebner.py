@@ -31,21 +31,35 @@ Each computation stays in one ring and unpacks only what it returns.
 An initial ideal takes packed leads undecoded, of the minimal basis
 (tail reduction keeps every lead) or of a cached reduced basis, their
 fields moved by `poly._mover` straight to their grid fields.
+`ideal.diag_init` builds its Fulton minors straight in a ring and hands
+`_buchberger` the entries, with no `Polynomial` in between.
+
+Given the K-polynomial numerator of the initial ideal of homogeneous
+entries, `_buchberger` runs Hilbert-driven (Traverso, 1996): once the
+leads' Hilbert function meets the target's in the degree at hand, the
+rest of that degree's pairs would reduce to zero, so they are popped and
+charged but neither tested nor reduced.  The basis, the pairs and a pair
+budget trip stay those of the plain run.  Only `diag_init` gives a
+target, for permutations, whose Hilbert series is their antidiagonal
+initial ideal's (Knutson and Miller, Annals 2005, Theorem B).
 
 The budget bounds both the S-pairs a computation pops and its reduction
 work.  A reduction step costs one unit per term of the reducer, times
 the squared size in 64-bit words of the multiplier, so coefficient swell
-over the rationals is charged as the work it is; a basis computation
-may spend ``WORK_PER_PAIR`` units per unit of budget.
+over the rationals is charged as the work it is, and a node of the
+Hilbert numerator recursion costs one unit; a basis computation may
+spend ``WORK_PER_PAIR`` units per unit of budget.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
-from .monomial import _STATS, MonomialIdeal, _count, _packed_ideal
+from .monomial import _STATS, MonomialIdeal, _count, _k_numerator, _packed_ideal, _polarizer
 from .poly import Polynomial, TermOrder, _Overflow, _Ring, _mover, antidiagonal_order, z_grid
 
 DEFAULT_BUDGET = 200_000
@@ -58,12 +72,14 @@ class GroebnerBudgetError(RuntimeError):
 
 
 class _Meter:
-    """Pairs and reduction work spent by one basis computation."""
+    """Pairs, reduction work and Hilbert numerator nodes spent by one basis
+    computation; the work and the nodes share one limit."""
 
     def __init__(self, budget: int):
         self.budget = budget
         self.pairs = 0
         self.work = 0
+        self.nodes = 0
         self.work_limit = budget * WORK_PER_PAIR
 
     def pair(self, basis_size: int) -> None:
@@ -77,9 +93,17 @@ class _Meter:
     def reduce(self, terms: int, factor: Fraction) -> None:
         words = 1 + ((factor.numerator.bit_length() + factor.denominator.bit_length()) >> 6)
         self.work += terms * words * words
-        if self.work > self.work_limit:
+        self._check()
+
+    def node(self) -> None:
+        self.nodes += 1
+        self._check()
+
+    def _check(self) -> None:
+        if self.work + self.nodes > self.work_limit:
+            nodes = f" ({self.nodes} Hilbert numerator nodes)" if self.nodes else ""
             raise GroebnerBudgetError(
-                f"Groebner basis reduction budget exceeded: {self.work} units"
+                f"Groebner basis reduction budget exceeded: {self.work + self.nodes} units{nodes}"
                 f" spent against {self.work_limit} ({WORK_PER_PAIR} per unit"
                 f" of a budget of {self.budget}), {self.pairs} pairs spent"
             )
@@ -142,8 +166,12 @@ def _reduce(ring: _Ring, coeffs: dict, basis: list, meter: _Meter) -> dict:
     return out
 
 
-def _packed(order: TermOrder, polys, run, meter: _Meter | None = None):
-    """run(ring) over the variables of polys, with fields twice as wide
+def _used(polys) -> set:
+    return set().union(*(g.variables() for g in polys))
+
+
+def _packed(order: TermOrder, used: set, run, meter: _Meter | None = None):
+    """run(ring) over the variables `used`, with fields twice as wide
     after each overflow.  A wider attempt starts from the meter's and the
     `collect_stats` counters' values at entry, so an overflowed attempt
     charges and counts nothing."""
@@ -152,7 +180,7 @@ def _packed(order: TermOrder, polys, run, meter: _Meter | None = None):
     width = MIN_WIDTH
     while True:
         try:
-            return run(_Ring(order, polys, width))
+            return run(_Ring(order, used, width))
         except _Overflow:
             width *= 2
             stats.update(counted)
@@ -168,10 +196,42 @@ def normal_form(f: Polynomial, basis: tuple[Polynomial, ...], order: TermOrder, 
     def run(ring: _Ring) -> Polynomial:
         return ring.unpack(_reduce(ring, ring.pack(f), [ring.monic(ring.pack(g)) for g in basis], meter).items())
 
-    return _packed(order, [f, *basis], run, meter)
+    return _packed(order, _used([f, *basis]), run, meter)
 
 
-def _buchberger(ring: _Ring, entries: list, budget: int, finish):
+class _Hilbert:
+    """The Hilbert function of R/L, L the ideal of a run's leads, against a
+    target's, from K-polynomial numerators: HF(d) is the sum of K_i *
+    C(d - i + n - 1, n - 1) over n variables.  The leads are kept as
+    polarized masks; a lead m added to L changes K by -t^deg(m) K(L : m),
+    and the colon is one mask difference per lead."""
+
+    def __init__(self, ring: _Ring, leads: list, target: tuple[int, ...], meter: _Meter):
+        self.polar, self.varmask = _polarizer(ring.width, ring.guard.bit_length()), ring.varmask
+        self.n, self.target, self.node = len(ring.shift), target, meter.node
+        self.leads = [self.polar(lead & ring.varmask) for lead in leads]
+        self.K, self.fresh = _k_numerator(self.leads, self.node), []
+
+    def add(self, lead: int) -> None:
+        self.fresh.append(self.polar(lead & self.varmask))
+
+    def excess(self, d: int) -> int:
+        """HF_L(d) - HF_target(d), the leads added since the last call
+        taken into K first."""
+        for m in self.fresh:
+            for i, c in enumerate(_k_numerator([lead & ~m for lead in self.leads], self.node), start=m.bit_count()):
+                self.K += [0] * (i + 1 - len(self.K))
+                self.K[i] -= c
+            self.leads.append(m)
+        self.fresh = []
+        diff = [a - b for a, b in itertools.zip_longest(self.K, self.target, fillvalue=0)]
+        excess = sum(c * comb(d - i + self.n - 1, self.n - 1) for i, c in enumerate(diff[:d + 1]))
+        if excess < 0:
+            raise ArithmeticError(f"the leads' Hilbert function fell below the target's in degree {d}")
+        return excess
+
+
+def _buchberger(ring: _Ring, entries: list, budget: int, finish, target: tuple[int, ...] | None = None):
     """finish(ring, minimal, meter) of the minimal basis of monic packed
     entries; a finished run is counted.
 
@@ -182,7 +242,20 @@ def _buchberger(ring: _Ring, entries: list, budget: int, finish):
     coprime to every Z-free lead, so the pairs and reductions run among
     the nonzero Z-free entries alone.  The variables rejoin them for the
     minimalization, which drops them if a constant survived, and count
-    in the basis size that a pair budget error reports."""
+    in the basis size that a pair budget error reports.
+
+    A `target`, the K-polynomial numerator of the initial ideal of homogeneous
+    entries, drives the run by its Hilbert function (Traverso, "Hilbert
+    functions and the Buchberger algorithm", J. Symbolic Comput., 1996).
+    Pairs go by lcm degree, so when degree d begins the leads span the
+    initial ideal below d, and excess = HF_leads(d) - HF_target(d) counts
+    the degree-d monomials of the initial ideal that no lead divides yet.
+    Each new member has degree d and a lead no other lead divides, so it
+    lowers excess by exactly 1, and once excess is 0 every further degree-d
+    pair reduces to zero: it is popped and charged, but neither tested
+    nor reduced.  So the basis, the pairs and a pair budget trip are those
+    of the plain run.  A negative excess raises, as the target is wrong.
+    The numerator's recursion nodes are charged to the meter."""
     deg, top, flip, guard = ring.deg, ring.field, ring.flip, ring.guard
     variables, rest = [], []
     for lead, tail in dict.fromkeys(entries):
@@ -202,11 +275,19 @@ def _buchberger(ring: _Ring, entries: list, budget: int, finish):
             push_pair(i, j)
 
     meter = _Meter(budget)
-    coprime = chain = zeros = 0
+    coprime = chain = zeros = skipped = 0
+    if target is not None:
+        hilbert, degree = _Hilbert(ring, [lead for lead, _ in G + variables], target, meter), None
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        d, _, i, j = heapq.heappop(heap)
         lcm = pending.pop((i, j))
         meter.pair(len(G) + len(variables))
+        if target is not None:
+            if d != degree:
+                degree, excess = d, hilbert.excess(d)
+            if not excess:
+                skipped += 1
+                continue
         (li, ti), (lj, tj) = G[i], G[j]
         if lcm == li + lj:
             coprime += 1
@@ -232,6 +313,9 @@ def _buchberger(ring: _Ring, entries: list, budget: int, finish):
             G.append(ring.monic(r))
             for k in range(len(G) - 1):
                 push_pair(k, len(G) - 1)
+            if target is not None:
+                hilbert.add(G[-1][0])
+                excess -= 1
 
     # minimalize: drop members whose lead is divisible by another lead
     G += variables
@@ -244,15 +328,16 @@ def _buchberger(ring: _Ring, entries: list, budget: int, finish):
         )
     ]
     result = finish(ring, minimal, meter)
-    _count(pairs=meter.pairs, pairs_coprime=coprime, pairs_chain=chain, zero_reductions=zeros,
-           basis_size=len(minimal), reduction_units=meter.work, split_variables=len(variables))
+    _count(pairs=meter.pairs, pairs_coprime=coprime, pairs_chain=chain, pairs_hilbert=skipped,
+           hilbert_nodes=meter.nodes, zero_reductions=zeros, basis_size=len(minimal),
+           reduction_units=meter.work, split_variables=len(variables))
     return result
 
 
 def _groebner(order: TermOrder, gens, budget: int, finish):
     """`_buchberger` on the nonzero gens, with fields widened after each overflow."""
     gens = [g for g in gens if not g.is_zero]
-    return _packed(order, gens, lambda ring: _buchberger(ring, [ring.monic(ring.pack(g)) for g in gens], budget, finish))
+    return _packed(order, _used(gens), lambda ring: _buchberger(ring, [ring.monic(ring.pack(g)) for g in gens], budget, finish))
 
 
 def _reduced(ring: _Ring, minimal: list, meter: _Meter) -> list:
@@ -276,20 +361,20 @@ def buchberger(I: Ideal | list[Polynomial] | tuple[Polynomial, ...], order: Term
     return cache["gb", order]
 
 
+def _leads(grid: tuple, ring: _Ring, packed) -> MonomialIdeal:
+    """The ideal over `grid` of packed leads, moved straight to their grid fields, undecoded."""
+    move = _mover([(at, grid.index(v) * (ring.width + 1)) for v, at in ring.shift.items()], ring.width)
+    return _packed_ideal(grid, ring.width, map(move, packed))
+
+
 def initial_ideal(I: Ideal, order: TermOrder, budget: int = DEFAULT_BUDGET) -> MonomialIdeal:
     """Minimal monomial generators of the lead terms of a Groebner basis: the
     reduced basis in I's cache, or else the packed minimal basis (tail
-    reduction keeps every lead).  Either way the packed leads move straight
-    to their grid fields, undecoded."""
+    reduction keeps every lead), by `_leads`."""
     grid = z_grid(*I.ambient)
-
-    def leads(ring: _Ring, packed) -> MonomialIdeal:
-        move = _mover([(at, grid.index(v) * (ring.width + 1)) for v, at in ring.shift.items()], ring.width)
-        return _packed_ideal(grid, ring.width, map(move, packed))
-
     if (basis := I.cache.get(("gb", order))) is not None:
-        return _packed(order, basis, lambda ring: leads(ring, [ring.lead(ring.pack(g)) for g in basis]))
-    return _groebner(order, I.generators, budget, lambda ring, minimal, meter: leads(ring, [lead for lead, _ in minimal]))
+        return _packed(order, _used(basis), lambda ring: _leads(grid, ring, [ring.lead(ring.pack(g)) for g in basis]))
+    return _groebner(order, I.generators, budget, lambda ring, minimal, meter: _leads(grid, ring, [lead for lead, _ in minimal]))
 
 
 def canonical_order(ambient: tuple[int, int]) -> TermOrder:
@@ -356,4 +441,4 @@ def minimal_generators(I: Ideal, budget: int = DEFAULT_BUDGET) -> tuple[Polynomi
                 basis = None
         return _unpacked(ring, kept)
 
-    return _packed(canonical_order(I.ambient), gens, run, meter)
+    return _packed(canonical_order(I.ambient), _used(gens), run, meter)

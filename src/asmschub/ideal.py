@@ -11,7 +11,9 @@ Groebner basis under any antidiagonal order).  The three diagonal
 initial ideals are read off too for permutations that avoid the CDG
 patterns (Klein's theorem), each minor's lead memoized by the order, its
 size and its zero count per row, as rank-0 cells form a northwest shape.
-Both build J on grid masks.  All else goes through the Buchberger engine.
+Both build J on grid masks.  All else goes through the Buchberger engine,
+fed the minors packed straight into its ring; for a permutation the run
+is driven by the Hilbert function of its antidiagonal initial ideal.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .asm import PartialASM, as_permutation, make_partial_asm, permutation_matrix
-from .groebner import DEFAULT_BUDGET, Ideal, initial_ideal
+from .groebner import DEFAULT_BUDGET, Ideal, _buchberger, _leads, _packed
 from .monomial import _STATS, MonomialIdeal, _count, _packed_ideal, codim as monomial_codim
 from .perm import Permutation, is_cdg
-from .poly import Polynomial, TermOrder, _collect, _leibniz, generic_minor, lead_monomial, z_, z_grid
+from .poly import LEIBNIZ_CACHE, Polynomial, TermOrder, _collect, _leibniz, _Ring, generic_minor, lead_monomial, z_, z_grid
 
 Schubertable = Union[PartialASM, Permutation]
 
@@ -237,6 +240,51 @@ def _cdg_init(M: PartialASM, variant: str) -> MonomialIdeal:
     return _packed_ideal(z_grid(M.nrows, n), 1, masks)
 
 
+@lru_cache(maxsize=LEIBNIZ_CACHE)
+def _leibniz_cells(k: int) -> tuple[tuple[int, itemgetter, int], ...]:
+    """Each product of `_leibniz(k)`, k > 1, as its packed int, the getter of
+    its k cells (row-major indices) and its sign."""
+    w = k.bit_length()
+    return tuple((m, itemgetter(*(at for at in range(k * k) if m >> at * w & 1)), sign) for m, sign in _leibniz(k).items())
+
+
+def _fulton_entries(ring: _Ring, boxes: tuple[EssentialBox, ...]) -> list:
+    """The Fulton generators as monic entries of `ring`: a variable per cell
+    of a rank-0 box, then each other minor once, boxes row-major and minors
+    lex, as the products of the shared Leibniz map that avoid those cells,
+    each the sum of its cells' ring bits."""
+    zero = {(r, c) for box in boxes if not box.rank_bound
+            for r in range(1, box.cell[0] + 1) for c in range(1, box.cell[1] + 1)}
+    entries = [(1 << ring.shift[z_(r, c)] | 1 << ring.deg, ()) for r, c in sorted(zero)]
+    seen = set()
+    for box in boxes:
+        for rows, cols in _minor_indices(box) if box.rank_bound else ():
+            if (rows, cols) in seen:
+                continue
+            seen.add((rows, cols))
+            k = len(rows)
+            w, cells = k.bit_length(), [(r, c) for r in rows for c in cols]
+            bits = [1 << ring.shift[z_(*cell)] for cell in cells]
+            off, degree = sum(1 << at * w for at, cell in enumerate(cells) if cell in zero), k << ring.deg
+            if kept := {sum(get(bits)) | degree: c for m, get, c in _leibniz_cells(k) if not m & off}:
+                entries.append(ring.monic(kept))
+    return entries
+
+
+def _fulton_init(M: PartialASM, order: TermOrder, budget: int, target: tuple[int, ...] | None) -> MonomialIdeal:
+    """The initial ideal of M's Fulton ideal by `groebner._buchberger` on
+    `_fulton_entries`, driven by `target` when one is given."""
+    boxes, grid = asm_essential_boxes(M), z_grid(M.nrows, M.ncols)
+    used = {z_(r, c) for box in boxes if box.rank_bound < min(box.cell)  # the boxes with minors
+            for r in range(1, box.cell[0] + 1) for c in range(1, box.cell[1] + 1)}
+
+    def run(ring: _Ring) -> MonomialIdeal:
+        return _buchberger(ring, _fulton_entries(ring, boxes), budget,
+                           lambda ring, minimal, meter: _leads(grid, ring, [lead for lead, _ in minimal]), target)
+
+    return _packed(order, used, run)
+
+
 def diag_init(
     A: Schubertable, variant: str, budget: int = DEFAULT_BUDGET
 ) -> MonomialIdeal:
@@ -247,10 +295,18 @@ def diag_init(
     matrix Schubert varieties" (Algebraic Combinatorics, 2023), proves the
     Conca-De Negri-Gorla conjecture that its CDG generators are a Groebner
     basis under every diagonal order.  All else (other permutations, ASMs,
-    partial ASMs) runs Buchberger through `initial_ideal` under `budget`.
-    There the rank-0 cells, bare variables among the Fulton generators,
-    leave before any pair is formed, and the other minors lose their terms
-    through them (`groebner._buchberger`).
+    partial ASMs) runs `groebner._buchberger` under `budget` on
+    `_fulton_entries`, built in its ring: a variable per rank-0 cell, which
+    leaves before any pair is formed, and each other minor once, as the
+    Leibniz products that avoid those cells, made monic once.
+
+    A permutation's run is Hilbert-driven, with the K-polynomial numerator
+    of J = `anti_diag_init(w)` as its target: R/I_w and R/J share a Hilbert
+    series (Knutson and Miller, "Groebner geometry of Schubert polynomials",
+    Annals 2005, Theorem B), so in each degree, once the leads' Hilbert
+    function meets J's, the remaining pairs are skipped.  ASMs and partial
+    ASMs keep the plain run, as no theorem stated here gives their Hilbert
+    series.
     """
     M = as_partial_asm(A)
     if variant not in DIAG_VARIANTS:
@@ -259,4 +315,5 @@ def diag_init(
     if w is not None and is_cdg(w):
         _count(route_cdg=1)
         return _cdg_init(M, variant)
-    return initial_ideal(schubert_determinantal_ideal(M), diag_order(variant, M.nrows, M.ncols), budget)
+    target = None if w is None else anti_diag_init(M)._numerator
+    return _fulton_init(M, diag_order(variant, M.nrows, M.ncols), budget, target)

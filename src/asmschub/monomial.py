@@ -2,6 +2,9 @@
 
 A `MonomialIdeal` holds one packed int per minimal generator over its
 ambient variables, a support mask when squarefree; tuples decode on read.
+It keeps the numerator K(t) of its quotient's Hilbert series, computed by
+Bigatti's pivot recursion on squarefree masks, powers polarized; the
+Groebner engine drives a run by it.
 
 Minimal primes are minimal vertex covers of the generator supports,
 Stanley-Reisner facets are their complements, and graded Betti numbers
@@ -96,6 +99,19 @@ class MonomialIdeal:
 
     # the search `vertex_decomposition_reg` reads, made once per ideal
     _shelling = cached_property(lambda self: _vd_search(self))
+
+    @cached_property
+    def _numerator(self) -> tuple[int, ...]:
+        """K(t), coefficients from t^0 up to its degree, with Hilbert series
+        K(t) / (1 - t)^n of R/J over any n variables holding J; its
+        recursion nodes are counted."""
+        nodes = itertools.count()
+        span = _layout(self._width)[0] * len(self.variables)
+        K = _k_numerator(map(_polarizer(self._width, span), self._packed), nodes.__next__)
+        _count(hilbert_nodes=next(nodes))
+        while len(K) > 1 and not K[-1]:
+            K.pop()
+        return tuple(K)
 
     @property
     def is_zero(self) -> bool:
@@ -214,6 +230,79 @@ def codim(J: MonomialIdeal) -> int:
     return min(p.bit_count() for p in J._primes)
 
 
+# -- Hilbert series numerators ----------------------------------------------
+
+
+def _polarizer(width: int, span: int):
+    """The map from ints packed with `width` as in `MonomialIdeal`, fields
+    below bit `span`, to squarefree masks: x^e in the field at bit b becomes
+    bits b, b + span, ..., b + (e - 1) * span.  Polarization keeps the
+    K-polynomial, and a squarefree int is its own mask."""
+    if width < 2:
+        return int
+    step = _layout(width)[0]
+    low = sum(1 << b for b in range(0, span, step))
+
+    def polar(m: int) -> int:
+        if not m & ~low:
+            return m
+        return sum(((1 << e * span) - 1) // ((1 << span) - 1) << k * step for k, e in _fields(m, width))
+
+    return polar
+
+
+def _times_one_minus(p: list[int], d: int) -> list[int]:
+    """p * (1 - t^d)."""
+    out = p + [0] * d
+    for i, c in enumerate(p):
+        out[i + d] -= c
+    return out
+
+
+def _k_numerator(masks: Iterable[int], node) -> list[int]:
+    """K(t) of the ideal of squarefree `masks`, coefficients from t^0, by
+    Bigatti's pivot recursion ("Computation of Hilbert-Poincare series",
+    J. Pure Appl. Algebra, 1997) on its most frequent variable x:
+    K(I) = (1 - t) K(I without x) + t K(I : x).  Variables and pairwise
+    coprime generators are read off as factors 1 - t^deg.  node() is
+    called once per recursion node."""
+
+    def k(gens: list[int]) -> list[int]:
+        node()
+        if gens and not gens[0]:
+            return [0]  # the unit ideal
+        single = [g for g in gens if not g & (g - 1)]  # variables, which meet no other minimal generator
+        if single:
+            gens = [g for g in gens if g & (g - 1)]
+        union = total = 0
+        for g in gens:
+            union |= g
+            total += g.bit_count()
+        if total == union.bit_count():  # pairwise coprime
+            p = [1]
+            for g in gens:
+                p = _times_one_minus(p, g.bit_count())
+        else:
+            counts: dict[int, int] = {}
+            for g in gens:
+                while g:
+                    b = g & -g
+                    counts[b] = counts.get(b, 0) + 1
+                    g ^= b
+            x = max(counts, key=counts.__getitem__)
+            p = _times_one_minus(k([g for g in gens if not g & x]), 1)
+            for i, c in enumerate(k(_minimal_sets(g & ~x for g in gens)), start=1):
+                if i < len(p):
+                    p[i] += c
+                else:
+                    p.append(c)
+        for _ in single:
+            p = _times_one_minus(p, 1)
+        return p
+
+    return k(_minimal_sets(masks))
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Facet description of a simplicial complex on ordered vertices."""
@@ -261,7 +350,7 @@ STAT_NAMES = (
     "exact_fallbacks",
     "route_vd", "route_vd_nonpure", "vd_nodes", "vd_handovers", "memo_hits", "dream_hits",
     "route_cdg",
-    "pairs", "pairs_coprime", "pairs_chain",
+    "pairs", "pairs_coprime", "pairs_chain", "pairs_hilbert", "hilbert_nodes",
     "zero_reductions", "basis_size", "reduction_units", "split_variables",
     "dp_states", "dp_dropped",
 )
@@ -288,9 +377,12 @@ class collect_stats:
 
     `route_cdg` counts diagonal initial ideals read off CDG generators.
     Each Buchberger run adds the S-pairs it popped, those pruned as
-    coprime or by the chain criterion, its reductions to zero, its
-    minimal basis size, the reduction units charged to its budget and the
-    variable generators it split off before forming pairs.
+    coprime or by the chain criterion, those a Hilbert-driven run skipped
+    (`pairs_hilbert`), its reductions to zero, its minimal basis size, the
+    reduction units charged to its budget and the variable generators it
+    split off before forming pairs.  `hilbert_nodes` counts the nodes of
+    the K-polynomial numerator recursion, of a driven run's leads and of
+    each `MonomialIdeal` whose numerator is computed.
     `dp_states` counts the partial paths the row search of `perm_set_of_asm`
     kept, summed over its rows, and `dp_dropped` the leftmost free columns
     of blocks it tried and cut: by a rank limit, by a lower cover that keeps

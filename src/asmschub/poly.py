@@ -138,8 +138,11 @@ def _collect(acc: dict, alphabet: tuple, w: int) -> "Polynomial":
     of alphabet in that order at the same width, the ints stand.  The width
     stays w at the first int whose degree has bit w - 1 set, as any term of
     a homogeneous result of width w has; only if none has (the degree fell
-    past a power of two, or its top cancelled) is every degree read."""
-    for m in [m for m, c in acc.items() if not c or type(c) is not int]:
+    past a power of two, or its top cancelled) is every degree read.  A map
+    that lost a term is built afresh, so no table sized for the cancelled
+    terms is kept."""
+    popped = [m for m, c in acc.items() if not c or type(c) is not int]
+    for m in popped:
         c = acc.pop(m)
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
@@ -154,6 +157,8 @@ def _collect(acc: dict, alphabet: tuple, w: int) -> "Polynomial":
     if kept != list(range(len(kept))) or width != w:
         move = _mover([(k * w, j * width) for j, k in enumerate(kept)], w)
         acc = {move(m): c for m, c in acc.items()}
+    elif popped:  # a dict keeps its table after a pop
+        acc = dict(acc)
     return Polynomial(tuple(alphabet[k] for k in kept), width, acc)
 
 
@@ -398,9 +403,10 @@ class _Overflow(Exception):
 
 
 class _Ring:
-    """The monomials of one computation packed with `width`-bit fields
-    (Bachmann and Schoenemann, "Monomial representations for Groebner
-    bases computations", ISSAC 1998).  Each variable gets a field, as does
+    """The monomials of one computation over the variables `used`, packed
+    with `width`-bit fields (Bachmann and Schoenemann, "Monomial
+    representations for Groebner bases computations", ISSAC 1998).  Each
+    variable of `used` gets a field, as does
     the degree, and each field is topped by a guard bit that stays clear.
     Under lex the variable fields run from the top in priority order and
     the degree field is lowest, so a monomial is its own key; under
@@ -408,8 +414,7 @@ class _Ring:
     in reversed priority, and the key m ^ flip complements the variable
     fields."""
 
-    def __init__(self, order: TermOrder, polys, width: int):
-        used = set().union(*(g.variables() for g in polys))
+    def __init__(self, order: TermOrder, used: set, width: int):
         for v in sorted(used - order._pos.keys()):
             raise ValueError(f"variable {var_to_text(v)} not covered by the term order")
         n, s, lex = len(used), width + 1, order.kind == "lex"
@@ -448,8 +453,11 @@ class _Ring:
         """The entry (lead, tail) of coeffs divided by its lead coefficient."""
         lead = self.lead(coeffs)
         lc = coeffs[lead]
-        return lead, tuple((m, c if lc == 1 else _plain(Fraction(c, lc)))
-                           for m, c in coeffs.items() if m != lead)
+        if lc == 1:
+            return lead, tuple((m, c) for m, c in coeffs.items() if m != lead)
+        if lc == -1 and type(lc) is int:
+            return lead, tuple((m, -c) for m, c in coeffs.items() if m != lead)
+        return lead, tuple((m, _plain(Fraction(c, lc))) for m, c in coeffs.items() if m != lead)
 
 
 def lead_monomial(f: Polynomial, order: TermOrder) -> Monomial:
@@ -458,7 +466,7 @@ def lead_monomial(f: Polynomial, order: TermOrder) -> Monomial:
     alone."""
     if f.is_zero:
         raise ValueError("zero polynomial has no lead term")
-    ring = _Ring(order, [f], max(f.degree(), 1).bit_length())
+    ring = _Ring(order, f.variables(), max(f.degree(), 1).bit_length())
     lead = ring.lead(_fields(f, ring.shift, ring.deg))
     return tuple((v, e) for v, at in ring.shift.items() if (e := lead >> at & ring.field))
 

@@ -363,6 +363,8 @@ class TestExitCodes:
         data = json.loads(out)
         assert data["schema_version"] == 1
         assert data["stats"]["route_cdg"] == 0 and data["stats"]["pairs"] > 0
+        # 1,3,2,5,4 is a permutation, so its Hilbert function skips 4 of its 6 pairs
+        assert (data["stats"]["pairs"], data["stats"]["pairs_hilbert"]) == (6, 4)
         without = json.loads(run(verb + ["1,3,2,5,4", "LexSE", "--json"])[1])
         assert {k: v for k, v in data.items() if k != "stats"} == without
 

@@ -10,6 +10,7 @@ from hand computations.
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 
@@ -23,6 +24,7 @@ from asmschub.ideal import (
     _anti_diagonals,
     _cdg_init,
     _degeneration,
+    _fulton_init,
     _degeneration_memo,
     _local_lead,
     _minor_indices,
@@ -48,6 +50,7 @@ from asmschub.perm import (
     identity,
     rothe_diagram,
 )
+from asmschub.schubpoly import grothendieck_polynomial
 from asmschub.poly import (
     antidiagonal_order,
     generic_minor,
@@ -457,13 +460,14 @@ def buchberger_diag(w, variant):
     return initial_ideal(schubert_determinantal_ideal(w), diag_order(variant, n, n))
 
 
-def cdg_sample(n, count, seed):
-    """`count` distinct CDG permutations of S_n, drawn uniformly by seed."""
+def cdg_sample(n, count, seed, cdg=True):
+    """`count` distinct permutations of S_n avoiding the CDG patterns, or
+    else containing one, drawn uniformly by seed."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
-        if class_membership(w, "cdg") and w not in out:
+        if class_membership(w, "cdg") == cdg and w not in out:
             out.append(w)
     return out
 
@@ -490,6 +494,18 @@ class TestCdgShortcut:
         for w in cdg_sample(7, 6, seed=3):
             assert diag_init(w, variant) == buchberger_diag(w, variant), w
 
+    @pytest.mark.parametrize("variant", DIAG_VARIANTS)
+    def test_seeded_non_cdg_slice_of_s7(self, variant):
+        # the Hilbert-driven run against the plain one: the same ideal,
+        # pairs and basis, and fewer reductions
+        for w in cdg_sample(7, 8, seed=40, cdg=False):
+            with collect_stats() as driven:
+                got = diag_init(w, variant)
+            with collect_stats() as plain:
+                assert got == buchberger_diag(w, variant), w
+            assert [driven[k] for k in DRIVEN_SAME] == [plain[k] for k in DRIVEN_SAME], w
+            assert driven["zero_reductions"] <= plain["zero_reductions"] and driven["pairs_hilbert"] > 0, w
+
     @pytest.mark.parametrize("entries", [(1, 3, 2, 5, 4), (2, 1, 5, 4, 3)])
     def test_cdg_patterns_keep_buchberger(self, entries):
         w = Permutation(entries)
@@ -501,17 +517,26 @@ class TestCdgShortcut:
                 assert diag_init(w, variant) == want
             assert s["route_cdg"] == 0 and s["pairs"] > 0
 
+    # per order, (pairs, coprime, chain, zero reductions, basis size,
+    # reduction units, pairs the Hilbert function skipped, numerator nodes),
+    # and the plain run's first six, which no order changes
     @pytest.mark.parametrize(
         "entries, counters",
-        [((1, 3, 2, 5, 4), (6, 1, 2, 1, 3, 40)), ((2, 1, 5, 4, 3), (28, 3, 14, 10, 9, 142))],
+        [((1, 3, 2, 5, 4), ({v: (6, 0, 0, 0, 3, 8, 4, 4) for v in DIAG_VARIANTS}, (6, 1, 2, 1, 3, 40))),
+         ((2, 1, 5, 4, 3), ({"LexSE": (28, 0, 9, 0, 9, 10, 18, 19), "LexNW": (28, 0, 0, 0, 9, 10, 27, 19),
+                             "RevLex": (28, 0, 3, 0, 9, 10, 24, 19)}, (28, 3, 14, 10, 9, 142)))],
     )
     def test_buchberger_counters_are_pinned(self, entries, counters):
+        driven, plain = counters
         names = ("pairs", "pairs_coprime", "pairs_chain", "zero_reductions", "basis_size",
-                 "reduction_units")
+                 "reduction_units", "pairs_hilbert", "hilbert_nodes")
         for variant in DIAG_VARIANTS:
             with collect_stats() as s:
                 diag_init(Permutation(entries), variant)
-            assert tuple(s[k] for k in names) == counters, variant
+            assert tuple(s[k] for k in names) == driven[variant], variant
+            with collect_stats() as s:
+                buchberger_diag(Permutation(entries), variant)
+            assert tuple(s[k] for k in names) == plain + (0, 0), variant
 
     def test_shortcut_spends_no_budget(self):
         asm = make_partial_asm([[0, 1, 0, 0], [1, -1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])
@@ -521,6 +546,85 @@ class TestCdgShortcut:
         for variant in DIAG_VARIANTS:
             assert diag_init(w, variant, budget=0) == buchberger_diag(w, variant)
             assert diag_init(permutation_matrix(w), variant, budget=0) == buchberger_diag(w, variant)
+
+
+DRIVEN_SAME = ("pairs", "basis_size", "split_variables")
+
+
+def grothendieck_at_one_minus_t(w):
+    """G_w(1 - t, ..., 1 - t), coefficients from t^0 up to its degree."""
+    K = [0]
+    for m, c in grothendieck_polynomial(w).terms:
+        d = sum(e for _, e in m)
+        K += [0] * (d + 1 - len(K))
+        for i in range(d + 1):
+            K[i] += c * (-1) ** i * comb(d, i)
+    while len(K) > 1 and not K[-1]:
+        K.pop()
+    return tuple(K)
+
+
+class TestHilbertNumerator:
+    """The target the diagonal route stops on.  R/I_w and R/J, J =
+    `anti_diag_init(w)`, share a Hilbert series (Knutson and Miller, Annals
+    2005, Theorem B), whose numerator is G_w(1 - t, ..., 1 - t): J's
+    numerator is checked against the Grothendieck polynomial, an independent
+    route, and every diagonal initial ideal against J."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_antidiagonal_numerator_is_the_grothendieck_polynomial(self, n):
+        for w in all_permutations(n):
+            assert anti_diag_init(w)._numerator == grothendieck_at_one_minus_t(w), w
+
+    def test_seeded_slice_of_s6(self):
+        for w in random.Random(41).sample(list(all_permutations(6)), 60):
+            assert anti_diag_init(w)._numerator == grothendieck_at_one_minus_t(w), w
+
+    @pytest.mark.parametrize("variant", DIAG_VARIANTS)
+    def test_diagonal_initial_ideals_share_it(self, variant):
+        for w in all_permutations(5):
+            assert diag_init(w, variant)._numerator == anti_diag_init(w)._numerator, w
+
+    def test_pinned_numerators(self):
+        # 2,1: (z11) has K = 1 - t; 1,3,2: one 2-minor, 1 - t^2; the identity: 1
+        assert anti_diag_init(Permutation((2, 1)))._numerator == (1, -1)
+        assert anti_diag_init(Permutation((1, 3, 2)))._numerator == (1, 0, -1)
+        assert anti_diag_init(identity(3))._numerator == (1,)
+
+    @pytest.mark.parametrize("variant", DIAG_VARIANTS)
+    def test_asms_keep_the_plain_run(self, variant):
+        # no theorem in the code gives an ASM's Hilbert series, so ASMs and
+        # partial ASMs take the packed input alone, and every counter is the
+        # plain run's
+        rng = random.Random(42)
+        asms = [A for A in enumerate_asms(4) if as_permutation(A) is None]
+        asms += rng.sample([A for A in enumerate_asms(5) if as_permutation(A) is None], 24)
+        asms += [random_partial_asm(rng, rng.randint(2, 5), rng.randint(2, 5)) for _ in range(16)]
+        for A in asms:
+            M = as_partial_asm(A)
+            with collect_stats() as got:
+                J = diag_init(A, variant)
+            with collect_stats() as want:
+                assert J == initial_ideal(schubert_determinantal_ideal(M), diag_order(variant, M.nrows, M.ncols)), A
+            assert got == want and got["pairs_hilbert"] == got["hilbert_nodes"] == 0, A
+
+    def test_a_target_never_met_never_stops_the_run(self):
+        # the unit ideal's numerator 0 keeps every excess positive, so the
+        # run is the plain one but for the numerator's nodes
+        w = Permutation((2, 1, 5, 4, 3))
+        for variant in DIAG_VARIANTS:
+            order = diag_order(variant, 5, 5)
+            with collect_stats() as got:
+                J = _fulton_init(as_partial_asm(w), order, 10_000, (0,))
+            with collect_stats() as want:
+                assert J == buchberger_diag(w, variant)
+            assert {**got, "hilbert_nodes": 0} == want and got["hilbert_nodes"] > 0
+
+    def test_a_wrong_target_raises(self):
+        # the zero ideal's numerator 1 lies above every lead's Hilbert function
+        M = as_partial_asm(Permutation((1, 3, 2, 5, 4)))
+        with pytest.raises(ArithmeticError, match="fell below the target's in degree 4"):
+            _fulton_init(M, diag_order("LexSE", 5, 5), 10_000, (1,))
 
 
 def memo_population():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -782,6 +783,52 @@ class TestStats:
             pass
         mi.betti_numbers(J)
         assert s == dict.fromkeys(mi.STAT_NAMES, 0)
+
+
+def standard_counts(J: mi.MonomialIdeal, top: int) -> list[int]:
+    """The monomials of each degree up to top that no generator divides, by enumeration."""
+    counts = [0] * (top + 1)
+    gens = [dict(g) for g in J.generators]
+    for exps in itertools.product(range(top + 1), repeat=len(J.variables)):
+        m = dict(zip(J.variables, exps))
+        if sum(exps) <= top and not any(all(m[v] >= e for v, e in g.items()) for g in gens):
+            counts[sum(exps)] += 1
+    return counts
+
+
+def hilbert_function(K: tuple[int, ...], n: int, top: int) -> list[int]:
+    """HF(d) of a series K(t) / (1 - t)^n, for d up to top."""
+    return [sum(c * comb(d - i + n - 1, n - 1) for i, c in enumerate(K[:d + 1])) for d in range(top + 1)]
+
+
+class TestHilbertNumerator:
+    """`MonomialIdeal._numerator` against a count of standard monomials per degree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(powers(), max_size=5))
+    @example([monomial([(x_(1), 3)]), monomial([(x_(1), 1), (x_(2), 2)])])
+    @example([monomial([])])
+    def test_against_standard_monomials(self, monos):
+        J = mi.monomial_ideal(monos, [x_(i) for i in range(1, 5)])
+        assert hilbert_function(J._numerator, 4, 7) == standard_counts(J, 7)
+        assert J._numerator[-1] or J._numerator == (0,)  # no trailing zero
+
+    def test_pinned_numerators(self):
+        # (x1^3): 1 - t^3; (x1*x2, x1*x3): 1 - 2t^2 + t^3; the unit ideal: 0
+        assert mi.monomial_ideal([monomial([(x_(1), 3)])])._numerator == (1, 0, 0, -1)
+        assert mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[0], X[2])])._numerator == (1, 0, -2, 1)
+        assert mi.monomial_ideal([monomial([])])._numerator == (0,)
+
+    def test_nodes_are_counted(self):
+        # (x1*x2, x2*x3, x3*x1) pivots once on its most frequent variable,
+        # and both branches, (x3*x1) and (x1, x3), are read off as factors
+        J = mi.monomial_ideal([sqfree(X[0], X[1]), sqfree(X[1], X[2]), sqfree(X[2], X[0])])
+        with mi.collect_stats() as s:
+            assert J._numerator == (1, 0, -3, 2)
+        assert s["hilbert_nodes"] == 3
+        with mi.collect_stats() as s:
+            J._numerator  # kept
+        assert s["hilbert_nodes"] == 0
 
 
 class TestBettiNumbers:

@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -458,7 +459,7 @@ class TestCanonicalOrder:
             rng.shuffle(priority)
             for order in (lex_order(priority), poly.TermOrder("grevlex", tuple(priority))):
                 # the ring key, the library's one comparison of monomials
-                ring = poly._Ring(order, [f], max(f.degree(), 1).bit_length())
+                ring = poly._Ring(order, f.variables(), max(f.degree(), 1).bit_length())
                 ranked = sorted(ring.pack(f), key=lambda m: m ^ ring.flip)
                 assert [ring.unpack([(m, 1)]).terms[0][0] for m in ranked] == sorted(
                     (m for m, _ in f.terms), key=lambda m: nested_term_key(order, m)
@@ -660,6 +661,15 @@ class TestLayout:
         assert_matches(h, pair_difference(dict((x1**8).coeffs), 1, ((0, 1),)))
         # pi_1(1) = 1 is collected from a 1-bit layout, and narrows to width 0
         assert isobaric_divided_difference(ONE, 1)._width == 0 and isobaric_divided_difference(ONE, 1) == ONE
+
+    def test_a_cancelling_difference_keeps_no_spare_table(self):
+        # pi_3 of G_12543 cancels terms and keeps the layout, so its map is
+        # built afresh rather than left with the table the cancelled terms sized
+        g = schubpoly.grothendieck_polynomial(Permutation((1, 2, 5, 4, 3)))
+        h = isobaric_divided_difference(g, 3)
+        assert h == schubpoly.grothendieck_polynomial(Permutation((1, 2, 4, 5, 3)))
+        assert (len(h._packed), h._alphabet, h._width) == (11, g._alphabet, g._width)
+        assert sys.getsizeof(h._packed) == sys.getsizeof(dict(h._packed))
 
     def test_an_inhomogeneous_isobaric_output(self):
         # pi_1(x1^4) = partial_1(x1^4) - partial_1(x1^4 x2): the degree-3

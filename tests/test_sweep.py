@@ -41,6 +41,17 @@ def test_diag_cdg_corpus_replays_every_fortieth_item():
         assert sweep.diag_cdg_item(w, variant) == items[key], key
 
 
+def test_diag_cdg_corpus_replays_every_non_cdg_item():
+    # every item that takes the Hilbert-driven Buchberger run
+    corpus = json.loads((ROOT / "scripts" / "corpus" / "diag-cdg-6.json").read_text())
+    keys = [key for key, (cdg, _, _) in corpus["items"].items() if not cdg]
+    assert len(keys) == corpus["summary"]["non_cdg_items"] == 168
+    for key in keys:
+        one_line, variant = key.split("|")
+        w = Permutation(tuple(int(c) for c in one_line))
+        assert sweep.diag_cdg_item(w, variant) == corpus["items"][key], key
+
+
 def test_flag_corpus_replays_every_tenth_item():
     corpus = json.loads((ROOT / "scripts" / "corpus" / "flag-5.json").read_text())
     items = corpus["items"]
